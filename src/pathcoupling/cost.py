@@ -25,9 +25,12 @@ from .linalg import psd_sqrt, trace_max_rotation, trace_max_rotation_batch
 from .sde import (
     PathEnsemble,
     SdeModel,
+    ValueMemo,
     _eval_diffusion,
     _eval_drift,
+    _path_view,
     decompose,
+    time_major,
 )
 
 SEPARABLE = "SEPARABLE"
@@ -127,13 +130,26 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 # per-pair evaluation (internally batched over pairs)
 
 
+_CHUNK = 256  # pairs per block of the bracket reduction
+
+
+def _bracket(mx, my):
+    """Realized quadratic variation of mx - my per pair, over C-ordered blocks of pairs
+    (so each pair sums in one order whatever the layout, and no full temporary is held)."""
+    out = np.empty(mx.shape[0])
+    for lo in range(0, mx.shape[0], _CHUNK):
+        dm = np.diff(np.subtract(mx[lo : lo + _CHUNK], my[lo : lo + _CHUNK], order="C"), axis=1)
+        out[lo : lo + _CHUNK] = np.einsum("pkd,pkd->p", dm, dm)
+    return out
+
+
 def _separable_values(grid, x, y, src: SdeModel, dst: SdeModel, spec: CostSpec):
     xe = PathEnsemble(grid=grid, values=x, seed=0)
     ye = PathEnsemble(grid=grid, values=y, seed=0)
     fv_x, m_x = decompose(src, xe)
     fv_y, m_y = decompose(dst, ye)
-    dm = np.diff(m_x.values - m_y.values, axis=1)
-    bracket = np.einsum("pkd,pkd->p", dm, dm)
+    bracket = _bracket(m_x.values, m_y.values)
+    del m_x, m_y
     h_vals = np.asarray(spec.h(fv_x.values - fv_y.values), dtype=float)
     if h_vals.shape != (x.shape[0],):
         raise DimensionError(
@@ -241,8 +257,10 @@ def closed_form_optimal(
         )
     grid = probe_ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    x = probe_ensemble.values
+    x = _path_view(time_major(probe_ensemble.values))
     n_paths = probe_ensemble.n_paths
+    xi_of = ValueMemo(psd_sqrt)
+    cross_of = ValueMemo(lambda a: trace_max_rotation(a)[1])
 
     xi = np.empty((n, d, d))
     bracket = np.zeros(n_paths)
@@ -260,7 +278,7 @@ def closed_form_optimal(
         bbar = _eval_drift(dst.drift, k, t, prefix, n_paths, d)
         if bbar.ndim == 2:
             bbar = _require_deterministic(bbar, "dst drift", k, det_tol)
-        xi[k] = psd_sqrt(sbar @ sbar.T)
+        xi[k] = xi_of(sbar @ sbar.T)
         tr_dst = float(np.einsum("ij,ij->", sbar, sbar))
 
         b = _eval_drift(src.drift, k, t, prefix, n_paths, d)
@@ -269,7 +287,7 @@ def closed_form_optimal(
 
         sig = _eval_diffusion(src.diffusion, k, t, prefix, n_paths, d)
         if sig.ndim == 2:
-            _, cross = trace_max_rotation(sig @ xi[k])
+            cross = cross_of(sig @ xi[k])
             tr_src = float(np.einsum("ij,ij->", sig, sig))
         else:
             _, cross = trace_max_rotation_batch(sig @ xi[k])
@@ -282,6 +300,7 @@ def closed_form_optimal(
     h_vals = np.asarray(spec.h(fv_x - fv_y[None]), dtype=float)
     g_vals = np.asarray(spec.g(bracket), dtype=float)
     value = _from_values(h_vals + g_vals, f"closed-form({spec.label})")
+    rotation_of = ValueMemo(lambda a: trace_max_rotation(a)[0])
 
     def q_fn(k, t, x_prefix):
         if not 0 <= k < n:
@@ -294,8 +313,7 @@ def closed_form_optimal(
             prefix = prefix[None]
         sig = _eval_diffusion(src.diffusion, k, k * dt, prefix, prefix.shape[0], d)
         if sig.ndim == 2:
-            q, _ = trace_max_rotation(sig @ xi[k])
-            return q
+            return rotation_of(sig @ xi[k]).copy()
         q, _ = trace_max_rotation_batch(sig @ xi[k])
         return q[0] if single else q
 

@@ -38,12 +38,18 @@ from .sde import (
     PathEnsemble,
     SdeModel,
     TimeGrid,
+    ValueMemo,
+    _apply,
+    _apply_transposed,
     _eval_diffusion,
     _eval_drift,
+    _path_view,
+    _shaped,
     brownian_increments,
     ito_map,
     inverse_ito_map,
     sample_brownian,
+    time_major,
 )
 
 __all__ = [
@@ -165,27 +171,11 @@ class CoupledEnsemble:
         return PathEnsemble(grid=self.grid, values=self.y, seed=self.seed)
 
 
-def _eval_correlation(rho, k, t, xp, yp, n_paths):
-    d = rho.dim
-    c = np.asarray(rho.eval(k, t, xp, yp), dtype=float)
-    if c.shape == (d, d) or c.shape == (n_paths, d, d):
-        return c
-    raise DimensionError(
-        f"correlation {rho.label!r} returned shape {c.shape} at step {k}; "
-        f"expected ({d}, {d}) or ({n_paths}, {d}, {d})"
-    )
-
-
-def _eval_rotation(q, k, t, xp, n_paths, tol):
+def _eval_rotation(q, k, t, xp, n_paths, tol, defect_of):
+    """Q[k], checked orthogonal; ``defect_of`` is a ValueMemo of the defect."""
     d = q.dim
-    mat = np.asarray(q.eval(k, t, xp), dtype=float)
-    if mat.shape != (d, d) and mat.shape != (n_paths, d, d):
-        raise DimensionError(
-            f"rotation {q.label!r} returned shape {mat.shape} at step {k}; "
-            f"expected ({d}, {d}) or ({n_paths}, {d}, {d})"
-        )
-    defect = orthogonality_defect(mat)
-    worst = defect if np.ndim(defect) == 0 else float(defect.max())
+    mat = _shaped(q.eval(k, t, xp), [(d, d), (n_paths, d, d)], "rotation", q.label, k)
+    worst = float(np.max(defect_of(mat)))
     if worst > tol:
         raise DomainError(
             f"rotation {q.label!r} is not orthogonal (defect {worst:.3e})", step=k
@@ -193,18 +183,11 @@ def _eval_rotation(q, k, t, xp, n_paths, tol):
     return mat
 
 
-def _apply(mat, vec):
-    """mat @ vec per path; mat (d,d) shared or (N,d,d), vec (N,d)."""
-    if mat.ndim == 2:
-        return vec @ mat.T
-    return np.einsum("nij,nj->ni", mat, vec)
-
-
-def _apply_transposed(mat, vec):
-    """mat^T @ vec per path."""
-    if mat.ndim == 2:
-        return vec @ mat
-    return np.einsum("nji,nj->ni", mat, vec)
+def _coupled(grid, x, y, seed, constructor, marginals, **detail):
+    """A CoupledEnsemble whose provenance names its construction."""
+    prov = {"constructor": constructor, **detail, "marginals": list(marginals),
+            "n_pairs": int(x.shape[0]), "n_steps": grid.n_steps, "seed": seed}
+    return CoupledEnsemble(grid=grid, x=x, y=y, seed=seed, provenance=prov)
 
 
 # ---------------------------------------------------------------------------
@@ -231,40 +214,38 @@ def couple_brownians(
     """
     d = rho.dim
     inc = brownian_increments(grid, d, n_pairs, seed, streams=2, n_workers=n_workers)
-    db, dw = inc[0], inc[1]
+    db, dw = time_major(inc[0]), time_major(inc[1])
     n = grid.n_steps
     dt = grid.dt
-    x = np.zeros((n_pairs, n + 1, d))
-    y = np.zeros((n_pairs, n + 1, d))
-    eye = np.eye(d)
+    x = np.zeros((n + 1, n_pairs, d))
+    y = np.zeros((n + 1, n_pairs, d))
+    xv, yv = _path_view(x), _path_view(y)
+    margin_of = ValueMemo(correlation_margin)
+    root_of = ValueMemo(_complement_root)
+    shapes = [(d, d), (n_pairs, d, d)]
     for k in range(n):
-        c = _eval_correlation(rho, k, k * dt, x[:, : k + 1], y[:, : k + 1], n_pairs)
-        margin = correlation_margin(c)
-        worst = margin if np.ndim(margin) == 0 else float(margin.min())
+        c = rho.eval(k, k * dt, xv[:, : k + 1], yv[:, : k + 1])
+        c = _shaped(c, shapes, "correlation", rho.label, k)
+        worst = float(np.min(margin_of(c)))
         if worst < -tol:
             raise DomainError(
                 f"correlation {rho.label!r} leaves the admissible class "
                 f"(margin {worst:.3e})",
                 step=k,
             )
-        if c.ndim == 2:
-            comp = eye - c.T @ c
-            root = psd_sqrt(comp, clamp_tol=1e-6)
-        else:
-            comp = eye - np.swapaxes(c, -1, -2) @ c
-            root = _psd_sqrt_batch(comp)
-        dy = _apply_transposed(c, db[:, k]) + _apply(root, dw[:, k])
-        x[:, k + 1] = x[:, k] + db[:, k]
-        y[:, k + 1] = y[:, k] + dy
-    prov = {
-        "constructor": "couple_brownians",
-        "correlation": rho.label,
-        "marginals": [f"wiener(d={d})", f"wiener(d={d})"],
-        "n_pairs": n_pairs,
-        "n_steps": n,
-        "seed": seed,
-    }
-    return CoupledEnsemble(grid=grid, x=x, y=y, seed=seed, provenance=prov)
+        dy = _apply_transposed(c, db[k]) + _apply(root_of(c), dw[k])
+        x[k + 1] = x[k] + db[k]
+        y[k + 1] = y[k] + dy
+    wiener = [f"wiener(d={d})"] * 2
+    return _coupled(grid, xv, yv, seed, "couple_brownians", wiener, correlation=rho.label)
+
+
+def _complement_root(c):
+    """sqrt(I - c^T c), the top-up that restores the Brownian marginal."""
+    comp = np.eye(c.shape[-1]) - np.swapaxes(c, -1, -2) @ c
+    if c.ndim == 2:
+        return psd_sqrt(comp, clamp_tol=1e-6)
+    return _psd_sqrt_batch(comp)
 
 
 def couple_sdes(
@@ -291,15 +272,9 @@ def couple_sdes(
     pair = couple_brownians(rho, grid, n_pairs, seed, tol=tol, n_workers=n_workers)
     x = ito_map(src, pair.x_ensemble())
     y = ito_map(dst, pair.y_ensemble())
-    prov = {
-        "constructor": "couple_sdes",
-        "correlation": rho.label,
-        "marginals": [src.label, dst.label],
-        "n_pairs": n_pairs,
-        "n_steps": grid.n_steps,
-        "seed": seed,
-    }
-    return CoupledEnsemble(grid=grid, x=x.values, y=y.values, seed=seed, provenance=prov)
+    marginals = [src.label, dst.label]
+    return _coupled(grid, x.values, y.values, seed, "couple_sdes", marginals,
+                    correlation=rho.label)
 
 
 # ---------------------------------------------------------------------------
@@ -321,24 +296,18 @@ def rotation_monge(
     """
     if q.dim != driver.d:
         raise DimensionError(f"rotation dim {q.dim} does not match driver dim {driver.d}")
-    x = driver.values
-    n_pairs, _, d = x.shape
+    n_pairs, _, d = driver.values.shape
     grid = driver.grid
     dt = grid.dt
+    x = time_major(driver.values)
+    xv = _path_view(x)
     y = np.zeros_like(x)
+    defect_of = ValueMemo(orthogonality_defect)
     for k in range(grid.n_steps):
-        mat = _eval_rotation(q, k, k * dt, x[:, : k + 1], n_pairs, tol)
-        dy = _apply(mat, x[:, k + 1] - x[:, k])
-        y[:, k + 1] = y[:, k] + dy
-    prov = {
-        "constructor": "rotation_monge",
-        "rotation": q.label,
-        "marginals": [f"wiener(d={d})", f"wiener(d={d})"],
-        "n_pairs": n_pairs,
-        "n_steps": grid.n_steps,
-        "seed": driver.seed,
-    }
-    return CoupledEnsemble(grid=grid, x=x, y=y, seed=driver.seed, provenance=prov)
+        mat = _eval_rotation(q, k, k * dt, xv[:, : k + 1], n_pairs, tol, defect_of)
+        y[k + 1] = y[k] + _apply(mat, x[k + 1] - x[k])
+    y, wiener = _path_view(y), [f"wiener(d={d})"] * 2
+    return _coupled(grid, driver.values, y, driver.seed, "rotation_monge", wiener, rotation=q.label)
 
 
 def composed_monge(
@@ -366,15 +335,8 @@ def composed_monge(
     w = inverse_ito_map(src, x, rank_tol=rank_tol)
     rotated = rotation_monge(q, w, tol=tol)
     y = ito_map(dst, rotated.y_ensemble())
-    prov = {
-        "constructor": "composed_monge",
-        "rotation": q.label,
-        "marginals": [src.label, dst.label],
-        "n_pairs": n_pairs,
-        "n_steps": grid.n_steps,
-        "seed": seed,
-    }
-    return CoupledEnsemble(grid=grid, x=x.values, y=y.values, seed=seed, provenance=prov)
+    marginals = [src.label, dst.label]
+    return _coupled(grid, x.values, y.values, seed, "composed_monge", marginals, rotation=q.label)
 
 
 def _pinv_and_null(sig, rank_tol):
@@ -384,18 +346,9 @@ def _pinv_and_null(sig, rank_tol):
     as null, so it is exactly the zero matrix when the matrix has full
     rank - no rounding residue.
     """
-    if sig.ndim == 2:
-        u, s, vh = np.linalg.svd(sig)
-        cutoff = rank_tol * (s[0] if s.size else 0.0)
-        keep = s > cutoff
-        inv = np.where(keep, np.divide(1.0, s, where=s > 0), 0.0)
-        pinv = (vh.T * inv) @ u.T
-        vnull = vh.T * (~keep)
-        return pinv, vnull @ vnull.T
     u, s, vh = np.linalg.svd(sig)
-    cutoff = rank_tol * s[..., :1]
-    keep = s > cutoff
-    inv = np.where(keep, np.divide(1.0, s, where=s > 0), 0.0)
+    keep = s > rank_tol * s[..., :1]
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     v = np.swapaxes(vh, -1, -2)
     pinv = (v * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
     vnull = v * (~keep)[..., None, :]
@@ -438,40 +391,40 @@ def monge_sde(
         z0_dst = np.zeros(d)
     z0_dst = np.broadcast_to(np.asarray(z0_dst, dtype=float), (d,))
     bm = sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)
-    x = ito_map(src, bm).values
+    xv = ito_map(src, bm).values
+    x = time_major(xv)
     n = grid.n_steps
     dt = grid.dt
     ty = np.empty_like(x)
-    ty[:, 0] = z0_dst
+    tv = _path_view(ty)
+    ty[0] = z0_dst
     resid = np.zeros(n)
+    defect_of = ValueMemo(orthogonality_defect)
+    pinv_of = ValueMemo(lambda s: _pinv_and_null(s, rank_tol))
     for k in range(n):
         t = k * dt
-        xp = x[:, : k + 1]
-        tp = ty[:, : k + 1]
+        xp = xv[:, : k + 1]
+        tp = tv[:, : k + 1]
         b = _eval_drift(src.drift, k, t, xp, n_pairs, d)
         sig = _eval_diffusion(src.diffusion, k, t, xp, n_pairs, d)
         bbar = _eval_drift(dst_drift, k, t, tp, n_pairs, d)
         sbar = _eval_diffusion(dst_diffusion, k, t, tp, n_pairs, d)
-        qmat = _eval_rotation(q, k, t, xp, n_pairs, tol)
-        pinv, null_proj = _pinv_and_null(sig, rank_tol)
-        dm = x[:, k + 1] - x[:, k] - b * dt
+        qmat = _eval_rotation(q, k, t, xp, n_pairs, tol, defect_of)
+        pinv, null_proj = pinv_of(sig)
+        dm = x[k + 1] - x[k] - b * dt
         u = _apply(pinv, dm)
         dy = bbar * dt + _apply(sbar, _apply(qmat, u))
-        ty[:, k + 1] = ty[:, k] + dy
+        ty[k + 1] = ty[k] + dy
         leak = np.matmul(np.matmul(sbar, qmat), null_proj)
         resid[k] = float(np.abs(leak).max())
-    prov = {
-        "constructor": "monge_sde",
-        "rotation": q.label,
-        "marginals": [src.label, f"target({dst_drift.label}, {dst_diffusion.label})"],
-        "kernel_residual": float(resid.max()),
-        "kernel_residual_step": int(resid.argmax()),
-        "kernel_condition_violated": bool(resid.max() > 1e-8),
-        "n_pairs": n_pairs,
-        "n_steps": n,
-        "seed": seed,
-    }
-    return CoupledEnsemble(grid=grid, x=x, y=ty, seed=seed, provenance=prov)
+    return _coupled(
+        grid, xv, tv, seed, "monge_sde",
+        [src.label, f"target({dst_drift.label}, {dst_diffusion.label})"],
+        rotation=q.label,
+        kernel_residual=float(resid.max()),
+        kernel_residual_step=int(resid.argmax()),
+        kernel_condition_violated=bool(resid.max() > 1e-8),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +485,8 @@ def tanaka_coupling(
     dx = sgn * np.diff(y, axis=1)
     x = np.zeros_like(y)
     np.cumsum(dx, axis=1, out=x[:, 1:])
-    prov = {
-        "constructor": "tanaka_coupling",
-        "correlation": "sign(y)",
-        "marginals": ["wiener(d=1)", "wiener(d=1)"],
-        "n_pairs": n_pairs,
-        "n_steps": grid.n_steps,
-        "seed": seed,
-    }
-    return CoupledEnsemble(grid=grid, x=x, y=y, seed=seed, provenance=prov)
+    wiener = ["wiener(d=1)"] * 2
+    return _coupled(grid, x, y, seed, "tanaka_coupling", wiener, correlation="sign(y)")
 
 
 def chop_rotation(c: float, n_steps: int, block: int):

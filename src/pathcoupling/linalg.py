@@ -100,7 +100,7 @@ def pseudoinverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     """
     res = svd(a)
     cutoff = rank_tol * (res.S[0] if res.S.size else 0.0)
-    inv = np.where(res.S > cutoff, np.divide(1.0, res.S, where=res.S > 0), 0.0)
+    inv = np.divide(1.0, res.S, out=np.zeros_like(res.S), where=res.S > cutoff)
     return (res.V * inv) @ res.U.T
 
 
@@ -159,14 +159,28 @@ def is_correlation(c, tol: float = MEMBERSHIP_TOL) -> bool:
 
 
 def orthogonality_defect(q) -> np.ndarray | float:
-    """Max-norm of Q^T Q - I for one matrix or a batch."""
+    """Max-norm of Q^T Q - I for one matrix or a batch.
+
+    A batch is handled entry by entry of the symmetric Gram matrix with
+    elementwise arithmetic over the batch, far cheaper for small d than
+    stacked tiny matrix products.
+    """
     q = np.asarray(q, dtype=float)
     if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
         raise DimensionError(f"expected (..., d, d) matrices, got shape {q.shape}")
-    gram = np.swapaxes(q, -1, -2) @ q
-    gram = gram - np.eye(q.shape[-1])
-    out = np.abs(gram).max(axis=(-1, -2))
-    return float(out) if np.ndim(out) == 0 else out
+    d = q.shape[-1]
+    if q.ndim == 2:
+        return float(np.abs(q.T @ q - np.eye(d)).max())
+    out = np.zeros(q.shape[:-2])
+    for i in range(d):
+        for j in range(i, d):
+            gram = q[..., 0, i] * q[..., 0, j]
+            for r in range(1, d):
+                gram += q[..., r, i] * q[..., r, j]
+            if i == j:
+                gram -= 1.0
+            np.maximum(out, np.abs(gram), out=out)
+    return out
 
 
 def is_orthogonal(q, tol: float = MEMBERSHIP_TOL) -> bool:

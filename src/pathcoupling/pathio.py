@@ -42,12 +42,13 @@ def write_csv(path, obj) -> None:
     header = ["path_id", "step", "t"] + [f"x_{i + 1}" for i in range(d)]
     if len(blocks) == 2:
         header += [f"y_{i + 1}" for i in range(d)]
-    path_ids = np.repeat(np.arange(n_paths), n_rows)
-    steps = np.tile(np.arange(n_rows), n_paths)
-    times = np.tile(grid.times, n_paths)
-    cols = [path_ids, steps, times]
-    cols += [blk.reshape(-1, d)[:, i] for blk in blocks for i in range(d)]
-    table = np.column_stack(cols)
+    table = np.empty((n_paths * n_rows, 3 + len(blocks) * d))
+    table[:, 0] = np.repeat(np.arange(n_paths), n_rows)
+    table[:, 1] = np.tile(np.arange(n_rows), n_paths)
+    table[:, 2] = np.tile(grid.times, n_paths)
+    cells = table.reshape(n_paths, n_rows, -1)  # a view: table is C-ordered
+    for b, blk in enumerate(blocks):
+        cells[:, :, 3 + b * d : 3 + (b + 1) * d] = blk
     fmt = ["%d", "%d", "%.17g"] + ["%.17g"] * (len(blocks) * d)
     np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
 
@@ -89,7 +90,7 @@ def write_binary(path, obj) -> None:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(d, grid.n_steps, n_paths, seed))
         for blk in blocks:
-            fh.write(np.ascontiguousarray(blk, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(blk, dtype="<f8").data)
 
 
 def read_binary(path):

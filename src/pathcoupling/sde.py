@@ -16,6 +16,14 @@ step.
 Randomness discipline: every path of an ensemble draws from its own
 substream derived from (seed, path index), so generating an ensemble
 in parallel chunks yields bit-identical output to a serial run.
+
+Storage convention: every ensemble a step kernel produces is stored
+time-major, in a C-contiguous (n_steps+1, N, d) buffer, and
+``PathEnsemble.values`` (like the legs of a coupled ensemble) is its
+(N, n_steps+1, d) transposed view.  The public shape is unchanged while
+each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
+is contiguous.  Inputs of any layout are accepted; :func:`time_major`
+copies only those not already time-major.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ __all__ = [
     "ito_map",
     "inverse_ito_map",
     "decompose",
+    "time_major",
 ]
 
 
@@ -194,10 +203,56 @@ def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
-def _check_seed(seed):
+def _check_draw(seed, d, n_paths, streams):
+    """The seed as an int, once seed and sizes are validated."""
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if d < 1 or n_paths < 1 or streams < 1:
+        raise DimensionError("d, n_paths and streams must all be >= 1")
     return int(seed)
+
+
+def time_major(values: np.ndarray) -> np.ndarray:
+    """The (n+1, N, d) time-major form of (N, n+1, d) paths; a copy only if needed."""
+    return np.ascontiguousarray(np.swapaxes(values, 0, 1))
+
+
+def _path_view(buf: np.ndarray) -> np.ndarray:
+    """The public (N, n+1, d) view of time-major (n+1, N, d) storage."""
+    return np.swapaxes(buf, 0, 1)
+
+
+_BLOCK_VALUES = 1 << 15  # normals (256 kB) drawn into one block of paths before it is stored
+
+
+def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_workers: int, store):
+    """Draw the scaled increments of every path, a block of paths at a time.
+
+    Path i draws its (streams, n_steps, d) normals from substream (seed, i);
+    ``store(start, block)`` receives those of paths start, start+1, ...
+    """
+    n = grid.n_steps
+    root_dt = np.sqrt(grid.dt)
+    per_block = max(1, _BLOCK_VALUES // (streams * n * d))
+
+    def fill(lo: int, hi: int):
+        buf = np.empty((min(per_block, hi - lo), streams, n, d))
+        for start in range(lo, hi, per_block):
+            block = buf[: min(per_block, hi - start)]
+            for j in range(block.shape[0]):
+                _substream(seed, start + j).standard_normal(out=block[j])
+            block *= root_dt
+            if not np.isfinite(block).all():
+                raise DomainError("non-finite values in generated increments")
+            store(start, block)
+
+    if n_workers <= 1 or n_paths < 2 * n_workers:
+        fill(0, n_paths)
+    else:
+        chunk = -(-n_paths // n_workers)
+        bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            list(pool.map(lambda b: fill(*b), bounds))
 
 
 def brownian_increments(
@@ -207,75 +262,89 @@ def brownian_increments(
 
     Path i draws all of its ``streams`` blocks from substream (seed, i)
     in a fixed order, so the result does not depend on ``n_workers`` or
-    on how the paths are chunked.
+    on how the paths are chunked.  The result is a view of time-major
+    storage (streams, n_steps, n_paths, d).
     """
-    seed = _check_seed(seed)
-    if d < 1 or n_paths < 1 or streams < 1:
-        raise DimensionError("d, n_paths and streams must all be >= 1")
-    n = grid.n_steps
-    root_dt = np.sqrt(grid.dt)
-    out = np.empty((streams, n_paths, n, d))
+    seed = _check_draw(seed, d, n_paths, streams)
+    out = np.empty((streams, grid.n_steps, n_paths, d))
 
-    def fill(lo: int, hi: int):
-        for i in range(lo, hi):
-            out[:, i] = _substream(seed, i).standard_normal((streams, n, d))
+    def store(start, block):
+        out[:, :, start : start + len(block)] = block.transpose(1, 2, 0, 3)
 
-    if n_workers <= 1 or n_paths < 2 * n_workers:
-        fill(0, n_paths)
-    else:
-        chunk = -(-n_paths // n_workers)
-        bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(lambda b: fill(*b), bounds))
-    out *= root_dt
-    if not np.isfinite(out).all():
-        raise DomainError("non-finite values in generated increments")
-    return out
+    _draw(grid, d, n_paths, seed, streams, n_workers, store)
+    return out.transpose(0, 2, 1, 3)
 
 
 def sample_brownian(
     grid: TimeGrid, d: int, n_paths: int, seed: int, n_workers: int = 1
 ) -> PathEnsemble:
     """Standard Brownian ensemble started at 0."""
-    inc = brownian_increments(grid, d, n_paths, seed, streams=1, n_workers=n_workers)[0]
-    values = np.zeros((n_paths, grid.n_steps + 1, d))
-    np.cumsum(inc, axis=1, out=values[:, 1:])
-    return PathEnsemble(grid=grid, values=values, seed=seed)
+    buf = np.zeros((grid.n_steps + 1, n_paths, d))
+
+    def store(start, block):
+        np.cumsum(block[:, 0], axis=1, out=_path_view(buf[1:, start : start + len(block)]))
+
+    _draw(grid, d, n_paths, _check_draw(seed, d, n_paths, 1), 1, n_workers, store)
+    return PathEnsemble(grid=grid, values=_path_view(buf), seed=seed)
 
 
 # ---------------------------------------------------------------------------
 # coefficient evaluation plumbing
 
 
-def _eval_drift(field: CoefficientField, k, t, prefix, n_paths, d):
-    b = np.asarray(field.eval(k, t, prefix), dtype=float)
-    if b.shape == (d,):
-        return b
-    if b.shape == (n_paths, d):
-        return b
+def _shaped(value, shapes, what, label, k) -> np.ndarray:
+    """``value`` as a float array, provided its shape is one of ``shapes``."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape in shapes:
+        return arr
     raise DimensionError(
-        f"drift {field.label!r} returned shape {b.shape} at step {k}; "
-        f"expected ({d},) or ({n_paths}, {d})"
+        f"{what} {label!r} returned shape {arr.shape} at step {k}; "
+        f"expected {' or '.join(map(str, shapes))}"
     )
+
+
+def _eval_drift(field: CoefficientField, k, t, prefix, n_paths, d):
+    return _shaped(field.eval(k, t, prefix), [(d,), (n_paths, d)], "drift", field.label, k)
 
 
 def _eval_diffusion(field: CoefficientField, k, t, prefix, n_paths, d):
-    s = np.asarray(field.eval(k, t, prefix), dtype=float)
-    if s.shape == (d, d):
-        return s
-    if s.shape == (n_paths, d, d):
-        return s
-    raise DimensionError(
-        f"diffusion {field.label!r} returned shape {s.shape} at step {k}; "
-        f"expected ({d}, {d}) or ({n_paths}, {d}, {d})"
-    )
+    shapes = [(d, d), (n_paths, d, d)]
+    return _shaped(field.eval(k, t, prefix), shapes, "diffusion", field.label, k)
 
 
-def _apply_matrix(s: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """s @ vec per path; s is (d, d) shared or (N, d, d), vec is (N, d)."""
-    if s.ndim == 2:
-        return vec @ s.T
-    return np.einsum("nij,nj->ni", s, vec)
+def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat @ vec per path; mat is (d, d) shared or (N, d, d), vec is (N, d)."""
+    if mat.ndim == 2:
+        return vec @ mat.T
+    return np.einsum("nij,nj->ni", mat, vec)
+
+
+def _apply_transposed(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """mat^T @ vec per path, under the same broadcasting rule as :func:`_apply`."""
+    return _apply(np.swapaxes(mat, -1, -2), vec)
+
+
+class ValueMemo:
+    """Reuse ``fn(mat)`` while a shared (d, d) matrix keeps its value.
+
+    Keyed by the bytes, not the object: a field may refill one buffer in
+    place, and a new value is recomputed (and re-checked) at the step
+    where it appears.  Per-path (N, d, d) batches are never cached.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.key = None
+        self.value = None
+
+    def __call__(self, mat: np.ndarray):
+        if mat.ndim != 2:
+            return self.fn(mat)
+        key = mat.tobytes()
+        if key != self.key:
+            self.value = self.fn(mat)
+            self.key = key
+        return self.value
 
 
 def _values_and_kind(path_or_ensemble):
@@ -315,33 +384,32 @@ def ito_map(model: SdeModel, driver):
     if d != model.dim:
         raise DimensionError(f"driver dim {d} does not match model dim {model.dim}")
     dt = grid.dt
+    drv = time_major(drv)
     z = np.empty_like(drv)
-    z[:, 0] = model.z0
+    paths = _path_view(z)
+    z[0] = model.z0
     for k in range(grid.n_steps):
-        prefix = z[:, : k + 1]
+        prefix = paths[:, : k + 1]
         t = k * dt
         b = _eval_drift(model.drift, k, t, prefix, n_paths, d)
         s = _eval_diffusion(model.diffusion, k, t, prefix, n_paths, d)
-        db = drv[:, k + 1] - drv[:, k]
-        z[:, k + 1] = z[:, k] + b * dt + _apply_matrix(s, db)
-    return _wrap_like(grid, z, single, seed)
+        z[k + 1] = z[k] + b * dt + _apply(s, drv[k + 1] - drv[k])
+    return _wrap_like(grid, paths, single, seed)
 
 
-def _solve_diffusion(s, rhs, k, rank_tol, label):
-    """Solve s @ x = rhs per path with a per-step singularity check."""
-    if s.ndim == 2:
-        sv = np.linalg.svd(s, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] <= rank_tol * sv[0]:
-            raise SingularDiffusionError(
-                f"diffusion {label!r} is singular", step=k
-            )
-        return np.linalg.solve(s, rhs.T).T
+def _check_diffusion(s, k, rank_tol, label):
+    """Raise SingularDiffusionError (at step k) if s is numerically singular."""
     sv = np.linalg.svd(s, compute_uv=False)
-    bad = (sv[:, 0] == 0.0) | (sv[:, -1] <= rank_tol * sv[:, 0])
+    bad = (sv[..., 0] == 0.0) | (sv[..., -1] <= rank_tol * sv[..., 0])
     if bad.any():
-        raise SingularDiffusionError(
-            f"diffusion {label!r} is singular on {int(bad.sum())} path(s)", step=k
-        )
+        where = "" if s.ndim == 2 else f" on {int(bad.sum())} path(s)"
+        raise SingularDiffusionError(f"diffusion {label!r} is singular{where}", step=k)
+
+
+def _solve(s, rhs):
+    """Solve s @ x = rhs per path; s is (d, d) shared or (N, d, d), rhs is (N, d)."""
+    if s.ndim == 2:
+        return np.linalg.solve(s, rhs.T).T
     return np.linalg.solve(s, rhs[..., None])[..., 0]
 
 
@@ -358,16 +426,21 @@ def inverse_ito_map(model: SdeModel, solution, rank_tol: float = DEFAULT_RANK_TO
     if d != model.dim:
         raise DimensionError(f"solution dim {d} does not match model dim {model.dim}")
     dt = grid.dt
+    label = model.diffusion.label
+    x = time_major(x)
+    paths = _path_view(x)
     w = np.zeros_like(x)
+    # reads the loop's k when it runs: a failing check raises at the current step
+    check = ValueMemo(lambda s: _check_diffusion(s, k, rank_tol, label))
     for k in range(grid.n_steps):
-        prefix = x[:, : k + 1]
+        prefix = paths[:, : k + 1]
         t = k * dt
         b = _eval_drift(model.drift, k, t, prefix, n_paths, d)
         s = _eval_diffusion(model.diffusion, k, t, prefix, n_paths, d)
-        rhs = x[:, k + 1] - x[:, k] - b * dt
-        dw = _solve_diffusion(s, rhs, k, rank_tol, model.diffusion.label)
-        w[:, k + 1] = w[:, k] + dw
-    return _wrap_like(grid, w, single, seed)
+        check(s)
+        rhs = x[k + 1] - x[k] - b * dt
+        w[k + 1] = w[k] + _solve(s, rhs)
+    return _wrap_like(grid, _path_view(w), single, seed)
 
 
 def decompose(model: SdeModel, path):
@@ -384,13 +457,15 @@ def decompose(model: SdeModel, path):
     if d != model.dim:
         raise DimensionError(f"path dim {d} does not match model dim {model.dim}")
     dt = grid.dt
+    x = time_major(x)
+    paths = _path_view(x)
     fv = np.empty_like(x)
-    fv[:, 0] = model.z0
+    fv[0] = model.z0
     for k in range(grid.n_steps):
-        b = _eval_drift(model.drift, k, k * dt, x[:, : k + 1], n_paths, d)
-        fv[:, k + 1] = fv[:, k] + b * dt
+        b = _eval_drift(model.drift, k, k * dt, paths[:, : k + 1], n_paths, d)
+        fv[k + 1] = fv[k] + b * dt
     mart = x - fv
     return (
-        _wrap_like(grid, fv, single, seed),
-        _wrap_like(grid, mart, single, seed),
+        _wrap_like(grid, _path_view(fv), single, seed),
+        _wrap_like(grid, _path_view(mart), single, seed),
     )

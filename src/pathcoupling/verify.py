@@ -71,6 +71,13 @@ def _report(name, statistic, threshold, comparison, n_paths, n_steps, seed, deta
     )
 
 
+def _increments(values, n_steps):
+    """values[:, 1:n_steps+1] - values[:, :n_steps], written straight into a C-ordered
+    (N, n_steps, d) array: no whole copy of a time-major input, one summation order."""
+    out = np.empty((values.shape[0], n_steps, values.shape[2]))
+    return np.subtract(values[:, 1 : n_steps + 1], values[:, :n_steps], out=out)
+
+
 # ---------------------------------------------------------------------------
 # marginal law
 
@@ -92,24 +99,23 @@ def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestRep
         raise DomainError("cannot test an empty ensemble")
     n = ensemble.grid.n_steps
     d = ensemble.d
-    u = np.diff(values, axis=1) / np.sqrt(ensemble.grid.dt)  # unit variance under H0
+    u = _increments(values, n)
+    u /= np.sqrt(ensemble.grid.dt)  # unit variance under H0
     m_obs = n_paths * n
 
     zs = {}
-    flat = u.reshape(-1, d)
-    mean_z = flat.mean(axis=0) * np.sqrt(m_obs)
-    var_z = (np.mean(flat**2, axis=0) - 1.0) * np.sqrt(m_obs / 2.0)
+    mean_z = u.mean(axis=(0, 1)) * np.sqrt(m_obs)
+    var_z = (np.mean(u**2, axis=(0, 1)) - 1.0) * np.sqrt(m_obs / 2.0)
     for i in range(d):
         zs[f"mean[{i}]"] = float(mean_z[i])
         zs[f"var[{i}]"] = float(var_z[i])
     if n >= 2:
-        lag = (u[:, :-1, :] * u[:, 1:, :]).reshape(-1, d)
-        lag_z = lag.mean(axis=0) * np.sqrt(lag.shape[0])
+        lag_z = np.mean(u[:, :-1] * u[:, 1:], axis=(0, 1)) * np.sqrt(n_paths * (n - 1))
         for i in range(d):
             zs[f"lag1[{i}]"] = float(lag_z[i])
     for i in range(d):
         for j in range(i + 1, d):
-            cross = float(np.mean(flat[:, i] * flat[:, j]) * np.sqrt(m_obs))
+            cross = float(np.mean(u[..., i] * u[..., j]) * np.sqrt(m_obs))
             zs[f"cross[{i},{j}]"] = cross
 
     n_checks = len(zs)
@@ -150,11 +156,9 @@ class CovariationReport:
 
 
 def _windowed_rho(x, y, n_win, w, dt):
-    dx = np.diff(x, axis=1)[:, : n_win * w]
-    dy = np.diff(y, axis=1)[:, : n_win * w]
     d = x.shape[2]
-    dx = dx.reshape(-1, n_win, w, d)
-    dy = dy.reshape(-1, n_win, w, d)
+    dx = _increments(x, n_win * w).reshape(-1, n_win, w, d)
+    dy = _increments(y, n_win * w).reshape(-1, n_win, w, d)
     return np.einsum("pnwi,pnwj->pnij", dx, dy) / (w * dt)
 
 
@@ -165,8 +169,8 @@ def realized_covariation(ensemble: CoupledEnsemble, window: int = DEFAULT_WINDOW
         raise DomainError("cannot estimate covariation of an empty ensemble")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    dx = np.diff(ensemble.x, axis=1)
-    dy = np.diff(ensemble.y, axis=1)
+    dx = _increments(ensemble.x, n)
+    dy = _increments(ensemble.y, n)
     terminal = np.einsum("pki,pkj->pij", dx, dy)
     terminal_mean = terminal.mean(axis=0)
     if n_pairs > 1:

@@ -1,9 +1,11 @@
 """Tests for the coupling constructors."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from pathcoupling import coupling
+from pathcoupling import coupling, pathio, presets
 from pathcoupling.coupling import (
     INFEASIBLE,
     UNDECIDED,
@@ -20,12 +22,17 @@ from pathcoupling.coupling import (
     tanaka_coupling,
 )
 from pathcoupling.errors import DimensionError, DomainError
+from pathcoupling.linalg import psd_sqrt
 from pathcoupling.sde import (
     CoefficientField,
+    PathEnsemble,
     SdeModel,
     TimeGrid,
+    brownian_increments,
     constant_diffusion,
     constant_drift,
+    inverse_ito_map,
+    ito_map,
     sample_brownian,
 )
 
@@ -356,3 +363,150 @@ def test_provenance_identifies_the_constructor():
     pair = couple_brownians(CorrelationProcess.constant(0.2, d=1), TimeGrid(8), 3, seed=56)
     assert pair.provenance["constructor"] == "couple_brownians"
     assert pair.provenance["marginals"] == ["wiener(d=1)", "wiener(d=1)"]
+
+
+# ---------------------------------------------------------------------------
+# storage layout, per-step invariants and stable output bytes
+
+
+def _path_major(ens):
+    return PathEnsemble(grid=ens.grid, values=np.ascontiguousarray(ens.values), seed=ens.seed)
+
+
+def _time_major(ens):
+    tm = np.ascontiguousarray(np.swapaxes(ens.values, 0, 1)).swapaxes(0, 1)
+    return PathEnsemble(grid=ens.grid, values=tm, seed=ens.seed)
+
+
+def _same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("preset", ["rotation-by-state", "angle"])
+def test_rotation_monge_is_byte_identical_across_input_layouts(preset):
+    q = presets.build("rotation", preset, d=2, **({"theta": 0.4} if preset == "angle" else {}))
+    drv = sample_brownian(TimeGrid(64), 2, 30, seed=71)
+    a = rotation_monge(q, _path_major(drv))
+    b = rotation_monge(q, _time_major(drv))
+    assert _same_bytes(a.x, b.x) and _same_bytes(a.y, b.y)
+
+
+def test_composed_monge_matches_the_kernel_chain_on_path_major_arrays():
+    src = presets.build("model", "gbm-bounded", d=2)
+    dst = presets.build("model", "ou", d=2, theta=2.0, mean=0.5)
+    q = presets.build("rotation", "rotation-by-state", d=2)
+    grid = TimeGrid(64)
+    out = composed_monge(src, dst, q, grid, 25, seed=72)
+    x = ito_map(src, _path_major(sample_brownian(grid, 2, 25, seed=72)))
+    w = inverse_ito_map(src, _path_major(x))
+    u = rotation_monge(q, _path_major(w)).y_ensemble()
+    y = ito_map(dst, _path_major(u))
+    assert _same_bytes(out.x, x.values) and _same_bytes(out.y, y.values)
+
+
+def test_couple_brownians_matches_a_path_major_recursion():
+    c = np.array([[0.5, -0.2], [0.3, 0.4]])
+    grid = TimeGrid(32)
+    out = couple_brownians(CorrelationProcess.constant(c), grid, 20, seed=73)
+    db, dw = np.ascontiguousarray(brownian_increments(grid, 2, 20, seed=73, streams=2))
+    root = psd_sqrt(np.eye(2) - c.T @ c, clamp_tol=1e-6)
+    x = np.zeros((20, 33, 2))
+    y = np.zeros((20, 33, 2))
+    for k in range(32):
+        x[:, k + 1] = x[:, k] + db[:, k]
+        y[:, k + 1] = y[:, k] + (db[:, k] @ c + dw[:, k] @ root.T)
+    assert _same_bytes(out.x, x) and _same_bytes(out.y, y)
+
+
+def test_monge_sde_matches_a_path_major_recursion():
+    src = SdeModel(
+        z0=np.zeros(2),
+        drift=constant_drift([0.1, -0.2], 2),
+        diffusion=constant_diffusion([[1.0, 0.5], [0.0, 2.0]], 2),
+        label="src",
+    )
+    sbar = np.array([[0.7, 0.0], [0.2, 1.1]])
+    q = np.array([[0.0, -1.0], [1.0, 0.0]])
+    grid = TimeGrid(32)
+    out = monge_sde(
+        constant_drift(0.3, 2), constant_diffusion(sbar, 2), RotationProcess.constant(q),
+        src, grid, 15, seed=74,
+    )
+    x = ito_map(src, _path_major(sample_brownian(grid, 2, 15, seed=74))).values
+    assert _same_bytes(out.x, x)
+    pinv, _ = coupling._pinv_and_null(src.diffusion.eval(0, 0.0, None), 1e-10)
+    ty = np.zeros((15, 33, 2))
+    for k in range(32):
+        dm = x[:, k + 1] - x[:, k] - src.drift.eval(0, 0.0, None) * grid.dt
+        ty[:, k + 1] = ty[:, k] + (0.3 * grid.dt + ((dm @ pinv.T) @ q.T) @ sbar.T)
+    assert _same_bytes(out.y, ty)
+
+
+def _refilled(d, good, bad, from_step):
+    """A field that refills one (d, d) buffer in place: ``good`` then ``bad``."""
+    buf = np.empty((d, d))
+
+    def fn(k, t, *prefixes):
+        buf[:] = good if k < from_step else bad
+        return buf
+
+    return fn
+
+
+def test_orthogonality_check_survives_a_refilled_rotation_buffer():
+    fn = _refilled(2, np.eye(2), np.diag([1.0, 1.1]), from_step=11)
+    q = RotationProcess(2, fn, label="refilled")
+    with pytest.raises(DomainError) as err:
+        rotation_monge(q, sample_brownian(TimeGrid(32), 2, 4, seed=75))
+    assert err.value.step == 11
+    with pytest.raises(DomainError) as err:
+        monge_sde(constant_drift(0.0, 2), constant_diffusion(1.0, 2), q, _bm_model(d=2),
+                  TimeGrid(32), 4, seed=76)
+    assert err.value.step == 11
+
+
+def test_correlation_check_survives_a_refilled_correlation_buffer():
+    fn = _refilled(2, 0.5 * np.eye(2), np.diag([0.5, 1.2]), from_step=7)
+    with pytest.raises(DomainError) as err:
+        couple_brownians(CorrelationProcess(2, fn, label="refilled"), TimeGrid(16), 4, seed=77)
+    assert err.value.step == 7
+
+
+def test_kernel_residual_follows_a_refilled_diffusion_buffer():
+    fn = _refilled(2, np.eye(2), np.diag([1.0, 0.0]), from_step=5)
+    src = SdeModel(
+        z0=np.zeros(2),
+        drift=constant_drift(0.0, 2),
+        diffusion=CoefficientField("diffusion", 2, fn, label="refilled"),
+        label="refilled",
+    )
+    out = monge_sde(constant_drift(0.0, 2), constant_diffusion(1.0, 2),
+                    RotationProcess.identity(2), src, TimeGrid(16), 4, seed=78)
+    assert out.provenance["kernel_condition_violated"]
+    assert out.provenance["kernel_residual_step"] == 5
+
+
+# sha256 of files written from these inputs before the time-major storage
+# change; the serialized bytes must not depend on the in-memory layout
+_STABLE_SHA256 = {
+    "pair.csv": "f6ae1b6c9f75d44ffc0a718b8c0a30e743337f16fdeb5a0b1570d45a3c2a8e2b",
+    "pair.bin": "3919b941904d63180d8e04d0c59c1491de73584e6443395e0deae7d424318e90",
+    "bm.csv": "bbee1dd9dee9d03a8d07f3d3d15e57bafbab76ac2b7dc5b77e20af7cce721f8e",
+    "bm.bin": "c367eab3e4a2386d6f2ff2e63f5f5832b60ebcf99e073410d43a1aae315e9f10",
+}
+
+
+def test_written_bytes_are_stable(tmp_path):
+    # a diagonal correlation and unit diffusions keep every product exact,
+    # so the recorded digests do not depend on the BLAS build
+    src = presets.build("model", "ou", d=2, theta=1.0, z0=1.0)
+    dst = presets.build("model", "ou", d=2, theta=2.0, mean=0.5)
+    rho = CorrelationProcess.constant(np.diag([0.6, -0.3]))
+    pair = couple_sdes(src, dst, rho, TimeGrid(16), 4, seed=2024)
+    bm = sample_brownian(TimeGrid(16), 2, 3, seed=2025)
+    writers = {"csv": pathio.write_csv, "bin": pathio.write_binary}
+    for name, expected in _STABLE_SHA256.items():
+        stem, ext = name.split(".")
+        path = tmp_path / name
+        writers[ext](path, pair if stem == "pair" else bm)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected, name

@@ -309,3 +309,82 @@ def test_ou_terminal_variance_matches_closed_form():
     target = (1.0 - np.exp(-2.0)) / 2.0
     se = target * np.sqrt(2.0 / 100_000)
     assert abs(var - target) < 3.0 * se + 0.01  # statistical + Euler bias budget
+
+
+# ---------------------------------------------------------------------------
+# storage layout and per-step invariants
+
+
+def _layouts(ens):
+    """The same values as a C-ordered path-major ensemble and as a time-major view."""
+    pm = PathEnsemble(grid=ens.grid, values=np.ascontiguousarray(ens.values), seed=ens.seed)
+    tm = PathEnsemble(
+        grid=ens.grid,
+        values=np.ascontiguousarray(np.swapaxes(ens.values, 0, 1)).swapaxes(0, 1),
+        seed=ens.seed,
+    )
+    assert pm.values.flags.c_contiguous and not tm.values.flags.c_contiguous
+    return pm, tm
+
+
+def _layout_models(d):
+    mat = np.eye(d) + 0.3 * np.ones((d, d))
+    matrix_model = SdeModel(
+        z0=np.full(d, 0.5), drift=constant_drift(0.1, d), diffusion=constant_diffusion(mat, d)
+    )
+    return [
+        _bm_model(d, sigma=2.0), _ou_model(d, theta=1.5, z0=1.0), _bounded_vol_model(d), matrix_model
+    ]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernels_are_byte_identical_across_input_layouts(d):
+    drv = sample_brownian(TimeGrid(64), d, 40, seed=61)
+    drv_pm, drv_tm = _layouts(drv)
+    for model in _layout_models(d):
+        x_pm, x_tm = ito_map(model, drv_pm), ito_map(model, drv_tm)
+        assert x_pm.values.tobytes() == x_tm.values.tobytes()
+        sol_pm, sol_tm = _layouts(x_pm)
+        w_pm, w_tm = inverse_ito_map(model, sol_pm), inverse_ito_map(model, sol_tm)
+        assert w_pm.values.tobytes() == w_tm.values.tobytes()
+        (fv_pm, m_pm), (fv_tm, m_tm) = decompose(model, sol_pm), decompose(model, sol_tm)
+        assert fv_pm.values.tobytes() == fv_tm.values.tobytes()
+        assert m_pm.values.tobytes() == m_tm.values.tobytes()
+
+
+def test_kernel_outputs_are_views_of_time_major_storage():
+    drv = sample_brownian(TimeGrid(16), 2, 5, seed=62)
+    x = ito_map(_ou_model(d=2), drv)
+    for values in (drv.values, x.values, decompose(_ou_model(d=2), x)[1].values):
+        assert values.shape == (5, 17, 2)
+        assert np.swapaxes(values, 0, 1).flags.c_contiguous
+        assert values[:, 3].flags.c_contiguous
+    assert np.shares_memory(sde.time_major(x.values), x.values)  # no copy
+
+
+def test_brownian_increments_keep_their_public_shape():
+    inc = sde.brownian_increments(TimeGrid(8), 2, 70, seed=63, streams=2)
+    assert inc.shape == (2, 70, 8, 2)
+    one = sde._substream(63, 69).standard_normal((2, 8, 2)) * np.sqrt(1 / 8)
+    assert np.array_equal(inc[:, 69], one)
+
+
+def test_singularity_check_survives_a_refilled_diffusion_buffer():
+    # the field hands back one buffer every step and refills it in place; the
+    # check of the shared value must still run, and raise, at the first
+    # singular step
+    buf = np.empty((2, 2))
+
+    def diffusion(k, t, prefix):
+        buf[:] = np.eye(2) if k < 9 else np.diag([1.0, 0.0])
+        return buf
+
+    model = SdeModel(
+        z0=np.zeros(2),
+        drift=constant_drift(0.0, 2),
+        diffusion=CoefficientField("diffusion", 2, diffusion, label="refilled"),
+    )
+    path = sample_brownian(TimeGrid(16), 2, 3, seed=64)
+    with pytest.raises(SingularDiffusionError) as err:
+        inverse_ito_map(model, path)
+    assert err.value.step == 9
