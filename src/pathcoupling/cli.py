@@ -1,10 +1,12 @@
 """Command line front end: simulate, couple, score and verify path ensembles.
 
 The CLI is a thin orchestration layer over the library.  Runs are driven
-by a versioned JSON config (see ``load_config``); the named experiments
-ship as config files under ``pathcoupling/experiments/`` and can be
-re-run with overridden sizes via flags.  All parallelism lives inside
-the library calls; the CLI itself never spawns workers.
+by a versioned JSON config (see ``load_config``).  A named experiment is
+a function in ``pathcoupling.experiments`` with its shipped sizes in a
+config file under ``pathcoupling/experiments/``; ``experiment`` passes
+the config's fields, after any flag overrides, to that function as
+keyword arguments and rejects a field it does not take.  All parallelism
+lives inside the library calls; the CLI itself never spawns workers.
 
 Exit codes: 0 success, 2 config error (with a line-numbered diagnostic
 where possible), 3 numerical/domain error, 4 failed acceptance check
@@ -14,17 +16,16 @@ under ``experiment --check``.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import coupling, cost, pathio, presets, sde, verify
+from . import coupling, cost, experiments, pathio, presets, sde, verify
 from .errors import ConfigError, DimensionError, DomainError
-from .linalg import psd_sqrt, rotation_grid_max, trace_max_rotation
 from .verify import TestReport
 
 EXIT_OK = 0
@@ -93,15 +94,11 @@ def load_config(path) -> Config:
     return cfg
 
 
-def _build_preset(cfg: Config, section, kind, d, key, extra=None):
+def _build_preset(cfg: Config, section, kind, d, key):
     if not isinstance(section, dict) or "preset" not in section:
         cfg.error(key, f"'{key}' must be an object with a 'preset' name")
-    params = dict(section.get("params", {}))
-    if extra:
-        for pname, pval in extra.items():
-            params.setdefault(pname, pval)
     try:
-        return presets.build(kind, section["preset"], d=d, **params)
+        return presets.build(kind, section["preset"], d=d, **section.get("params", {}))
     except ConfigError as err:
         cfg.rewrap(section["preset"], err)
 
@@ -131,6 +128,12 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
         cfg.error("coupling", "config needs a 'coupling' object with a 'constructor' name")
     ctor = section["constructor"]
 
+    def rotation():
+        rot = section.get("rotation")
+        if isinstance(rot, dict) and rot.get("preset") == "chop":
+            rot = {**rot, "params": {"n_steps": n_steps, **rot.get("params", {})}}
+        return _build_preset(cfg, rot, "rotation", d, "rotation")
+
     if ctor == "couple_brownians":
         rho = _build_preset(cfg, section.get("correlation"), "correlation", d, "correlation")
         return coupling.couple_brownians(rho, grid, n_pairs, seed, n_workers=n_workers)
@@ -140,27 +143,18 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
         rho = _build_preset(cfg, section.get("correlation"), "correlation", d, "correlation")
         return coupling.couple_sdes(src, dst, rho, grid, n_pairs, seed, n_workers=n_workers)
     if ctor == "rotation_monge":
-        q = _build_preset(
-            cfg, section.get("rotation"), "rotation", d, "rotation",
-            extra={"n_steps": n_steps} if _is_chop(section) else None,
-        )
+        q = rotation()
         driver = sde.sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)
         return coupling.rotation_monge(q, driver)
     if ctor == "composed_monge":
         src = _require_model(cfg, "src", d)
         dst = _require_model(cfg, "dst", d)
-        q = _build_preset(
-            cfg, section.get("rotation"), "rotation", d, "rotation",
-            extra={"n_steps": n_steps} if _is_chop(section) else None,
-        )
+        q = rotation()
         return coupling.composed_monge(src, dst, q, grid, n_pairs, seed, n_workers=n_workers)
     if ctor == "monge_sde":
         src = _require_model(cfg, "src", d)
         dst = _require_model(cfg, "dst", d)
-        q = _build_preset(
-            cfg, section.get("rotation"), "rotation", d, "rotation",
-            extra={"n_steps": n_steps} if _is_chop(section) else None,
-        )
+        q = rotation()
         return coupling.monge_sde(
             dst.drift, dst.diffusion, q, src, grid, n_pairs, seed,
             z0_dst=dst.z0, n_workers=n_workers,
@@ -175,11 +169,6 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
         return coupling.rotation_chop(c, grid, n_pairs, seed, block, n_workers=n_workers)
 
     cfg.error("constructor", f"unknown coupling constructor {ctor!r}; known: {', '.join(_CONSTRUCTORS)}")
-
-
-def _is_chop(section) -> bool:
-    rot = section.get("rotation")
-    return isinstance(rot, dict) and rot.get("preset") == "chop"
 
 
 def _build_cost_spec(cfg: Config):
@@ -306,8 +295,7 @@ def cmd_cost(args) -> int:
     if cf_section is not None:
         if spec.kind != cost.SEPARABLE:
             cfg.error("closed_form", "the closed form applies to separable costs only")
-        probe_n = int(cf_section.get("probe_N", 64))
-        probe = sde.ito_map(src, sde.sample_brownian(sde.TimeGrid(n_steps), src.dim, probe_n, seed + 1))
+        probe = experiments.probe(src, n_steps, int(cf_section.get("probe_N", 64)), seed + 1)
         closed, _ = cost.closed_form_optimal(src, dst, spec, probe)
     payload = pathio.cost_report(est, n_steps=n_steps, seed=seed, closed_form=closed)
     out = _out_dir(args)
@@ -369,7 +357,7 @@ def _run_verify_test(cfg: Config, t, pair) -> TestReport:
         if target.ndim == 0:
             target = float(target) * np.eye(pair.d)
         dev = float(np.max(np.abs(rep.terminal_mean - target)))
-        budget = float(3.0 * np.max(rep.terminal_stderr) + 2.0 * math.sqrt(pair.grid.dt))
+        budget = float(np.max(verify.covariation_budget(rep, pair.grid.dt)))
         return TestReport(
             name="realized_covariation",
             statistic=dev,
@@ -407,24 +395,32 @@ def _resolve_experiment(name: str):
     raise ConfigError(f"unknown experiment {name!r}; available: {known}")
 
 
-_OVERRIDES = (
-    ("a", "a"),
-    ("b", "b"),
-    ("n_paths", "N"),
-    ("n_steps", "n_steps"),
-    ("seed", "seed"),
-    ("c", "c"),
-    ("block", "block"),
-    ("window", "window"),
-    ("d", "d"),
-)
+# experiment flags, by the config field each one replaces
+_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
 
 
 def _apply_overrides(data: dict, args) -> None:
-    for attr, key in _OVERRIDES:
-        value = getattr(args, attr, None)
+    for key in _OVERRIDES:
+        value = getattr(args, key)
         if value is not None:
             data[key] = value
+
+
+def _experiment_fields(cfg: Config, kind, fn) -> dict:
+    """The config's run fields, checked against ``fn``'s parameters and typed by its defaults."""
+    params = dict(inspect.signature(fn).parameters)
+    del params["n_workers"]
+    fields = {k: v for k, v in cfg.data.items() if k not in ("version", "kind", "checks")}
+    for key, value in fields.items():
+        if key not in params:
+            cfg.error(key, f"experiment kind {kind!r} takes no field {key!r}; it takes: {', '.join(params)}")
+        default = params[key].default
+        if type(default) in (int, float):
+            try:
+                fields[key] = type(default)(value)
+            except (TypeError, ValueError):
+                cfg.error(key, f"field {key!r} must be a number, got {value!r}")
+    return fields
 
 
 def cmd_experiment(args) -> int:
@@ -432,10 +428,11 @@ def cmd_experiment(args) -> int:
     cfg = load_config(path)
     _apply_overrides(cfg.data, args)
     kind = cfg.data.get("kind")
-    runner = _EXPERIMENTS.get(kind)
-    if runner is None:
-        cfg.error("kind", f"unknown experiment kind {kind!r}; known: {', '.join(sorted(_EXPERIMENTS))}")
-    result = _py(runner(cfg.data, args))
+    fn = experiments.EXPERIMENTS.get(kind)
+    if fn is None:
+        known = ", ".join(sorted(experiments.EXPERIMENTS))
+        cfg.error("kind", f"unknown experiment kind {kind!r}; known: {known}")
+    result = _py({"kind": kind, **fn(**_experiment_fields(cfg, kind, fn), n_workers=args.threads)})
     out = _out_dir(args)
     report_path = out / f"{name}-report.json"
     pathio.write_json(report_path, result)
@@ -501,312 +498,6 @@ def _eval_check(cfg: Config, spec, result):
     cfg.error("checks", f"unknown check type {kind!r}")
 
 
-def _zero_identity_spec(d):
-    h = presets.build("h", "zero", d=d)
-    g = presets.build("g", "identity", d=d)
-    return cost.CostSpec.separable(h, g, label="separable(h=zero, g=identity)")
-
-
-def _probe_from(src, n_steps, probe_n, seed):
-    grid = sde.TimeGrid(n_steps)
-    return sde.ito_map(src, sde.sample_brownian(grid, src.dim, probe_n, seed))
-
-
-def _run_closed_form_d1(data, args):
-    a = float(data.get("a", 2.0))
-    b = float(data.get("b", 1.0))
-    n_pairs = int(data.get("N", 10_000))
-    n_steps = int(data.get("n_steps", 1024))
-    seed = int(data.get("seed", 7))
-    grid = sde.TimeGrid(n_steps)
-    src = presets.build("model", "bm", d=1, sigma=a)
-    dst = presets.build("model", "bm", d=1, sigma=b)
-    spec = _zero_identity_spec(1)
-    closed, q_star = cost.closed_form_optimal(
-        src, dst, spec, _probe_from(src, n_steps, int(data.get("probe_N", 8)), seed + 1)
-    )
-    pair = coupling.monge_sde(
-        dst.drift, dst.diffusion, q_star, src, grid, n_pairs, seed, n_workers=args.threads
-    )
-    est = cost.estimate(pair, spec, src=src, dst=dst)
-    return {
-        "kind": data["kind"],
-        "a": a,
-        "b": b,
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "seed": seed,
-        "oracle": (a - b) ** 2,
-        "closed_form": closed.mean,
-        "estimate": est.mean,
-        "stderr": est.stderr,
-        "gap": est.mean - closed.mean,
-    }
-
-
-def _run_closed_form_d2(data, args):
-    sigma = np.asarray(data.get("sigma", [[2.0, 0.0], [0.0, 1.0]]), dtype=float)
-    sigma_bar = np.asarray(data.get("sigma_bar", [[1.0, 0.0], [0.0, 1.0]]), dtype=float)
-    n_pairs = int(data.get("N", 10_000))
-    n_steps = int(data.get("n_steps", 512))
-    seed = int(data.get("seed", 11))
-    grid_points = int(data.get("grid_points", 10_000))
-    grid = sde.TimeGrid(n_steps)
-    src = presets.build("model", "const-matrix", d=2, sigma=sigma.tolist())
-    dst = presets.build("model", "const-matrix", d=2, sigma=sigma_bar.tolist())
-    spec = _zero_identity_spec(2)
-    probe = _probe_from(src, n_steps, int(data.get("probe_N", 8)), seed + 1)
-    closed, q_star = cost.closed_form_optimal(src, dst, spec, probe)
-
-    # cross-check the trace maximiser against a brute-force O(2) scan
-    xi = psd_sqrt(sigma_bar @ sigma_bar.T)
-    probed = sigma @ xi
-    _, svd_value = trace_max_rotation(probed)
-    _, grid_value = rotation_grid_max(probed, n_points=grid_points)
-    qstar_dev = 0.0
-    for k in (0, n_steps // 2, n_steps - 1):
-        q = q_star.eval(k, k * grid.dt, probe.values[0, : k + 1])
-        qstar_dev = max(qstar_dev, float(np.max(np.abs(q - np.eye(2)))))
-
-    pair = coupling.monge_sde(
-        dst.drift, dst.diffusion, q_star, src, grid, n_pairs, seed, n_workers=args.threads
-    )
-    est = cost.estimate(pair, spec, src=src, dst=dst)
-    return {
-        "kind": data["kind"],
-        "sigma": sigma.tolist(),
-        "sigma_bar": sigma_bar.tolist(),
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "seed": seed,
-        "closed_form": closed.mean,
-        "estimate": est.mean,
-        "stderr": est.stderr,
-        "gap": est.mean - closed.mean,
-        "qstar_max_dev": qstar_dev,
-        "trace_max_value": svd_value,
-        "grid_value": grid_value,
-        "grid_gap": abs(svd_value - grid_value),
-    }
-
-
-def _run_rotation_invariance(data, args):
-    n_pairs = int(data.get("N", 2000))
-    n_steps = int(data.get("n_steps", 256))
-    n_seeds = int(data.get("n_seeds", 20))
-    seed0 = int(data.get("seed", 100))
-    alpha = float(data.get("alpha", 0.01))
-    scale = float(data.get("scale", 1.0))
-    d = int(data.get("d", 2))
-    grid = sde.TimeGrid(n_steps)
-    q = presets.build("rotation", "rotation-by-state", d=d, scale=scale)
-    passes = 0
-    worst = 0.0
-    for i in range(n_seeds):
-        driver = sde.sample_brownian(grid, d, n_pairs, seed0 + i, n_workers=args.threads)
-        pair = coupling.rotation_monge(q, driver)
-        rep = verify.wiener_marginal_test(pair.y_ensemble(), alpha=alpha)
-        passes += int(rep.passed)
-        worst = max(worst, rep.statistic - rep.threshold)
-    return {
-        "kind": data["kind"],
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "n_seeds": n_seeds,
-        "alpha": alpha,
-        "pass_rate": passes / n_seeds,
-        "worst_excess": worst,
-    }
-
-
-def _run_tanaka(data, args):
-    n_pairs = int(data.get("N", 2000))
-    n_steps = int(data.get("n_steps", 4096))
-    seed = int(data.get("seed", 5))
-    window = int(data.get("window", verify.DEFAULT_WINDOW))
-    grid = sde.TimeGrid(n_steps)
-    pair = coupling.tanaka_coupling(grid, n_pairs, seed, n_workers=args.threads)
-    cert = verify.monge_certificate(pair, window=window)
-    wien = verify.wiener_marginal_test(pair.x_ensemble(), alpha=float(data.get("alpha", 0.01)))
-    probe = verify.adaptedness_probe(pair)
-    return {
-        "kind": data["kind"],
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "seed": seed,
-        "certificate_passed": cert.passed,
-        "certificate_statistic": cert.statistic,
-        "wiener_passed": wien.passed,
-        "wiener_statistic": wien.statistic,
-        "adaptedness_failed": not probe.passed,
-        "adaptedness_accuracy": probe.statistic,
-    }
-
-
-def _run_rho_recovery(data, args):
-    n_pairs = int(data.get("N", 4000))
-    n_steps = int(data.get("n_steps", 256))
-    seed = int(data.get("seed", 21))
-    grid = sde.TimeGrid(n_steps)
-    cases = data.get("cases")
-    if not isinstance(cases, list) or not cases:
-        raise ConfigError("rho-recovery config needs a non-empty 'cases' list")
-    rows = []
-    worst = -math.inf
-    for case in cases:
-        d = int(case.get("d", 1))
-        if "c" in case:
-            rho = presets.build("correlation", "const", d=d, c=case["c"])
-            target = np.asarray(case["c"], dtype=float)
-            if target.ndim == 0:
-                target = float(target) * np.eye(d)
-        else:
-            rho = presets.build(
-                "correlation", "scaled-rotation", d=d,
-                scale=case["scale"], theta=case["theta"],
-            )
-            th, sc = float(case["theta"]), float(case["scale"])
-            target = sc * np.array(
-                [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
-            )
-        pair = coupling.couple_brownians(rho, grid, n_pairs, seed, n_workers=args.threads)
-        rep = verify.realized_covariation(pair)
-        dev = float(np.max(np.abs(rep.terminal_mean - target)))
-        budget = float(3.0 * np.max(rep.terminal_stderr) + 2.0 * math.sqrt(grid.dt))
-        rows.append({
-            "case": case,
-            "max_dev": dev,
-            "budget": budget,
-            "terminal_mean": rep.terminal_mean.tolist(),
-        })
-        worst = max(worst, dev - budget)
-        seed += 1
-    return {
-        "kind": data["kind"],
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "cases": rows,
-        "worst_excess": worst,
-    }
-
-
-def _run_rotation_chop_density(data, args):
-    c = float(data.get("c", 0.5))
-    block = int(data.get("block", 16))
-    n_pairs = int(data.get("N", 4000))
-    seed = int(data.get("seed", 33))
-    n_list = [int(n) for n in data.get("n_list", [256, 1024, 4096])]
-    mads = []
-    cov_err = cov_budget = None
-    for n_steps in n_list:
-        grid = sde.TimeGrid(n_steps)
-        pair = coupling.rotation_chop(c, grid, n_pairs, seed, block, n_workers=args.threads)
-        dx = np.diff(pair.x, axis=1)
-        dy = np.diff(pair.y, axis=1)
-        bracket = np.einsum("pkd,pkd->p", dx, dy)
-        target = pair.provenance["achieved_c"]
-        mads.append(float(np.mean(np.abs(bracket - target))))
-        x1 = pair.x[:, -1, 0]
-        y1 = pair.y[:, -1, 0]
-        prods = (x1 - x1.mean()) * (y1 - y1.mean())
-        cov = float(prods.mean() * n_pairs / (n_pairs - 1))
-        cov_err = abs(cov - target)
-        cov_budget = 3.0 * float(np.std(prods, ddof=1) / math.sqrt(n_pairs))
-    return {
-        "kind": data["kind"],
-        "c": c,
-        "block": block,
-        "N": n_pairs,
-        "n_list": n_list,
-        "mad": mads,
-        "mad_final": mads[-1],
-        "cov_error": cov_err,
-        "cov_budget": cov_budget,
-    }
-
-
-def _run_kernel_infeasibility(data, args):
-    n_pairs = int(data.get("N", 1000))
-    n_steps = int(data.get("n_steps", 256))
-    seed = int(data.get("seed", 42))
-    grid = sde.TimeGrid(n_steps)
-    degenerate = np.diag([1.0, 0.0])
-    identity = np.eye(2)
-
-    fwd = coupling.feasibility_check([degenerate], [identity])
-    rev = coupling.feasibility_check([identity], [degenerate])
-
-    src_ok = presets.build("model", "const-matrix", d=2, sigma=[[2.0, 0.0], [0.0, 1.0]])
-    dst = presets.build("model", "bm", d=2)
-    q = coupling.RotationProcess.identity(2)
-    invertible = coupling.monge_sde(
-        dst.drift, dst.diffusion, q, src_ok, grid, n_pairs, seed, n_workers=args.threads
-    )
-    src_bad = presets.build("model", "degenerate", d=2, rank=1)
-    obstructed = coupling.monge_sde(
-        dst.drift, dst.diffusion, q, src_bad, grid, n_pairs, seed + 1, n_workers=args.threads
-    )
-    return {
-        "kind": data["kind"],
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "verdict_obstructed": fwd.verdict,
-        "verdict_reverse": rev.verdict,
-        "residual_invertible": invertible.provenance["kernel_residual"],
-        "residual_obstructed": obstructed.provenance["kernel_residual"],
-    }
-
-
-def _run_synchronous_1d(data, args):
-    n_pairs = int(data.get("N", 4000))
-    n_steps = int(data.get("n_steps", 512))
-    seed = int(data.get("seed", 17))
-    p = float(data.get("p", 2.0))
-    grid = sde.TimeGrid(n_steps)
-    src = presets.build("model", "ou", d=1, **data.get("src_params", {"theta": 1.0, "mean": 0.0, "z0": 1.0}))
-    dst = presets.build("model", "ou", d=1, **data.get("dst_params", {"theta": 2.0, "mean": 0.5, "z0": 0.0}))
-    spec = cost.CostSpec.lp(p)
-
-    def run(c):
-        rho = coupling.CorrelationProcess.constant(c, d=1)
-        pair = coupling.couple_sdes(src, dst, rho, grid, n_pairs, seed, n_workers=args.threads)
-        return cost.estimate(pair, spec)
-
-    sync = run(1.0)
-    others = {name: run(c) for name, c in (("antithetic", -1.0), ("independent", 0.0), ("mid", 0.5))}
-    worst = -math.inf
-    result = {
-        "kind": data["kind"],
-        "N": n_pairs,
-        "n_steps": n_steps,
-        "seed": seed,
-        "p": p,
-        "synchronous": sync.mean,
-        "synchronous_stderr": sync.stderr,
-    }
-    for name, est in others.items():
-        combined = math.hypot(sync.stderr, est.stderr)
-        margin = sync.mean - (est.mean - 3.0 * combined)
-        result[name] = est.mean
-        result[f"{name}_stderr"] = est.stderr
-        result[f"{name}_margin"] = margin
-        worst = max(worst, margin)
-    result["worst_margin"] = worst
-    return result
-
-
-_EXPERIMENTS = {
-    "closed-form-d1": _run_closed_form_d1,
-    "closed-form-d2": _run_closed_form_d2,
-    "rotation-invariance": _run_rotation_invariance,
-    "tanaka": _run_tanaka,
-    "rho-recovery": _run_rho_recovery,
-    "rotation-chop-density": _run_rotation_chop_density,
-    "kernel-infeasibility": _run_kernel_infeasibility,
-    "synchronous-1d-optimality": _run_synchronous_1d,
-}
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
@@ -853,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", action="store_true", help="evaluate the config's acceptance checks (exit 4 on failure)")
     p.add_argument("--a", type=float, default=None, help="override source volatility a")
     p.add_argument("--b", type=float, default=None, help="override target volatility b")
-    p.add_argument("--N", dest="n_paths", type=int, default=None, help="override the pair count")
+    p.add_argument("--N", dest="N", type=int, default=None, help="override the pair count")
     p.add_argument("--n", dest="n_steps", type=int, default=None, help="override the step count")
     p.add_argument("--c", type=float, default=None, help="override the correlation parameter")
     p.add_argument("--block", type=int, default=None, help="override the chop block size")

@@ -16,7 +16,7 @@ import struct
 import numpy as np
 
 from .coupling import CoupledEnsemble
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .sde import PathEnsemble, TimeGrid
 from .verify import TestReport
 
@@ -141,17 +141,22 @@ def cost_report(estimate, n_steps: int, seed: int, closed_form=None, gap_report=
     return out
 
 
-def write_json(path, payload: dict) -> None:
+def _write_json_lines(path, payloads, indent=None) -> None:
+    # serialise before the file is opened, so a NaN or infinity leaves no file behind
+    try:
+        text = "".join(json.dumps(p, indent=indent, sort_keys=True, allow_nan=False) + "\n" for p in payloads)
+    except ValueError as err:
+        raise DomainError(f"cannot write {path}: {err} (NaN or infinity)") from None
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
+
+
+def write_json(path, payload: dict) -> None:
+    _write_json_lines(path, [payload], indent=2)
 
 
 def write_reports_jsonl(path, reports) -> None:
-    with open(path, "w") as fh:
-        for rep in reports:
-            fh.write(json.dumps(rep.as_dict(), sort_keys=True))
-            fh.write("\n")
+    _write_json_lines(path, [rep.as_dict() for rep in reports])
 
 
 def read_reports_jsonl(path):

@@ -193,6 +193,12 @@ def realized_covariation(ensemble: CoupledEnsemble, window: int = DEFAULT_WINDOW
     )
 
 
+def covariation_budget(report: CovariationReport, dt: float) -> np.ndarray:
+    """Entrywise allowance for ``|terminal_mean - rho|``: three standard errors
+    of sampling noise plus ``2 sqrt(dt)`` of discretisation."""
+    return 3.0 * report.terminal_stderr + 2.0 * np.sqrt(dt)
+
+
 def monge_certificate(
     ensemble: CoupledEnsemble,
     window: int = DEFAULT_WINDOW,

@@ -1,8 +1,10 @@
 """Acceptance suite: ten end-to-end criteria, one printed verdict line each.
 
-Each test prints `[criterion N] PASS|FAIL <summary>` through the capture
-so the verdict is visible in the live pytest output, then asserts.
+Each test prints `[criterion N] PASS|FAIL <summary> (<wall time> s)` through
+the capture so the verdict is visible in the live pytest output, then asserts.
 Sizes and tolerances are the contract; do not shrink them to save time.
+Criteria backed by a named experiment call its `pathcoupling.experiments`
+function, the code `pathcoupling experiment <name>` runs, at their own sizes.
 """
 
 import math
@@ -11,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from pathcoupling import cost, presets, verify
+from pathcoupling import cost, experiments, presets, verify
 from pathcoupling.coupling import (
     CorrelationProcess,
     RotationProcess,
@@ -19,21 +21,20 @@ from pathcoupling.coupling import (
     composed_monge,
     couple_brownians,
     couple_sdes,
-    feasibility_check,
-    monge_sde,
-    rotation_chop,
     rotation_monge,
-    tanaka_coupling,
 )
-from pathcoupling.linalg import psd_sqrt, rotation_grid_max, trace_max_rotation
+from pathcoupling.experiments import probe, zero_identity_spec
 from pathcoupling.sde import TimeGrid, inverse_ito_map, ito_map, sample_brownian
 
 
 @pytest.fixture
 def criterion(capsys):
+    t0 = time.perf_counter()
+
     def emit(num, ok, detail):
+        elapsed = time.perf_counter() - t0
         with capsys.disabled():
-            print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {detail}")
+            print(f"[criterion {num:2d}] {'PASS' if ok else 'FAIL'} {detail} ({elapsed:.1f} s)")
         assert ok, f"criterion {num} failed: {detail}"
 
     return emit
@@ -43,72 +44,32 @@ def _bm(sigma, d=1):
     return presets.build("model", "bm", d=d, sigma=sigma)
 
 
-def _zero_identity_spec(d):
-    return cost.CostSpec.separable(
-        presets.build("h", "zero", d=d),
-        presets.build("g", "identity", d=d),
-        label="separable(h=zero, g=identity)",
-    )
-
-
-def _probe(src, n_steps, n, seed):
-    return ito_map(src, sample_brownian(TimeGrid(n_steps), src.dim, n, seed))
-
-
 def test_criterion_01_closed_form_d1(criterion):
     t0 = time.perf_counter()
-    n_steps, n_pairs, seed = 1024, 10_000, 7
-    grid = TimeGrid(n_steps)
-    src, dst = _bm(2.0), _bm(1.0)
-    spec = _zero_identity_spec(1)
-    closed, q_star = cost.closed_form_optimal(src, dst, spec, _probe(src, n_steps, 64, seed + 1))
-    pair = monge_sde(dst.drift, dst.diffusion, q_star, src, grid, n_pairs, seed)
-    est = cost.estimate(pair, spec, src=src, dst=dst)
+    rep = experiments.closed_form_d1(N=10_000, n_steps=1024, seed=7, probe_N=64)
     elapsed = time.perf_counter() - t0
 
-    combined = math.hypot(est.stderr, closed.stderr)
-    dev = abs(closed.mean - 1.0)  # oracle (a-b)^2 with a=2, b=1
-    gap = abs(est.mean - closed.mean)
+    combined = math.hypot(rep["stderr"], rep["closed_form_stderr"])
+    dev = abs(rep["closed_form"] - rep["oracle"])  # oracle (a-b)^2 = 1 with a=2, b=1
+    gap = abs(rep["gap"])
     ok = dev <= 0.02 and gap <= 3 * combined and elapsed < 10.0
     criterion(
         1, ok,
-        f"closed form d=1: value={closed.mean:.6f} (|dev|={dev:.2e} <= 0.02), "
+        f"closed form d=1: value={rep['closed_form']:.6f} (|dev|={dev:.2e} <= 0.02), "
         f"attained gap={gap:.2e} <= {3 * combined:.2e}, runtime {elapsed:.1f}s < 10s",
     )
 
 
 def test_criterion_02_closed_form_d2(criterion):
-    n_steps, n_pairs, seed = 512, 10_000, 11
-    sigma = np.diag([2.0, 1.0])
-    sigma_bar = np.eye(2)
-    src = presets.build("model", "const-matrix", d=2, sigma=sigma.tolist())
-    dst = presets.build("model", "const-matrix", d=2, sigma=sigma_bar.tolist())
-    spec = _zero_identity_spec(2)
-    probe = _probe(src, n_steps, 32, seed + 1)
-    closed, q_star = cost.closed_form_optimal(src, dst, spec, probe)
-
-    # the trace maximiser of diag(2,1) @ I is the identity rotation
-    q_dev = 0.0
-    dt = 1.0 / n_steps
-    for k in (0, n_steps // 2, n_steps - 1):
-        q = q_star.eval(k, k * dt, probe.values[0, : k + 1])
-        q_dev = max(q_dev, float(np.max(np.abs(q - np.eye(2)))))
-
-    xi = psd_sqrt(sigma_bar @ sigma_bar.T)
-    _, svd_value = trace_max_rotation(sigma @ xi)
-    _, grid_value = rotation_grid_max(sigma @ xi, n_points=10_000)
-    grid_gap = abs(svd_value - grid_value)
-
-    pair = monge_sde(dst.drift, dst.diffusion, q_star, src, TimeGrid(n_steps), n_pairs, seed)
-    est = cost.estimate(pair, spec, src=src, dst=dst)
-    attained_gap = abs(est.mean - closed.mean)
-    combined = math.hypot(est.stderr, closed.stderr)
-
-    dev = abs(closed.mean - 1.0)  # (4+1) + 2 - 2*(2+1) = 1
-    ok = dev <= 0.03 and q_dev <= 1e-10 and grid_gap <= 1e-6 and attained_gap <= 3 * combined
+    # sigma = diag(2,1), sigma_bar = Id: the trace maximiser of diag(2,1) @ I is the identity
+    rep = experiments.closed_form_d2(N=10_000, n_steps=512, seed=11, probe_N=32, grid_points=10_000)
+    combined = math.hypot(rep["stderr"], rep["closed_form_stderr"])
+    dev = abs(rep["closed_form"] - 1.0)  # (4+1) + 2 - 2*(2+1) = 1
+    q_dev, grid_gap = rep["qstar_max_dev"], rep["grid_gap"]
+    ok = dev <= 0.03 and q_dev <= 1e-10 and grid_gap <= 1e-6 and abs(rep["gap"]) <= 3 * combined
     criterion(
         2, ok,
-        f"closed form d=2: value={closed.mean:.6f} (|dev|={dev:.2e} <= 0.03), "
+        f"closed form d=2: value={rep['closed_form']:.6f} (|dev|={dev:.2e} <= 0.03), "
         f"|Q*-Id|={q_dev:.1e}, O(2) grid gap={grid_gap:.1e} <= 1e-6",
     )
 
@@ -117,8 +78,8 @@ def test_criterion_03_optimality_gap_suite(criterion):
     n_steps, n_pairs, seed = 1024, 10_000, 13
     grid = TimeGrid(n_steps)
     src, dst = _bm(2.0), _bm(1.0)
-    spec = _zero_identity_spec(1)
-    closed, _ = cost.closed_form_optimal(src, dst, spec, _probe(src, n_steps, 64, seed + 1))
+    spec = zero_identity_spec(1)
+    closed, _ = cost.closed_form_optimal(src, dst, spec, probe(src, n_steps, 64, seed + 1))
 
     def corr(c, s):
         return couple_sdes(src, dst, CorrelationProcess.constant(c, 1), grid, n_pairs, seed + s)
@@ -147,43 +108,21 @@ def test_criterion_03_optimality_gap_suite(criterion):
 
 
 def test_criterion_04_rotation_invariance_50_seeds(criterion):
-    n_steps, n_pairs, d = 1024, 10_000, 2
-    grid = TimeGrid(n_steps)
-    q = presets.build("rotation", "rotation-by-state", d=d)
-    passes = 0
     n_seeds = 50
-    for i in range(n_seeds):
-        driver = sample_brownian(grid, d, n_pairs, 1000 + i)
-        pair = rotation_monge(q, driver)
-        rep = verify.wiener_marginal_test(pair.y_ensemble(), alpha=0.01)
-        passes += int(rep.passed)
-    rate = passes / n_seeds
+    rep = experiments.rotation_invariance(d=2, N=10_000, n_steps=1024, n_seeds=n_seeds, seed=1000)
+    rate = rep["pass_rate"]
+    passes = round(rate * n_seeds)
     ok = rate >= 0.95
     criterion(4, ok, f"rotation invariance: wiener pass rate {passes}/{n_seeds} = {rate:.2f} >= 0.95")
 
 
 def test_criterion_05_rho_recovery(criterion):
-    n_steps, n_pairs = 256, 4000
-    grid = TimeGrid(n_steps)
-    worst = -math.inf
-    details = []
-    cases = [
-        (1, CorrelationProcess.constant(-0.9, 1), -0.9 * np.eye(1)),
-        (1, CorrelationProcess.constant(0.0, 1), np.zeros((1, 1))),
-        (1, CorrelationProcess.constant(0.7, 1), 0.7 * np.eye(1)),
-    ]
-    th = math.pi / 6
-    rot = 0.8 * np.array([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
-    cases.append((2, CorrelationProcess.constant(rot), rot))
-    for i, (d, rho, target) in enumerate(cases):
-        pair = couple_brownians(rho, grid, n_pairs, 50 + i)
-        rep = verify.realized_covariation(pair)
-        budget = 3.0 * rep.terminal_stderr + 2.0 * math.sqrt(grid.dt)
-        excess = float(np.max(np.abs(rep.terminal_mean - target) - budget))
-        worst = max(worst, excess)
-        details.append(f"{excess:+.3f}")
-    ok = worst <= 0.0
-    criterion(5, ok, f"rho recovery: entrywise dev-budget excesses [{', '.join(details)}] all <= 0")
+    cases = [{"d": 1, "c": -0.9}, {"d": 1, "c": 0.0}, {"d": 1, "c": 0.7},
+             {"d": 2, "scale": 0.8, "theta": math.pi / 6}]
+    rep = experiments.rho_recovery(cases, N=4000, n_steps=256, seed=50)
+    details = ", ".join(f"{row['excess']:+.3f}" for row in rep["cases"])
+    ok = rep["worst_excess"] <= 0.0
+    criterion(5, ok, f"rho recovery: entrywise dev-budget excesses [{details}] all <= 0")
 
 
 def test_criterion_06_certificate_separation(criterion):
@@ -206,92 +145,55 @@ def test_criterion_06_certificate_separation(criterion):
 
     # |rho| = 1 everywhere passes the necessary condition yet carries no map:
     # the nearest-neighbour probe on the unsigned driver cannot beat a coin flip
-    tan_pair = tanaka_coupling(TimeGrid(4096), 2000, 64)
-    cert_tan = verify.monge_certificate(tan_pair, window=64)
-    probe = verify.adaptedness_probe(tan_pair)
+    tan = experiments.tanaka(N=2000, n_steps=4096, seed=64, window=64)
+    accuracy = tan["adaptedness_accuracy"]
 
     ok = (
         cert_d1.passed
         and cert_d2.passed
         and not cert_rho.passed
-        and cert_tan.passed
-        and not probe.passed
-        and abs(probe.statistic - 0.5) <= 0.05
+        and tan["certificate_passed"]
+        and tan["adaptedness_failed"]
+        and abs(accuracy - 0.5) <= 0.05
     )
     criterion(
         6, ok,
         f"certificate: transports pass ({cert_d1.statistic:.3f}, {cert_d2.statistic:.3f}), "
         f"rho=0.7 fails ({cert_rho.statistic:.3f} > {cert_rho.threshold:.3f}), "
-        f"tanaka passes ({cert_tan.statistic:.3f}) but adaptedness accuracy "
-        f"{probe.statistic:.3f} stays within 0.5 +/- 0.05",
+        f"tanaka passes ({tan['certificate_statistic']:.3f}) but adaptedness accuracy "
+        f"{accuracy:.3f} stays within 0.5 +/- 0.05",
     )
 
 
 def test_criterion_07_kernel_obstruction(criterion):
-    degenerate = np.diag([1.0, 0.0])
-    identity = np.eye(2)
-    fwd = feasibility_check([degenerate], [identity])
-    rev = feasibility_check([identity], [degenerate])
-
-    grid = TimeGrid(256)
-    q = RotationProcess.identity(2)
-    dst = presets.build("model", "bm", d=2)
-    src_ok = presets.build("model", "const-matrix", d=2, sigma=[[2.0, 0.0], [0.0, 1.0]])
-    res_ok = monge_sde(dst.drift, dst.diffusion, q, src_ok, grid, 500, 71).provenance["kernel_residual"]
-    src_bad = presets.build("model", "degenerate", d=2, rank=1)
-    res_bad = monge_sde(dst.drift, dst.diffusion, q, src_bad, grid, 500, 72).provenance["kernel_residual"]
-
-    ok = (
-        fwd.verdict == "INFEASIBLE"
-        and rev.verdict == "UNDECIDED"
-        and res_ok == 0.0
-        and res_bad >= 0.99
-    )
+    # diag(1,0) -> Id screening both ways; monge_sde from const-matrix diag(2,1)
+    # and from a rank-1 source onto a 2-d Brownian motion
+    rep = experiments.kernel_infeasibility(N=500, n_steps=256, seed=71)
+    fwd, rev = rep["verdict_obstructed"], rep["verdict_reverse"]
+    res_ok, res_bad = rep["residual_invertible"], rep["residual_obstructed"]
+    ok = fwd == "INFEASIBLE" and rev == "UNDECIDED" and res_ok == 0.0 and res_bad >= 0.99
     criterion(
         7, ok,
-        f"kernel obstruction: diag(1,0)->Id {fwd.verdict}, reverse {rev.verdict}; "
+        f"kernel obstruction: diag(1,0)->Id {fwd}, reverse {rev}; "
         f"residuals {res_ok:.0e} (invertible) / {res_bad:.3f} >= 0.99 (obstructed)",
     )
 
 
 def test_criterion_08_synchronous_1d_optimality(criterion):
-    n_steps, n_pairs, seed = 1024, 10_000, 17
-    grid = TimeGrid(n_steps)
-    src = presets.build("model", "ou", d=1, theta=1.0, mean=0.0, z0=1.0)
-    dst = presets.build("model", "ou", d=1, theta=2.0, mean=0.5, z0=0.0)
-    spec = cost.CostSpec.lp(2.0)
-
-    def run(c):
-        pair = couple_sdes(src, dst, CorrelationProcess.constant(c, 1), grid, n_pairs, seed)
-        return cost.estimate(pair, spec)
-
-    sync = run(1.0)
-    margins = {}
-    for name, c in (("antithetic", -1.0), ("independent", 0.0), ("rho=0.5", 0.5)):
-        other = run(c)
-        combined = math.hypot(sync.stderr, other.stderr)
-        margins[name] = other.mean - 3 * combined - sync.mean
-    ok = all(m >= 0 for m in margins.values())
-    shown = ", ".join(f"{k}:{v:+.4f}" for k, v in margins.items())
+    # OU(theta=1, mean=0, z0=1) -> OU(theta=2, mean=0.5, z0=0) under the L2 path cost
+    rep = experiments.synchronous_1d_optimality(N=10_000, n_steps=1024, seed=17, p=2.0)
+    labels = {"antithetic": "antithetic", "independent": "independent", "rho=0.5": "mid"}
+    slack = {label: -rep[f"{key}_margin"] for label, key in labels.items()}
+    ok = all(v >= 0 for v in slack.values())
+    shown = ", ".join(f"{k}:{v:+.4f}" for k, v in slack.items())
     criterion(8, ok, f"1-d synchronous optimality: slack after 3 stderr {{{shown}}} all >= 0")
 
 
 def test_criterion_09_chop_density(criterion):
-    n_pairs, c, block = 4000, 0.5, 16
-    mads = []
-    cov_dev = cov_budget = None
-    for exp, n_steps in enumerate((2**8, 2**10, 2**12)):
-        pair = rotation_chop(c, TimeGrid(n_steps), n_pairs, 90 + exp, block)
-        dx = np.diff(pair.x, axis=1)
-        dy = np.diff(pair.y, axis=1)
-        bracket = np.einsum("pkd,pkd->p", dx, dy)
-        mads.append(float(np.mean(np.abs(bracket - 0.5))))
-        x1, y1 = pair.x[:, -1, 0], pair.y[:, -1, 0]
-        prods = (x1 - x1.mean()) * (y1 - y1.mean())
-        cov_dev = abs(float(prods.mean()) * n_pairs / (n_pairs - 1) - 0.5)
-        cov_budget = 3.0 * float(np.std(prods, ddof=1)) / math.sqrt(n_pairs)
-    monotone = mads[0] > mads[1] > mads[2]
-    ok = monotone and mads[-1] <= 0.05 and cov_dev <= cov_budget
+    rep = experiments.rotation_chop_density(c=0.5, block=16, N=4000, seed=90, n_list=(2**8, 2**10, 2**12))
+    mads = rep["mad"]
+    cov_dev, cov_budget = rep["cov_error"], rep["cov_budget"]
+    ok = mads[0] > mads[1] > mads[2] and mads[-1] <= 0.05 and cov_dev <= cov_budget
     criterion(
         9, ok,
         f"chop density: per-path |[X,Y]_1 - 0.5| means {mads[0]:.4f} > {mads[1]:.4f} > "

@@ -1,11 +1,13 @@
 """End-to-end tests of the command line runner and its exit codes."""
 
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pathcoupling import pathio
+from pathcoupling import experiments, pathio
 from pathcoupling.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 BASE_CONFIG = {
@@ -190,3 +192,41 @@ def test_experiment_reports_are_deterministic(tmp_path):
     r1 = (tmp_path / "e1" / "kernel-infeasibility-report.json").read_bytes()
     r2 = (tmp_path / "e2" / "kernel-infeasibility-report.json").read_bytes()
     assert r1 == r2
+
+
+def test_cost_with_non_finite_result_exits_3_and_writes_no_report(tmp_path, capsys):
+    # exp(x^2) from z0 = 3 overflows: mean inf, stderr nan, which JSON cannot hold
+    cfg = _write_config(tmp_path, {"src": {"preset": "expr", "params": {"mu_expr": "exp(x*x)", "z0": 3}}})
+    out = tmp_path / "out"
+    with pytest.warns(RuntimeWarning):
+        rc = main(["cost", "--config", str(cfg), "--out", str(out)])
+    assert rc == EXIT_NUMERIC
+    assert "cost.json" in capsys.readouterr().err
+    assert not (out / "cost.json").exists()
+
+
+def test_every_shipped_config_matches_its_experiment_function():
+    config_dir = Path(experiments.__file__).parent / "experiments"
+    configs = sorted(config_dir.glob("*.json"))
+    assert len(configs) == len(experiments.EXPERIMENTS)
+    for path in configs:
+        data = json.loads(path.read_text())
+        fn = experiments.EXPERIMENTS[data["kind"]]
+        params = set(inspect.signature(fn).parameters) - {"n_workers"}
+        fields = set(data) - {"version", "kind", "checks"}
+        assert fields <= params, f"{path.name}: {sorted(fields - params)} not taken by {fn.__name__}"
+
+
+def test_inapplicable_override_exits_2_naming_the_field(tmp_path, capsys):
+    rc = main(["experiment", "tanaka", "--a", "3", "--out", str(tmp_path)])
+    assert rc == EXIT_CONFIG
+    assert "'a'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_unknown_config_field_exits_2_with_its_line(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text('{\n  "version": 1,\n  "kind": "kernel-infeasibility",\n  "n_step": 64\n}\n')
+    assert main(["experiment", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'n_step'" in err and "line 4" in err
