@@ -111,12 +111,18 @@ def _require_model(cfg: Config, key, d):
 
 
 def _sizes(cfg: Config):
-    data = cfg.data
-    d = int(data.get("d", 1))
-    n_steps = int(data.get("n_steps", 256))
-    n_pairs = int(data.get("N", 1000))
-    seed = int(data.get("seed", 0))
-    return d, n_steps, n_pairs, seed
+    """(d, n_steps, N, seed) of a run config; a value that is not an integer is a config error."""
+
+    def size(key, default):
+        value = cfg.data.get(key, default)
+        try:
+            if not isinstance(value, float) or value.is_integer():
+                return int(value)
+        except (TypeError, ValueError):
+            pass
+        cfg.error(key, f"field {key!r} must be an integer, got {value!r}")
+
+    return size("d", 1), size("n_steps", 256), size("N", 1000), size("seed", 0)
 
 
 def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
@@ -177,7 +183,7 @@ def _build_cost_spec(cfg: Config):
     if not isinstance(section, dict) or "kind" not in section:
         cfg.error("cost", "config needs a 'cost' object with a 'kind'")
     kind = section["kind"]
-    d = int(cfg.data.get("d", 1))
+    d = _sizes(cfg)[0]
     if kind == "lp":
         return cost.CostSpec.lp(float(section.get("p", 2.0))), None, None
     if kind == "separable":

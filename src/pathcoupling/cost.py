@@ -21,7 +21,7 @@ import numpy as np
 
 from .coupling import CoupledEnsemble, RotationProcess
 from .errors import ConfigError, DimensionError, DomainError
-from .linalg import psd_sqrt, trace_max_rotation, trace_max_rotation_batch
+from .linalg import psd_sqrt, trace_max_rotation
 from .sde import (
     PathEnsemble,
     SdeModel,
@@ -286,12 +286,8 @@ def closed_form_optimal(
         fv_y[k + 1] = fv_y[k] + bbar * dt
 
         sig = _eval_diffusion(src.diffusion, k, t, prefix, n_paths, d)
-        if sig.ndim == 2:
-            cross = cross_of(sig @ xi[k])
-            tr_src = float(np.einsum("ij,ij->", sig, sig))
-        else:
-            _, cross = trace_max_rotation_batch(sig @ xi[k])
-            tr_src = np.einsum("pij,pij->p", sig, sig)
+        cross = cross_of(sig @ xi[k])
+        tr_src = np.einsum("...ij,...ij->...", sig, sig)
         bracket += (tr_src + tr_dst - 2.0 * cross) * dt
 
     # the integrand is nonnegative analytically; clip rounding residue so
@@ -312,10 +308,8 @@ def closed_form_optimal(
         if single:
             prefix = prefix[None]
         sig = _eval_diffusion(src.diffusion, k, k * dt, prefix, prefix.shape[0], d)
-        if sig.ndim == 2:
-            return rotation_of(sig @ xi[k]).copy()
-        q, _ = trace_max_rotation_batch(sig @ xi[k])
-        return q[0] if single else q
+        q = rotation_of(sig @ xi[k]).copy()
+        return q.reshape(d, d) if single else q
 
     q_star = RotationProcess(
         dim=d, fn=q_fn, label=f"trace-max(src={src.label}, dst={dst.label})"

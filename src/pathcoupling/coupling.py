@@ -27,10 +27,10 @@ from .errors import DimensionError, DomainError
 from .linalg import (
     DEFAULT_RANK_TOL,
     MEMBERSHIP_TOL,
-    _psd_sqrt_batch,
     correlation_margin,
     kernel_dim,
     orthogonality_defect,
+    pinv_and_null,
     psd_sqrt,
 )
 from .sde import (
@@ -221,7 +221,8 @@ def couple_brownians(
     y = np.zeros((n + 1, n_pairs, d))
     xv, yv = _path_view(x), _path_view(y)
     margin_of = ValueMemo(correlation_margin)
-    root_of = ValueMemo(_complement_root)
+    # sqrt(I - c^T c), the top-up that restores the Brownian marginal
+    root_of = ValueMemo(lambda c: psd_sqrt(np.eye(d) - np.swapaxes(c, -1, -2) @ c, clamp_tol=1e-6))
     shapes = [(d, d), (n_pairs, d, d)]
     for k in range(n):
         c = rho.eval(k, k * dt, xv[:, : k + 1], yv[:, : k + 1])
@@ -238,14 +239,6 @@ def couple_brownians(
         y[k + 1] = y[k] + dy
     wiener = [f"wiener(d={d})"] * 2
     return _coupled(grid, xv, yv, seed, "couple_brownians", wiener, correlation=rho.label)
-
-
-def _complement_root(c):
-    """sqrt(I - c^T c), the top-up that restores the Brownian marginal."""
-    comp = np.eye(c.shape[-1]) - np.swapaxes(c, -1, -2) @ c
-    if c.ndim == 2:
-        return psd_sqrt(comp, clamp_tol=1e-6)
-    return _psd_sqrt_batch(comp)
 
 
 def couple_sdes(
@@ -339,22 +332,6 @@ def composed_monge(
     return _coupled(grid, x.values, y.values, seed, "composed_monge", marginals, rotation=q.label)
 
 
-def _pinv_and_null(sig, rank_tol):
-    """Pseudoinverse and kernel projector of one matrix or a batch.
-
-    The kernel projector is assembled from the singular vectors flagged
-    as null, so it is exactly the zero matrix when the matrix has full
-    rank - no rounding residue.
-    """
-    u, s, vh = np.linalg.svd(sig)
-    keep = s > rank_tol * s[..., :1]
-    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
-    v = np.swapaxes(vh, -1, -2)
-    pinv = (v * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
-    vnull = v * (~keep)[..., None, :]
-    return pinv, vnull @ np.swapaxes(vnull, -1, -2)
-
-
 def monge_sde(
     dst_drift: CoefficientField,
     dst_diffusion: CoefficientField,
@@ -400,7 +377,7 @@ def monge_sde(
     ty[0] = z0_dst
     resid = np.zeros(n)
     defect_of = ValueMemo(orthogonality_defect)
-    pinv_of = ValueMemo(lambda s: _pinv_and_null(s, rank_tol))
+    pinv_of = ValueMemo(lambda s: pinv_and_null(s, rank_tol))
     for k in range(n):
         t = k * dt
         xp = xv[:, : k + 1]

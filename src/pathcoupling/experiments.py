@@ -77,7 +77,7 @@ def closed_form_d2(
 
     # cross-check the trace maximiser against a brute-force O(2) scan
     probed = sigma @ psd_sqrt(sigma_bar @ sigma_bar.T)
-    _, svd_value = trace_max_rotation(probed)
+    _, trace_value = trace_max_rotation(probed)
     _, grid_value = rotation_grid_max(probed, n_points=grid_points)
     qstar_dev = 0.0
     for k in (0, n_steps // 2, n_steps - 1):
@@ -91,9 +91,9 @@ def closed_form_d2(
         "seed": seed,
         **fields,
         "qstar_max_dev": qstar_dev,
-        "trace_max_value": svd_value,
+        "trace_max_value": trace_value,
         "grid_value": grid_value,
-        "grid_gap": abs(svd_value - grid_value),
+        "grid_gap": abs(trace_value - grid_value),
     }
 
 
@@ -101,6 +101,8 @@ def rotation_invariance(
     N=2000, n_steps=256, n_seeds=20, seed=100, alpha=0.01, scale=1.0, d=2, n_workers=1
 ):
     """Wiener marginal test of a state-dependent rotation integral, seeds seed..seed+n_seeds-1."""
+    if n_seeds < 1:
+        raise ConfigError(f"rotation-invariance needs n_seeds >= 1, got {n_seeds}")
     grid = sde.TimeGrid(n_steps)
     q = presets.build("rotation", "rotation-by-state", d=d, scale=scale)
     passes = 0
@@ -185,6 +187,8 @@ def rotation_chop_density(c=0.5, block=16, N=4000, seed=33, n_list=(256, 1024, 4
     The i-th resolution in ``n_list`` uses seed ``seed + i``; the covariance
     check is made at the last (finest) one.
     """
+    if not n_list:
+        raise ConfigError("rotation-chop-density needs a non-empty 'n_list'")
     mads = []
     cov_err = cov_budget = None
     for i, n_steps in enumerate(n_list):

@@ -3,10 +3,17 @@
 Everything in this module operates on real square matrices of modest
 dimension (couplings rarely need d > 8) and is deterministic: the same
 input yields bit-identical output on repeated calls.  The decompositions
-are delegated to LAPACK via numpy; what this module adds is a fixed SVD
-sign convention, tolerance handling that the rest of the package agrees
-on, and the two membership tests used throughout (correlation-class and
+are delegated to LAPACK via numpy; what this module adds is tolerance
+handling that the rest of the package agrees on (one rank rule, one PSD
+clamp), the trace-maximising rotation, the pinv/kernel-projector pair
+and the two membership tests used throughout (correlation-class and
 orthogonality).
+
+One batching rule: every kernel takes matrices shaped (..., d, d) - one
+(d, d) matrix or any batch of them - with one body for both, and a batch
+gives bit for bit the results of per-matrix calls.  Whether a coefficient
+is shared by all paths or given per path is decided only by the step
+kernels' ``sde._apply``, ``sde._solve`` and ``sde.ValueMemo``.
 
 The correlation class consists of the d x d matrices C for which the
 2d x 2d block matrix [[I, C], [C^T, I]] is positive semi-definite;
@@ -17,17 +24,12 @@ rotation below realises the maximum of Tr(A C) over the whole class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DimensionError, DomainError
 
 __all__ = [
-    "SvdResult",
-    "svd",
-    "pseudoinverse",
-    "projection_range",
+    "pinv_and_null",
     "kernel_dim",
     "correlation_margin",
     "is_correlation",
@@ -45,88 +47,60 @@ DEFAULT_RANK_TOL = 1e-10
 MEMBERSHIP_TOL = 1e-8
 
 
-def _as_square(a, name="matrix"):
+def _square(a) -> np.ndarray:
+    """``a`` as float matrices shaped (..., d, d)."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"{name} must be square 2-d, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise DomainError(f"{name} contains non-finite entries")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"expected (..., d, d) matrices, got shape {a.shape}")
     return a
 
 
-@dataclass(frozen=True)
-class SvdResult:
-    """Singular value decomposition A = U @ diag(S) @ V.T.
+def _finite_square(a) -> np.ndarray:
+    """:func:`_square`, rejecting NaN and infinite entries."""
+    a = _square(a)
+    if not np.isfinite(a).all():
+        raise DomainError("matrix contains non-finite entries")
+    return a
 
-    U and V are orthogonal, S is sorted in descending order, and the
-    sign convention below makes the factorisation deterministic.
+
+def _scalar_or_batch(out: np.ndarray):
+    """A Python number for one matrix, an array shaped like the batch otherwise."""
+    return out.item() if out.ndim == 0 else out
+
+
+def _kept(s: np.ndarray, rank_tol: float) -> np.ndarray:
+    """The rank rule: the singular values above ``rank_tol`` times the largest."""
+    return s > rank_tol * s[..., :1]
+
+
+def pinv_and_null(a, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Moore-Penrose inverse of A and the projector onto its kernel.
+
+    Both are shaped like ``a``.  Singular values that fail the rank rule
+    are treated as exact zeros.  The kernel projector I - pinv(A) A is
+    assembled from the singular vectors flagged as null, so it is exactly
+    the zero matrix when A has full rank - no rounding residue.
     """
+    u, s, vh = np.linalg.svd(_finite_square(a))
+    keep = _kept(s, rank_tol)
+    inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    v = np.swapaxes(vh, -1, -2)
+    pinv = (v * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
+    vnull = v * (~keep)[..., None, :]
+    return pinv, vnull @ np.swapaxes(vnull, -1, -2)
 
-    U: np.ndarray
-    S: np.ndarray
-    V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.S) @ self.V.T
+def kernel_dim(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray | int:
+    """Dimension of the kernel of A: the singular values the rank rule drops.
 
-
-def svd(a) -> SvdResult:
-    """Deterministic SVD of a square matrix.
-
-    Sign convention: the first entry of each column of U whose magnitude
-    exceeds 1e-12 is made nonnegative (the matching column of V is
-    flipped along with it, so the product is unchanged).  This removes
-    the per-column sign ambiguity of the factorisation; ties beyond that
-    (exactly repeated singular values) are resolved however LAPACK
-    resolves them, which is deterministic for a fixed input.
+    An int for one matrix, an integer array shaped like the batch otherwise.
     """
-    a = _as_square(a)
-    u, s, vh = np.linalg.svd(a)
-    v = vh.T
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
-    return SvdResult(U=u, S=s, V=v)
-
-
-def pseudoinverse(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse with a relative rank cutoff.
-
-    Singular values at or below ``rank_tol`` times the largest singular
-    value are treated as exact zeros.
-    """
-    res = svd(a)
-    cutoff = rank_tol * (res.S[0] if res.S.size else 0.0)
-    inv = np.divide(1.0, res.S, out=np.zeros_like(res.S), where=res.S > cutoff)
-    return (res.V * inv) @ res.U.T
-
-
-def projection_range(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
-    """Orthogonal projection P = pinv(A) @ A onto the row space of A.
-
-    P is symmetric and idempotent; I - P projects onto the kernel of A.
-    """
-    res = svd(a)
-    cutoff = rank_tol * (res.S[0] if res.S.size else 0.0)
-    mask = res.S > cutoff
-    vr = res.V[:, mask]
-    return vr @ vr.T
-
-
-def kernel_dim(a, rank_tol: float = DEFAULT_RANK_TOL) -> int:
-    """Dimension of the kernel of A, via the singular value profile."""
-    a = _as_square(a)
-    s = np.linalg.svd(a, compute_uv=False)
-    cutoff = rank_tol * (s[0] if s.size else 0.0)
-    return int(a.shape[0] - np.count_nonzero(s > cutoff))
+    s = np.linalg.svd(_finite_square(a), compute_uv=False)
+    return _scalar_or_batch((~_kept(s, rank_tol)).sum(axis=-1))
 
 
 def _block_extension(c):
     """[[I, C], [C^T, I]] for one matrix or a batch of matrices."""
-    c = np.asarray(c, dtype=float)
     d = c.shape[-1]
     eye = np.broadcast_to(np.eye(d), c.shape)
     top = np.concatenate([eye, c], axis=-1)
@@ -142,12 +116,8 @@ def correlation_margin(c) -> np.ndarray | float:
     shaped (..., d, d); returns a float or an array shaped like the
     batch.
     """
-    c = np.asarray(c, dtype=float)
-    if c.ndim < 2 or c.shape[-1] != c.shape[-2]:
-        raise DimensionError(f"expected (..., d, d) matrices, got shape {c.shape}")
-    ev = np.linalg.eigvalsh(_block_extension(c))
-    out = ev[..., 0]
-    return float(out) if out.ndim == 0 else out
+    ev = np.linalg.eigvalsh(_block_extension(_square(c)))
+    return _scalar_or_batch(ev[..., 0])
 
 
 def is_correlation(c, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -161,16 +131,12 @@ def is_correlation(c, tol: float = MEMBERSHIP_TOL) -> bool:
 def orthogonality_defect(q) -> np.ndarray | float:
     """Max-norm of Q^T Q - I for one matrix or a batch.
 
-    A batch is handled entry by entry of the symmetric Gram matrix with
-    elementwise arithmetic over the batch, far cheaper for small d than
-    stacked tiny matrix products.
+    Computed entry by entry of the symmetric Gram matrix with elementwise
+    arithmetic over the batch, far cheaper for small d than stacked tiny
+    matrix products.
     """
-    q = np.asarray(q, dtype=float)
-    if q.ndim < 2 or q.shape[-1] != q.shape[-2]:
-        raise DimensionError(f"expected (..., d, d) matrices, got shape {q.shape}")
+    q = _square(q)
     d = q.shape[-1]
-    if q.ndim == 2:
-        return float(np.abs(q.T @ q - np.eye(d)).max())
     out = np.zeros(q.shape[:-2])
     for i in range(d):
         for j in range(i, d):
@@ -180,7 +146,7 @@ def orthogonality_defect(q) -> np.ndarray | float:
             if i == j:
                 gram -= 1.0
             np.maximum(out, np.abs(gram), out=out)
-    return out
+    return _scalar_or_batch(out)
 
 
 def is_orthogonal(q, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -191,7 +157,7 @@ def is_orthogonal(q, tol: float = MEMBERSHIP_TOL) -> bool:
     return bool(np.max(orthogonality_defect(q)) <= tol)
 
 
-def trace_max_rotation(a) -> tuple[np.ndarray, float]:
+def trace_max_rotation(a) -> tuple[np.ndarray, np.ndarray | float]:
     """Orthogonal maximiser of Tr(A Q) and the attained value.
 
     With A = U diag(S) V^T, the maximiser is Q* = V U^T and the value is
@@ -199,22 +165,21 @@ def trace_max_rotation(a) -> tuple[np.ndarray, float]:
     the whole correlation class, so Q* is also optimal over that larger
     set.  Q* is unique whenever A is invertible; for singular A any
     maximiser may be returned, deterministically for a fixed input.
+    For a batch (..., d, d), Q is shaped like it and the value like the
+    batch; for one matrix the value is a float.
     """
-    res = svd(a)
-    return res.V @ res.U.T, float(res.S.sum())
-
-
-def trace_max_rotation_batch(a) -> tuple[np.ndarray, np.ndarray]:
-    """Batched trace_max_rotation over matrices shaped (..., d, d).
-
-    Returns (Q, value) with Q shaped like the input and value shaped
-    like the batch.  No sign convention is applied: V @ U^T is invariant
-    under the paired column flips.
-    """
-    a = np.asarray(a, dtype=float)
-    u, s, vh = np.linalg.svd(a)
+    u, s, vh = np.linalg.svd(_finite_square(a))
     q = np.swapaxes(vh, -1, -2) @ np.swapaxes(u, -1, -2)
-    return q, s.sum(axis=-1)
+    return q, _scalar_or_batch(s.sum(axis=-1))
+
+
+def trace_max_rotation_batch(a):
+    """The same as :func:`trace_max_rotation`, which takes batches itself.
+
+    Kept only because ``bench/tracing.py`` still lists this name among its
+    kernel targets; delete it together with that entry.
+    """
+    return trace_max_rotation(a)
 
 
 def rotation_grid_max(a, n_points: int = 10_000) -> tuple[np.ndarray, float]:
@@ -227,7 +192,7 @@ def rotation_grid_max(a, n_points: int = 10_000) -> tuple[np.ndarray, float]:
     with 10^4 grid points the value is accurate to about 1e-6 near a
     smooth maximum.
     """
-    a = _as_square(a)
+    a = _finite_square(a)
     if a.shape != (2, 2):
         raise DimensionError("grid scan is only implemented for 2 x 2 matrices")
     theta = np.linspace(0.0, 2.0 * np.pi, n_points, endpoint=False)
@@ -254,28 +219,17 @@ def psd_sqrt(a, clamp_tol: float = 1e-10) -> np.ndarray:
     Eigenvalues in [-clamp_tol, 0) are clamped to zero (membership
     checks upstream guarantee PSD only up to sampling noise); anything
     more negative, or an asymmetric input, raises :class:`DomainError`.
+    For a batch (..., d, d), every member must qualify.
     """
-    a = _as_square(a)
-    asym = np.abs(a - a.T).max()
-    if asym > 1e-8 * max(1.0, np.abs(a).max()):
-        raise DomainError(f"psd_sqrt needs a symmetric matrix (defect {asym:.3e})")
-    w, vec = np.linalg.eigh(0.5 * (a + a.T))
-    if w[0] < -clamp_tol:
-        raise DomainError(f"matrix is not PSD: smallest eigenvalue {w[0]:.3e}")
-    w = np.clip(w, 0.0, None)
-    return (vec * np.sqrt(w)) @ vec.T
-
-
-def _psd_sqrt_batch(a, clamp_tol: float = 1e-6):
-    """Batched PSD square root for (..., d, d) symmetric matrices.
-
-    Used in per-step coupling loops where the input is PSD by
-    construction up to the membership tolerance, hence the looser
-    default clamp.
-    """
-    a = np.asarray(a, dtype=float)
-    w, vec = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
-    if w.min() < -clamp_tol:
-        raise DomainError(f"batch is not PSD: smallest eigenvalue {w.min():.3e}")
+    a = _finite_square(a)
+    at = np.swapaxes(a, -1, -2)
+    asym = np.abs(a - at).max(axis=(-2, -1))
+    bad = asym > 1e-8 * np.maximum(1.0, np.abs(a).max(axis=(-2, -1)))
+    if np.any(bad):
+        raise DomainError(f"psd_sqrt needs a symmetric matrix (defect {np.max(asym[bad]):.3e})")
+    w, vec = np.linalg.eigh(0.5 * (a + at))
+    low = w[..., 0]
+    if np.any(low < -clamp_tol):
+        raise DomainError(f"matrix is not PSD: smallest eigenvalue {np.min(low):.3e}")
     w = np.clip(w, 0.0, None)
     return (vec * np.sqrt(w)[..., None, :]) @ np.swapaxes(vec, -1, -2)

@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularDiffusionError
-from .linalg import DEFAULT_RANK_TOL
+from .linalg import DEFAULT_RANK_TOL, kernel_dim
 
 __all__ = [
     "TimeGrid",
@@ -399,9 +399,11 @@ def ito_map(model: SdeModel, driver):
 
 def _check_diffusion(s, k, rank_tol, label):
     """Raise SingularDiffusionError (at step k) if s is numerically singular."""
-    sv = np.linalg.svd(s, compute_uv=False)
-    bad = (sv[..., 0] == 0.0) | (sv[..., -1] <= rank_tol * sv[..., 0])
-    if bad.any():
+    try:
+        bad = kernel_dim(s, rank_tol) > 0
+    except DomainError as err:
+        raise DomainError(f"diffusion {label!r}: {err}", step=k) from None
+    if np.any(bad):
         where = "" if s.ndim == 2 else f" on {int(bad.sum())} path(s)"
         raise SingularDiffusionError(f"diffusion {label!r} is singular{where}", step=k)
 

@@ -230,3 +230,27 @@ def test_unknown_config_field_exits_2_with_its_line(tmp_path, capsys):
     assert main(["experiment", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "'n_step'" in err and "line 4" in err
+
+
+@pytest.mark.parametrize(
+    "kind, field",
+    [("rotation-invariance", '"n_seeds": 0'), ("rotation-chop-density", '"n_list": []')],
+    ids=["no-seeds", "no-resolutions"],
+)
+def test_empty_experiment_size_list_exits_2(tmp_path, capsys, kind, field):
+    cfg = tmp_path / "empty.json"
+    cfg.write_text(f'{{\n  "version": 1,\n  "kind": "{kind}",\n  {field}\n}}\n')
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert kind in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["couple", "cost", "verify"])
+@pytest.mark.parametrize("key, value", [("N", "abc"), ("d", "abc"), ("N", 2.5)])
+def test_non_integer_size_exits_2_naming_the_key_and_line(tmp_path, capsys, command, key, value):
+    cfg = _write_config(tmp_path, {key: value})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and repr(value) in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()

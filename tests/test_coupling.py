@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from pathcoupling import coupling, pathio, presets
+from pathcoupling import pathio, presets
 from pathcoupling.coupling import (
     INFEASIBLE,
     UNDECIDED,
@@ -22,7 +22,7 @@ from pathcoupling.coupling import (
     tanaka_coupling,
 )
 from pathcoupling.errors import DimensionError, DomainError
-from pathcoupling.linalg import psd_sqrt
+from pathcoupling.linalg import pinv_and_null, psd_sqrt
 from pathcoupling.sde import (
     CoefficientField,
     PathEnsemble,
@@ -434,7 +434,7 @@ def test_monge_sde_matches_a_path_major_recursion():
     )
     x = ito_map(src, _path_major(sample_brownian(grid, 2, 15, seed=74))).values
     assert _same_bytes(out.x, x)
-    pinv, _ = coupling._pinv_and_null(src.diffusion.eval(0, 0.0, None), 1e-10)
+    pinv, _ = pinv_and_null(src.diffusion.eval(0, 0.0, None))
     ty = np.zeros((15, 33, 2))
     for k in range(32):
         dm = x[:, k + 1] - x[:, k] - src.drift.eval(0, 0.0, None) * grid.dt

@@ -7,6 +7,8 @@ by the code under test.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcoupling import linalg
 from pathcoupling.errors import DimensionError, DomainError
@@ -48,60 +50,63 @@ def _o2_grid(n_points=10_000):
 
 
 # ---------------------------------------------------------------------------
-# svd
+# SVD-based kernels: trace maximiser, pinv / kernel projector, kernel dimension
 
 
 def test_svd_reconstructs():
+    # A Q* = U diag(S) U^T is symmetric PSD and A = (A Q*) Q*^T: the polar
+    # decomposition the trace maximiser is read from.
     rng = np.random.default_rng(101)
     for d in (1, 2, 3, 5):
         a = rng.standard_normal((d, d))
-        res = linalg.svd(a)
-        assert np.allclose(res.reconstruct(), a, atol=1e-10)
-        assert np.allclose(res.U.T @ res.U, np.eye(d), atol=1e-10)
-        assert np.allclose(res.V.T @ res.V, np.eye(d), atol=1e-10)
-        assert np.all(np.diff(res.S) <= 0) and np.all(res.S >= 0)
-
-
-def test_svd_sign_convention():
-    rng = np.random.default_rng(102)
-    for _ in range(50):
-        a = rng.standard_normal((3, 3))
-        res = linalg.svd(a)
-        for j in range(3):
-            col = res.U[:, j]
-            first = col[np.abs(col) > 1e-12][0]
-            assert first >= 0.0
+        q, v = linalg.trace_max_rotation(a)
+        p = a @ q
+        assert np.allclose(p, p.T, atol=1e-10)
+        assert np.linalg.eigvalsh(0.5 * (p + p.T)).min() >= -1e-10
+        assert np.allclose(p @ q.T, a, atol=1e-10)
+        assert np.allclose(q.T @ q, np.eye(d), atol=1e-10)
+        assert np.trace(p) == pytest.approx(v, abs=1e-10)
 
 
 def test_svd_deterministic_bitwise():
     rng = np.random.default_rng(103)
     a = rng.standard_normal((4, 4))
-    r1, r2 = linalg.svd(a), linalg.svd(a.copy())
-    assert np.array_equal(r1.U, r2.U)
-    assert np.array_equal(r1.S, r2.S)
-    assert np.array_equal(r1.V, r2.V)
+    for kernel in (linalg.trace_max_rotation, linalg.pinv_and_null):
+        for r1, r2 in zip(kernel(a), kernel(a.copy())):
+            assert np.array_equal(r1, r2)
+    assert np.array_equal(linalg.psd_sqrt(a @ a.T), linalg.psd_sqrt((a @ a.T).copy()))
 
 
 def test_svd_diag_singular_values():
-    res = linalg.svd(np.diag([3.0, -2.0]))
-    assert np.allclose(res.S, [3.0, 2.0], atol=1e-14)
+    _, v = linalg.trace_max_rotation(np.diag([3.0, -2.0]))
+    assert v == pytest.approx(5.0, abs=1e-14)
+    pinv, null = linalg.pinv_and_null(np.diag([3.0, -2.0]))
+    assert np.allclose(pinv, np.diag([1.0 / 3.0, -0.5]), atol=1e-15)
+    assert np.array_equal(null, np.zeros((2, 2)))
 
 
 def test_svd_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(DimensionError):
-        linalg.svd(np.ones((2, 3)))
-    with pytest.raises(DomainError):
-        linalg.svd(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    nan = np.array([[1.0, np.nan], [0.0, 1.0]])
+    inf_in_batch = np.stack([np.eye(2), np.diag([1.0, np.inf])])
+    for kernel in (linalg.trace_max_rotation, linalg.pinv_and_null, linalg.kernel_dim,
+                   linalg.psd_sqrt):
+        for shape in [(2, 3), (4, 2, 3), (3,)]:
+            with pytest.raises(DimensionError):
+                kernel(np.ones(shape))
+        for bad in (nan, inf_in_batch):
+            with pytest.raises(DomainError):
+                kernel(bad)
+    for check in (linalg.orthogonality_defect, linalg.correlation_margin):
+        with pytest.raises(DimensionError):
+            check(np.ones((4, 2, 3)))
 
 
-# ---------------------------------------------------------------------------
-# pseudoinverse / projections / kernel dimension
-
-
-def test_pseudoinverse_matches_direct_inverse():
+def test_pinv_matches_direct_inverse():
     rng = np.random.default_rng(111)
     a = rng.standard_normal((4, 4)) + 4.0 * np.eye(4)
-    assert np.allclose(linalg.pseudoinverse(a), np.linalg.inv(a), atol=1e-10)
+    pinv, null = linalg.pinv_and_null(a)
+    assert np.allclose(pinv, np.linalg.inv(a), atol=1e-10)
+    assert np.array_equal(null, np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize(
@@ -112,8 +117,8 @@ def test_pseudoinverse_matches_direct_inverse():
         np.diag([1.0, 0.0, 2.0]),
     ],
 )
-def test_pseudoinverse_penrose_identities(a):
-    p = linalg.pseudoinverse(a)
+def test_pinv_penrose_identities(a):
+    p, _ = linalg.pinv_and_null(a)
     assert np.allclose(a @ p @ a, a, atol=1e-10)
     assert np.allclose(p @ a @ p, p, atol=1e-10)
     assert np.allclose((a @ p).T, a @ p, atol=1e-10)
@@ -121,11 +126,13 @@ def test_pseudoinverse_penrose_identities(a):
 
 
 def test_projection_rank_one_oracle():
-    # Range projection of [[1,1],[1,1]] is the projection onto span{(1,1)}.
-    v = np.array([1.0, 1.0])
-    oracle = np.outer(v, v) / (v @ v)
-    p = linalg.projection_range(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    assert np.allclose(p, oracle, atol=1e-12)
+    # pinv(A) A projects onto span{(1,1)} and the kernel projector onto its
+    # complement span{(1,-1)}.
+    a = np.array([[1.0, 1.0], [1.0, 1.0]])
+    v, w = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+    pinv, null = linalg.pinv_and_null(a)
+    assert np.allclose(pinv @ a, np.outer(v, v) / (v @ v), atol=1e-12)
+    assert np.allclose(null, np.outer(w, w) / (w @ w), atol=1e-12)
 
 
 def test_projection_idempotent_symmetric():
@@ -135,9 +142,12 @@ def test_projection_idempotent_symmetric():
         a = rng.standard_normal((d, d))
         if rng.random() < 0.5 and d > 1:
             a[:, 0] = a[:, 1]  # force rank deficiency
-        p = linalg.projection_range(a)
-        assert np.allclose(p, p.T, atol=1e-10)
-        assert np.allclose(p @ p, p, atol=1e-10)
+        pinv, null = linalg.pinv_and_null(a)
+        for p in (pinv @ a, null):
+            assert np.allclose(p, p.T, atol=1e-10)
+            assert np.allclose(p @ p, p, atol=1e-10)
+        assert np.allclose(pinv @ a + null, np.eye(d), atol=1e-10)
+        assert np.allclose(a @ null, 0.0, atol=1e-10)
 
 
 def test_kernel_dim_against_row_reduction():
@@ -260,16 +270,6 @@ def test_rotation_grid_max_agrees_with_svd_route():
         linalg.rotation_grid_max(np.eye(3))
 
 
-def test_trace_max_batch_matches_single():
-    rng = np.random.default_rng(136)
-    a = rng.standard_normal((7, 3, 3))
-    qb, vb = linalg.trace_max_rotation_batch(a)
-    for i in range(7):
-        q, v = linalg.trace_max_rotation(a[i])
-        assert np.allclose(qb[i], q, atol=1e-10)
-        assert vb[i] == pytest.approx(v, abs=1e-10)
-
-
 # ---------------------------------------------------------------------------
 # psd square root
 
@@ -300,12 +300,66 @@ def test_psd_sqrt_rejects_bad_input():
         linalg.psd_sqrt(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(DomainError):
         linalg.psd_sqrt(np.diag([1.0, -1e-6]))
+    # in a batch, one bad member is enough
+    with pytest.raises(DomainError, match="symmetric"):
+        linalg.psd_sqrt(np.stack([np.eye(2), np.array([[1.0, 0.5], [0.0, 1.0]])]))
+    with pytest.raises(DomainError, match="not PSD"):
+        linalg.psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -1e-6])]))
+    assert linalg.psd_sqrt(np.stack([np.eye(2), np.diag([1.0, -1e-7])]), clamp_tol=1e-6)[1, 1, 1] == 0.0
 
 
-def test_psd_sqrt_batch_matches_single():
-    rng = np.random.default_rng(142)
-    g = rng.standard_normal((5, 3, 3))
-    a = g @ np.swapaxes(g, -1, -2)
-    batch = linalg._psd_sqrt_batch(a)
-    for i in range(5):
-        assert np.allclose(batch[i], linalg.psd_sqrt(a[i]), atol=1e-10)
+# ---------------------------------------------------------------------------
+# properties over batch shapes (), (k,) and (k, m) with d in 1..4
+
+# derandomized: the examples are fixed per test, so a run fails the same way every time
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def _matrices(draw):
+    """Random (..., d, d) matrices of scales 1e-6..1e6; about one in five is rank-deficient."""
+    d = draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.standard_normal(batch + (d, d)) * 10.0 ** rng.uniform(-6, 6, batch + (1, 1))
+    singular = rng.random(batch) < 0.2
+    a[singular, :, 0] = 0.0 if d == 1 else a[singular, :, -1]
+    return a
+
+
+def _per_matrix(fn, a):
+    """``fn`` applied to each (d, d) member of ``a``, outputs stacked to the batch shape."""
+    batch = a.shape[:-2]
+    outs = [fn(a[idx]) for idx in np.ndindex(batch)]
+    if not isinstance(outs[0], tuple):
+        outs = [(o,) for o in outs]
+    return tuple(np.reshape(np.array(col), batch + np.shape(col[0])) for col in zip(*outs))
+
+
+@pytest.mark.parametrize(
+    "name", ["psd_sqrt", "trace_max_rotation", "pinv_and_null", "kernel_dim", "orthogonality_defect"]
+)
+@PROPERTY
+@given(a=_matrices())
+def test_batch_equals_per_matrix(name, a):
+    kernel = getattr(linalg, name)
+    if name == "psd_sqrt":  # PSD, scaled to at most 1 so the absolute clamp tolerance holds
+        a = a @ np.swapaxes(a, -1, -2)
+        a /= np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+    batched = kernel(a)
+    batched = batched if isinstance(batched, tuple) else (batched,)
+    for got, want in zip(batched, _per_matrix(kernel, a), strict=True):
+        assert np.shape(got) == want.shape
+        assert np.array_equal(got, want)
+
+
+@PROPERTY
+@given(a=_matrices(), seed=st.integers(0, 2**32 - 1))
+def test_trace_max_beats_random_orthogonal(a, seed):
+    rng = np.random.default_rng(seed)
+    q_star, value = linalg.trace_max_rotation(a)
+    q, r = np.linalg.qr(rng.standard_normal(a.shape))
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    tr = np.einsum("...ij,...ji->...", a, q)
+    assert np.all(value >= tr - 1e-10 * (1.0 + np.abs(value)))
+    assert np.allclose(np.einsum("...ij,...ji->...", a, q_star), value, atol=1e-10)

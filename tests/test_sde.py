@@ -213,6 +213,22 @@ def test_inverse_singular_diffusion_reports_step():
     assert err.value.step == 5  # t = 0.5 at step 5 of 10
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2)])
+def test_inverse_non_finite_diffusion_reports_step(shape):
+    def blow_up(k, t, prefix):
+        return np.full(shape, np.nan) if k == 3 else np.broadcast_to(np.eye(2), shape)
+
+    model = SdeModel(
+        z0=np.zeros(2),
+        drift=constant_drift(0.0, 2),
+        diffusion=CoefficientField("diffusion", 2, blow_up, label="blow-up"),
+    )
+    x = sample_brownian(TimeGrid(8), 2, 4, seed=17)
+    with pytest.raises(DomainError, match="blow-up.*non-finite") as err:
+        inverse_ito_map(model, x)
+    assert err.value.step == 3
+
+
 # ---------------------------------------------------------------------------
 # decomposition
 
