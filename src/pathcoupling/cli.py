@@ -35,15 +35,24 @@ EXIT_CHECK = 4
 
 CONFIG_VERSION = 1
 
-_CONSTRUCTORS = (
-    "couple_brownians",
-    "couple_sdes",
-    "rotation_monge",
-    "composed_monge",
-    "monge_sde",
-    "tanaka",
-    "rotation_chop",
-)
+#: the fields of the 'coupling' section each constructor takes
+_COUPLING_FIELDS = {
+    "couple_brownians": ("constructor", "correlation"),
+    "couple_sdes": ("constructor", "correlation"),
+    "rotation_monge": ("constructor", "rotation"),
+    "composed_monge": ("constructor", "rotation"),
+    "monge_sde": ("constructor", "rotation"),
+    "tanaka": ("constructor",),
+    "rotation_chop": ("constructor", "c", "block"),
+}
+
+#: the fields of a 'verify' entry each test takes
+_VERIFY_FIELDS = {
+    "wiener": ("test", "side", "alpha"),
+    "covariation": ("test", "target", "window"),
+    "certificate": ("test", "window", "tol"),
+    "adaptedness": ("test", "k_neighbors", "threshold"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +82,12 @@ class Config:
     def rewrap(self, key, err: ConfigError):
         # attach a line number to an error raised by a lower layer
         raise ConfigError(f"{self.source}: {err}", line=_line_of(self.raw, key)) from None
+
+    def reject_other_fields(self, fields, allowed, what):
+        """A config error naming the first of ``fields`` that is not in ``allowed``."""
+        for key in fields:
+            if key not in allowed:
+                self.error(key, f"{what} takes no field {key!r}; it takes: {', '.join(allowed)}")
 
 
 def load_config(path) -> Config:
@@ -111,18 +126,22 @@ def _require_model(cfg: Config, key, d):
 
 
 def _sizes(cfg: Config):
-    """(d, n_steps, N, seed) of a run config; a value that is not an integer is a config error."""
+    """(d, n_steps, N, seed) of a run config; a value that is not an integer, or is
+    below 1 (below 0 for the seed), is a config error."""
 
-    def size(key, default):
+    def size(key, default, least=1):
         value = cfg.data.get(key, default)
         try:
-            if not isinstance(value, float) or value.is_integer():
-                return int(value)
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise TypeError
+            number = int(value)
         except (TypeError, ValueError):
-            pass
-        cfg.error(key, f"field {key!r} must be an integer, got {value!r}")
+            cfg.error(key, f"field {key!r} must be an integer, got {value!r}")
+        if number < least:
+            cfg.error(key, f"field {key!r} must be at least {least}, got {value!r}")
+        return number
 
-    return size("d", 1), size("n_steps", 256), size("N", 1000), size("seed", 0)
+    return size("d", 1), size("n_steps", 256), size("N", 1000), size("seed", 0, least=0)
 
 
 def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
@@ -133,6 +152,9 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
     if not isinstance(section, dict) or "constructor" not in section:
         cfg.error("coupling", "config needs a 'coupling' object with a 'constructor' name")
     ctor = section["constructor"]
+    if ctor not in _COUPLING_FIELDS:
+        cfg.error("constructor", f"unknown coupling constructor {ctor!r}; known: {', '.join(_COUPLING_FIELDS)}")
+    cfg.reject_other_fields(section, _COUPLING_FIELDS[ctor], f"coupling constructor {ctor!r}")
 
     def rotation():
         rot = section.get("rotation")
@@ -169,12 +191,9 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
         if d != 1:
             cfg.error("d", "the tanaka coupling is one dimensional")
         return coupling.tanaka_coupling(grid, n_pairs, seed, n_workers=n_workers)
-    if ctor == "rotation_chop":
-        c = float(section.get("c", 0.0))
-        block = int(section.get("block", 16))
-        return coupling.rotation_chop(c, grid, n_pairs, seed, block, n_workers=n_workers)
-
-    cfg.error("constructor", f"unknown coupling constructor {ctor!r}; known: {', '.join(_CONSTRUCTORS)}")
+    c = float(section.get("c", 0.0))  # rotation_chop
+    block = int(section.get("block", 16))
+    return coupling.rotation_chop(c, grid, n_pairs, seed, block, n_workers=n_workers)
 
 
 def _build_cost_spec(cfg: Config):
@@ -336,6 +355,9 @@ def _run_verify_test(cfg: Config, t, pair) -> TestReport:
     if not isinstance(t, dict) or "test" not in t:
         cfg.error("verify", "each verify entry must be an object with a 'test' name")
     name = t["test"]
+    if name not in _VERIFY_FIELDS:
+        cfg.error("test", f"unknown verify test {name!r}; known: {', '.join(_VERIFY_FIELDS)}")
+    cfg.reject_other_fields(t, _VERIFY_FIELDS[name], f"verify test {name!r}")
     if name == "wiener":
         side = t.get("side", "y")
         if side not in ("x", "y"):
@@ -355,27 +377,25 @@ def _run_verify_test(cfg: Config, t, pair) -> TestReport:
             k_neighbors=int(t.get("k_neighbors", 5)),
             threshold=float(t.get("threshold", 0.75)),
         )
-    if name == "covariation":
-        if "target" not in t:
-            cfg.error("covariation", "the covariation test needs a 'target' (scalar or d x d)")
-        rep = verify.realized_covariation(pair, window=int(t.get("window", verify.DEFAULT_WINDOW)))
-        target = np.asarray(t["target"], dtype=float)
-        if target.ndim == 0:
-            target = float(target) * np.eye(pair.d)
-        dev = float(np.max(np.abs(rep.terminal_mean - target)))
-        budget = float(np.max(verify.covariation_budget(rep, pair.grid.dt)))
-        return TestReport(
-            name="realized_covariation",
-            statistic=dev,
-            threshold=budget,
-            comparison="<=",
-            passed=dev <= budget,
-            n_paths=pair.n_pairs,
-            n_steps=pair.grid.n_steps,
-            seed=pair.seed,
-            details={"target": target.tolist(), "terminal_mean": rep.terminal_mean.tolist()},
-        )
-    cfg.error("test", f"unknown verify test {name!r}; known: wiener, covariation, certificate, adaptedness")
+    if "target" not in t:  # covariation
+        cfg.error("covariation", "the covariation test needs a 'target' (scalar or d x d)")
+    rep = verify.realized_covariation(pair, window=int(t.get("window", verify.DEFAULT_WINDOW)))
+    target = np.asarray(t["target"], dtype=float)
+    if target.ndim == 0:
+        target = float(target) * np.eye(pair.d)
+    dev = float(np.max(np.abs(rep.terminal_mean - target)))
+    budget = float(np.max(verify.covariation_budget(rep, pair.grid.dt)))
+    return TestReport(
+        name="realized_covariation",
+        statistic=dev,
+        threshold=budget,
+        comparison="<=",
+        passed=dev <= budget,
+        n_paths=pair.n_pairs,
+        n_steps=pair.grid.n_steps,
+        seed=pair.seed,
+        details={"target": target.tolist(), "terminal_mean": rep.terminal_mean.tolist()},
+    )
 
 
 def cmd_list_presets(_args) -> int:
@@ -417,9 +437,8 @@ def _experiment_fields(cfg: Config, kind, fn) -> dict:
     params = dict(inspect.signature(fn).parameters)
     del params["n_workers"]
     fields = {k: v for k, v in cfg.data.items() if k not in ("version", "kind", "checks")}
+    cfg.reject_other_fields(fields, params, f"experiment kind {kind!r}")
     for key, value in fields.items():
-        if key not in params:
-            cfg.error(key, f"experiment kind {kind!r} takes no field {key!r}; it takes: {', '.join(params)}")
         default = params[key].default
         if type(default) in (int, float):
             try:

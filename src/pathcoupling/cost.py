@@ -5,7 +5,9 @@ finite-variation and martingale parts of a pair separately,
 
     h(V_x - V_y) + g(trace of the realized bracket of M_x - M_y),
 
-and an *Lp* cost integrates ``|x_t - y_t|^p`` over time.  For separable
+and an *Lp* cost integrates ``|x_t - y_t|^p`` over time.  Costs are
+priced over the pairs of a :class:`CoupledEnsemble` by :func:`estimate`;
+one pair is the N = 1 ensemble.  For separable
 costs against a target with deterministic drift and deterministic
 ``sigma sigma^T``, the optimal value over all non-anticipating couplings
 has a closed form driven by per-step singular values, together with the
@@ -35,6 +37,9 @@ from .sde import (
 
 SEPARABLE = "SEPARABLE"
 LP_PATH = "LP_PATH"
+
+#: largest spread across probe paths of a target coefficient that counts as deterministic
+DETERMINISM_TOL = 1e-8
 
 # grid on which g is spot-checked for monotonicity at construction time
 _G_PROBE = np.linspace(0.0, 16.0, 100)
@@ -127,7 +132,7 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 
 
 # ---------------------------------------------------------------------------
-# per-pair evaluation (internally batched over pairs)
+# per-pair values, batched over the pairs of an ensemble
 
 
 _CHUNK = 256  # pairs per block of the bracket reduction
@@ -143,54 +148,23 @@ def _bracket(mx, my):
     return out
 
 
-def _separable_values(grid, x, y, src: SdeModel, dst: SdeModel, spec: CostSpec):
-    xe = PathEnsemble(grid=grid, values=x, seed=0)
-    ye = PathEnsemble(grid=grid, values=y, seed=0)
-    fv_x, m_x = decompose(src, xe)
-    fv_y, m_y = decompose(dst, ye)
+def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec: CostSpec):
+    fv_x, m_x = decompose(src, pair.x_ensemble())
+    fv_y, m_y = decompose(dst, pair.y_ensemble())
     bracket = _bracket(m_x.values, m_y.values)
     del m_x, m_y
     h_vals = np.asarray(spec.h(fv_x.values - fv_y.values), dtype=float)
-    if h_vals.shape != (x.shape[0],):
+    if h_vals.shape != (pair.n_pairs,):
         raise DimensionError(
             f"h must map (N, n_steps+1, d) paths to (N,) scores, got {h_vals.shape}"
         )
     return h_vals + np.asarray(spec.g(bracket), dtype=float)
 
 
-def _lp_values(grid, x, y, p: float):
-    diff = x[:, :-1] - y[:, :-1]
+def _lp_values(pair: CoupledEnsemble, p: float):
+    diff = pair.x[:, :-1] - pair.y[:, :-1]
     norms = np.sqrt(np.einsum("pkd,pkd->pk", diff, diff))
-    return norms**p @ np.full(norms.shape[1], grid.dt)
-
-
-def _paired(pair):
-    x, y = pair
-    if x.grid.n_steps != y.grid.n_steps or x.values.shape != y.values.shape:
-        raise DimensionError("pair members must share one grid and one dimension")
-    return x.grid, x.values[None], y.values[None]
-
-
-def eval_separable(pair, src: SdeModel, dst: SdeModel, spec: CostSpec) -> float:
-    """Separable cost of one (x, y) pair of sample paths.
-
-    The martingale parts are extracted with :func:`sde.decompose` under
-    each marginal's model and the bracket is the realized quadratic
-    variation of their difference, so the result carries the usual
-    O(sqrt(dt)) discretisation error of realized brackets.
-    """
-    if spec.kind != SEPARABLE:
-        raise ConfigError(f"eval_separable needs a SEPARABLE spec, got {spec.kind}")
-    grid, x, y = _paired(pair)
-    return float(_separable_values(grid, x, y, src, dst, spec)[0])
-
-
-def eval_lp(pair, p) -> float:
-    """Left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1]."""
-    if not float(p) >= 1:
-        raise ConfigError(f"Lp path cost needs p >= 1, got {p}")
-    grid, x, y = _paired(pair)
-    return float(_lp_values(grid, x, y, float(p))[0])
+    return norms**p @ np.full(norms.shape[1], pair.grid.dt)
 
 
 def estimate(
@@ -199,13 +173,19 @@ def estimate(
     src: Optional[SdeModel] = None,
     dst: Optional[SdeModel] = None,
 ) -> CostEstimate:
-    """Mean and standard error of the cost over all pairs of an ensemble."""
+    """Mean and standard error of the cost over all pairs of an ensemble.
+
+    A separable cost's bracket is the realized quadratic variation of the
+    difference of the martingale parts (:func:`sde.decompose` under each
+    model), with the usual O(sqrt(dt)) error; an Lp cost is the
+    left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].
+    """
     if spec.kind == SEPARABLE:
         if src is None or dst is None:
             raise ConfigError("separable cost estimation needs src and dst models")
-        vals = _separable_values(ensemble.grid, ensemble.x, ensemble.y, src, dst, spec)
+        vals = _separable_values(ensemble, src, dst, spec)
     else:
-        vals = _lp_values(ensemble.grid, ensemble.x, ensemble.y, spec.p)
+        vals = _lp_values(ensemble, spec.p)
     return _from_values(vals, spec.label)
 
 
@@ -213,14 +193,14 @@ def estimate(
 # closed-form optimum
 
 
-def _require_deterministic(vals, what: str, k: int, tol: float):
+def _require_deterministic(vals, what: str, k: int):
     """Collapse a per-path batch to one value, insisting it is path-free."""
     ref = vals[0]
     spread = float(np.max(np.abs(vals - ref))) if vals.shape[0] > 1 else 0.0
-    if spread > tol:
+    if spread > DETERMINISM_TOL:
         raise DomainError(
             f"{what} must not depend on the path; spread {spread:.3g} "
-            f"across probe paths exceeds {tol:g}",
+            f"across probe paths exceeds {DETERMINISM_TOL:g}",
             step=k,
         )
     return ref
@@ -231,14 +211,13 @@ def closed_form_optimal(
     dst: SdeModel,
     spec: CostSpec,
     probe_ensemble: PathEnsemble,
-    det_tol: float = 1e-8,
 ) -> tuple[CostEstimate, RotationProcess]:
     """Optimal separable cost between the two model laws, plus its rotation.
 
     Requires the target drift to depend on time only and the target
     ``sigma sigma^T`` to be deterministic; both are validated on the
     probe ensemble (which must be drawn from the source law) within
-    ``det_tol``.  The value is the Monte Carlo mean over probes of
+    ``DETERMINISM_TOL``.  The value is the Monte Carlo mean over probes of
 
         h(int b dt - int b_bar dt)
         + g(int Tr(sigma sigma^T + sbar sbar^T) dt - 2 int Tr(sigma xi Q*) dt)
@@ -274,10 +253,10 @@ def closed_form_optimal(
         prefix = x[:, : k + 1]
         sbar = _eval_diffusion(dst.diffusion, k, t, prefix, n_paths, d)
         if sbar.ndim == 3:
-            sbar = _require_deterministic(sbar, "dst diffusion (sigma sigma^T)", k, det_tol)
+            sbar = _require_deterministic(sbar, "dst diffusion (sigma sigma^T)", k)
         bbar = _eval_drift(dst.drift, k, t, prefix, n_paths, d)
         if bbar.ndim == 2:
-            bbar = _require_deterministic(bbar, "dst drift", k, det_tol)
+            bbar = _require_deterministic(bbar, "dst drift", k)
         xi[k] = xi_of(sbar @ sbar.T)
         tr_dst = float(np.einsum("ij,ij->", sbar, sbar))
 
@@ -303,13 +282,8 @@ def closed_form_optimal(
             raise DomainError(
                 f"optimal rotation is defined on {n} steps, got step {k}"
             )
-        prefix = np.asarray(x_prefix, dtype=float)
-        single = prefix.ndim == 2
-        if single:
-            prefix = prefix[None]
-        sig = _eval_diffusion(src.diffusion, k, k * dt, prefix, prefix.shape[0], d)
-        q = rotation_of(sig @ xi[k]).copy()
-        return q.reshape(d, d) if single else q
+        sig = _eval_diffusion(src.diffusion, k, k * dt, x_prefix, x_prefix.shape[0], d)
+        return rotation_of(sig @ xi[k]).copy()
 
     q_star = RotationProcess(
         dim=d, fn=q_fn, label=f"trace-max(src={src.label}, dst={dst.label})"
@@ -329,16 +303,6 @@ class GapEntry:
     combined_stderr: float
     beats_closed_form: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "candidate": self.label,
-            "mean": self.estimate.mean,
-            "stderr": self.estimate.stderr,
-            "gap": self.gap,
-            "combined_stderr": self.combined_stderr,
-            "beats_closed_form": self.beats_closed_form,
-        }
-
 
 @dataclass(frozen=True)
 class GapReport:
@@ -348,13 +312,6 @@ class GapReport:
     @property
     def any_flagged(self) -> bool:
         return any(e.beats_closed_form for e in self.entries)
-
-    def as_dict(self) -> dict:
-        return {
-            "closed_form": self.closed_form.as_dict(),
-            "candidates": [e.as_dict() for e in self.entries],
-            "any_flagged": self.any_flagged,
-        }
 
 
 def _candidate_label(cand: CoupledEnsemble) -> str:

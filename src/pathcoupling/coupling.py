@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import DimensionError, DomainError
 from .linalg import (
-    DEFAULT_RANK_TOL,
     MEMBERSHIP_TOL,
     correlation_margin,
     kernel_dim,
@@ -171,12 +170,12 @@ class CoupledEnsemble:
         return PathEnsemble(grid=self.grid, values=self.y, seed=self.seed)
 
 
-def _eval_rotation(q, k, t, xp, n_paths, tol, defect_of):
+def _eval_rotation(q, k, t, xp, n_paths, defect_of):
     """Q[k], checked orthogonal; ``defect_of`` is a ValueMemo of the defect."""
     d = q.dim
     mat = _shaped(q.eval(k, t, xp), [(d, d), (n_paths, d, d)], "rotation", q.label, k)
     worst = float(np.max(defect_of(mat)))
-    if worst > tol:
+    if worst > MEMBERSHIP_TOL:
         raise DomainError(
             f"rotation {q.label!r} is not orthogonal (defect {worst:.3e})", step=k
         )
@@ -199,7 +198,6 @@ def couple_brownians(
     grid: TimeGrid,
     n_pairs: int,
     seed: int,
-    tol: float = MEMBERSHIP_TOL,
     n_workers: int = 1,
 ) -> CoupledEnsemble:
     """Joint Brownian pair with prescribed instantaneous correlation.
@@ -228,7 +226,7 @@ def couple_brownians(
         c = rho.eval(k, k * dt, xv[:, : k + 1], yv[:, : k + 1])
         c = _shaped(c, shapes, "correlation", rho.label, k)
         worst = float(np.min(margin_of(c)))
-        if worst < -tol:
+        if worst < -MEMBERSHIP_TOL:
             raise DomainError(
                 f"correlation {rho.label!r} leaves the admissible class "
                 f"(margin {worst:.3e})",
@@ -248,7 +246,6 @@ def couple_sdes(
     grid: TimeGrid,
     n_pairs: int,
     seed: int,
-    tol: float = MEMBERSHIP_TOL,
     n_workers: int = 1,
 ) -> CoupledEnsemble:
     """Couple two SDE laws by pushing a correlated Brownian pair through
@@ -262,7 +259,7 @@ def couple_sdes(
     """
     if src.dim != dst.dim or rho.dim != src.dim:
         raise DimensionError("source, target and correlation dimensions must agree")
-    pair = couple_brownians(rho, grid, n_pairs, seed, tol=tol, n_workers=n_workers)
+    pair = couple_brownians(rho, grid, n_pairs, seed, n_workers=n_workers)
     x = ito_map(src, pair.x_ensemble())
     y = ito_map(dst, pair.y_ensemble())
     marginals = [src.label, dst.label]
@@ -274,11 +271,7 @@ def couple_sdes(
 # Monge transports
 
 
-def rotation_monge(
-    q: RotationProcess,
-    driver: PathEnsemble,
-    tol: float = MEMBERSHIP_TOL,
-) -> CoupledEnsemble:
+def rotation_monge(q: RotationProcess, driver: PathEnsemble) -> CoupledEnsemble:
     """Transport a Brownian driver by a progressive rotation integral.
 
     dY[k] = Q[k] dX[k] with Q orthogonal at every step (checked; a
@@ -297,7 +290,7 @@ def rotation_monge(
     y = np.zeros_like(x)
     defect_of = ValueMemo(orthogonality_defect)
     for k in range(grid.n_steps):
-        mat = _eval_rotation(q, k, k * dt, xv[:, : k + 1], n_pairs, tol, defect_of)
+        mat = _eval_rotation(q, k, k * dt, xv[:, : k + 1], n_pairs, defect_of)
         y[k + 1] = y[k] + _apply(mat, x[k + 1] - x[k])
     y, wiener = _path_view(y), [f"wiener(d={d})"] * 2
     return _coupled(grid, driver.values, y, driver.seed, "rotation_monge", wiener, rotation=q.label)
@@ -310,8 +303,6 @@ def composed_monge(
     grid: TimeGrid,
     n_pairs: int,
     seed: int,
-    tol: float = MEMBERSHIP_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
     n_workers: int = 1,
 ) -> CoupledEnsemble:
     """Monge coupling of two strong-solution laws by conjugation.
@@ -325,8 +316,7 @@ def composed_monge(
         raise DimensionError("source, target and rotation dimensions must agree")
     bm = sample_brownian(grid, src.dim, n_pairs, seed, n_workers=n_workers)
     x = ito_map(src, bm)
-    w = inverse_ito_map(src, x, rank_tol=rank_tol)
-    rotated = rotation_monge(q, w, tol=tol)
+    rotated = rotation_monge(q, inverse_ito_map(src, x))
     y = ito_map(dst, rotated.y_ensemble())
     marginals = [src.label, dst.label]
     return _coupled(grid, x.values, y.values, seed, "composed_monge", marginals, rotation=q.label)
@@ -341,8 +331,6 @@ def monge_sde(
     n_pairs: int,
     seed: int,
     z0_dst=None,
-    tol: float = MEMBERSHIP_TOL,
-    rank_tol: float = DEFAULT_RANK_TOL,
     n_workers: int = 1,
 ) -> CoupledEnsemble:
     """Direct recursion for a candidate Monge transport of an SDE law.
@@ -377,7 +365,7 @@ def monge_sde(
     ty[0] = z0_dst
     resid = np.zeros(n)
     defect_of = ValueMemo(orthogonality_defect)
-    pinv_of = ValueMemo(lambda s: pinv_and_null(s, rank_tol))
+    pinv_of = ValueMemo(pinv_and_null)
     for k in range(n):
         t = k * dt
         xp = xv[:, : k + 1]
@@ -386,7 +374,7 @@ def monge_sde(
         sig = _eval_diffusion(src.diffusion, k, t, xp, n_pairs, d)
         bbar = _eval_drift(dst_drift, k, t, tp, n_pairs, d)
         sbar = _eval_diffusion(dst_diffusion, k, t, tp, n_pairs, d)
-        qmat = _eval_rotation(q, k, t, xp, n_pairs, tol, defect_of)
+        qmat = _eval_rotation(q, k, t, xp, n_pairs, defect_of)
         pinv, null_proj = pinv_of(sig)
         dm = x[k + 1] - x[k] - b * dt
         u = _apply(pinv, dm)
@@ -424,16 +412,14 @@ class FeasibilityReport:
     dst_kernel_max: int
 
 
-def feasibility_check(
-    sigma_samples, sigma_bar_samples, rank_tol: float = DEFAULT_RANK_TOL
-) -> FeasibilityReport:
+def feasibility_check(sigma_samples, sigma_bar_samples) -> FeasibilityReport:
     """Screen two diffusion coefficient sample sets for Monge transport.
 
     ``sigma_samples`` / ``sigma_bar_samples`` are iterables of matrices
     probing the source / target diffusion over times and paths.
     """
-    src = [kernel_dim(m, rank_tol) for m in sigma_samples]
-    dst = [kernel_dim(m, rank_tol) for m in sigma_bar_samples]
+    src = [kernel_dim(m) for m in sigma_samples]
+    dst = [kernel_dim(m) for m in sigma_bar_samples]
     if not src or not dst:
         raise DimensionError("need at least one probe matrix on each side")
     lo, hi = min(src), max(dst)

@@ -81,7 +81,7 @@ def closed_form_d2(
     _, grid_value = rotation_grid_max(probed, n_points=grid_points)
     qstar_dev = 0.0
     for k in (0, n_steps // 2, n_steps - 1):
-        q = q_star.eval(k, k * paths.grid.dt, paths.values[0, : k + 1])
+        q = q_star.eval(k, k * paths.grid.dt, paths.values[:1, : k + 1])
         qstar_dev = max(qstar_dev, float(np.max(np.abs(q - np.eye(2)))))
     return {
         "sigma": sigma.tolist(),

@@ -40,10 +40,10 @@ __all__ = [
     "psd_sqrt",
 ]
 
-#: Relative threshold below which singular values are treated as zero.
+#: Relative threshold below which singular values are treated as zero (the rank rule).
 DEFAULT_RANK_TOL = 1e-10
 
-#: Default tolerance for the correlation / orthogonality membership tests.
+#: Tolerance of the correlation / orthogonality membership tests.
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -68,12 +68,12 @@ def _scalar_or_batch(out: np.ndarray):
     return out.item() if out.ndim == 0 else out
 
 
-def _kept(s: np.ndarray, rank_tol: float) -> np.ndarray:
-    """The rank rule: the singular values above ``rank_tol`` times the largest."""
-    return s > rank_tol * s[..., :1]
+def _kept(s: np.ndarray) -> np.ndarray:
+    """The rank rule: the singular values above ``DEFAULT_RANK_TOL`` times the largest."""
+    return s > DEFAULT_RANK_TOL * s[..., :1]
 
 
-def pinv_and_null(a, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np.ndarray]:
+def pinv_and_null(a) -> tuple[np.ndarray, np.ndarray]:
     """Moore-Penrose inverse of A and the projector onto its kernel.
 
     Both are shaped like ``a``.  Singular values that fail the rank rule
@@ -82,7 +82,7 @@ def pinv_and_null(a, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np
     the zero matrix when A has full rank - no rounding residue.
     """
     u, s, vh = np.linalg.svd(_finite_square(a))
-    keep = _kept(s, rank_tol)
+    keep = _kept(s)
     inv = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
     v = np.swapaxes(vh, -1, -2)
     pinv = (v * inv[..., None, :]) @ np.swapaxes(u, -1, -2)
@@ -90,13 +90,13 @@ def pinv_and_null(a, rank_tol: float = DEFAULT_RANK_TOL) -> tuple[np.ndarray, np
     return pinv, vnull @ np.swapaxes(vnull, -1, -2)
 
 
-def kernel_dim(a, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray | int:
+def kernel_dim(a) -> np.ndarray | int:
     """Dimension of the kernel of A: the singular values the rank rule drops.
 
     An int for one matrix, an integer array shaped like the batch otherwise.
     """
     s = np.linalg.svd(_finite_square(a), compute_uv=False)
-    return _scalar_or_batch((~_kept(s, rank_tol)).sum(axis=-1))
+    return _scalar_or_batch((~_kept(s)).sum(axis=-1))
 
 
 def _block_extension(c):

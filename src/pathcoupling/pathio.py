@@ -122,7 +122,7 @@ def read_binary(path):
 # JSON reports
 
 
-def cost_report(estimate, n_steps: int, seed: int, closed_form=None, gap_report=None) -> dict:
+def cost_report(estimate, n_steps: int, seed: int, closed_form=None) -> dict:
     """Assemble the standard cost-report payload."""
     out = {
         "cost_spec": estimate.spec_label,
@@ -135,9 +135,6 @@ def cost_report(estimate, n_steps: int, seed: int, closed_form=None, gap_report=
     if closed_form is not None:
         out["closed_form"] = closed_form.as_dict()
         out["gap"] = estimate.mean - closed_form.mean
-    if gap_report is not None:
-        out["candidates"] = [e.as_dict() for e in gap_report.entries]
-        out["any_flagged"] = gap_report.any_flagged
     return out
 
 

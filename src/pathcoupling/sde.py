@@ -11,7 +11,8 @@ The solver is the left-endpoint Euler recursion
 and because the recursion is algebraically triangular it has an exact
 discrete inverse: given the solution, the driving increments are
 recovered by solving sigma against the de-drifted increments step by
-step.
+step.  Paths live in one container, :class:`PathEnsemble`: the kernels
+take an ensemble and return one, and a single path is the N = 1 ensemble.
 
 Randomness discipline: every path of an ensemble draws from its own
 substream derived from (seed, path index), so generating an ensemble
@@ -35,11 +36,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularDiffusionError
-from .linalg import DEFAULT_RANK_TOL, kernel_dim
+from .linalg import kernel_dim
 
 __all__ = [
     "TimeGrid",
-    "SamplePath",
     "PathEnsemble",
     "CoefficientField",
     "SdeModel",
@@ -72,26 +72,6 @@ class TimeGrid:
 
 
 @dataclass(frozen=True)
-class SamplePath:
-    """One d-dimensional path sampled on a grid; values has shape (n_steps+1, d)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != self.grid.n_steps + 1:
-            raise DimensionError(
-                f"path values must have shape (n_steps+1, d), got {v.shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass(frozen=True)
 class PathEnsemble:
     """A batch of paths on a common grid; values has shape (N, n_steps+1, d)."""
 
@@ -114,12 +94,6 @@ class PathEnsemble:
     @property
     def d(self) -> int:
         return self.values.shape[2]
-
-    def path(self, i: int) -> SamplePath:
-        return SamplePath(self.grid, self.values[i])
-
-    def __iter__(self):
-        return (self.path(i) for i in range(self.n_paths))
 
 
 @dataclass(frozen=True)
@@ -347,44 +321,29 @@ class ValueMemo:
         return self.value
 
 
-def _values_and_kind(path_or_ensemble):
-    if isinstance(path_or_ensemble, SamplePath):
-        return path_or_ensemble.values[None], path_or_ensemble.grid, True, None
-    if isinstance(path_or_ensemble, PathEnsemble):
-        return (
-            path_or_ensemble.values,
-            path_or_ensemble.grid,
-            False,
-            path_or_ensemble.seed,
-        )
-    raise DimensionError(
-        f"expected SamplePath or PathEnsemble, got {type(path_or_ensemble).__name__}"
-    )
-
-
-def _wrap_like(grid, values, single, seed):
-    if single:
-        return SamplePath(grid, values[0])
-    return PathEnsemble(grid=grid, values=values, seed=seed)
+def _ensemble(paths, what: str, model: SdeModel) -> PathEnsemble:
+    """``paths``, provided it is a PathEnsemble of the model's dimension."""
+    if not isinstance(paths, PathEnsemble):
+        raise DimensionError(f"expected a PathEnsemble, got {type(paths).__name__}")
+    if paths.d != model.dim:
+        raise DimensionError(f"{what} dim {paths.d} does not match model dim {model.dim}")
+    return paths
 
 
 # ---------------------------------------------------------------------------
 # the Itô map and its inverse
 
 
-def ito_map(model: SdeModel, driver):
-    """Push a driving path (or ensemble) through the Euler recursion.
+def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
+    """Push a driving ensemble through the Euler recursion.
 
     The driver is read as Brownian increments dB[k] = driver[k+1] -
-    driver[k]; its starting value is ignored.  Accepts a SamplePath or a
-    PathEnsemble and returns the same kind.
+    driver[k]; its starting value is ignored.
     """
-    drv, grid, single, seed = _values_and_kind(driver)
-    n_paths, _, d = drv.shape
-    if d != model.dim:
-        raise DimensionError(f"driver dim {d} does not match model dim {model.dim}")
+    n_paths, _, d = _ensemble(driver, "driver", model).values.shape
+    grid = driver.grid
     dt = grid.dt
-    drv = time_major(drv)
+    drv = time_major(driver.values)
     z = np.empty_like(drv)
     paths = _path_view(z)
     z[0] = model.z0
@@ -394,13 +353,13 @@ def ito_map(model: SdeModel, driver):
         b = _eval_drift(model.drift, k, t, prefix, n_paths, d)
         s = _eval_diffusion(model.diffusion, k, t, prefix, n_paths, d)
         z[k + 1] = z[k] + b * dt + _apply(s, drv[k + 1] - drv[k])
-    return _wrap_like(grid, paths, single, seed)
+    return PathEnsemble(grid=grid, values=paths, seed=driver.seed)
 
 
-def _check_diffusion(s, k, rank_tol, label):
+def _check_diffusion(s, k, label):
     """Raise SingularDiffusionError (at step k) if s is numerically singular."""
     try:
-        bad = kernel_dim(s, rank_tol) > 0
+        bad = kernel_dim(s) > 0
     except DomainError as err:
         raise DomainError(f"diffusion {label!r}: {err}", step=k) from None
     if np.any(bad):
@@ -415,25 +374,23 @@ def _solve(s, rhs):
     return np.linalg.solve(s, rhs[..., None])[..., 0]
 
 
-def inverse_ito_map(model: SdeModel, solution, rank_tol: float = DEFAULT_RANK_TOL):
-    """Recover the driving path from a solution of the Euler recursion.
+def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
+    """Recover the driving paths from a solution of the Euler recursion.
 
     Exact discrete inverse of :func:`ito_map` up to floating-point
     rounding: dW[k] = sigma(k, X)^(-1) (dX[k] - b(k, X) dt), accumulated
     from 0.  Raises :class:`SingularDiffusionError` (carrying the step
     index) when the diffusion is numerically singular at some step.
     """
-    x, grid, single, seed = _values_and_kind(solution)
-    n_paths, _, d = x.shape
-    if d != model.dim:
-        raise DimensionError(f"solution dim {d} does not match model dim {model.dim}")
+    n_paths, _, d = _ensemble(solution, "solution", model).values.shape
+    grid = solution.grid
     dt = grid.dt
     label = model.diffusion.label
-    x = time_major(x)
+    x = time_major(solution.values)
     paths = _path_view(x)
     w = np.zeros_like(x)
     # reads the loop's k when it runs: a failing check raises at the current step
-    check = ValueMemo(lambda s: _check_diffusion(s, k, rank_tol, label))
+    check = ValueMemo(lambda s: _check_diffusion(s, k, label))
     for k in range(grid.n_steps):
         prefix = paths[:, : k + 1]
         t = k * dt
@@ -442,32 +399,27 @@ def inverse_ito_map(model: SdeModel, solution, rank_tol: float = DEFAULT_RANK_TO
         check(s)
         rhs = x[k + 1] - x[k] - b * dt
         w[k + 1] = w[k] + _solve(s, rhs)
-    return _wrap_like(grid, _path_view(w), single, seed)
+    return PathEnsemble(grid=grid, values=_path_view(w), seed=solution.seed)
 
 
-def decompose(model: SdeModel, path):
-    """Split a path into finite-variation and martingale components.
+def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
+    """Split paths into finite-variation and martingale components.
 
     finite_variation[k] = z0 + sum_{j<k} b(j, path[0..j]) * dt and
     martingale = path - finite_variation, so the two sum back to the
     path up to a single floating-point rounding per entry (no error
-    accumulates).  The drift is evaluated on the *given* path, which
+    accumulates).  The drift is evaluated on the *given* paths, which
     need not have been produced by :func:`ito_map`.
     """
-    x, grid, single, seed = _values_and_kind(path)
-    n_paths, _, d = x.shape
-    if d != model.dim:
-        raise DimensionError(f"path dim {d} does not match model dim {model.dim}")
+    n_paths, _, d = _ensemble(paths, "path", model).values.shape
+    grid = paths.grid
     dt = grid.dt
-    x = time_major(x)
-    paths = _path_view(x)
+    x = time_major(paths.values)
+    xv = _path_view(x)
     fv = np.empty_like(x)
     fv[0] = model.z0
     for k in range(grid.n_steps):
-        b = _eval_drift(model.drift, k, k * dt, paths[:, : k + 1], n_paths, d)
+        b = _eval_drift(model.drift, k, k * dt, xv[:, : k + 1], n_paths, d)
         fv[k + 1] = fv[k] + b * dt
     mart = x - fv
-    return (
-        _wrap_like(grid, _path_view(fv), single, seed),
-        _wrap_like(grid, _path_view(mart), single, seed),
-    )
+    return tuple(PathEnsemble(grid=grid, values=_path_view(v), seed=paths.seed) for v in (fv, mart))

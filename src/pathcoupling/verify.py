@@ -21,6 +21,8 @@ DEFAULT_WINDOW = 64
 
 _CHUNK = 1024  # pairs per block in chunked reductions
 
+_N_FEATURES = 8  # grid points of X the adaptedness probe looks at
+
 
 @dataclass(frozen=True)
 class TestReport:
@@ -155,6 +157,14 @@ class CovariationReport:
     n_pairs: int
 
 
+def _window(window, n) -> int:
+    """The window length in steps, capped at ``n``; below one step is a DomainError."""
+    w = min(int(window), n)
+    if w < 1:
+        raise DomainError(f"window must be positive, got {window}")
+    return w
+
+
 def _windowed_rho(x, y, n_win, w, dt):
     d = x.shape[2]
     dx = _increments(x, n_win * w).reshape(-1, n_win, w, d)
@@ -178,9 +188,7 @@ def realized_covariation(ensemble: CoupledEnsemble, window: int = DEFAULT_WINDOW
     else:
         terminal_stderr = np.zeros_like(terminal_mean)
 
-    w = min(int(window), n)
-    if w < 1:
-        raise DomainError(f"window must be positive, got {window}")
+    w = _window(window, n)
     n_win = n // w
     rho_hat = _windowed_rho(ensemble.x, ensemble.y, n_win, w, dt).mean(axis=0)
     return CovariationReport(
@@ -220,7 +228,7 @@ def monge_certificate(
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
     d = ensemble.d
-    w = min(int(window), n)
+    w = _window(window, n)
     n_win = n // w
     if tol is None:
         tol = 3.0 / np.sqrt(w) + 0.05
@@ -256,11 +264,10 @@ def adaptedness_probe(
     ensemble: CoupledEnsemble,
     k_neighbors: int = 5,
     threshold: float = 0.75,
-    n_features: int = 8,
 ) -> TestReport:
     """Can sign(Y_1) be predicted from the X path?
 
-    Coarsens X (first component) to ``n_features`` grid points, scales
+    Coarsens X (first component) to 8 grid points, scales
     each by 1/sqrt(t), and runs a k-nearest-neighbour vote for
     sign(Y_1) on a 75/25 train/test split (zero counts as negative).
     Couplings where Y is a path functional of X score near 1; the
@@ -277,7 +284,7 @@ def adaptedness_probe(
         raise DomainError(f"k_neighbors must be a positive odd count, got {k_neighbors}")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    idx = np.unique(np.round(np.linspace(1, n, n_features)).astype(int))
+    idx = np.unique(np.round(np.linspace(1, n, _N_FEATURES)).astype(int))
     times = idx * dt
     feats = ensemble.x[:, idx, 0] / np.sqrt(times)
     labels = np.where(ensemble.y[:, -1, 0] > 0, 1.0, -1.0)

@@ -246,11 +246,35 @@ def test_empty_experiment_size_list_exits_2(tmp_path, capsys, kind, field):
 
 
 @pytest.mark.parametrize("command", ["couple", "cost", "verify"])
-@pytest.mark.parametrize("key, value", [("N", "abc"), ("d", "abc"), ("N", 2.5)])
+@pytest.mark.parametrize(
+    "key, value",
+    [("N", "abc"), ("d", "abc"), ("N", 2.5), ("N", 0), ("N", -3), ("d", 0), ("n_steps", 0),
+     ("seed", -1), ("N", True)],
+)
 def test_non_integer_size_exits_2_naming_the_key_and_line(tmp_path, capsys, command, key, value):
     cfg = _write_config(tmp_path, {key: value})
     line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"'{key}'" in err and repr(value) in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [
+        ("verify", {"verify": [{"test": "wiener", "alpah": 0.5}]}, "alpah"),
+        ("verify", {"verify": [{"test": "certificate", "windw": 32}]}, "windw"),
+        ("couple", {"coupling": {"constructor": "rotation_chop", "c": 0.5, "blok": 4}}, "blok"),
+        ("couple", {"coupling": {**BASE_CONFIG["coupling"], "rotation": {"preset": "identity"}}},
+         "rotation"),
+    ],
+    ids=["wiener-alpah", "certificate-windw", "rotation_chop-blok", "couple_sdes-rotation"],
+)
+def test_unknown_coupling_or_verify_field_exits_2_with_its_line(tmp_path, capsys, command, overrides, key):
+    cfg = _write_config(tmp_path, overrides)
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and f"line {line}" in err
     assert not (tmp_path / "out").exists()

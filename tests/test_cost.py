@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from pathcoupling import cost, presets
-from pathcoupling.coupling import CorrelationProcess, couple_brownians, couple_sdes
+from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_brownians, couple_sdes
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
-from pathcoupling.sde import SamplePath, TimeGrid, ito_map, sample_brownian
+from pathcoupling.sde import TimeGrid, ito_map, sample_brownian
 
 
 def _bm(sigma, d=1):
@@ -49,21 +49,30 @@ def test_spec_labels():
 
 
 # ---------------------------------------------------------------------------
-# eval_lp
+# Lp cost of one pair: the N = 1 coupled ensemble
+
+
+def _one_pair(grid, x, y):
+    """The one-pair CoupledEnsemble of two (n_steps+1, d) paths."""
+    return CoupledEnsemble(grid=grid, x=np.asarray(x)[None], y=np.asarray(y)[None], seed=0)
+
+
+def _lp(grid, x, y, p):
+    return cost.estimate(_one_pair(grid, x, y), CostSpec.lp(p)).mean
 
 
 def _const_path(grid, value, d=1):
-    return SamplePath(grid=grid, values=np.full((grid.n_steps + 1, d), float(value)))
+    return np.full((grid.n_steps + 1, d), float(value))
 
 
 def test_lp_trivial_values():
     grid = TimeGrid(16)
     x = _const_path(grid, 0.0)
-    assert cost.eval_lp((x, x), p=2) == 0.0
+    assert _lp(grid, x, x, p=2) == 0.0
     y = _const_path(grid, 1.0)
-    assert cost.eval_lp((x, y), p=2) == 1.0
-    ramp = SamplePath(grid=grid, values=grid.times.reshape(-1, 1))
-    val = cost.eval_lp((x, ramp), p=1)
+    assert _lp(grid, x, y, p=2) == 1.0
+    ramp = grid.times.reshape(-1, 1)
+    val = _lp(grid, x, ramp, p=1)
     # left endpoints give exactly 1/2 - dt/2
     assert abs(val - 0.5) <= grid.dt
     assert np.isclose(val, 0.5 - grid.dt / 2, rtol=0, atol=1e-15)
@@ -72,18 +81,12 @@ def test_lp_trivial_values():
 def test_lp_scaling_is_homogeneous_of_degree_p():
     grid = TimeGrid(32)
     rng = np.random.default_rng(5)
-    x = SamplePath(grid=grid, values=rng.normal(size=(33, 2)))
-    y = SamplePath(grid=grid, values=rng.normal(size=(33, 2)))
+    x = rng.normal(size=(33, 2))
+    y = rng.normal(size=(33, 2))
     lam = 3.0
     for p in (1.0, 2.0, 3.5):
-        base = cost.eval_lp((x, y), p)
-        scaled = cost.eval_lp(
-            (
-                SamplePath(grid=grid, values=lam * x.values),
-                SamplePath(grid=grid, values=lam * y.values),
-            ),
-            p,
-        )
+        base = _lp(grid, x, y, p)
+        scaled = _lp(grid, lam * x, lam * y, p)
         assert np.isclose(scaled, lam**p * base, rtol=1e-12)
 
 
@@ -91,18 +94,18 @@ def test_lp_rejects_p_below_one():
     grid = TimeGrid(4)
     x = _const_path(grid, 0.0)
     with pytest.raises(ConfigError):
-        cost.eval_lp((x, x), p=0.9)
+        _lp(grid, x, x, p=0.9)
 
 
 # ---------------------------------------------------------------------------
-# eval_separable / estimate
+# separable cost / estimate
 
 
 def test_identical_pair_costs_zero():
     model = _bm(1.0)
     grid = TimeGrid(64)
-    x = sample_brownian(grid, 1, 1, seed=3).path(0)
-    assert cost.eval_separable((x, x), model, model, _sep()) == 0.0
+    x = sample_brownian(grid, 1, 1, seed=3).values[0]
+    assert cost.estimate(_one_pair(grid, x, x), _sep(), model, model).mean == 0.0
 
 
 def test_antithetic_bracket_matches_four():

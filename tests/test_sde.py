@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pathcoupling import sde
+from pathcoupling import presets, sde
 from pathcoupling.errors import DimensionError, DomainError, SingularDiffusionError
 from pathcoupling.sde import (
     CoefficientField,
     PathEnsemble,
-    SamplePath,
     SdeModel,
     TimeGrid,
     constant_diffusion,
@@ -72,12 +73,11 @@ def test_timegrid_basics():
 def test_path_containers_validate_shapes():
     g = TimeGrid(4)
     with pytest.raises(DimensionError):
-        SamplePath(g, np.zeros((4, 1)))  # needs n_steps+1 rows
+        PathEnsemble(grid=g, values=np.zeros((3, 4, 1)), seed=0)  # needs n_steps+1 rows
     with pytest.raises(DimensionError):
-        PathEnsemble(grid=g, values=np.zeros((3, 4, 1)), seed=0)
+        PathEnsemble(grid=g, values=np.zeros((5, 1)), seed=0)  # one path is (1, n_steps+1, d)
     ens = PathEnsemble(grid=g, values=np.zeros((3, 5, 2)), seed=0)
     assert ens.n_paths == 3 and ens.d == 2
-    assert ens.path(1).values.shape == (5, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -157,13 +157,18 @@ def test_ito_map_pure_drift_is_a_straight_line():
 
 
 def test_ito_map_single_path_round_trips_types():
+    # a single path is the N = 1 ensemble; anything but an ensemble is rejected
     g = TimeGrid(32)
-    drv = sample_brownian(g, 1, 1, seed=6).path(0)
-    out = ito_map(_bm_model(sigma=2.0), drv)
-    assert isinstance(out, SamplePath)
-    back = inverse_ito_map(_bm_model(sigma=2.0), out)
-    assert isinstance(back, SamplePath)
+    drv = sample_brownian(g, 1, 1, seed=6)
+    model = _bm_model(sigma=2.0)
+    out = ito_map(model, drv)
+    assert isinstance(out, PathEnsemble) and out.values.shape == (1, 33, 1)
+    back = inverse_ito_map(model, out)
+    assert isinstance(back, PathEnsemble)
     assert np.abs(back.values - drv.values).max() < 1e-12
+    for kernel in (ito_map, inverse_ito_map, decompose):
+        with pytest.raises(DimensionError, match="expected a PathEnsemble"):
+            kernel(model, drv.values[0])
 
 
 @pytest.mark.parametrize(
@@ -177,6 +182,33 @@ def test_round_trip_is_exact(model):
     x = ito_map(model, drv)
     w = inverse_ito_map(model, x)
     assert np.abs(w.values - drv.values).max() < 1e-10
+
+
+@st.composite
+def _models_and_drivers(draw):
+    """A bm, gbm-bounded or const-matrix model (sigma = R diag(s), R a random
+    rotation) in d = 1..3, and a Brownian driver of 1..16 paths and 1..128 steps."""
+    d = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["bm", "gbm-bounded", "const-matrix"]))
+    if kind == "const-matrix":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        rot[:, 0] *= np.sign(np.linalg.det(rot))
+        scales = draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d))
+        model = presets.build("model", kind, d=d, sigma=(rot * scales).tolist())
+    else:
+        model = presets.build("model", kind, d=d, sigma=draw(st.floats(0.5, 4.0)))
+    grid = TimeGrid(draw(st.integers(1, 128)))
+    return model, sample_brownian(grid, d, draw(st.integers(1, 16)), draw(st.integers(0, 2**32 - 1)))
+
+
+# derandomized: the examples are fixed, so a run fails the same way every time
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=_models_and_drivers())
+def test_inverse_ito_map_undoes_ito_map(case):
+    model, driver = case
+    back = inverse_ito_map(model, ito_map(model, driver))
+    assert np.abs(back.values - driver.values).max() <= 1e-10
 
 
 def test_round_trip_matrix_diffusion():

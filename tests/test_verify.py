@@ -154,6 +154,13 @@ def test_covariation_window_clamped_to_grid():
 # monge certificate
 
 
+@pytest.mark.parametrize("window", [0, -4])
+def test_certificate_rejects_a_window_below_one_step(window):
+    ens = couple_brownians(CorrelationProcess.constant(0.0, 1), TimeGrid(16), 8, seed=45)
+    with pytest.raises(DomainError, match="window must be positive"):
+        verify.monge_certificate(ens, window=window)
+
+
 def test_certificate_passes_on_sign_rotation():
     q = presets.build("rotation", "sign", d=1, s=-1)
     driver = sample_brownian(TimeGrid(1024), 1, 1000, seed=51)
