@@ -83,6 +83,15 @@ class Config:
         # attach a line number to an error raised by a lower layer
         raise ConfigError(f"{self.source}: {err}", line=_line_of(self.raw, key)) from None
 
+    def number(self, key, value, kind=float):
+        """``value`` of field ``key`` as ``kind`` (int or float); anything but a number,
+        a boolean, or a non-integral value for an int is a config error naming the key."""
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            self.error(key, f"field {key!r} must be a number, got {value!r}")
+        if kind is int and not float(value).is_integer():
+            self.error(key, f"field {key!r} must be an integer, got {value!r}")
+        return kind(value)
+
     def reject_other_fields(self, fields, allowed, what):
         """A config error naming the first of ``fields`` that is not in ``allowed``."""
         for key in fields:
@@ -131,12 +140,7 @@ def _sizes(cfg: Config):
 
     def size(key, default, least=1):
         value = cfg.data.get(key, default)
-        try:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise TypeError
-            number = int(value)
-        except (TypeError, ValueError):
-            cfg.error(key, f"field {key!r} must be an integer, got {value!r}")
+        number = cfg.number(key, value, int)
         if number < least:
             cfg.error(key, f"field {key!r} must be at least {least}, got {value!r}")
         return number
@@ -191,8 +195,8 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
         if d != 1:
             cfg.error("d", "the tanaka coupling is one dimensional")
         return coupling.tanaka_coupling(grid, n_pairs, seed, n_workers=n_workers)
-    c = float(section.get("c", 0.0))  # rotation_chop
-    block = int(section.get("block", 16))
+    c = cfg.number("c", section.get("c", 0.0))  # rotation_chop
+    block = cfg.number("block", section.get("block", 16), int)
     return coupling.rotation_chop(c, grid, n_pairs, seed, block, n_workers=n_workers)
 
 
@@ -204,7 +208,7 @@ def _build_cost_spec(cfg: Config):
     kind = section["kind"]
     d = _sizes(cfg)[0]
     if kind == "lp":
-        return cost.CostSpec.lp(float(section.get("p", 2.0))), None, None
+        return cost.CostSpec.lp(cfg.number("p", section.get("p", 2.0))), None, None
     if kind == "separable":
         src = _require_model(cfg, "src", d)
         dst = _require_model(cfg, "dst", d)
@@ -320,7 +324,8 @@ def cmd_cost(args) -> int:
     if cf_section is not None:
         if spec.kind != cost.SEPARABLE:
             cfg.error("closed_form", "the closed form applies to separable costs only")
-        probe = experiments.probe(src, n_steps, int(cf_section.get("probe_N", 64)), seed + 1)
+        probe_n = cfg.number("probe_N", cf_section.get("probe_N", 64), int)
+        probe = experiments.probe(src, n_steps, probe_n, seed + 1)
         closed, _ = cost.closed_form_optimal(src, dst, spec, probe)
     payload = pathio.cost_report(est, n_steps=n_steps, seed=seed, closed_form=closed)
     out = _out_dir(args)
@@ -363,23 +368,24 @@ def _run_verify_test(cfg: Config, t, pair) -> TestReport:
         if side not in ("x", "y"):
             cfg.error("side", f"wiener test side must be 'x' or 'y', got {side!r}")
         ens = pair.x_ensemble() if side == "x" else pair.y_ensemble()
-        return verify.wiener_marginal_test(ens, alpha=float(t.get("alpha", 0.01)))
+        return verify.wiener_marginal_test(ens, alpha=cfg.number("alpha", t.get("alpha", 0.01)))
+    if name == "adaptedness":
+        return verify.adaptedness_probe(
+            pair,
+            k_neighbors=cfg.number("k_neighbors", t.get("k_neighbors", 5), int),
+            threshold=cfg.number("threshold", t.get("threshold", 0.75)),
+        )
+    window = cfg.number("window", t.get("window", verify.DEFAULT_WINDOW), int)
     if name == "certificate":
         tol = t.get("tol")
         return verify.monge_certificate(
             pair,
-            window=int(t.get("window", verify.DEFAULT_WINDOW)),
-            tol=None if tol is None else float(tol),
-        )
-    if name == "adaptedness":
-        return verify.adaptedness_probe(
-            pair,
-            k_neighbors=int(t.get("k_neighbors", 5)),
-            threshold=float(t.get("threshold", 0.75)),
+            window=window,
+            tol=None if tol is None else cfg.number("tol", tol),
         )
     if "target" not in t:  # covariation
         cfg.error("covariation", "the covariation test needs a 'target' (scalar or d x d)")
-    rep = verify.realized_covariation(pair, window=int(t.get("window", verify.DEFAULT_WINDOW)))
+    rep = verify.realized_covariation(pair, window=window)
     target = np.asarray(t["target"], dtype=float)
     if target.ndim == 0:
         target = float(target) * np.eye(pair.d)
@@ -441,10 +447,7 @@ def _experiment_fields(cfg: Config, kind, fn) -> dict:
     for key, value in fields.items():
         default = params[key].default
         if type(default) in (int, float):
-            try:
-                fields[key] = type(default)(value)
-            except (TypeError, ValueError):
-                cfg.error(key, f"field {key!r} must be a number, got {value!r}")
+            fields[key] = cfg.number(key, value, type(default))
     return fields
 
 

@@ -9,6 +9,15 @@ clamp), the trace-maximising rotation, the pinv/kernel-projector pair
 and the two membership tests used throughout (correlation-class and
 orthogonality).
 
+The rank rule keeps the singular values above ``DEFAULT_RANK_TOL`` times
+the largest.  :func:`kernel_dim` first screens by determinant: s_max <=
+||A||_F and |det A| <= s_min s_max^(d-1) give s_min/s_max >= |det A| /
+||A||_F^d, so |det A| > 100 DEFAULT_RANK_TOL ||A||_F^d (the factor 100
+covers the LU rounding of ``det``) proves that no singular value is
+dropped.  The screen only ever answers "no kernel"; every other matrix,
+and every one whose bound leaves the normal float range, goes to the SVD,
+so each decision is the rule's own.
+
 One batching rule: every kernel takes matrices shaped (..., d, d) - one
 (d, d) matrix or any batch of them - with one body for both, and a batch
 gives bit for bit the results of per-matrix calls.  Whether a coefficient
@@ -42,6 +51,9 @@ __all__ = [
 
 #: Relative threshold below which singular values are treated as zero (the rank rule).
 DEFAULT_RANK_TOL = 1e-10
+
+#: Factor by which :func:`kernel_dim`'s determinant screen exceeds the rank rule.
+_SCREEN_MARGIN = 100.0
 
 #: Tolerance of the correlation / orthogonality membership tests.
 MEMBERSHIP_TOL = 1e-8
@@ -93,10 +105,21 @@ def pinv_and_null(a) -> tuple[np.ndarray, np.ndarray]:
 def kernel_dim(a) -> np.ndarray | int:
     """Dimension of the kernel of A: the singular values the rank rule drops.
 
-    An int for one matrix, an integer array shaped like the batch otherwise.
+    Only the members the determinant screen (module docstring) cannot
+    clear are factored by SVD.  An int for one matrix, an integer array
+    shaped like the batch otherwise.
     """
-    s = np.linalg.svd(_finite_square(a), compute_uv=False)
-    return _scalar_or_batch((~_kept(s)).sum(axis=-1))
+    a = _finite_square(a)
+    with np.errstate(all="ignore"):  # an overflowing or underflowing screen just fails
+        det = np.abs(np.linalg.det(a))
+        frobenius_sq = np.einsum("...ij,...ij->...", a, a)
+        bound = _SCREEN_MARGIN * DEFAULT_RANK_TOL * frobenius_sq ** (a.shape[-1] / 2)
+        rest = ~((det > bound) & (bound >= np.finfo(float).tiny))
+    out = np.zeros(a.shape[:-2], dtype=np.intp)
+    if rest.any():
+        s = np.linalg.svd(a[rest], compute_uv=False)
+        out[rest] = (~_kept(s)).sum(axis=-1)
+    return _scalar_or_batch(out)
 
 
 def _block_extension(c):

@@ -4,6 +4,9 @@ Four diagnostics: a moment-based Brownian marginal test, realized
 covariation with a windowed correlation-density estimate, an orthogonality
 certificate for Monge-type couplings (necessary, never sufficient), and a
 nearest-neighbour probe of whether one marginal is a function of the other.
+
+The Brownian marginal test reduces straight from time-major storage, a
+few MB of time slices at a time, so its memory does not grow with n_steps.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from .sde import PathEnsemble
 DEFAULT_WINDOW = 64
 
 _CHUNK = 1024  # pairs per block in chunked reductions
+
+_BLOCK_BYTES = 1 << 21  # bytes of increments per block in the time-blocked Wiener sums
 
 _N_FEATURES = 8  # grid points of X the adaptedness probe looks at
 
@@ -84,6 +89,34 @@ def _increments(values, n_steps):
 # marginal law
 
 
+def _wiener_sums(values, dt):
+    """Sums of u, u_i u_j (i <= j) and u[k] u[k+1] over the paths and steps of the
+    unit-scaled increments u of time-major ``values`` (n+1, N, d), formed
+    ``_BLOCK_BYTES`` of time slices at a time."""
+    n = values.shape[0] - 1
+    n_paths, d = values.shape[1:]
+    scale = np.sqrt(dt)
+    block = max(1, _BLOCK_BYTES // (8 * n_paths * d))
+    first, lag = np.zeros(d), np.zeros(d)
+    second = np.zeros((d, d))
+    prev = None
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        u = np.subtract(values[lo + 1 : hi + 1], values[lo:hi])
+        u /= scale  # unit variance under H0
+        if prev is not None:  # the lag-1 pairs across the block boundary
+            lag += np.einsum("pi,pi->i", prev, u[0])
+        prev = u[-1].copy()
+        flat = u.reshape(-1, d)  # row k N + p holds step lo + k of path p
+        for i in range(d):
+            col = flat[:, i]
+            first[i] += col.sum()
+            lag[i] += np.einsum("k,k->", col[:-n_paths], col[n_paths:])
+            for j in range(i, d):
+                second[i, j] += np.einsum("k,k->", col, flat[:, j])
+    return first, second, lag
+
+
 def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestReport:
     """Moment checks that an ensemble's increments look Brownian.
 
@@ -95,30 +128,28 @@ def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestRep
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
-    values = ensemble.values
-    n_paths = values.shape[0]
+    values = np.swapaxes(ensemble.values, 0, 1)  # (n+1, N, d); a view for any layout
+    n_paths = values.shape[1]
     if n_paths == 0:
         raise DomainError("cannot test an empty ensemble")
     n = ensemble.grid.n_steps
     d = ensemble.d
-    u = _increments(values, n)
-    u /= np.sqrt(ensemble.grid.dt)  # unit variance under H0
+    first, second, lag = _wiener_sums(values, ensemble.grid.dt)
     m_obs = n_paths * n
 
     zs = {}
-    mean_z = u.mean(axis=(0, 1)) * np.sqrt(m_obs)
-    var_z = (np.mean(u**2, axis=(0, 1)) - 1.0) * np.sqrt(m_obs / 2.0)
+    mean_z = first / m_obs * np.sqrt(m_obs)
+    var_z = (np.diagonal(second) / m_obs - 1.0) * np.sqrt(m_obs / 2.0)
     for i in range(d):
         zs[f"mean[{i}]"] = float(mean_z[i])
         zs[f"var[{i}]"] = float(var_z[i])
     if n >= 2:
-        lag_z = np.mean(u[:, :-1] * u[:, 1:], axis=(0, 1)) * np.sqrt(n_paths * (n - 1))
+        lag_z = lag / (n_paths * (n - 1)) * np.sqrt(n_paths * (n - 1))
         for i in range(d):
             zs[f"lag1[{i}]"] = float(lag_z[i])
     for i in range(d):
         for j in range(i + 1, d):
-            cross = float(np.mean(u[..., i] * u[..., j]) * np.sqrt(m_obs))
-            zs[f"cross[{i},{j}]"] = cross
+            zs[f"cross[{i},{j}]"] = float(second[i, j] / m_obs * np.sqrt(m_obs))
 
     n_checks = len(zs)
     threshold = float(stats.norm.ppf(1.0 - alpha / (2.0 * n_checks)))

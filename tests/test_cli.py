@@ -278,3 +278,41 @@ def test_unknown_coupling_or_verify_field_exits_2_with_its_line(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"'{key}'" in err and f"line {line}" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key, value",
+    [
+        ("verify", {"verify": [{"test": "wiener", "alpha": "x"}]}, "alpha", "x"),
+        ("verify", {"verify": [{"test": "covariation", "target": 2.0, "window": 2.5}]}, "window", 2.5),
+        ("verify", {"verify": [{"test": "certificate", "window": "64"}]}, "window", "64"),
+        ("verify", {"verify": [{"test": "certificate", "tol": True}]}, "tol", True),
+        ("verify", {"verify": [{"test": "adaptedness", "k_neighbors": 5.5}]}, "k_neighbors", 5.5),
+        ("verify", {"verify": [{"test": "adaptedness", "threshold": None}]}, "threshold", None),
+        ("couple", {"coupling": {"constructor": "rotation_chop", "c": "0.5"}}, "c", "0.5"),
+        ("couple", {"coupling": {"constructor": "rotation_chop", "block": 2.5}}, "block", 2.5),
+        ("cost", {"cost": {"kind": "lp", "p": [2]}}, "p", [2]),
+        ("cost", {"closed_form": {"probe_N": 16.5}}, "probe_N", 16.5),
+    ],
+    ids=["alpha-str", "window-frac", "window-str", "tol-bool", "k-frac", "threshold-null",
+         "c-str", "block-frac", "p-list", "probe_N-frac"],
+)
+def test_non_numeric_field_exits_2_naming_the_key_and_line(tmp_path, capsys, command, overrides, key, value):
+    cfg = _write_config(tmp_path, overrides)
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and repr(value) in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [("n_steps", 64.5), ("N", "1000"), ("seed", False)])
+def test_non_numeric_experiment_field_exits_2_with_its_line(tmp_path, capsys, field, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(
+        f'{{\n  "version": 1,\n  "kind": "kernel-infeasibility",\n  "{field}": {json.dumps(value)}\n}}\n'
+    )
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and repr(value) in err and "line 4" in err
+    assert not (tmp_path / "out").exists()

@@ -363,3 +363,33 @@ def test_trace_max_beats_random_orthogonal(a, seed):
     tr = np.einsum("...ij,...ji->...", a, q)
     assert np.all(value >= tr - 1e-10 * (1.0 + np.abs(value)))
     assert np.allclose(np.einsum("...ij,...ji->...", a, q_star), value, atol=1e-10)
+
+
+_CUTOFF_RATIOS = (1e-11, 1e-10, 1e-9, 1e-8, 1e-7)
+
+
+@st.composite
+def _rank_rule_cases(draw):
+    """(..., d, d) matrices at scales 1e-150..1e150 around the rank rule's cutoff: each
+    member is random, has s_min/s_max in ``_CUTOFF_RATIOS``, is exactly rank-deficient
+    or is zero."""
+    d = draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (3,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal(batch + (d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal(batch + (d, d)))
+    s = 10.0 ** rng.uniform(-3.0, 0.0, batch + (d,))
+    kind = rng.integers(0, 4, batch)
+    s[..., -1] = np.where(kind == 1, rng.choice(_CUTOFF_RATIOS, batch) * s.max(axis=-1), s[..., -1])
+    a = (u * s[..., None, :]) @ v
+    deficient = kind == 2
+    a[deficient, :, 0] = 0.0 if d == 1 else a[deficient, :, -1]
+    a[kind == 3] = 0.0
+    return a * 10.0 ** rng.uniform(-150.0, 150.0, batch + (1, 1))
+
+
+@PROPERTY
+@given(a=_rank_rule_cases())
+def test_screened_kernel_dim_equals_the_svd_rank_rule(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    assert np.array_equal(linalg.kernel_dim(a), (~(s > 1e-10 * s[..., :1])).sum(axis=-1))

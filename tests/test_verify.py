@@ -1,7 +1,10 @@
 """Tests for the statistical certification tools."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from pathcoupling import presets, verify
 from pathcoupling.coupling import (
@@ -33,6 +36,26 @@ def _windowed_rho_oracle(x, y, w, dt):
     return out
 
 
+def _wiener_oracle(ens, alpha=0.01):
+    """One-shot reimplementation of the Wiener moment test on a path-major copy:
+    (z by name, threshold, passed)."""
+    u = np.diff(np.ascontiguousarray(ens.values), axis=1) / np.sqrt(ens.grid.dt)
+    n_paths, n, d = u.shape
+    m_obs = n_paths * n
+    z = {}
+    for i in range(d):
+        z[f"mean[{i}]"] = u[..., i].mean() * np.sqrt(m_obs)
+        z[f"var[{i}]"] = (np.mean(u[..., i] ** 2) - 1.0) * np.sqrt(m_obs / 2.0)
+    if n >= 2:
+        for i in range(d):
+            z[f"lag1[{i}]"] = np.mean(u[:, :-1, i] * u[:, 1:, i]) * np.sqrt(n_paths * (n - 1))
+    for i in range(d):
+        for j in range(i + 1, d):
+            z[f"cross[{i},{j}]"] = np.mean(u[..., i] * u[..., j]) * np.sqrt(m_obs)
+    threshold = float(stats.norm.ppf(1.0 - alpha / (2.0 * len(z))))
+    return z, threshold, max(abs(v) for v in z.values()) <= threshold
+
+
 # ---------------------------------------------------------------------------
 # report semantics
 
@@ -58,6 +81,40 @@ def test_wiener_passes_on_brownian_d2():
     rep = verify.wiener_marginal_test(ens, alpha=0.01)
     assert rep.passed
     assert rep.details["n_checks"] == 2 + 2 + 2 + 1
+
+
+# d1-blocks and d3-blocks span three 2 MB time blocks of the streamed sums, the last one partial
+@pytest.mark.parametrize(
+    "n, d, n_paths",
+    [(1, 2, 50), (2, 1, 40), (200, 1, 3000), (300, 3, 700), (64, 3, 10)],
+    ids=["n1", "n2", "d1-blocks", "d3-blocks", "d3-one-block"],
+)
+@pytest.mark.parametrize("layout", ["time-major", "path-major"])
+def test_wiener_streamed_sums_match_one_shot_oracle(n, d, n_paths, layout):
+    ens = sample_brownian(TimeGrid(n), d, n_paths, seed=n + d)
+    if layout == "path-major":
+        ens = PathEnsemble(grid=ens.grid, values=np.ascontiguousarray(ens.values), seed=ens.seed)
+    z, threshold, passed = _wiener_oracle(ens)
+    rep = verify.wiener_marginal_test(ens)
+    assert list(rep.details["z"]) == list(z)
+    assert ("lag1[0]" in z) == (n >= 2) and sum(k.startswith("cross") for k in z) == d * (d - 1) // 2
+    for key, want in z.items():
+        assert rep.details["z"][key] == pytest.approx(want, rel=0.0, abs=1e-9)
+    assert rep.threshold == threshold
+    assert rep.details["n_checks"] == len(z)
+    assert rep.passed == passed
+
+
+def test_wiener_allocates_no_full_size_temporary():
+    # a (2000, 1024, 2) increment array alone is 33 MB
+    ens = sample_brownian(TimeGrid(1024), 2, 2000, seed=5)
+    tracemalloc.start()
+    try:
+        verify.wiener_marginal_test(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_wiener_input_validation():
