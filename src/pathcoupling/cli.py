@@ -59,13 +59,11 @@ _VERIFY_FIELDS = {
 # config plumbing
 
 
-def _line_of(raw: str, key: str):
-    """Best-effort 1-based line of the first occurrence of a JSON key."""
-    needle = f'"{key}"'
-    for i, line in enumerate(raw.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+def _line_of(raw: str, key: str, text: str = ""):
+    """Best-effort 1-based line of a JSON key: the first line that holds both the key
+    and ``text`` (a rejected value as JSON), else the first that holds the key."""
+    lines = [(i, line) for i, line in enumerate(raw.splitlines(), start=1) if f'"{key}"' in line]
+    return next((i for i, line in lines if text in line), lines[0][0] if lines else None)
 
 
 @dataclass
@@ -76,8 +74,8 @@ class Config:
     raw: str
     source: str
 
-    def error(self, key, message):
-        raise ConfigError(f"{self.source}: {message}", line=_line_of(self.raw, key))
+    def error(self, key, message, value_text=""):
+        raise ConfigError(f"{self.source}: {message}", line=_line_of(self.raw, key, value_text))
 
     def rewrap(self, key, err: ConfigError):
         # attach a line number to an error raised by a lower layer
@@ -87,9 +85,9 @@ class Config:
         """``value`` of field ``key`` as ``kind`` (int or float); anything but a number,
         a boolean, or a non-integral value for an int is a config error naming the key."""
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.error(key, f"field {key!r} must be a number, got {value!r}")
+            self.error(key, f"field {key!r} must be a number, got {value!r}", json.dumps(value))
         if kind is int and not float(value).is_integer():
-            self.error(key, f"field {key!r} must be an integer, got {value!r}")
+            self.error(key, f"field {key!r} must be an integer, got {value!r}", json.dumps(value))
         return kind(value)
 
     def reject_other_fields(self, fields, allowed, what):

@@ -117,7 +117,11 @@ def kernel_dim(a) -> np.ndarray | int:
         rest = ~((det > bound) & (bound >= np.finfo(float).tiny))
     out = np.zeros(a.shape[:-2], dtype=np.intp)
     if rest.any():
-        s = np.linalg.svd(a[rest], compute_uv=False)
+        # s_max <= d max|a_ij| can overflow only near the top of the float range;
+        # there an exact power of two brings the largest entry to O(1)
+        top = np.abs(a[rest]).max(axis=(-2, -1))
+        shift = np.where(top > np.finfo(float).max / a.shape[-1], np.frexp(top)[1], 0)
+        s = np.linalg.svd(np.ldexp(a[rest], -shift[:, None, None]), compute_uv=False)
         out[rest] = (~_kept(s)).sum(axis=-1)
     return _scalar_or_batch(out)
 

@@ -2,7 +2,10 @@
 
 CSV carries one row per (path, step) with columns
 ``path_id, step, t, x_1..x_d`` (plus ``y_1..y_d`` for coupled data) and
-round-trips values exactly via %.17g.  The binary format is the magic
+round-trips values exactly via %.17g; its bytes are ``np.savetxt``'s on
+POSIX, formatted from one per-grid row template a block of rows at a time.
+A file already in (path_id, step) order is read without a sort, and a
+missing or repeated row is a ConfigError.  The binary format is the magic
 ``PCPL1``, a little-endian header ``<IIQQ`` of (d, n_steps, N, seed),
 then the path block(s) as little-endian float64; one block is a plain
 ensemble, two blocks are the x and y legs of a coupled ensemble.
@@ -22,6 +25,7 @@ from .verify import TestReport
 
 MAGIC = b"PCPL1"
 _HEADER = struct.Struct("<IIQQ")
+_CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation in write_csv
 
 
 def _parts(obj):
@@ -42,21 +46,26 @@ def write_csv(path, obj) -> None:
     header = ["path_id", "step", "t"] + [f"x_{i + 1}" for i in range(d)]
     if len(blocks) == 2:
         header += [f"y_{i + 1}" for i in range(d)]
-    table = np.empty((n_paths * n_rows, 3 + len(blocks) * d))
-    table[:, 0] = np.repeat(np.arange(n_paths), n_rows)
-    table[:, 1] = np.tile(np.arange(n_rows), n_paths)
-    table[:, 2] = np.tile(grid.times, n_paths)
-    cells = table.reshape(n_paths, n_rows, -1)  # a view: table is C-ordered
-    for b, blk in enumerate(blocks):
-        cells[:, :, 3 + b * d : 3 + (b + 1) * d] = blk
-    fmt = ["%d", "%d", "%.17g"] + ["%.17g"] * (len(blocks) * d)
-    np.savetxt(path, table, fmt=fmt, delimiter=",", header=",".join(header), comments="")
+    # one row template per grid: step and t are literal text, path_id and values stay open
+    values = ",%.17g" * (len(blocks) * d)
+    rows = "".join(f"%d,{k},{'%.17g' % t}{values}\n" for k, t in enumerate(grid.times))
+    per_block = max(1, _CSV_BLOCK_ROWS // n_rows)
+    buf = np.empty((min(per_block, n_paths), n_rows, 1 + len(blocks) * d))
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for p0 in range(0, n_paths, per_block):
+            part = buf[: n_paths - p0]
+            part[:, :, 0] = np.arange(p0, p0 + len(part))[:, None]
+            for b, blk in enumerate(blocks):
+                part[:, :, 1 + b * d : 1 + (b + 1) * d] = blk[p0 : p0 + len(part)]
+            fh.write((rows * len(part)) % tuple(part.ravel().tolist()))
 
 
 def read_csv(path):
     """Read back an ensemble written by :func:`write_csv`.
 
-    CSV carries no seed, so the result reports seed 0.
+    Rows may come in any order, but each (path_id, step) of the grid must
+    appear exactly once. CSV carries no seed, so the result reports seed 0.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -65,12 +74,16 @@ def read_csv(path):
     d = sum(1 for name in header if name.startswith("x_"))
     coupled = any(name.startswith("y_") for name in header)
     table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    order = np.lexsort((table[:, 1], table[:, 0]))
-    table = table[order]
-    n_rows = int(table[:, 1].max()) + 1
-    n_paths = table.shape[0] // n_rows
+    n_paths, n_rows = (int(top) + 1 for top in table[:, :2].max(axis=0))
     if n_paths * n_rows != table.shape[0]:
-        raise ConfigError(f"ragged ensemble CSV: {table.shape[0]} rows, {n_rows} steps+1")
+        raise ConfigError(f"ragged ensemble CSV: {table.shape[0]} rows for {n_paths} paths, {n_rows} steps+1")
+    keys = np.indices((n_paths, n_rows), dtype=np.int32).reshape(2, -1).T  # the grid, in order
+    if not np.array_equal(table[:, :2], keys):  # only a file out of order pays for the sort
+        table = table[np.lexsort((table[:, 1], table[:, 0]))]
+        bad = np.flatnonzero((table[:, :2] != keys).any(axis=1))
+        if bad.size:
+            p, k = keys[bad[0]]
+            raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated")
     grid = TimeGrid(n_rows - 1)
     x = table[:, 3 : 3 + d].reshape(n_paths, n_rows, d)
     if not coupled:

@@ -306,6 +306,15 @@ def test_non_numeric_field_exits_2_naming_the_key_and_line(tmp_path, capsys, com
     assert not (tmp_path / "out").exists()
 
 
+def test_rejected_value_is_located_on_its_own_line_not_the_first_with_its_key(tmp_path, capsys):
+    entries = [{"test": "covariation", "target": 2.0, "window": 8}, {"test": "certificate", "window": 2.5}]
+    cfg = _write_config(tmp_path, {"verify": entries})
+    first, bad = (i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"window"' in text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'window'" in err and f"line {bad}" in err and f"line {first}" not in err
+
+
 @pytest.mark.parametrize("field, value", [("n_steps", 64.5), ("N", "1000"), ("seed", False)])
 def test_non_numeric_experiment_field_exits_2_with_its_line(tmp_path, capsys, field, value):
     cfg = tmp_path / "bad.json"

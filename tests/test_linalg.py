@@ -164,6 +164,9 @@ def test_kernel_dim_examples():
     assert linalg.kernel_dim(np.zeros((3, 3))) == 3
     assert linalg.kernel_dim(np.eye(4)) == 0
     assert linalg.kernel_dim(np.diag([1.0, 0.0])) == 1
+    # near the top of the float range s_max would overflow to inf and drop every value
+    assert linalg.kernel_dim(np.full((3, 3), 1e308)) == 2
+    assert linalg.kernel_dim(np.diag([1.7e308, 1.7e308])) == 0
 
 
 # ---------------------------------------------------------------------------
