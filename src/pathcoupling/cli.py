@@ -1,16 +1,17 @@
 """Command line front end: simulate, couple, score and verify path ensembles.
 
 The CLI is a thin orchestration layer over the library.  Runs are driven
-by a versioned JSON config (see ``load_config``).  A named experiment is
-a function in ``pathcoupling.experiments`` with its shipped sizes in a
-config file under ``pathcoupling/experiments/``; ``experiment`` passes
-the config's fields, after any flag overrides, to that function as
-keyword arguments and rejects a field it does not take.  All parallelism
-lives inside the library calls; the CLI itself never spawns workers.
+by a versioned JSON config (see ``load_config``).  The ``coupling``
+section, each ``verify`` entry and an experiment config name a function,
+and ``_bind`` checks their other fields against its signature.  A named
+experiment is a function in ``pathcoupling.experiments`` with its shipped
+sizes in a config file under ``pathcoupling/experiments/``; its report
+carries its own verdicts.  All parallelism lives inside the library
+calls; the CLI itself never spawns workers.
 
 Exit codes: 0 success, 2 config error (with a line-numbered diagnostic
-where possible), 3 numerical/domain error, 4 failed acceptance check
-under ``experiment --check``.
+where possible), 3 numerical/domain error, 4 a failed verdict under
+``experiment --check``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import numpy as np
 
 from . import coupling, cost, experiments, pathio, presets, sde, verify
 from .errors import ConfigError, DimensionError, DomainError
-from .verify import TestReport
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -34,25 +34,6 @@ EXIT_NUMERIC = 3
 EXIT_CHECK = 4
 
 CONFIG_VERSION = 1
-
-#: the fields of the 'coupling' section each constructor takes
-_COUPLING_FIELDS = {
-    "couple_brownians": ("constructor", "correlation"),
-    "couple_sdes": ("constructor", "correlation"),
-    "rotation_monge": ("constructor", "rotation"),
-    "composed_monge": ("constructor", "rotation"),
-    "monge_sde": ("constructor", "rotation"),
-    "tanaka": ("constructor",),
-    "rotation_chop": ("constructor", "c", "block"),
-}
-
-#: the fields of a 'verify' entry each test takes
-_VERIFY_FIELDS = {
-    "wiener": ("test", "side", "alpha"),
-    "covariation": ("test", "target", "window"),
-    "certificate": ("test", "window", "tol"),
-    "adaptedness": ("test", "k_neighbors", "threshold"),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +47,10 @@ def _line_of(raw: str, key: str, text: str = ""):
     return next((i for i, line in lines if text in line), lines[0][0] if lines else None)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass
 class Config:
     """A parsed config plus enough context for line-numbered diagnostics."""
@@ -77,24 +62,27 @@ class Config:
     def error(self, key, message, value_text=""):
         raise ConfigError(f"{self.source}: {message}", line=_line_of(self.raw, key, value_text))
 
-    def rewrap(self, key, err: ConfigError):
-        # attach a line number to an error raised by a lower layer
-        raise ConfigError(f"{self.source}: {err}", line=_line_of(self.raw, key)) from None
-
     def number(self, key, value, kind=float):
         """``value`` of field ``key`` as ``kind`` (int or float); anything but a number,
         a boolean, or a non-integral value for an int is a config error naming the key."""
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not _is_number(value):
             self.error(key, f"field {key!r} must be a number, got {value!r}", json.dumps(value))
         if kind is int and not float(value).is_integer():
             self.error(key, f"field {key!r} must be an integer, got {value!r}", json.dumps(value))
         return kind(value)
 
-    def reject_other_fields(self, fields, allowed, what):
-        """A config error naming the first of ``fields`` that is not in ``allowed``."""
-        for key in fields:
-            if key not in allowed:
-                self.error(key, f"{what} takes no field {key!r}; it takes: {', '.join(allowed)}")
+
+# the config fields that flags replace: all under 'experiment', only the seed elsewhere
+_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
+
+
+def _load(path, args) -> Config:
+    """The config at ``path``, each field a flag of ``args`` sets replaced by its value."""
+    cfg = load_config(path)
+    for key in _OVERRIDES:
+        if getattr(args, key, None) is not None:
+            cfg.data[key] = getattr(args, key)
+    return cfg
 
 
 def load_config(path) -> Config:
@@ -116,20 +104,23 @@ def load_config(path) -> Config:
     return cfg
 
 
-def _build_preset(cfg: Config, section, kind, d, key):
-    if not isinstance(section, dict) or "preset" not in section:
-        cfg.error(key, f"'{key}' must be an object with a 'preset' name")
-    try:
-        return presets.build(kind, section["preset"], d=d, **section.get("params", {}))
-    except ConfigError as err:
-        cfg.rewrap(section["preset"], err)
-
-
-def _require_model(cfg: Config, key, d):
-    section = cfg.data.get(key)
-    if section is None:
-        cfg.error(key, f"config needs a '{key}' model section")
-    return _build_preset(cfg, section, "model", d, key)
+def _bind(cfg: Config, table: dict, section: dict, key: str, what: str):
+    """The function ``table`` names by ``section[key]``, and the section's other fields,
+    checked against its parameters (but those before a ``/``, and ``n_workers``) and
+    cast to the type of each int or float default."""
+    name = section.get(key)
+    if not isinstance(name, str) or name not in table:
+        cfg.error(key, f"unknown {what} {name!r}; known: {', '.join(table)}")
+    fn = table[name]
+    params = {k: p for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
+    params.pop("n_workers", None)
+    fields = {k: v for k, v in section.items() if k != key}
+    for k, value in fields.items():
+        if k not in params:
+            cfg.error(k, f"{what} {name!r} takes no field {k!r}; it takes: {', '.join(params) or 'none'}")
+        if type(params[k].default) in (int, float):
+            fields[k] = cfg.number(k, value, type(params[k].default))
+    return fn, fields
 
 
 def _sizes(cfg: Config):
@@ -146,90 +137,111 @@ def _sizes(cfg: Config):
     return size("d", 1), size("n_steps", 256), size("N", 1000), size("seed", 0, least=0)
 
 
+@dataclass(frozen=True)
+class _Run:
+    """The sizes of a run config, and the presets and constructor calls built on them."""
+
+    cfg: Config
+    d: int
+    grid: sde.TimeGrid
+    n_pairs: int
+    seed: int
+    n_workers: int
+
+    def model(self, key):
+        section = self.cfg.data.get(key)
+        if section is None:
+            self.cfg.error(key, f"config needs a '{key}' model section")
+        return self.preset("model", section, key)
+
+    def preset(self, kind, section, key=None):
+        """The ``kind`` preset a config section (at ``key``, default ``kind``) names."""
+        key = key or kind
+        if not isinstance(section, dict) or "preset" not in section:
+            self.cfg.error(key, f"'{key}' must be an object with a 'preset' name")
+        params = section.get("params", {})
+        if not isinstance(params, dict):
+            self.cfg.error("params", f"the params of '{key}' must be a JSON object, got {params!r}", json.dumps(params))
+        if section["preset"] == "chop":  # a chop schedule is laid out on the run's grid
+            params = {"n_steps": self.grid.n_steps, **params}
+        try:
+            return presets.build(kind, section["preset"], d=self.d, **params)
+        except ConfigError as err:
+            self.cfg.error(section["preset"], str(err))
+
+    def call(self, constructor, *head, **kw):
+        """``constructor(*head, grid, n_pairs, seed, **kw)`` on the run's workers."""
+        return constructor(*head, self.grid, self.n_pairs, self.seed, **kw, n_workers=self.n_workers)
+
+
+def _run(cfg: Config, n_workers: int = 1) -> _Run:
+    d, n_steps, n_pairs, seed = _sizes(cfg)
+    return _Run(cfg, d, sde.TimeGrid(n_steps), n_pairs, seed, n_workers)
+
+
+def _couple_brownians(run, /, correlation=None):
+    return run.call(coupling.couple_brownians, run.preset("correlation", correlation))
+
+
+def _couple_sdes(run, /, correlation=None):
+    return run.call(coupling.couple_sdes, run.model("src"), run.model("dst"), run.preset("correlation", correlation))
+
+
+def _rotation_monge(run, /, rotation=None):
+    q = run.preset("rotation", rotation)
+    driver = sde.sample_brownian(run.grid, run.d, run.n_pairs, run.seed, n_workers=run.n_workers)
+    return coupling.rotation_monge(q, driver)
+
+
+def _composed_monge(run, /, rotation=None):
+    return run.call(coupling.composed_monge, run.model("src"), run.model("dst"), run.preset("rotation", rotation))
+
+
+def _monge_sde(run, /, rotation=None):
+    src, dst = run.model("src"), run.model("dst")
+    return run.call(coupling.monge_sde, dst.drift, dst.diffusion, run.preset("rotation", rotation), src, z0_dst=dst.z0)
+
+
+def _tanaka(run, /):
+    if run.d != 1:
+        run.cfg.error("d", "the tanaka coupling is one dimensional")
+    return run.call(coupling.tanaka_coupling)
+
+
+def _rotation_chop(run, /, c=0.0, block=16):
+    return run.call(coupling.rotation_chop, c, block=block)
+
+
+#: constructor name -> function; its parameters after the ``/`` are the section's fields
+_COUPLINGS = {f.__name__[1:]: f for f in (
+    _couple_brownians, _couple_sdes, _rotation_monge, _composed_monge, _monge_sde, _tanaka, _rotation_chop
+)}
+
+
 def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
     """Construct the coupled ensemble a config describes."""
-    d, n_steps, n_pairs, seed = _sizes(cfg)
-    grid = sde.TimeGrid(n_steps)
+    run = _run(cfg, n_workers)
     section = cfg.data.get("coupling")
-    if not isinstance(section, dict) or "constructor" not in section:
+    if not isinstance(section, dict):
         cfg.error("coupling", "config needs a 'coupling' object with a 'constructor' name")
-    ctor = section["constructor"]
-    if ctor not in _COUPLING_FIELDS:
-        cfg.error("constructor", f"unknown coupling constructor {ctor!r}; known: {', '.join(_COUPLING_FIELDS)}")
-    cfg.reject_other_fields(section, _COUPLING_FIELDS[ctor], f"coupling constructor {ctor!r}")
-
-    def rotation():
-        rot = section.get("rotation")
-        if isinstance(rot, dict) and rot.get("preset") == "chop":
-            rot = {**rot, "params": {"n_steps": n_steps, **rot.get("params", {})}}
-        return _build_preset(cfg, rot, "rotation", d, "rotation")
-
-    if ctor == "couple_brownians":
-        rho = _build_preset(cfg, section.get("correlation"), "correlation", d, "correlation")
-        return coupling.couple_brownians(rho, grid, n_pairs, seed, n_workers=n_workers)
-    if ctor == "couple_sdes":
-        src = _require_model(cfg, "src", d)
-        dst = _require_model(cfg, "dst", d)
-        rho = _build_preset(cfg, section.get("correlation"), "correlation", d, "correlation")
-        return coupling.couple_sdes(src, dst, rho, grid, n_pairs, seed, n_workers=n_workers)
-    if ctor == "rotation_monge":
-        q = rotation()
-        driver = sde.sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)
-        return coupling.rotation_monge(q, driver)
-    if ctor == "composed_monge":
-        src = _require_model(cfg, "src", d)
-        dst = _require_model(cfg, "dst", d)
-        q = rotation()
-        return coupling.composed_monge(src, dst, q, grid, n_pairs, seed, n_workers=n_workers)
-    if ctor == "monge_sde":
-        src = _require_model(cfg, "src", d)
-        dst = _require_model(cfg, "dst", d)
-        q = rotation()
-        return coupling.monge_sde(
-            dst.drift, dst.diffusion, q, src, grid, n_pairs, seed,
-            z0_dst=dst.z0, n_workers=n_workers,
-        )
-    if ctor == "tanaka":
-        if d != 1:
-            cfg.error("d", "the tanaka coupling is one dimensional")
-        return coupling.tanaka_coupling(grid, n_pairs, seed, n_workers=n_workers)
-    c = cfg.number("c", section.get("c", 0.0))  # rotation_chop
-    block = cfg.number("block", section.get("block", 16), int)
-    return coupling.rotation_chop(c, grid, n_pairs, seed, block, n_workers=n_workers)
+    ctor, fields = _bind(cfg, _COUPLINGS, section, "constructor", "coupling constructor")
+    return ctor(run, **fields)
 
 
-def _build_cost_spec(cfg: Config):
-    """Returns (spec, src, dst); the models are None for lp costs."""
-    section = cfg.data.get("cost")
-    if not isinstance(section, dict) or "kind" not in section:
-        cfg.error("cost", "config needs a 'cost' object with a 'kind'")
-    kind = section["kind"]
-    d = _sizes(cfg)[0]
-    if kind == "lp":
-        return cost.CostSpec.lp(cfg.number("p", section.get("p", 2.0))), None, None
-    if kind == "separable":
-        src = _require_model(cfg, "src", d)
-        dst = _require_model(cfg, "dst", d)
-        h_sec = section.get("h", {"preset": "zero"})
-        g_sec = section.get("g", {"preset": "identity"})
-        h_fn = _build_preset(cfg, h_sec, "h", d, "h")
-        g_fn = _build_preset(cfg, g_sec, "g", d, "g")
-        label = f"separable(h={h_sec.get('preset')}, g={g_sec.get('preset')})"
-        return cost.CostSpec.separable(h_fn, g_fn, label=label), src, dst
-    cfg.error("kind", f"unknown cost kind {kind!r}; known: separable, lp")
+def _lp(run, /, p=2.0):
+    return cost.CostSpec.lp(p), None, None
 
 
-def _py(obj):
-    """Recursively convert numpy scalars/arrays for JSON output."""
-    if isinstance(obj, dict):
-        return {k: _py(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_py(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
+def _separable(run, /, h=None, g=None):
+    h = {"preset": "zero"} if h is None else h
+    g = {"preset": "identity"} if g is None else g
+    h_fn, g_fn = run.preset("h", h), run.preset("g", g)
+    spec = cost.CostSpec.separable(h_fn, g_fn, label=f"separable(h={h['preset']}, g={g['preset']})")
+    return spec, run.model("src"), run.model("dst")
+
+
+#: cost kind -> function returning (spec, src, dst); its parameters after the ``/`` are the section's fields
+_COSTS = {"lp": _lp, "separable": _separable}
 
 
 def _out_dir(args) -> Path:
@@ -289,9 +301,7 @@ def _parse_params(items):
 
 
 def cmd_couple(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.data["seed"] = args.seed
+    cfg = _load(args.config, args)
     pair = build_coupled(cfg, n_workers=args.threads)
     out = _out_dir(args)
     written = []
@@ -302,7 +312,7 @@ def cmd_couple(args) -> int:
         pathio.write_binary(out / "coupled.bin", pair)
         written.append("coupled.bin")
     if _wants(args, "json"):
-        pathio.write_json(out / "manifest.json", _py(dict(pair.provenance)))
+        pathio.write_json(out / "manifest.json", dict(pair.provenance))
         written.append("manifest.json")
     prov = pair.provenance
     print(f"coupled {pair.n_pairs} pairs via {prov.get('constructor')}; wrote {', '.join(written)} to {out}")
@@ -310,12 +320,14 @@ def cmd_couple(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.data["seed"] = args.seed
+    cfg = _load(args.config, args)
     _, n_steps, _, seed = _sizes(cfg)
     pair = build_coupled(cfg, n_workers=args.threads)
-    spec, src, dst = _build_cost_spec(cfg)
+    section = cfg.data.get("cost")
+    if not isinstance(section, dict):
+        cfg.error("cost", "config needs a 'cost' object with a 'kind'")
+    make_spec, fields = _bind(cfg, _COSTS, section, "kind", "cost kind")
+    spec, src, dst = make_spec(_run(cfg), **fields)
     est = cost.estimate(pair, spec, src=src, dst=dst)
     closed = None
     cf_section = cfg.data.get("closed_form")
@@ -327,7 +339,7 @@ def cmd_cost(args) -> int:
         closed, _ = cost.closed_form_optimal(src, dst, spec, probe)
     payload = pathio.cost_report(est, n_steps=n_steps, seed=seed, closed_form=closed)
     out = _out_dir(args)
-    pathio.write_json(out / "cost.json", _py(payload))
+    pathio.write_json(out / "cost.json", payload)
     line = f"cost[{est.spec_label}] mean={est.mean:.6g} stderr={est.stderr:.3g} (N={est.n_pairs})"
     if closed is not None:
         line += f" closed-form={closed.mean:.6g} gap={est.mean - closed.mean:+.3g}"
@@ -337,14 +349,13 @@ def cmd_cost(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg.data["seed"] = args.seed
-    tests = cfg.data.get("verify")
-    if not isinstance(tests, list) or not tests:
+    cfg = _load(args.config, args)
+    entries = cfg.data.get("verify")
+    if not isinstance(entries, list) or not entries or not all(isinstance(e, dict) for e in entries):
         cfg.error("verify", "config needs a non-empty 'verify' list of test objects")
+    tests = [_bind(cfg, _TESTS, entry, "test", "verify test") for entry in entries]
     pair = build_coupled(cfg, n_workers=args.threads)
-    reports = [_run_verify_test(cfg, t, pair) for t in tests]
+    reports = [test(cfg, pair, **fields) for test, fields in tests]
     out = _out_dir(args)
     pathio.write_reports_jsonl(out / "reports.jsonl", reports)
     for rep in reports:
@@ -354,52 +365,30 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _run_verify_test(cfg: Config, t, pair) -> TestReport:
-    if not isinstance(t, dict) or "test" not in t:
-        cfg.error("verify", "each verify entry must be an object with a 'test' name")
-    name = t["test"]
-    if name not in _VERIFY_FIELDS:
-        cfg.error("test", f"unknown verify test {name!r}; known: {', '.join(_VERIFY_FIELDS)}")
-    cfg.reject_other_fields(t, _VERIFY_FIELDS[name], f"verify test {name!r}")
-    if name == "wiener":
-        side = t.get("side", "y")
-        if side not in ("x", "y"):
-            cfg.error("side", f"wiener test side must be 'x' or 'y', got {side!r}")
-        ens = pair.x_ensemble() if side == "x" else pair.y_ensemble()
-        return verify.wiener_marginal_test(ens, alpha=cfg.number("alpha", t.get("alpha", 0.01)))
-    if name == "adaptedness":
-        return verify.adaptedness_probe(
-            pair,
-            k_neighbors=cfg.number("k_neighbors", t.get("k_neighbors", 5), int),
-            threshold=cfg.number("threshold", t.get("threshold", 0.75)),
-        )
-    window = cfg.number("window", t.get("window", verify.DEFAULT_WINDOW), int)
-    if name == "certificate":
-        tol = t.get("tol")
-        return verify.monge_certificate(
-            pair,
-            window=window,
-            tol=None if tol is None else cfg.number("tol", tol),
-        )
-    if "target" not in t:  # covariation
-        cfg.error("covariation", "the covariation test needs a 'target' (scalar or d x d)")
-    rep = verify.realized_covariation(pair, window=window)
-    target = np.asarray(t["target"], dtype=float)
-    if target.ndim == 0:
-        target = float(target) * np.eye(pair.d)
-    dev = float(np.max(np.abs(rep.terminal_mean - target)))
-    budget = float(np.max(verify.covariation_budget(rep, pair.grid.dt)))
-    return TestReport(
-        name="realized_covariation",
-        statistic=dev,
-        threshold=budget,
-        comparison="<=",
-        passed=dev <= budget,
-        n_paths=pair.n_pairs,
-        n_steps=pair.grid.n_steps,
-        seed=pair.seed,
-        details={"target": target.tolist(), "terminal_mean": rep.terminal_mean.tolist()},
-    )
+def _wiener(cfg, pair, /, side="y", alpha=0.01):
+    if side not in ("x", "y"):
+        cfg.error("side", f"wiener test side must be 'x' or 'y', got {side!r}", json.dumps(side))
+    return verify.wiener_marginal_test(pair.x_ensemble() if side == "x" else pair.y_ensemble(), alpha)
+
+
+def _covariation(cfg, pair, /, target=None, window=verify.DEFAULT_WINDOW):
+    entries = np.asarray(target, dtype=object)
+    if entries.shape not in ((), (pair.d, pair.d)) or not all(map(_is_number, entries.flat)):
+        message = f"'target' must be a number or a {pair.d} x {pair.d} list of numbers, got {target!r}"
+        cfg.error("target", message, json.dumps(target))
+    return verify.covariation_test(pair, target, window)
+
+
+def _certificate(cfg, pair, /, window=verify.DEFAULT_WINDOW, tol=None):
+    return verify.monge_certificate(pair, window, tol if tol is None else cfg.number("tol", tol))
+
+
+def _adaptedness(cfg, pair, /, k_neighbors=5, threshold=0.75):
+    return verify.adaptedness_probe(pair, k_neighbors, threshold)
+
+
+#: verify test name -> function; its parameters after the ``/`` are the entry's fields
+_TESTS = {f.__name__[1:]: f for f in (_wiener, _covariation, _certificate, _adaptedness)}
 
 
 def cmd_list_presets(_args) -> int:
@@ -425,103 +414,30 @@ def _resolve_experiment(name: str):
     raise ConfigError(f"unknown experiment {name!r}; available: {known}")
 
 
-# experiment flags, by the config field each one replaces
-_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
-
-
-def _apply_overrides(data: dict, args) -> None:
-    for key in _OVERRIDES:
-        value = getattr(args, key)
-        if value is not None:
-            data[key] = value
-
-
-def _experiment_fields(cfg: Config, kind, fn) -> dict:
-    """The config's run fields, checked against ``fn``'s parameters and typed by its defaults."""
-    params = dict(inspect.signature(fn).parameters)
-    del params["n_workers"]
-    fields = {k: v for k, v in cfg.data.items() if k not in ("version", "kind", "checks")}
-    cfg.reject_other_fields(fields, params, f"experiment kind {kind!r}")
-    for key, value in fields.items():
-        default = params[key].default
-        if type(default) in (int, float):
-            fields[key] = cfg.number(key, value, type(default))
-    return fields
+def _shown(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_shown, value)) + "]"
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def cmd_experiment(args) -> int:
     name, path = _resolve_experiment(args.name)
-    cfg = load_config(path)
-    _apply_overrides(cfg.data, args)
-    kind = cfg.data.get("kind")
-    fn = experiments.EXPERIMENTS.get(kind)
-    if fn is None:
-        known = ", ".join(sorted(experiments.EXPERIMENTS))
-        cfg.error("kind", f"unknown experiment kind {kind!r}; known: {known}")
-    result = _py({"kind": kind, **fn(**_experiment_fields(cfg, kind, fn), n_workers=args.threads)})
+    cfg = _load(path, args)
+    section = {k: v for k, v in cfg.data.items() if k != "version"}
+    fn, fields = _bind(cfg, experiments.EXPERIMENTS, section, "kind", "experiment kind")
+    result = {"kind": section["kind"], **fn(**fields, n_workers=args.threads)}
     out = _out_dir(args)
     report_path = out / f"{name}-report.json"
     pathio.write_json(report_path, result)
     print(f"wrote {report_path}")
     if not args.check:
         return EXIT_OK
-    failures = _run_checks(cfg, cfg.data.get("checks", []), result)
+    verdicts = result["verdicts"]
+    for v in verdicts:
+        print(f"CHECK {'ok  ' if v['ok'] else 'FAIL'} {v['name']}={_shown(v['value'])} bound {_shown(v['bound'])}")
+    failures = sum(not v["ok"] for v in verdicts)
+    print(f"{failures} of {len(verdicts)} checks failed" if failures else f"all {len(verdicts)} checks passed")
     return EXIT_CHECK if failures else EXIT_OK
-
-
-def _field(cfg: Config, result: dict, key):
-    if key not in result:
-        cfg.error("checks", f"check references unknown result field {key!r}")
-    return result[key]
-
-
-def _run_checks(cfg: Config, checks, result) -> int:
-    if not isinstance(checks, list):
-        cfg.error("checks", "'checks' must be a list")
-    failures = 0
-    for spec in checks:
-        ok, desc = _eval_check(cfg, spec, result)
-        print(f"CHECK {'ok  ' if ok else 'FAIL'} {desc}")
-        failures += 0 if ok else 1
-    if failures:
-        print(f"{failures} of {len(checks)} checks failed")
-    else:
-        print(f"all {len(checks)} checks passed")
-    return failures
-
-
-def _eval_check(cfg: Config, spec, result):
-    if not isinstance(spec, dict) or "check" not in spec:
-        cfg.error("checks", "each check must be an object with a 'check' type")
-    kind = spec["check"]
-    field = spec.get("field")
-    if kind == "close":
-        value = float(_field(cfg, result, field))
-        target = float(spec["target"]) if "target" in spec else float(_field(cfg, result, spec["target_field"]))
-        tol = float(spec.get("tol", 0.0))
-        if "tol_field" in spec:
-            tol += float(spec.get("tol_scale", 1.0)) * float(_field(cfg, result, spec["tol_field"]))
-        dev = abs(value - target)
-        return dev <= tol, f"{field}={value:.6g} within {tol:.3g} of {target:.6g} (dev {dev:.3g})"
-    if kind in ("le", "ge"):
-        value = float(_field(cfg, result, field))
-        bound = float(spec["bound"]) if "bound" in spec else float(_field(cfg, result, spec["bound_field"]))
-        if "slack_field" in spec:
-            bound += float(spec.get("slack_scale", 1.0)) * float(_field(cfg, result, spec["slack_field"]))
-        ok = value <= bound if kind == "le" else value >= bound
-        op = "<=" if kind == "le" else ">="
-        return ok, f"{field}={value:.6g} {op} {bound:.6g}"
-    if kind == "true":
-        value = bool(_field(cfg, result, field))
-        return value, f"{field} is {value}"
-    if kind == "equals":
-        value = _field(cfg, result, field)
-        return value == spec.get("value"), f"{field}={value!r} == {spec.get('value')!r}"
-    if kind == "decreasing":
-        seq = list(_field(cfg, result, field))
-        ok = all(b < a for a, b in zip(seq, seq[1:]))
-        return ok, f"{field}={['%.4g' % v for v in seq]} strictly decreasing"
-    cfg.error("checks", f"unknown check type {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", parents=[common], help="run a named experiment config")
     p.add_argument("name", help="experiment name or path to a config JSON")
-    p.add_argument("--check", action="store_true", help="evaluate the config's acceptance checks (exit 4 on failure)")
+    p.add_argument("--check", action="store_true", help="print the experiment's verdicts (exit 4 if one fails)")
     p.add_argument("--a", type=float, default=None, help="override source volatility a")
     p.add_argument("--b", type=float, default=None, help="override target volatility b")
     p.add_argument("--N", dest="N", type=int, default=None, help="override the pair count")

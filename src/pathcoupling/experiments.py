@@ -2,9 +2,10 @@
 
 Each function takes the fields of its config file under
 ``pathcoupling/experiments/`` as keyword arguments, with the same defaults,
-plus ``n_workers``, and returns the report dict.  ``pathcoupling experiment``
-calls them through :data:`EXPERIMENTS`; the acceptance suite calls them at
-its own contract sizes.
+plus ``n_workers``, and returns the report dict, whose ``verdicts`` list
+holds its acceptance verdicts (``name``, ``value``, ``bound``, ``ok``).
+``pathcoupling experiment`` calls them through :data:`EXPERIMENTS`; the
+acceptance suite calls them at its own contract sizes.
 """
 
 from __future__ import annotations
@@ -16,6 +17,11 @@ import numpy as np
 from . import coupling, cost, presets, sde, verify
 from .errors import ConfigError
 from .linalg import psd_sqrt, rotation_grid_max, trace_max_rotation
+
+
+def _verdict(name, value, bound, ok=None):
+    """One acceptance verdict of a report; ``ok`` defaults to ``value <= bound``."""
+    return {"name": name, "value": value, "bound": bound, "ok": bool(value <= bound if ok is None else ok)}
 
 
 def zero_identity_spec(d):
@@ -33,7 +39,8 @@ def probe(src, n_steps, n_paths, seed):
 
 def _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers):
     """The closed form of the bracket cost on ``probe_N`` source paths (seed + 1),
-    then its Monte Carlo estimate over the transport built from the optimal ``Q*``."""
+    then its Monte Carlo estimate over the transport built from the optimal ``Q*``,
+    and the verdict that the two agree within three combined standard errors."""
     spec = zero_identity_spec(src.dim)
     paths = probe(src, n_steps, probe_N, seed + 1)
     closed, q_star = cost.closed_form_optimal(src, dst, spec, paths)
@@ -47,15 +54,19 @@ def _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers):
         "stderr": est.stderr,
         "gap": est.mean - closed.mean,
     }
-    return fields, q_star, paths
+    attained = _verdict("attained", abs(fields["gap"]), 3.0 * math.hypot(est.stderr, closed.stderr))
+    return fields, attained, q_star, paths
 
 
 def closed_form_d1(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=7, probe_N=8, n_workers=1):
     """Closed-form optimum (a - b)^2 for dX = a dB, dY = b dB, then attained by Monte Carlo."""
     src = presets.build("model", "bm", d=1, sigma=a)
     dst = presets.build("model", "bm", d=1, sigma=b)
-    fields, _, _ = _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers)
-    return {"a": a, "b": b, "N": N, "n_steps": n_steps, "seed": seed, "oracle": (a - b) ** 2, **fields}
+    fields, attained, _, _ = _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers)
+    oracle = (a - b) ** 2
+    verdicts = [_verdict("closed_form", abs(fields["closed_form"] - oracle), 0.02), attained]
+    return {"a": a, "b": b, "N": N, "n_steps": n_steps, "seed": seed, "oracle": oracle, **fields,
+            "verdicts": verdicts}
 
 
 def closed_form_d2(
@@ -73,7 +84,7 @@ def closed_form_d2(
     sigma_bar = np.asarray(sigma_bar, dtype=float)
     src = presets.build("model", "const-matrix", d=2, sigma=sigma.tolist())
     dst = presets.build("model", "const-matrix", d=2, sigma=sigma_bar.tolist())
-    fields, q_star, paths = _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers)
+    fields, attained, q_star, paths = _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers)
 
     # cross-check the trace maximiser against a brute-force O(2) scan
     probed = sigma @ psd_sqrt(sigma_bar @ sigma_bar.T)
@@ -83,6 +94,9 @@ def closed_form_d2(
     for k in (0, n_steps // 2, n_steps - 1):
         q = q_star.eval(k, k * paths.grid.dt, paths.values[:1, : k + 1])
         qstar_dev = max(qstar_dev, float(np.max(np.abs(q - np.eye(2)))))
+    grid_gap = abs(trace_value - grid_value)
+    # constant volatilities: |sigma|^2 + |sigma_bar|^2 - 2 (nuclear norm of sigma xi), 1 by default
+    oracle = np.sum(sigma**2) + np.sum(sigma_bar**2) - 2.0 * np.linalg.norm(probed, "nuc")
     return {
         "sigma": sigma.tolist(),
         "sigma_bar": sigma_bar.tolist(),
@@ -93,7 +107,13 @@ def closed_form_d2(
         "qstar_max_dev": qstar_dev,
         "trace_max_value": trace_value,
         "grid_value": grid_value,
-        "grid_gap": abs(trace_value - grid_value),
+        "grid_gap": grid_gap,
+        "verdicts": [
+            _verdict("closed_form", abs(fields["closed_form"] - oracle), 0.03),
+            attained,
+            _verdict("qstar_max_dev", qstar_dev, 1e-10),
+            _verdict("grid_gap", grid_gap, 1e-6),
+        ],
     }
 
 
@@ -120,6 +140,7 @@ def rotation_invariance(
         "alpha": alpha,
         "pass_rate": passes / n_seeds,
         "worst_excess": worst,
+        "verdicts": [_verdict("pass_rate", passes / n_seeds, 0.95, passes / n_seeds >= 0.95)],
     }
 
 
@@ -139,27 +160,37 @@ def tanaka(N=2000, n_steps=4096, seed=5, window=verify.DEFAULT_WINDOW, alpha=0.0
         "wiener_statistic": wien.statistic,
         "adaptedness_failed": not adapted.passed,
         "adaptedness_accuracy": adapted.statistic,
+        "verdicts": [
+            _verdict("certificate_passed", cert.statistic, cert.threshold, cert.passed),
+            _verdict("wiener_passed", wien.statistic, wien.threshold, wien.passed),
+            _verdict("adaptedness_failed", adapted.statistic, adapted.threshold, not adapted.passed),
+            _verdict("adaptedness_accuracy", abs(adapted.statistic - 0.5), 0.05),
+        ],
     }
 
 
-def rho_recovery(cases=None, N=4000, n_steps=256, seed=21, n_workers=1):
+def rho_recovery(cases=(), N=4000, n_steps=256, seed=21, n_workers=1):
     """Terminal realized covariation of constant-correlation couplings, entry by entry.
 
     Each case is ``{"d": d, "c": c}`` (scalar or d x d) or ``{"d": 2, "scale": s,
     "theta": th}``; the i-th case uses seed ``seed + i``.  ``worst_excess`` is the
     largest ``|dev_ij| - budget_ij`` over all entries of all cases.
     """
-    if not cases:
+    if not isinstance(cases, (list, tuple)) or not cases:
         raise ConfigError("rho-recovery needs a non-empty 'cases' list")
     grid = sde.TimeGrid(n_steps)
     rows = []
     for i, case in enumerate(cases):
-        d = int(case.get("d", 1))
+        keys = set(case) if isinstance(case, dict) else set()
+        if keys not in ({"d", "c"}, {"d", "scale", "theta"}) or type(case["d"]) is not int or case["d"] < 1:
+            raise ConfigError(
+                f"rho-recovery case {case!r} must be {{d, c}} or {{d, scale, theta}} with an integer d >= 1"
+            )
         if "c" in case:
-            rho = presets.build("correlation", "const", d=d, c=case["c"])
+            rho = presets.build("correlation", "const", d=case["d"], c=case["c"])
         else:
             rho = presets.build(
-                "correlation", "scaled-rotation", d=d, scale=case["scale"], theta=case["theta"]
+                "correlation", "scaled-rotation", d=case["d"], scale=case["scale"], theta=case["theta"]
             )
         target = rho.eval(0, 0.0, None, None)  # both presets are constant fields
         pair = coupling.couple_brownians(rho, grid, N, seed + i, n_workers=n_workers)
@@ -173,11 +204,13 @@ def rho_recovery(cases=None, N=4000, n_steps=256, seed=21, n_workers=1):
             "excess": float(np.max(dev - budget)),
             "terminal_mean": rep.terminal_mean.tolist(),
         })
+    worst = max(row["excess"] for row in rows)
     return {
         "N": N,
         "n_steps": n_steps,
         "cases": rows,
-        "worst_excess": max(row["excess"] for row in rows),
+        "worst_excess": worst,
+        "verdicts": [_verdict("worst_excess", worst, 0.0)],
     }
 
 
@@ -212,6 +245,11 @@ def rotation_chop_density(c=0.5, block=16, N=4000, seed=33, n_list=(256, 1024, 4
         "mad_final": mads[-1],
         "cov_error": cov_err,
         "cov_budget": cov_budget,
+        "verdicts": [
+            _verdict("mad_decreasing", mads[1:], mads[:-1], all(b < a for a, b in zip(mads, mads[1:]))),
+            _verdict("mad_final", mads[-1], 0.05),
+            _verdict("cov_error", cov_err, cov_budget),
+        ],
     }
 
 
@@ -231,13 +269,21 @@ def kernel_infeasibility(N=1000, n_steps=256, seed=42, n_workers=1):
     obstructed = coupling.monge_sde(
         dst.drift, dst.diffusion, q, src_bad, grid, N, seed + 1, n_workers=n_workers
     )
+    res_ok = invertible.provenance["kernel_residual"]
+    res_bad = obstructed.provenance["kernel_residual"]
     return {
         "N": N,
         "n_steps": n_steps,
         "verdict_obstructed": fwd.verdict,
         "verdict_reverse": rev.verdict,
-        "residual_invertible": invertible.provenance["kernel_residual"],
-        "residual_obstructed": obstructed.provenance["kernel_residual"],
+        "residual_invertible": res_ok,
+        "residual_obstructed": res_bad,
+        "verdicts": [
+            _verdict("verdict_obstructed", fwd.verdict, "INFEASIBLE", fwd.verdict == "INFEASIBLE"),
+            _verdict("verdict_reverse", rev.verdict, "UNDECIDED", rev.verdict == "UNDECIDED"),
+            _verdict("residual_invertible", res_ok, 0.0),
+            _verdict("residual_obstructed", res_bad, 0.99, res_bad >= 0.99),
+        ],
     }
 
 
@@ -284,6 +330,7 @@ def synchronous_1d_optimality(
         result[f"{name}_margin"] = margin
         margins.append(margin)
     result["worst_margin"] = max(margins)
+    result["verdicts"] = [_verdict("worst_margin", max(margins), 0.0)]
     return result
 
 

@@ -69,14 +69,22 @@ def read_csv(path):
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        has_rows = any(line.strip() for line in fh)
     if header[:3] != ["path_id", "step", "t"]:
-        raise ConfigError(f"not an ensemble CSV: header starts with {header[:3]}")
+        raise ConfigError(f"{path}: not an ensemble CSV: header starts with {header[:3]}")
+    if not has_rows:
+        raise ConfigError(f"{path}: no rows after the header")
     d = sum(1 for name in header if name.startswith("x_"))
     coupled = any(name.startswith("y_") for name in header)
-    table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as err:
+        raise ConfigError(f"{path}: {err}") from None
+    if not np.all((table[:, :2] >= 0) & (table[:, :2] < np.iinfo(np.int32).max)):
+        raise ConfigError(f"{path}: path_id and step must be non-negative integers")
     n_paths, n_rows = (int(top) + 1 for top in table[:, :2].max(axis=0))
     if n_paths * n_rows != table.shape[0]:
-        raise ConfigError(f"ragged ensemble CSV: {table.shape[0]} rows for {n_paths} paths, {n_rows} steps+1")
+        raise ConfigError(f"{path}: ragged ensemble CSV: {table.shape[0]} rows for {n_paths} paths, {n_rows} steps+1")
     keys = np.indices((n_paths, n_rows), dtype=np.int32).reshape(2, -1).T  # the grid, in order
     if not np.array_equal(table[:, :2], keys):  # only a file out of order pays for the sort
         table = table[np.lexsort((table[:, 1], table[:, 0]))]
@@ -152,9 +160,13 @@ def cost_report(estimate, n_steps: int, seed: int, closed_form=None) -> dict:
 
 
 def _write_json_lines(path, payloads, indent=None) -> None:
-    # serialise before the file is opened, so a NaN or infinity leaves no file behind
+    # serialise before the file is opened, so a NaN or infinity leaves no file behind;
+    # numpy scalars and arrays are written as the Python numbers and lists they hold
     try:
-        text = "".join(json.dumps(p, indent=indent, sort_keys=True, allow_nan=False) + "\n" for p in payloads)
+        text = "".join(
+            json.dumps(p, indent=indent, sort_keys=True, allow_nan=False, default=lambda obj: obj.tolist()) + "\n"
+            for p in payloads
+        )
     except ValueError as err:
         raise DomainError(f"cannot write {path}: {err} (NaN or infinity)") from None
     with open(path, "w") as fh:

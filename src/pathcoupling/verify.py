@@ -1,9 +1,10 @@
 """Statistical certification of simulated ensembles and couplings.
 
 Four diagnostics: a moment-based Brownian marginal test, realized
-covariation with a windowed correlation-density estimate, an orthogonality
-certificate for Monge-type couplings (necessary, never sufficient), and a
-nearest-neighbour probe of whether one marginal is a function of the other.
+covariation (tested against a target) with a windowed correlation-density
+estimate, an orthogonality certificate for Monge-type couplings (necessary,
+never sufficient), and a nearest-neighbour probe of whether one marginal
+is a function of the other.
 
 The Brownian marginal test reduces straight from time-major storage, a
 few MB of time slices at a time, so its memory does not grow with n_steps.
@@ -11,7 +12,7 @@ few MB of time slices at a time, so its memory does not grow with n_steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy import stats
@@ -48,17 +49,7 @@ class TestReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-            "comparison": self.comparison,
-            "passed": self.passed,
-            "n_paths": self.n_paths,
-            "n_steps": self.n_steps,
-            "seed": self.seed,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 def _report(name, statistic, threshold, comparison, n_paths, n_steps, seed, details):
@@ -236,6 +227,20 @@ def covariation_budget(report: CovariationReport, dt: float) -> np.ndarray:
     """Entrywise allowance for ``|terminal_mean - rho|``: three standard errors
     of sampling noise plus ``2 sqrt(dt)`` of discretisation."""
     return 3.0 * report.terminal_stderr + 2.0 * np.sqrt(dt)
+
+
+def covariation_test(ensemble: CoupledEnsemble, target, window: int = DEFAULT_WINDOW) -> TestReport:
+    """Does the terminal realized covariation match ``target`` (a scalar times the
+    identity, or d x d)?  The statistic is the largest entrywise deviation, the
+    threshold the largest entry of :func:`covariation_budget`."""
+    rep = realized_covariation(ensemble, window=window)
+    target = np.asarray(target, dtype=float)
+    if target.ndim == 0:
+        target = float(target) * np.eye(ensemble.d)
+    dev = np.max(np.abs(rep.terminal_mean - target))
+    budget = np.max(covariation_budget(rep, ensemble.grid.dt))
+    details = {"target": target.tolist(), "terminal_mean": rep.terminal_mean.tolist()}
+    return _report("realized_covariation", dev, budget, "<=", ensemble.n_pairs, ensemble.grid.n_steps, ensemble.seed, details)
 
 
 def monge_certificate(

@@ -162,13 +162,13 @@ def test_experiment_override_changes_oracle(tmp_path):
 
 
 def test_failing_check_exits_4(tmp_path, capsys):
+    # a coarser second resolution: its bracket deviation grows, so 'mad_decreasing' fails
     cfg = tmp_path / "doomed.json"
     cfg.write_text(json.dumps({
         "version": 1,
-        "kind": "closed-form-d1",
+        "kind": "rotation-chop-density",
         "N": 200,
-        "n_steps": 64,
-        "checks": [{"check": "le", "field": "closed_form", "bound": -1.0}],
+        "n_list": [1024, 64],
     }))
     rc = main(["experiment", str(cfg), "--out", str(tmp_path), "--check"])
     assert rc == EXIT_CHECK
@@ -213,8 +213,52 @@ def test_every_shipped_config_matches_its_experiment_function():
         data = json.loads(path.read_text())
         fn = experiments.EXPERIMENTS[data["kind"]]
         params = set(inspect.signature(fn).parameters) - {"n_workers"}
-        fields = set(data) - {"version", "kind", "checks"}
+        fields = set(data) - {"version", "kind"}
         assert fields <= params, f"{path.name}: {sorted(fields - params)} not taken by {fn.__name__}"
+
+
+def test_every_experiment_returns_its_verdicts():
+    tiny = {
+        "closed-form-d1": dict(N=50, n_steps=16, probe_N=4),
+        "closed-form-d2": dict(N=50, n_steps=16, probe_N=4, grid_points=100),
+        "rotation-invariance": dict(N=50, n_steps=16, n_seeds=2),
+        "tanaka": dict(N=1000, n_steps=64, window=16),
+        "rho-recovery": dict(cases=[{"d": 1, "c": 0.5}], N=50, n_steps=16),
+        "rotation-chop-density": dict(N=50, n_list=(16, 32), block=4),
+        "kernel-infeasibility": dict(N=50, n_steps=16),
+        "synchronous-1d-optimality": dict(N=50, n_steps=16),
+    }
+    assert set(tiny) == set(experiments.EXPERIMENTS)
+    for kind, fn in experiments.EXPERIMENTS.items():
+        verdicts = fn(**tiny[kind])["verdicts"]
+        assert verdicts, kind
+        for verdict in verdicts:
+            assert set(verdict) == {"name", "value", "bound", "ok"}, (kind, verdict)
+            assert isinstance(verdict["ok"], bool), (kind, verdict)
+
+
+def test_config_with_a_checks_array_exits_2_with_its_line(tmp_path, capsys):
+    cfg = tmp_path / "old.json"
+    cfg.write_text('{\n  "version": 1,\n  "kind": "kernel-infeasibility",\n'
+                   '  "checks": [{"check": "le", "field": "residual_invertible", "bound": 0.0}]\n}\n')
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out"), "--check"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'checks'" in err and "line 4" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "case",
+    [{"d": 1}, {"d": 1, "c": 0.5, "theta": 1}, {"c": 0.5}, {"d": 1.5, "c": 0.5}, [1, 0.5]],
+    ids=["no-c", "c-and-theta", "no-d", "fractional-d", "list"],
+)
+def test_rho_recovery_case_of_another_shape_exits_2_naming_it(tmp_path, capsys, case):
+    cfg = tmp_path / "rho.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "rho-recovery", "N": 50, "n_steps": 16,
+                               "cases": [{"d": 1, "c": 0.5}, case]}))
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert repr(case) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_inapplicable_override_exits_2_naming_the_field(tmp_path, capsys):
@@ -281,6 +325,21 @@ def test_unknown_coupling_or_verify_field_exits_2_with_its_line(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "cost_section, key, named",
+    [({"kind": "lp", "pp": 3}, "pp", "'pp'"), ({"kind": "separable", "f": {}}, "f", "'f'"),
+     ({"kind": "l2"}, "kind", "'l2'")],
+    ids=["lp-pp", "separable-f", "unknown-kind"],
+)
+def test_unknown_cost_field_or_kind_exits_2_with_its_line(tmp_path, capsys, cost_section, key, named):
+    cfg = _write_config(tmp_path, {"cost": cost_section})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main(["cost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command, overrides, key, value",
     [
         ("verify", {"verify": [{"test": "wiener", "alpha": "x"}]}, "alpha", "x"),
@@ -324,4 +383,38 @@ def test_non_numeric_experiment_field_exits_2_with_its_line(tmp_path, capsys, fi
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert f"'{field}'" in err and repr(value) in err and "line 4" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "target",
+    [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], [1.0, 0.0], [[1.0, 0.0], [0.0]], [[1.0, 0.0], [0.0, "x"]],
+     "half", True, None],
+    ids=["3x3-for-d2", "vector", "ragged", "string-entry", "string", "bool", "null"],
+)
+def test_covariation_target_that_is_not_a_number_or_d_by_d_exits_2_with_its_line(tmp_path, capsys, target):
+    entries = [{"test": "wiener"}, {"test": "covariation", "target": target}]
+    cfg = _write_config(tmp_path, {"d": 2, "verify": entries, "src": {"preset": "bm"}, "dst": {"preset": "bm"}})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"target"' in text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'target'" in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, params",
+    [("couple", "src", "[1]"), ("couple", "correlation", '"c=1"'), ("cost", "h", "[1]")],
+    ids=["src-list", "correlation-string", "cost-h-list"],
+)
+def test_preset_params_that_are_not_an_object_exit_2_with_their_line(tmp_path, capsys, command, section, params):
+    data = json.loads(json.dumps(BASE_CONFIG))
+    holder = {"src": data, "correlation": data["coupling"], "h": data["cost"]}[section]
+    holder[section] = {"preset": holder[section]["preset"], "params": "PARAMS"}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data, indent=2).replace('"PARAMS"', params) + "\n")
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"params": {params}' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "params" in err and f"line {line}" in err
     assert not (tmp_path / "out").exists()

@@ -68,6 +68,25 @@ def test_csv_rejects_a_duplicated_or_missing_row(tmp_path, edit):
         pathio.read_csv(f)
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda rows: [],
+        lambda rows: ["nan" + rows[0][1:]] + rows[1:],
+        lambda rows: [rows[0].replace(",0,", ",nan,", 1)] + rows[1:],
+        lambda rows: [rows[0].replace(",0,", ",x,", 1)] + rows[1:],
+    ],
+    ids=["header-only", "nan-path_id", "nan-step", "text-step"],
+)
+def test_csv_with_a_malformed_key_column_is_a_config_error_naming_the_file(tmp_path, edit):
+    # filterwarnings = error: a warning ahead of the ConfigError would fail the test
+    f = tmp_path / "pair.csv"
+    pathio.write_csv(f, couple_brownians(CorrelationProcess.constant(0.5, 1), TimeGrid(4), 2, seed=3))
+    _rewrite_rows(f, edit)
+    with pytest.raises(ConfigError, match="pair.csv"):
+        pathio.read_csv(f)
+
+
 def test_csv_reads_shuffled_rows_back_in_order(tmp_path):
     ens = _coupled()
     f, g = tmp_path / "pair.csv", tmp_path / "again.csv"

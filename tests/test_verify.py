@@ -201,6 +201,24 @@ def test_covariation_windowed_tracks_rho_and_matches_oracle():
     assert np.allclose(small.rho_hat, oracle, atol=1e-12)
 
 
+def test_covariation_test_against_scalar_and_matrix_targets():
+    theta = np.pi / 6
+    rho = 0.8 * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    grid = TimeGrid(64)
+    ens = couple_brownians(CorrelationProcess.constant(rho), grid, 500, seed=46)
+    cov = verify.realized_covariation(ens)
+    rep = verify.covariation_test(ens, rho.tolist())
+    assert rep.name == "realized_covariation" and rep.comparison == "<=" and rep.passed
+    assert rep.statistic == np.max(np.abs(cov.terminal_mean - rho))
+    assert rep.threshold == np.max(3 * cov.terminal_stderr + 2 * np.sqrt(grid.dt))
+    assert (rep.n_paths, rep.n_steps, rep.seed) == (500, 64, 46)
+    assert rep.details == {"target": rho.tolist(), "terminal_mean": cov.terminal_mean.tolist()}
+    # a scalar target is that multiple of the identity: the identity is not what rho is
+    scalar = verify.covariation_test(ens, 1.0)
+    assert scalar.details["target"] == [[1.0, 0.0], [0.0, 1.0]]
+    assert scalar.statistic == np.max(np.abs(cov.terminal_mean - np.eye(2))) and not scalar.passed
+
+
 def test_covariation_window_clamped_to_grid():
     ens = couple_brownians(CorrelationProcess.constant(0.0, 1), TimeGrid(16), 8, seed=45)
     rep = verify.realized_covariation(ens, window=64)
