@@ -72,19 +72,6 @@ class Config:
         return kind(value)
 
 
-# the config fields that flags replace: all under 'experiment', only the seed elsewhere
-_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
-
-
-def _load(path, args) -> Config:
-    """The config at ``path``, each field a flag of ``args`` sets replaced by its value."""
-    cfg = load_config(path)
-    for key in _OVERRIDES:
-        if getattr(args, key, None) is not None:
-            cfg.data[key] = getattr(args, key)
-    return cfg
-
-
 def load_config(path) -> Config:
     path = Path(path)
     try:
@@ -104,13 +91,28 @@ def load_config(path) -> Config:
     return cfg
 
 
-def _bind(cfg: Config, table: dict, section: dict, key: str, what: str):
+# the config fields that flags replace: all under 'experiment', only the seed elsewhere
+_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
+
+
+def _load(path, args) -> Config:
+    """The config at ``path``, each field a flag of ``args`` sets replaced by its value."""
+    cfg = load_config(path)
+    for key in _OVERRIDES:
+        if getattr(args, key, None) is not None:
+            cfg.data[key] = getattr(args, key)
+    return cfg
+
+
+def _bind(cfg: Config, table: dict, section, where: str, key: str):
     """The function ``table`` names by ``section[key]``, and the section's other fields,
     checked against its parameters (but those before a ``/``, and ``n_workers``) and
-    cast to the type of each int or float default."""
-    name = section.get(key)
+    cast to the type of each int or float default.  ``where`` names the section."""
+    if not isinstance(section, dict):
+        cfg.error(where, f"config needs a '{where}' object with a '{key}' name")
+    what, name = f"{where} {key}", section.get(key)
     if not isinstance(name, str) or name not in table:
-        cfg.error(key, f"unknown {what} {name!r}; known: {', '.join(table)}")
+        cfg.error(key, f"unknown {what} {name!r}; known: {', '.join(table)}", json.dumps(name))
     fn = table[name]
     params = {k: p for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
     params.pop("n_workers", None)
@@ -149,10 +151,7 @@ class _Run:
     n_workers: int
 
     def model(self, key):
-        section = self.cfg.data.get(key)
-        if section is None:
-            self.cfg.error(key, f"config needs a '{key}' model section")
-        return self.preset("model", section, key)
+        return self.preset("model", self.cfg.data.get(key), key)
 
     def preset(self, kind, section, key=None):
         """The ``kind`` preset a config section (at ``key``, default ``kind``) names."""
@@ -221,10 +220,7 @@ _COUPLINGS = {f.__name__[1:]: f for f in (
 def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
     """Construct the coupled ensemble a config describes."""
     run = _run(cfg, n_workers)
-    section = cfg.data.get("coupling")
-    if not isinstance(section, dict):
-        cfg.error("coupling", "config needs a 'coupling' object with a 'constructor' name")
-    ctor, fields = _bind(cfg, _COUPLINGS, section, "constructor", "coupling constructor")
+    ctor, fields = _bind(cfg, _COUPLINGS, cfg.data.get("coupling"), "coupling", "constructor")
     return ctor(run, **fields)
 
 
@@ -323,10 +319,7 @@ def cmd_cost(args) -> int:
     cfg = _load(args.config, args)
     _, n_steps, _, seed = _sizes(cfg)
     pair = build_coupled(cfg, n_workers=args.threads)
-    section = cfg.data.get("cost")
-    if not isinstance(section, dict):
-        cfg.error("cost", "config needs a 'cost' object with a 'kind'")
-    make_spec, fields = _bind(cfg, _COSTS, section, "kind", "cost kind")
+    make_spec, fields = _bind(cfg, _COSTS, cfg.data.get("cost"), "cost", "kind")
     spec, src, dst = make_spec(_run(cfg), **fields)
     est = cost.estimate(pair, spec, src=src, dst=dst)
     closed = None
@@ -351,9 +344,9 @@ def cmd_cost(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _load(args.config, args)
     entries = cfg.data.get("verify")
-    if not isinstance(entries, list) or not entries or not all(isinstance(e, dict) for e in entries):
+    if not isinstance(entries, list) or not entries:
         cfg.error("verify", "config needs a non-empty 'verify' list of test objects")
-    tests = [_bind(cfg, _TESTS, entry, "test", "verify test") for entry in entries]
+    tests = [_bind(cfg, _TESTS, entry, "verify", "test") for entry in entries]
     pair = build_coupled(cfg, n_workers=args.threads)
     reports = [test(cfg, pair, **fields) for test, fields in tests]
     out = _out_dir(args)
@@ -424,7 +417,7 @@ def cmd_experiment(args) -> int:
     name, path = _resolve_experiment(args.name)
     cfg = _load(path, args)
     section = {k: v for k, v in cfg.data.items() if k != "version"}
-    fn, fields = _bind(cfg, experiments.EXPERIMENTS, section, "kind", "experiment kind")
+    fn, fields = _bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")
     result = {"kind": section["kind"], **fn(**fields, n_workers=args.threads)}
     out = _out_dir(args)
     report_path = out / f"{name}-report.json"
