@@ -22,6 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -104,24 +105,29 @@ def _load(path, args) -> Config:
     return cfg
 
 
-def _bind(cfg: Config, table: dict, section, where: str, key: str):
-    """The function ``table`` names by ``section[key]``, and the section's other fields,
-    checked against its parameters (but those before a ``/``, and ``n_workers``) and
-    cast to the type of each int or float default.  ``where`` names the section."""
+def _bind(cfg: Config, table, section, where: str, key: str | None = None):
+    """The function ``table`` names by ``section[key]`` (``table`` itself with no ``key``), and the
+    section's other fields, checked against its parameters (but those before a ``/``, and ``n_workers``)
+    and cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object."""
     if not isinstance(section, dict):
-        cfg.error(where, f"config needs a '{where}' object with a '{key}' name")
-    what, name = f"{where} {key}", section.get(key)
-    if not isinstance(name, str) or name not in table:
-        cfg.error(key, f"unknown {what} {name!r}; known: {', '.join(table)}", json.dumps(name))
-    fn = table[name]
-    params = {k: p for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
-    params.pop("n_workers", None)
+        cfg.error(where, f"config needs a '{where}' object" + (f" with a '{key}' name" if key else ""))
+    what, name, fn = "section", where, table
+    if key is not None:
+        what, name = f"{where} {key}", section.get(key)
+        if not isinstance(name, str) or name not in table:
+            cfg.error(key, f"unknown {what} {name!r}; known: {', '.join(table)}", json.dumps(name))
+        fn = table[name]
+    defaults = {k: p.default for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
+    defaults.pop("n_workers", None)
     fields = {k: v for k, v in section.items() if k != key}
     for k, value in fields.items():
-        if k not in params:
-            cfg.error(k, f"{what} {name!r} takes no field {k!r}; it takes: {', '.join(params) or 'none'}")
-        if type(params[k].default) in (int, float):
-            fields[k] = cfg.number(k, value, type(params[k].default))
+        if k not in defaults:
+            cfg.error(k, f"{what} {name!r} takes no field {k!r}; it takes: {', '.join(defaults) or 'none'}")
+        json_type = {tuple: list, MappingProxyType: dict}.get(type(defaults[k]), object)
+        if type(defaults[k]) in (int, float):
+            fields[k] = cfg.number(k, value, type(defaults[k]))
+        elif not isinstance(value, json_type):
+            cfg.error(k, f"field {k!r} must be a JSON {'list' if json_type is list else 'object'}, got {value!r}", json.dumps(value))
     return fn, fields
 
 
@@ -165,8 +171,11 @@ class _Run:
             params = {"n_steps": self.grid.n_steps, **params}
         try:
             return presets.build(kind, section["preset"], d=self.d, **params)
-        except ConfigError as err:
-            self.cfg.error(section["preset"], str(err))
+        except (TypeError, ValueError) as err:  # a param the preset cannot take, or of the wrong type
+            if isinstance(err, (DomainError, DimensionError)):
+                raise
+            message = str(err) if isinstance(err, ConfigError) else f"{kind} preset {section['preset']!r}: {err}"
+            self.cfg.error(section["preset"], message)
 
     def call(self, constructor, *head, **kw):
         """``constructor(*head, grid, n_pairs, seed, **kw)`` on the run's workers."""
@@ -238,6 +247,11 @@ def _separable(run, /, h=None, g=None):
 
 #: cost kind -> function returning (spec, src, dst); its parameters after the ``/`` are the section's fields
 _COSTS = {"lp": _lp, "separable": _separable}
+
+
+def _closed_form(run, src, dst, spec, /, probe_N=64):
+    probe = experiments.probe(src, run.grid.n_steps, probe_N, run.seed + 1)
+    return cost.closed_form_optimal(src, dst, spec, probe)[0]
 
 
 def _out_dir(args) -> Path:
@@ -317,20 +331,18 @@ def cmd_couple(args) -> int:
 
 def cmd_cost(args) -> int:
     cfg = _load(args.config, args)
-    _, n_steps, _, seed = _sizes(cfg)
+    run = _run(cfg)
     pair = build_coupled(cfg, n_workers=args.threads)
     make_spec, fields = _bind(cfg, _COSTS, cfg.data.get("cost"), "cost", "kind")
-    spec, src, dst = make_spec(_run(cfg), **fields)
+    spec, src, dst = make_spec(run, **fields)
     est = cost.estimate(pair, spec, src=src, dst=dst)
     closed = None
-    cf_section = cfg.data.get("closed_form")
-    if cf_section is not None:
+    if cfg.data.get("closed_form") is not None:
+        closed_form, fields = _bind(cfg, _closed_form, cfg.data["closed_form"], "closed_form")
         if spec.kind != cost.SEPARABLE:
             cfg.error("closed_form", "the closed form applies to separable costs only")
-        probe_n = cfg.number("probe_N", cf_section.get("probe_N", 64), int)
-        probe = experiments.probe(src, n_steps, probe_n, seed + 1)
-        closed, _ = cost.closed_form_optimal(src, dst, spec, probe)
-    payload = pathio.cost_report(est, n_steps=n_steps, seed=seed, closed_form=closed)
+        closed = closed_form(run, src, dst, spec, **fields)
+    payload = pathio.cost_report(est, n_steps=run.grid.n_steps, seed=run.seed, closed_form=closed)
     out = _out_dir(args)
     pathio.write_json(out / "cost.json", payload)
     line = f"cost[{est.spec_label}] mean={est.mean:.6g} stderr={est.stderr:.3g} (N={est.n_pairs})"

@@ -23,7 +23,7 @@ import numpy as np
 
 from .coupling import CoupledEnsemble, RotationProcess
 from .errors import ConfigError, DimensionError, DomainError
-from .linalg import psd_sqrt, trace_max_rotation
+from .linalg import trace_max_rotation
 from .sde import (
     PathEnsemble,
     SdeModel,
@@ -32,6 +32,7 @@ from .sde import (
     _eval_drift,
     _path_view,
     decompose,
+    time_blocks,
     time_major,
 )
 
@@ -135,17 +136,10 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 # per-pair values, batched over the pairs of an ensemble
 
 
-_CHUNK = 256  # pairs per block of the bracket reduction
-
-
 def _bracket(mx, my):
-    """Realized quadratic variation of mx - my per pair, over C-ordered blocks of pairs
-    (so each pair sums in one order whatever the layout, and no full temporary is held)."""
-    out = np.empty(mx.shape[0])
-    for lo in range(0, mx.shape[0], _CHUNK):
-        dm = np.diff(np.subtract(mx[lo : lo + _CHUNK], my[lo : lo + _CHUNK], order="C"), axis=1)
-        out[lo : lo + _CHUNK] = np.einsum("pkd,pkd->p", dm, dm)
-    return out
+    """Realized quadratic variation of mx - my per pair (no block outlives its own sum)."""
+    dms = (np.diff(np.subtract(bx, by), axis=0) for bx, by in time_blocks(mx, my))
+    return sum(map(lambda dm: np.einsum("kpd,kpd->p", dm, dm), dms))
 
 
 def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec: CostSpec):
@@ -162,9 +156,8 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
 
 
 def _lp_values(pair: CoupledEnsemble, p: float):
-    diff = pair.x[:, :-1] - pair.y[:, :-1]
-    norms = np.sqrt(np.einsum("pkd,pkd->pk", diff, diff))
-    return norms**p @ np.full(norms.shape[1], pair.grid.dt)
+    diffs = (np.subtract(bx[:-1], by[:-1]) for bx, by in time_blocks(pair.x, pair.y))  # at left endpoints
+    return sum(map(lambda v: (np.sqrt(np.einsum("kpd,kpd->kp", v, v)) ** p).sum(axis=0), diffs)) * pair.grid.dt
 
 
 def estimate(
@@ -220,11 +213,11 @@ def closed_form_optimal(
     ``DETERMINISM_TOL``.  The value is the Monte Carlo mean over probes of
 
         h(int b dt - int b_bar dt)
-        + g(int Tr(sigma sigma^T + sbar sbar^T) dt - 2 int Tr(sigma xi Q*) dt)
+        + g(int Tr(sigma sigma^T + sbar sbar^T) dt - 2 int Tr(sigma^T sbar Q*) dt)
 
-    with ``xi(k) = psd_sqrt(sbar sbar^T(k))`` and ``Q*(k, path)`` the
-    orthogonal maximizer of ``Tr(sigma(k, path) xi(k) Q)``.  The returned
-    rotation process recomputes ``Q*`` from any path prefix but is tied
+    with ``Q*(k, path)`` the orthogonal maximizer of ``Tr(sigma(k, path)^T sbar(k) Q)``,
+    so that the transport ``dY = sbar Q* dB`` of :func:`coupling.monge_sde` attains it.
+    The returned rotation process recomputes ``Q*`` from any path prefix but is tied
     to the probe grid (same number of steps).
     """
     if spec.kind != SEPARABLE:
@@ -238,10 +231,9 @@ def closed_form_optimal(
     n, dt = grid.n_steps, grid.dt
     x = _path_view(time_major(probe_ensemble.values))
     n_paths = probe_ensemble.n_paths
-    xi_of = ValueMemo(psd_sqrt)
     cross_of = ValueMemo(lambda a: trace_max_rotation(a)[1])
 
-    xi = np.empty((n, d, d))
+    sbars = np.empty((n, d, d))
     bracket = np.zeros(n_paths)
     fv_x = np.empty((n_paths, n + 1, d))
     fv_x[:, 0] = src.z0
@@ -257,7 +249,7 @@ def closed_form_optimal(
         bbar = _eval_drift(dst.drift, k, t, prefix, n_paths, d)
         if bbar.ndim == 2:
             bbar = _require_deterministic(bbar, "dst drift", k)
-        xi[k] = xi_of(sbar @ sbar.T)
+        sbars[k] = sbar
         tr_dst = float(np.einsum("ij,ij->", sbar, sbar))
 
         b = _eval_drift(src.drift, k, t, prefix, n_paths, d)
@@ -265,7 +257,7 @@ def closed_form_optimal(
         fv_y[k + 1] = fv_y[k] + bbar * dt
 
         sig = _eval_diffusion(src.diffusion, k, t, prefix, n_paths, d)
-        cross = cross_of(sig @ xi[k])
+        cross = cross_of(np.swapaxes(sig, -1, -2) @ sbar)
         tr_src = np.einsum("...ij,...ij->...", sig, sig)
         bracket += (tr_src + tr_dst - 2.0 * cross) * dt
 
@@ -283,7 +275,7 @@ def closed_form_optimal(
                 f"optimal rotation is defined on {n} steps, got step {k}"
             )
         sig = _eval_diffusion(src.diffusion, k, k * dt, x_prefix, x_prefix.shape[0], d)
-        return rotation_of(sig @ xi[k]).copy()
+        return rotation_of(np.swapaxes(sig, -1, -2) @ sbars[k]).copy()
 
     q_star = RotationProcess(
         dim=d, fn=q_fn, label=f"trace-max(src={src.label}, dst={dst.label})"

@@ -11,12 +11,13 @@ acceptance suite calls them at its own contract sizes.
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 
 from . import coupling, cost, presets, sde, verify
 from .errors import ConfigError
-from .linalg import psd_sqrt, rotation_grid_max, trace_max_rotation
+from .linalg import rotation_grid_max, trace_max_rotation
 
 
 def _verdict(name, value, bound, ok=None):
@@ -87,15 +88,15 @@ def closed_form_d2(
     fields, attained, q_star, paths = _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers)
 
     # cross-check the trace maximiser against a brute-force O(2) scan
-    probed = sigma @ psd_sqrt(sigma_bar @ sigma_bar.T)
-    _, trace_value = trace_max_rotation(probed)
+    probed = sigma.T @ sigma_bar
+    q_want, trace_value = trace_max_rotation(probed)
     _, grid_value = rotation_grid_max(probed, n_points=grid_points)
     qstar_dev = 0.0
     for k in (0, n_steps // 2, n_steps - 1):
         q = q_star.eval(k, k * paths.grid.dt, paths.values[:1, : k + 1])
-        qstar_dev = max(qstar_dev, float(np.max(np.abs(q - np.eye(2)))))
+        qstar_dev = max(qstar_dev, float(np.max(np.abs(q - q_want))))
     grid_gap = abs(trace_value - grid_value)
-    # constant volatilities: |sigma|^2 + |sigma_bar|^2 - 2 (nuclear norm of sigma xi), 1 by default
+    # constant volatilities: |sigma|^2 + |sigma_bar|^2 - 2 (nuclear norm of sigma^T sigma_bar), 1 by default
     oracle = np.sum(sigma**2) + np.sum(sigma_bar**2) - 2.0 * np.linalg.norm(probed, "nuc")
     return {
         "sigma": sigma.tolist(),
@@ -227,9 +228,7 @@ def rotation_chop_density(c=0.5, block=16, N=4000, seed=33, n_list=(256, 1024, 4
     for i, n_steps in enumerate(n_list):
         pair = coupling.rotation_chop(c, sde.TimeGrid(n_steps), N, seed + i, block, n_workers=n_workers)
         target = pair.provenance["achieved_c"]
-        bracket = np.einsum(
-            "pkd,pkd->p", verify._increments(pair.x, n_steps), verify._increments(pair.y, n_steps)
-        )
+        bracket = np.einsum("pii->p", verify.pair_covariation(pair.x, pair.y))
         mads.append(float(np.mean(np.abs(bracket - target))))
         x1 = pair.x[:, -1, 0]
         y1 = pair.y[:, -1, 0]
@@ -292,8 +291,8 @@ def synchronous_1d_optimality(
     n_steps=512,
     seed=17,
     p=2.0,
-    src_params=(("theta", 1.0), ("mean", 0.0), ("z0", 1.0)),
-    dst_params=(("theta", 2.0), ("mean", 0.5), ("z0", 0.0)),
+    src_params=MappingProxyType({"theta": 1.0, "mean": 0.0, "z0": 1.0}),
+    dst_params=MappingProxyType({"theta": 2.0, "mean": 0.5, "z0": 0.0}),
     n_workers=1,
 ):
     """Synchronous coupling of two 1-d OU models against antithetic, independent and rho=0.5.
@@ -303,8 +302,8 @@ def synchronous_1d_optimality(
     three combined standard errors.
     """
     grid = sde.TimeGrid(n_steps)
-    src = presets.build("model", "ou", d=1, **dict(src_params))
-    dst = presets.build("model", "ou", d=1, **dict(dst_params))
+    src = presets.build("model", "ou", d=1, **src_params)
+    dst = presets.build("model", "ou", d=1, **dst_params)
     spec = cost.CostSpec.lp(p)
 
     def run(c):

@@ -49,6 +49,7 @@ __all__ = [
     "inverse_ito_map",
     "decompose",
     "time_major",
+    "time_blocks",
 ]
 
 
@@ -189,6 +190,21 @@ def _check_draw(seed, d, n_paths, streams):
 def time_major(values: np.ndarray) -> np.ndarray:
     """The (n+1, N, d) time-major form of (N, n+1, d) paths; a copy only if needed."""
     return np.ascontiguousarray(np.swapaxes(values, 0, 1))
+
+
+_BLOCK_BYTES = 1 << 21  # bytes of one input's time slices per block of a walk over steps
+
+
+def time_blocks(*paths: np.ndarray, span: int = 1):
+    """Walk (N, n+1, d) paths over their steps: per block, a tuple of each input's
+    time-major (h+1, N, d) view of knots lo..lo+h, the next block starting at lo+h.
+    h is about ``_BLOCK_BYTES`` of the first input's time slices, rounded down to
+    whole groups of ``span`` steps (at least one); only the last block may be shorter."""
+    views = [np.swapaxes(p, 0, 1) for p in paths]
+    n, n_paths, d = views[0].shape
+    block = max(1, _BLOCK_BYTES // (8 * max(1, n_paths * d) * span)) * span
+    for lo in range(0, n - 1, block):
+        yield tuple(v[lo : lo + block + 1] for v in views)
 
 
 def _path_view(buf: np.ndarray) -> np.ndarray:

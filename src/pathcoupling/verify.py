@@ -6,8 +6,8 @@ estimate, an orthogonality certificate for Monge-type couplings (necessary,
 never sufficient), and a nearest-neighbour probe of whether one marginal
 is a function of the other.
 
-The Brownian marginal test reduces straight from time-major storage, a
-few MB of time slices at a time, so its memory does not grow with n_steps.
+Every reduction over steps walks time-major storage a few MB at a time
+(:func:`sde.time_blocks`): no path-major copy, no growth with n_steps.
 """
 
 from __future__ import annotations
@@ -19,13 +19,11 @@ from scipy import stats
 
 from .coupling import CoupledEnsemble
 from .errors import DomainError
-from .sde import PathEnsemble
+from .sde import PathEnsemble, time_blocks
 
 DEFAULT_WINDOW = 64
 
-_CHUNK = 1024  # pairs per block in chunked reductions
-
-_BLOCK_BYTES = 1 << 21  # bytes of increments per block in the time-blocked Wiener sums
+_CHUNK = 1024  # test rows per block of the adaptedness probe
 
 _N_FEATURES = 8  # grid points of X the adaptedness probe looks at
 
@@ -69,36 +67,25 @@ def _report(name, statistic, threshold, comparison, n_paths, n_steps, seed, deta
     )
 
 
-def _increments(values, n_steps):
-    """values[:, 1:n_steps+1] - values[:, :n_steps], written straight into a C-ordered
-    (N, n_steps, d) array: no whole copy of a time-major input, one summation order."""
-    out = np.empty((values.shape[0], n_steps, values.shape[2]))
-    return np.subtract(values[:, 1 : n_steps + 1], values[:, :n_steps], out=out)
-
-
 # ---------------------------------------------------------------------------
 # marginal law
 
 
 def _wiener_sums(values, dt):
     """Sums of u, u_i u_j (i <= j) and u[k] u[k+1] over the paths and steps of the
-    unit-scaled increments u of time-major ``values`` (n+1, N, d), formed
-    ``_BLOCK_BYTES`` of time slices at a time."""
-    n = values.shape[0] - 1
-    n_paths, d = values.shape[1:]
+    unit-scaled increments u of (N, n+1, d) ``values``, one time block at a time."""
+    n_paths, _, d = values.shape
     scale = np.sqrt(dt)
-    block = max(1, _BLOCK_BYTES // (8 * n_paths * d))
     first, lag = np.zeros(d), np.zeros(d)
     second = np.zeros((d, d))
     prev = None
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        u = np.subtract(values[lo + 1 : hi + 1], values[lo:hi])
+    for (v,) in time_blocks(values):
+        u = np.subtract(v[1:], v[:-1])
         u /= scale  # unit variance under H0
         if prev is not None:  # the lag-1 pairs across the block boundary
             lag += np.einsum("pi,pi->i", prev, u[0])
         prev = u[-1].copy()
-        flat = u.reshape(-1, d)  # row k N + p holds step lo + k of path p
+        flat = u.reshape(-1, d)  # row k N + p holds step k of the block, of path p
         for i in range(d):
             col = flat[:, i]
             first[i] += col.sum()
@@ -119,13 +106,12 @@ def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestRep
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
-    values = np.swapaxes(ensemble.values, 0, 1)  # (n+1, N, d); a view for any layout
-    n_paths = values.shape[1]
+    n_paths = ensemble.n_paths
     if n_paths == 0:
         raise DomainError("cannot test an empty ensemble")
     n = ensemble.grid.n_steps
     d = ensemble.d
-    first, second, lag = _wiener_sums(values, ensemble.grid.dt)
+    first, second, lag = _wiener_sums(ensemble.values, ensemble.grid.dt)
     m_obs = n_paths * n
 
     zs = {}
@@ -187,11 +173,17 @@ def _window(window, n) -> int:
     return w
 
 
-def _windowed_rho(x, y, n_win, w, dt):
-    d = x.shape[2]
-    dx = _increments(x, n_win * w).reshape(-1, n_win, w, d)
-    dy = _increments(y, n_win * w).reshape(-1, n_win, w, d)
-    return np.einsum("pnwi,pnwj->pnij", dx, dy) / (w * dt)
+def _window_sums(x, y, w):
+    """Per-pair sums of dX dY^T over whole windows of ``w`` steps (a trailing partial
+    window is dropped), as one (windows, N, d, d) array per time block."""
+    m = (x.shape[1] - 1) // w * w + 1
+    for block in time_blocks(x[:, :m], y[:, :m], span=w):
+        yield np.einsum("nwpi,nwpj->npij", *(np.diff(b, axis=0).reshape(-1, w, *b.shape[1:]) for b in block))
+
+
+def pair_covariation(x, y) -> np.ndarray:
+    """Per-pair realized covariation sum_k dX_k dY_k^T of (N, n+1, d) legs: (N, d, d)."""
+    return sum(map(lambda s: s.sum(axis=0), _window_sums(x, y, 1)))  # holds no block while forming the next
 
 
 def realized_covariation(ensemble: CoupledEnsemble, window: int = DEFAULT_WINDOW) -> CovariationReport:
@@ -201,24 +193,18 @@ def realized_covariation(ensemble: CoupledEnsemble, window: int = DEFAULT_WINDOW
         raise DomainError("cannot estimate covariation of an empty ensemble")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    dx = _increments(ensemble.x, n)
-    dy = _increments(ensemble.y, n)
-    terminal = np.einsum("pki,pkj->pij", dx, dy)
+    terminal = pair_covariation(ensemble.x, ensemble.y)
     terminal_mean = terminal.mean(axis=0)
-    if n_pairs > 1:
-        terminal_stderr = terminal.std(axis=0, ddof=1) / np.sqrt(n_pairs)
-    else:
-        terminal_stderr = np.zeros_like(terminal_mean)
+    terminal_stderr = terminal.std(axis=0, ddof=int(n_pairs > 1)) / np.sqrt(n_pairs)  # 0 for one pair
 
     w = _window(window, n)
-    n_win = n // w
-    rho_hat = _windowed_rho(ensemble.x, ensemble.y, n_win, w, dt).mean(axis=0)
+    rho_hat = np.concatenate([(s / (w * dt)).mean(axis=1) for s in _window_sums(ensemble.x, ensemble.y, w)])
     return CovariationReport(
         terminal_mean=terminal_mean,
         terminal_stderr=terminal_stderr,
         rho_hat=rho_hat,
         window=w,
-        window_times=np.arange(n_win) * (w * dt),
+        window_times=np.arange(len(rho_hat)) * (w * dt),
         n_pairs=n_pairs,
     )
 
@@ -263,23 +249,17 @@ def monge_certificate(
         raise DomainError("cannot certify an empty ensemble")
     grid = ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    d = ensemble.d
     w = _window(window, n)
     n_win = n // w
     if tol is None:
         tol = 3.0 / np.sqrt(w) + 0.05
 
-    eye = np.eye(d)
     total = 0.0
-    count = 0
-    for lo in range(0, n_pairs, _CHUNK):
-        hi = min(lo + _CHUNK, n_pairs)
-        rho = _windowed_rho(ensemble.x[lo:hi], ensemble.y[lo:hi], n_win, w, dt)
-        gram = np.einsum("pnki,pnkj->pnij", rho, rho)
-        dev = np.abs(gram - eye).max(axis=(2, 3))
-        total += float(dev.sum())
-        count += dev.size
-    statistic = total / count
+    for s in _window_sums(ensemble.x, ensemble.y, w):
+        rho = s / (w * dt)
+        gram = np.einsum("npki,npkj->npij", rho, rho)
+        total += float(np.abs(gram - np.eye(ensemble.d)).max(axis=(2, 3)).sum())
+    statistic = total / (n_pairs * n_win)
     return _report(
         "monge_certificate",
         statistic,

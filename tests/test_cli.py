@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathcoupling import experiments, pathio
+from pathcoupling import cli, experiments, pathio
 from pathcoupling.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 BASE_CONFIG = {
@@ -215,6 +215,8 @@ def test_every_shipped_config_matches_its_experiment_function():
         params = set(inspect.signature(fn).parameters) - {"n_workers"}
         fields = set(data) - {"version", "kind"}
         assert fields <= params, f"{path.name}: {sorted(fields - params)} not taken by {fn.__name__}"
+        section = {k: v for k, v in data.items() if k != "version"}
+        assert cli._bind(cli.load_config(path), experiments.EXPERIMENTS, section, "experiment", "kind")[0] is fn
 
 
 def test_every_experiment_returns_its_verdicts():
@@ -417,4 +419,55 @@ def test_preset_params_that_are_not_an_object_exit_2_with_their_line(tmp_path, c
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "params" in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, named",
+    [(16, "closed_form", "'closed_form'"), ({"probe_n": 8}, "probe_n", "'probe_n'"),
+     ({"probe_N": "16"}, "probe_N", "'probe_N'")],
+    ids=["number", "unknown-field", "probe_N-str"],
+)
+def test_closed_form_section_is_bound_like_every_other(tmp_path, capsys, section, key, named):
+    cfg = _write_config(tmp_path, {"closed_form": section})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main(["cost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [("rotation-chop-density", "n_list", 64), ("closed-form-d2", "sigma", 2.0),
+     ("rho-recovery", "cases", "d=1"), ("synchronous-1d-optimality", "src_params", [["theta", 1.0]])],
+    ids=["n_list-int", "sigma-float", "cases-string", "src_params-list"],
+)
+def test_list_or_object_field_of_another_json_type_exits_2_with_its_line(tmp_path, capsys, kind, field, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(f'{{\n  "version": 1,\n  "kind": "{kind}",\n  "{field}": {json.dumps(value)}\n}}\n')
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "must be a JSON" in err and "line 4" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, preset",
+    [
+        ({"src": {"preset": "bm", "params": {"sigma": "x"}}}, "bm"),
+        ({"coupling": {"constructor": "couple_brownians", "correlation": {"preset": "const", "params": {"c": "abc"}}}},
+         "const"),
+        ({"d": 2, "coupling": {"constructor": "rotation_monge",
+                               "rotation": {"preset": "rotation-by-state", "params": {"scale": [1]}}}},
+         "rotation-by-state"),
+    ],
+    ids=["bm-sigma-str", "const-c-str", "rotation-by-state-scale-list"],
+)
+def test_preset_param_of_the_wrong_type_exits_2_naming_the_preset_and_its_line(tmp_path, capsys, overrides, preset):
+    cfg = _write_config(tmp_path, overrides)
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{preset}"' in text)
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"preset '{preset}'" in err and f"line {line}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()

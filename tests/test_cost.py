@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pathcoupling import cost, presets
+from pathcoupling import cost, experiments, presets
 from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_brownians, couple_sdes
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
@@ -185,6 +185,18 @@ def test_closed_form_d2_diagonal():
     assert abs(value.mean - 1.0) < 1e-12
     q = q_star.eval(0, 0.0, probe.values[:, :1])
     assert np.allclose(q, np.eye(2), atol=1e-12)
+
+
+def test_closed_form_rotation_is_the_one_monge_sde_attains():
+    # sigma^T sigma_bar = [[2, 0], [2, 1]] is not symmetric: the optimum is
+    # |sigma|^2 + |sigma_bar|^2 - 2 ||sigma^T sigma_bar||_* = 3 + 5 - 2 sqrt(13), and the transport
+    # monge_sde builds from Q* must cost that much, not more
+    rep = experiments.closed_form_d2(
+        sigma=((1.0, 1.0), (0.0, 1.0)), sigma_bar=((2.0, 0.0), (0.0, 1.0)), N=4000, n_steps=32, seed=3
+    )
+    assert rep["closed_form"] == pytest.approx(8.0 - 2.0 * np.sqrt(13.0), abs=1e-12)
+    assert rep["estimate"] == pytest.approx(rep["closed_form"], abs=4 * rep["stderr"])
+    assert all(v["ok"] for v in rep["verdicts"]), rep["verdicts"]
 
 
 def test_closed_form_identical_models_is_zero():

@@ -4,11 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from pathcoupling import presets, verify
+from pathcoupling import cost, presets, sde, verify
 from pathcoupling.coupling import (
     CorrelationProcess,
+    CoupledEnsemble,
     couple_brownians,
     rotation_monge,
     tanaka_coupling,
@@ -299,6 +302,68 @@ def test_windowed_rho_is_admissible_correlation():
     ):
         rho_hat = verify.realized_covariation(ens, window=w).rho_hat
         assert is_correlation(rho_hat, tol=3 / np.sqrt(w))
+
+
+# ---------------------------------------------------------------------------
+# the block walk over steps
+
+
+@st.composite
+def _walked_pairs(draw):
+    """Random coupled legs (N <= 6, n <= 40, d <= 3) in time-major or path-major storage,
+    a window w that need not divide n, and an Lp exponent."""
+    n_pairs, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    legs = np.cumsum(rng.standard_normal((2, n + 1, n_pairs, d)), axis=1)  # time-major storage
+    x, y = np.swapaxes(legs[0], 0, 1), np.swapaxes(legs[1], 0, 1)
+    if draw(st.booleans()):
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    pair = CoupledEnsemble(grid=TimeGrid(n), x=x, y=y, seed=0)
+    return pair, draw(st.integers(1, n + 3)), draw(st.sampled_from([1.0, 2.0, 3.5]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(case=_walked_pairs())
+def test_every_reduction_over_steps_matches_its_path_major_oracle(case):
+    pair, window, p = case
+    x, y, dt = pair.x, pair.y, pair.grid.dt
+    w = min(window, pair.grid.n_steps)
+    dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
+    rho = _windowed_rho_oracle(x, y, w, dt)
+    gram = np.einsum("pnki,pnkj->pnij", rho, rho)
+    z, _, _ = _wiener_oracle(pair.x_ensemble())
+    dm = np.diff(x - y, axis=1)
+    lp = np.sum(np.linalg.norm(x[:, :-1] - y[:, :-1], axis=2) ** p, axis=1) * dt
+    close = dict(rtol=1e-12, atol=1e-12)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_BLOCK_BYTES", 256)  # one to 32 steps a block: every walk crosses blocks
+        np.testing.assert_allclose(verify.pair_covariation(x, y), np.einsum("pki,pkj->pij", dx, dy), **close)
+        rep = verify.realized_covariation(pair, window=window)
+        np.testing.assert_allclose(rep.rho_hat, rho.mean(axis=0), **close)
+        cert = verify.monge_certificate(pair, window=window)
+        want = np.abs(gram - np.eye(pair.d)).max(axis=(2, 3)).mean()
+        np.testing.assert_allclose(cert.statistic, want, **close)
+        wien = verify.wiener_marginal_test(pair.x_ensemble())
+        np.testing.assert_allclose([wien.details["z"][k] for k in z], list(z.values()), **close)
+        np.testing.assert_allclose(cost._bracket(x, y), np.einsum("pkd,pkd->p", dm, dm), **close)
+        np.testing.assert_allclose(cost._lp_values(pair, p), lp, **close)
+
+
+def test_realized_covariation_memory_does_not_grow_with_n():
+    rng = np.random.default_rng(8)
+    peaks = []
+    for n in (256, 4096):
+        legs = np.cumsum(rng.standard_normal((2, n + 1, 2000, 1)), axis=1) * np.sqrt(1.0 / n)
+        pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
+        tracemalloc.start()
+        try:
+            verify.realized_covariation(pair)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del legs, pair
+    # at n = 4096 one path-major copy of a leg alone is 66 MB
+    assert peaks[1] <= peaks[0] + 2**16, peaks
 
 
 # ---------------------------------------------------------------------------
