@@ -41,10 +41,13 @@ CONFIG_VERSION = 1
 # config plumbing
 
 
-def _line_of(raw: str, key: str, text: str = ""):
+def _line_of(raw: str, key: str, text: str = "", within: str = ""):
     """Best-effort 1-based line of a JSON key: the first line that holds both the key
-    and ``text`` (a rejected value as JSON), else the first that holds the key."""
-    lines = [(i, line) for i, line in enumerate(raw.splitlines(), start=1) if f'"{key}"' in line]
+    and ``text`` (a rejected value as JSON), else the first that holds the key; with
+    ``within``, the search starts at the first line that holds that key."""
+    numbered = list(enumerate(raw.splitlines(), start=1))
+    start = next((i for i, line in numbered if f'"{within}"' in line), 1) if within else 1
+    lines = [(i, line) for i, line in numbered[start - 1 :] if f'"{key}"' in line]
     return next((i for i, line in lines if text in line), lines[0][0] if lines else None)
 
 
@@ -60,8 +63,8 @@ class Config:
     raw: str
     source: str
 
-    def error(self, key, message, value_text=""):
-        raise ConfigError(f"{self.source}: {message}", line=_line_of(self.raw, key, value_text))
+    def error(self, key, message, value_text="", within=""):
+        raise ConfigError(f"{self.source}: {message}", line=_line_of(self.raw, key, value_text, within))
 
     def number(self, key, value, kind=float):
         """``value`` of field ``key`` as ``kind`` (int or float); anything but a number,
@@ -108,7 +111,8 @@ def _load(path, args) -> Config:
 def _bind(cfg: Config, table, section, where: str, key: str | None = None):
     """The function ``table`` names by ``section[key]`` (``table`` itself with no ``key``), and the
     section's other fields, checked against its parameters (but those before a ``/``, and ``n_workers``)
-    and cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object."""
+    and cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object,
+    a list of numbers where the default holds numbers."""
     if not isinstance(section, dict):
         cfg.error(where, f"config needs a '{where}' object" + (f" with a '{key}' name" if key else ""))
     what, name, fn = "section", where, table
@@ -128,7 +132,20 @@ def _bind(cfg: Config, table, section, where: str, key: str | None = None):
             fields[k] = cfg.number(k, value, type(defaults[k]))
         elif not isinstance(value, json_type):
             cfg.error(k, f"field {k!r} must be a JSON {'list' if json_type is list else 'object'}, got {value!r}", json.dumps(value))
+        elif json_type is list:
+            fields[k] = _numbers(cfg, k, value, defaults[k])
     return fn, fields
+
+
+def _numbers(cfg: Config, key, value, default):
+    """A list field's ``value``, every entry at any depth cast by ``cfg.number`` to the type of the
+    first number in the tuple ``default``; unchanged if the default holds none (its entries are not numbers)."""
+    first = default
+    while isinstance(first, tuple) and first:
+        first = first[0]
+    if type(first) not in (int, float):
+        return value
+    return [_numbers(cfg, key, v, default) if isinstance(v, list) else cfg.number(key, v, type(first)) for v in value]
 
 
 def _sizes(cfg: Config):
@@ -175,7 +192,7 @@ class _Run:
             if isinstance(err, (DomainError, DimensionError)):
                 raise
             message = str(err) if isinstance(err, ConfigError) else f"{kind} preset {section['preset']!r}: {err}"
-            self.cfg.error(section["preset"], message)
+            self.cfg.error("preset", message, json.dumps(section["preset"]), within=key)
 
     def call(self, constructor, *head, **kw):
         """``constructor(*head, grid, n_pairs, seed, **kw)`` on the run's workers."""

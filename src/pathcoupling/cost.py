@@ -30,8 +30,8 @@ from .sde import (
     ValueMemo,
     _eval_diffusion,
     _eval_drift,
+    _finite_variation,
     _path_view,
-    decompose,
     time_blocks,
     time_major,
 )
@@ -136,18 +136,17 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 # per-pair values, batched over the pairs of an ensemble
 
 
-def _bracket(mx, my):
-    """Realized quadratic variation of mx - my per pair (no block outlives its own sum)."""
-    dms = (np.diff(np.subtract(bx, by), axis=0) for bx, by in time_blocks(mx, my))
+def _bracket(x, fv_x, y, fv_y):
+    """Realized quadratic variation of (x - fv_x) - (y - fv_y) per pair (no block outlives its own sum)."""
+    dms = (np.diff(np.subtract(bx - fx, by - fy), axis=0) for bx, fx, by, fy in time_blocks(x, fv_x, y, fv_y))
     return sum(map(lambda dm: np.einsum("kpd,kpd->p", dm, dm), dms))
 
 
 def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec: CostSpec):
-    fv_x, m_x = decompose(src, pair.x_ensemble())
-    fv_y, m_y = decompose(dst, pair.y_ensemble())
-    bracket = _bracket(m_x.values, m_y.values)
-    del m_x, m_y
-    h_vals = np.asarray(spec.h(fv_x.values - fv_y.values), dtype=float)
+    x, fv_x = map(_path_view, _finite_variation(src, pair.x_ensemble()))
+    y, fv_y = map(_path_view, _finite_variation(dst, pair.y_ensemble()))
+    bracket = _bracket(x, fv_x, y, fv_y)
+    h_vals = np.asarray(spec.h(np.subtract(fv_x, fv_y, out=fv_x)), dtype=float)
     if h_vals.shape != (pair.n_pairs,):
         raise DimensionError(
             f"h must map (N, n_steps+1, d) paths to (N,) scores, got {h_vals.shape}"
@@ -171,7 +170,8 @@ def estimate(
     A separable cost's bracket is the realized quadratic variation of the
     difference of the martingale parts (:func:`sde.decompose` under each
     model), with the usual O(sqrt(dt)) error; an Lp cost is the
-    left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].
+    left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].  Beyond the pair, a
+    separable cost stores only the two finite-variation parts, not the martingale parts.
     """
     if spec.kind == SEPARABLE:
         if src is None or dst is None:

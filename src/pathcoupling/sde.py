@@ -304,6 +304,10 @@ def _eval_diffusion(field: CoefficientField, k, t, prefix, n_paths, d):
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """mat @ vec per path; mat is (d, d) shared or (N, d, d), vec is (N, d)."""
+    if mat.shape[-1] == 1:  # d = 1: a product, its exact zeros made +0 as matmul's are
+        out = vec * mat[..., 0]
+        out += 0.0
+        return out
     if mat.ndim == 2:
         return vec @ mat.T
     return np.einsum("nij,nj->ni", mat, vec)
@@ -418,6 +422,20 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
     return PathEnsemble(grid=grid, values=_path_view(w), seed=solution.seed)
 
 
+def _finite_variation(model: SdeModel, paths: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
+    """The paths and z0 + sum_{j<k} b(j, path[0..j]) * dt, both time-major (n+1, N, d)."""
+    n_paths, _, d = _ensemble(paths, "path", model).values.shape
+    dt = paths.grid.dt
+    x = time_major(paths.values)
+    xv = _path_view(x)
+    fv = np.empty_like(x)
+    fv[0] = model.z0
+    for k in range(paths.grid.n_steps):
+        b = _eval_drift(model.drift, k, k * dt, xv[:, : k + 1], n_paths, d)
+        fv[k + 1] = fv[k] + b * dt
+    return x, fv
+
+
 def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
     """Split paths into finite-variation and martingale components.
 
@@ -425,17 +443,8 @@ def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathE
     martingale = path - finite_variation, so the two sum back to the
     path up to a single floating-point rounding per entry (no error
     accumulates).  The drift is evaluated on the *given* paths, which
-    need not have been produced by :func:`ito_map`.
+    need not have been produced by :func:`ito_map`.  Both parts are stored
+    whole; ``cost.estimate`` forms the martingale part a block at a time.
     """
-    n_paths, _, d = _ensemble(paths, "path", model).values.shape
-    grid = paths.grid
-    dt = grid.dt
-    x = time_major(paths.values)
-    xv = _path_view(x)
-    fv = np.empty_like(x)
-    fv[0] = model.z0
-    for k in range(grid.n_steps):
-        b = _eval_drift(model.drift, k, k * dt, xv[:, : k + 1], n_paths, d)
-        fv[k + 1] = fv[k] + b * dt
-    mart = x - fv
-    return tuple(PathEnsemble(grid=grid, values=_path_view(v), seed=paths.seed) for v in (fv, mart))
+    x, fv = _finite_variation(model, paths)
+    return tuple(PathEnsemble(grid=paths.grid, values=_path_view(v), seed=paths.seed) for v in (fv, x - fv))

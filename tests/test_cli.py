@@ -471,3 +471,38 @@ def test_preset_param_of_the_wrong_type_exits_2_naming_the_preset_and_its_line(t
     err = capsys.readouterr().err
     assert f"preset '{preset}'" in err and f"line {line}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_preset_param_of_the_wrong_type_is_located_at_its_own_section(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"src": {"preset": "bm"}, "dst": {"preset": "bm", "params": {"sigma": "x"}}})
+    src_line, dst_line = (i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"bm"' in text)
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "preset 'bm'" in err and f"line {dst_line}" in err and f"line {src_line}" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, field, value, shown",
+    [("closed-form-d2", "sigma", [["a", 0], [0, 1]], "'a'"), ("closed-form-d2", "sigma_bar", [[1, 0], [0, True]], "True"),
+     ("rotation-chop-density", "n_list", [256, 1024.5], "1024.5"), ("rotation-chop-density", "n_list", [256, [None]], "None")],
+    ids=["sigma-str", "sigma_bar-bool", "n_list-frac", "n_list-null"],
+)
+def test_list_field_entry_that_is_not_a_number_exits_2_with_its_line(tmp_path, capsys, kind, field, value, shown):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(f'{{\n  "version": 1,\n  "kind": "{kind}",\n  "{field}": {json.dumps(value)}\n}}\n')
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err and "must be a" in err and shown in err and "line 4" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_list_field_entries_are_cast_to_the_type_of_the_default(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_text(json.dumps({"version": 1, "kind": "closed-form-d2", "sigma": [[2, 0], [0, 1]]}))
+    cfg = cli.load_config(path)
+    section = {k: v for k, v in cfg.data.items() if k != "version"}
+    assert cli._bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")[1]["sigma"] == [[2.0, 0.0], [0.0, 1.0]]
+    section = {"kind": "rotation-chop-density", "n_list": [64.0, 128]}
+    n_list = cli._bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")[1]["n_list"]
+    assert n_list == [64, 128] and all(type(n) is int for n in n_list)

@@ -1,13 +1,15 @@
 """Tests for cost functionals and the closed-form optimum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pathcoupling import cost, experiments, presets
+from pathcoupling import cost, experiments, presets, sde
 from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_brownians, couple_sdes
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
-from pathcoupling.sde import TimeGrid, ito_map, sample_brownian
+from pathcoupling.sde import TimeGrid, decompose, ito_map, sample_brownian
 
 
 def _bm(sigma, d=1):
@@ -150,6 +152,50 @@ def test_separable_rejects_missing_models_and_bad_h():
     bad = CostSpec.separable(h=lambda paths: np.zeros(3), g=_g_id())
     with pytest.raises(DimensionError):
         cost.estimate(ens, bad, model, model)
+
+
+def _separable_oracle(pair, src, dst, spec):
+    """Per-pair separable values from both legs' full decomposition, the martingale
+    difference's bracket summed over the same blocks of steps."""
+    fv_x, m_x = decompose(src, pair.x_ensemble())
+    fv_y, m_y = decompose(dst, pair.y_ensemble())
+    dms = (np.diff(np.subtract(bx, by), axis=0) for bx, by in sde.time_blocks(m_x.values, m_y.values))
+    bracket = sum(np.einsum("kpd,kpd->p", dm, dm) for dm in dms)
+    return spec.h(fv_x.values - fv_y.values) + spec.g(bracket)
+
+
+@pytest.mark.parametrize("block_bytes", [sde._BLOCK_BYTES, 256])
+@pytest.mark.parametrize("layout", ["time-major", "path-major"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_separable_values_have_the_bytes_of_the_full_decomposition(d, layout, block_bytes):
+    src = presets.build("model", "ou", d=d, theta=1.5, mean=0.3, z0=1.0)
+    dst = presets.build("model", "bm", d=d, sigma=0.7)
+    pair = couple_sdes(src, dst, CorrelationProcess.constant(0.5, d), TimeGrid(96), 300, seed=14)
+    if layout == "path-major":
+        pair = CoupledEnsemble(grid=pair.grid, x=pair.x.copy(), y=pair.y.copy(), seed=pair.seed)
+    for h, g in (("sup", "identity"), ("l2", "sqrt")):
+        spec = _sep(presets.build("h", h, d=d), presets.build("g", g, d=d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_BLOCK_BYTES", block_bytes)  # 256: one step a block, every walk crosses blocks
+            want = _separable_oracle(pair, src, dst, spec)
+            got = cost._separable_values(pair, src, dst, spec)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_separable_estimate_stores_no_martingale_part():
+    n_pairs, n = 2000, 1024
+    legs = np.cumsum(np.random.default_rng(15).standard_normal((2, n + 1, n_pairs, 1)), axis=1) * np.sqrt(1.0 / n)
+    pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
+    src = presets.build("model", "ou", d=1, theta=1.0)
+    tracemalloc.start()
+    try:
+        cost.estimate(pair, _sep(), src, _bm(1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the two finite-variation parts are two leg-sized arrays; stored martingale parts
+    # and a separate difference for h would take the peak to about five
+    assert peak <= 2.5 * legs[0].nbytes, peak / legs[0].nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pathcoupling import presets, sde
 from pathcoupling.errors import DimensionError, DomainError, SingularDiffusionError
@@ -436,3 +437,28 @@ def test_singularity_check_survives_a_refilled_diffusion_buffer():
     with pytest.raises(SingularDiffusionError) as err:
         inverse_ito_map(model, path)
     assert err.value.step == 9
+
+
+# finite doubles, with +-0.0, subnormals and the largest magnitudes always in play
+_D1_ENTRIES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308]
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.tuples(
+            arrays(float, (n, 1), elements=_D1_ENTRIES),
+            arrays(float, (1, 1), elements=_D1_ENTRIES),
+            arrays(float, (n, 1, 1), elements=_D1_ENTRIES),
+        )
+    )
+)
+def test_d1_apply_has_the_bytes_of_matmul_and_einsum(case):
+    vec, shared, per_path = case
+    with np.errstate(over="ignore"):  # a product of two large entries is inf on every route
+        assert sde._apply(shared, vec).tobytes() == (vec @ shared.T).tobytes()
+        assert sde._apply_transposed(shared, vec).tobytes() == (vec @ shared).tobytes()
+        assert sde._apply(per_path, vec).tobytes() == np.einsum("nij,nj->ni", per_path, vec).tobytes()
+        assert sde._apply_transposed(per_path, vec).tobytes() == np.einsum("nji,nj->ni", per_path, vec).tobytes()

@@ -345,7 +345,7 @@ def test_every_reduction_over_steps_matches_its_path_major_oracle(case):
         np.testing.assert_allclose(cert.statistic, want, **close)
         wien = verify.wiener_marginal_test(pair.x_ensemble())
         np.testing.assert_allclose([wien.details["z"][k] for k in z], list(z.values()), **close)
-        np.testing.assert_allclose(cost._bracket(x, y), np.einsum("pkd,pkd->p", dm, dm), **close)
+        np.testing.assert_allclose(cost._bracket(x, np.zeros_like(x), y, np.zeros_like(y)), np.einsum("pkd,pkd->p", dm, dm), **close)
         np.testing.assert_allclose(cost._lp_values(pair, p), lp, **close)
 
 
