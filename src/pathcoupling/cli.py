@@ -179,20 +179,18 @@ class _Run:
     def preset(self, kind, section, key=None):
         """The ``kind`` preset a config section (at ``key``, default ``kind``) names."""
         key = key or kind
-        if not isinstance(section, dict) or "preset" not in section:
+        if not isinstance(section, dict) or not isinstance(section.get("preset"), str):
             self.cfg.error(key, f"'{key}' must be an object with a 'preset' name")
         params = section.get("params", {})
-        if not isinstance(params, dict):
-            self.cfg.error("params", f"the params of '{key}' must be a JSON object, got {params!r}", json.dumps(params))
-        if section["preset"] == "chop":  # a chop schedule is laid out on the run's grid
-            params = {"n_steps": self.grid.n_steps, **params}
+        if not isinstance(params, dict) or "d" in params:  # the dimension is the run's 'd'
+            message = f"the params of '{key}' must be a JSON object without 'd', got {params!r}"
+            self.cfg.error("params", message, json.dumps(params), within=key)
         try:
+            if "n_steps" in presets.get_preset(kind, section["preset"]).defaults:  # a schedule on the run's grid
+                params = {"n_steps": self.grid.n_steps, **params}
             return presets.build(kind, section["preset"], d=self.d, **params)
-        except (TypeError, ValueError) as err:  # a param the preset cannot take, or of the wrong type
-            if isinstance(err, (DomainError, DimensionError)):
-                raise
-            message = str(err) if isinstance(err, ConfigError) else f"{kind} preset {section['preset']!r}: {err}"
-            self.cfg.error("preset", message, json.dumps(section["preset"]), within=key)
+        except ConfigError as err:
+            self.cfg.error("preset", str(err), json.dumps(section["preset"]), within=key)
 
     def call(self, constructor, *head, **kw):
         """``constructor(*head, grid, n_pairs, seed, **kw)`` on the run's workers."""
@@ -414,7 +412,10 @@ _TESTS = {f.__name__[1:]: f for f in (_wiener, _covariation, _certificate, _adap
 
 
 def cmd_list_presets(_args) -> int:
-    print(presets.list_presets())
+    for p in presets.available():
+        print(f"{p.kind:12s} {p.name:18s} {p.description}")
+        for name, default in p.defaults.items():
+            print(f"{'':12s} {'':18s}   {name} = {default!r}")
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ rotation process that attains it; see :func:`closed_form_optimal`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -282,71 +282,3 @@ def closed_form_optimal(
     )
     return value, q_star
 
-
-# ---------------------------------------------------------------------------
-# candidate comparison
-
-
-@dataclass(frozen=True)
-class GapEntry:
-    label: str
-    estimate: CostEstimate
-    gap: float
-    combined_stderr: float
-    beats_closed_form: bool
-
-
-@dataclass(frozen=True)
-class GapReport:
-    closed_form: CostEstimate
-    entries: tuple
-
-    @property
-    def any_flagged(self) -> bool:
-        return any(e.beats_closed_form for e in self.entries)
-
-
-def _candidate_label(cand: CoupledEnsemble) -> str:
-    prov = cand.provenance
-    detail = prov.get("correlation") or prov.get("rotation")
-    base = prov.get("constructor", "coupling")
-    return f"{base}[{detail}]" if detail else base
-
-
-def optimality_gap(
-    candidates: Sequence[CoupledEnsemble],
-    spec: CostSpec,
-    src: SdeModel,
-    dst: SdeModel,
-    closed_form: CostEstimate,
-) -> GapReport:
-    """Estimated cost of each candidate minus the closed-form optimum.
-
-    Candidates must declare, via provenance, that they couple exactly the
-    two model laws being compared.  A candidate is flagged when its mean
-    undercuts the closed form by more than three combined standard errors
-    - which should never happen if the closed form is truly optimal.
-    """
-    entries = []
-    for cand in candidates:
-        marginals = cand.provenance.get("marginals")
-        if marginals is None:
-            raise DomainError("candidate carries no marginal provenance")
-        if list(marginals) != [src.label, dst.label]:
-            raise DomainError(
-                f"candidate couples {marginals}, expected "
-                f"[{src.label!r}, {dst.label!r}]"
-            )
-        est = estimate(cand, spec, src, dst)
-        combined = float(np.hypot(est.stderr, closed_form.stderr))
-        gap = est.mean - closed_form.mean
-        entries.append(
-            GapEntry(
-                label=_candidate_label(cand),
-                estimate=est,
-                gap=gap,
-                combined_stderr=combined,
-                beats_closed_form=gap < -3.0 * combined,
-            )
-        )
-    return GapReport(closed_form=closed_form, entries=tuple(entries))

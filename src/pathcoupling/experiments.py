@@ -1,4 +1,4 @@
-"""The eight named experiments, each written once as a plain function.
+"""The nine named experiments, each written once as a plain function.
 
 Each function takes the fields of its config file under
 ``pathcoupling/experiments/`` as keyword arguments, with the same defaults,
@@ -23,6 +23,12 @@ from .linalg import rotation_grid_max, trace_max_rotation
 def _verdict(name, value, bound, ok=None):
     """One acceptance verdict of a report; ``ok`` defaults to ``value <= bound``."""
     return {"name": name, "value": value, "bound": bound, "ok": bool(value <= bound if ok is None else ok)}
+
+
+def _margin(a, b):
+    """``a.mean - (b.mean - 3 * combined stderr)`` of two cost estimates: negative exactly
+    when ``a`` undercuts ``b`` by more than three combined standard errors."""
+    return a.mean - (b.mean - 3.0 * math.hypot(a.stderr, b.stderr))
 
 
 def zero_identity_spec(d):
@@ -323,7 +329,7 @@ def synchronous_1d_optimality(
     margins = []
     for name, c in (("antithetic", -1.0), ("independent", 0.0), ("mid", 0.5)):
         est = run(c)
-        margin = sync.mean - (est.mean - 3.0 * math.hypot(sync.stderr, est.stderr))
+        margin = _margin(sync, est)
         result[name] = est.mean
         result[f"{name}_stderr"] = est.stderr
         result[f"{name}_margin"] = margin
@@ -331,6 +337,39 @@ def synchronous_1d_optimality(
     result["worst_margin"] = max(margins)
     result["verdicts"] = [_verdict("worst_margin", max(margins), 0.0)]
     return result
+
+
+def optimality_gap(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=13, probe_N=64, n_workers=1):
+    """No coupling of dX = a dB and dY = b dB undercuts the closed form (on ``probe_N`` paths, seed + 1).
+
+    The i-th candidate, on seed + i, is correlation 1, -1, 0 or 0.5 (2ab(1 - c) above the optimum)
+    or the c = 0.5 chop; ``<name>_margin`` is ``_margin(<name>, closed form)``, nonnegative unless it undercuts.
+    """
+    src = presets.build("model", "bm", d=1, sigma=a)
+    dst = presets.build("model", "bm", d=1, sigma=b)
+    spec = zero_identity_spec(1)
+    closed, _ = cost.closed_form_optimal(src, dst, spec, probe(src, n_steps, probe_N, seed + 1))
+    grid = sde.TimeGrid(n_steps)
+    chop, _, _ = coupling.chop_rotation(0.5, n_steps, 16)
+
+    def pair(i, c):  # c = None is the chop
+        if c is None:
+            return coupling.composed_monge(src, dst, chop, grid, N, seed + i, n_workers=n_workers)
+        rho = coupling.CorrelationProcess.constant(c, d=1)
+        return coupling.couple_sdes(src, dst, rho, grid, N, seed + i, n_workers=n_workers)
+
+    result = {"a": a, "b": b, "N": N, "n_steps": n_steps, "seed": seed, "closed_form": closed.mean}
+    verdicts = []
+    candidates = (("synchronous", 1.0), ("antithetic", -1.0), ("independent", 0.0), ("mid", 0.5), ("chop", None))
+    for i, (name, c) in enumerate(candidates):
+        est = cost.estimate(pair(i, c), spec, src=src, dst=dst)
+        gap, margin = est.mean - closed.mean, _margin(est, closed)
+        result.update({f"{name}_gap": gap, f"{name}_stderr": est.stderr, f"{name}_margin": margin})
+        verdicts.append(_verdict(f"{name}_margin", margin, 0.0, margin >= 0.0))
+        if name in ("antithetic", "independent"):
+            oracle, stderr = 2.0 * a * b * (1.0 - c), math.hypot(est.stderr, closed.stderr)
+            verdicts.append(_verdict(f"{name}_gap", abs(gap - oracle), 3.0 * stderr))
+    return {**result, "verdicts": verdicts}
 
 
 #: experiment ``kind`` (as in the config files) -> function
@@ -343,4 +382,5 @@ EXPERIMENTS = {
     "rotation-chop-density": rotation_chop_density,
     "kernel-infeasibility": kernel_infeasibility,
     "synchronous-1d-optimality": synchronous_1d_optimality,
+    "optimality-gap": optimality_gap,
 }

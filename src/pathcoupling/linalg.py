@@ -6,8 +6,8 @@ input yields bit-identical output on repeated calls.  The decompositions
 are delegated to LAPACK via numpy; what this module adds is tolerance
 handling that the rest of the package agrees on (one rank rule, one PSD
 clamp), the trace-maximising rotation, the pinv/kernel-projector pair
-and the two membership tests used throughout (correlation-class and
-orthogonality).
+and the two membership measures used throughout (the correlation margin
+and the orthogonality defect, held to ``MEMBERSHIP_TOL``).
 
 The rank rule keeps the singular values above ``DEFAULT_RANK_TOL`` times
 the largest.  :func:`kernel_dim` first screens by determinant: s_max <=
@@ -41,9 +41,7 @@ __all__ = [
     "pinv_and_null",
     "kernel_dim",
     "correlation_margin",
-    "is_correlation",
     "orthogonality_defect",
-    "is_orthogonal",
     "trace_max_rotation",
     "rotation_grid_max",
     "psd_sqrt",
@@ -55,7 +53,7 @@ DEFAULT_RANK_TOL = 1e-10
 #: Factor by which :func:`kernel_dim`'s determinant screen exceeds the rank rule.
 _SCREEN_MARGIN = 100.0
 
-#: Tolerance of the correlation / orthogonality membership tests.
+#: Tolerance of the correlation margin and the orthogonality defect.
 MEMBERSHIP_TOL = 1e-8
 
 
@@ -147,14 +145,6 @@ def correlation_margin(c) -> np.ndarray | float:
     return _scalar_or_batch(ev[..., 0])
 
 
-def is_correlation(c, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether the block extension of C is PSD within ``tol``.
-
-    For a batch (..., d, d), every member must qualify.
-    """
-    return bool(np.min(correlation_margin(c)) >= -tol)
-
-
 def orthogonality_defect(q) -> np.ndarray | float:
     """Max-norm of Q^T Q - I for one matrix or a batch.
 
@@ -174,14 +164,6 @@ def orthogonality_defect(q) -> np.ndarray | float:
                 gram -= 1.0
             np.maximum(out, np.abs(gram), out=out)
     return _scalar_or_batch(out)
-
-
-def is_orthogonal(q, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Whether max |(Q^T Q - I)_ij| <= tol.
-
-    For a batch (..., d, d), every member must qualify.
-    """
-    return bool(np.max(orthogonality_defect(q)) <= tol)
 
 
 def trace_max_rotation(a) -> tuple[np.ndarray, np.ndarray | float]:

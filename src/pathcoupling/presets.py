@@ -10,6 +10,7 @@ accepted without any such check.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -17,10 +18,10 @@ from typing import Callable
 import numpy as np
 
 from .coupling import CorrelationProcess, RotationProcess, chop_rotation
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, PathCouplingError
 from .sde import CoefficientField, SdeModel, constant_diffusion, constant_drift
 
-__all__ = ["Preset", "get_preset", "build", "list_presets", "available"]
+__all__ = ["Preset", "get_preset", "build", "available"]
 
 
 @dataclass(frozen=True)
@@ -28,16 +29,20 @@ class Preset:
     name: str
     kind: str  # "model" | "rotation" | "correlation" | "h" | "g"
     description: str
-    params: dict  # param name -> short doc including the default
     builder: Callable
+
+    @property
+    def defaults(self) -> dict:
+        """The parameters the preset takes, each with its default: its builder's, but ``d``."""
+        return {k: p.default for k, p in inspect.signature(self.builder).parameters.items() if k != "d"}
 
 
 _REGISTRY: dict[tuple[str, str], Preset] = {}
 
 
-def _register(name, kind, description, params):
+def _register(name, kind, description):
     def wrap(fn):
-        _REGISTRY[(kind, name)] = Preset(name, kind, description, params, fn)
+        _REGISTRY[(kind, name)] = Preset(name, kind, description, fn)
         return fn
 
     return wrap
@@ -59,33 +64,28 @@ def get_preset(kind: str, name: str) -> Preset:
 
 
 def build(kind: str, name: str, d: int = 1, **params):
+    """The ``kind`` preset ``name`` in dimension ``d``.  A parameter it does not take, or a value
+    of the wrong type, is a ConfigError; a DomainError or DimensionError passes through."""
     preset = get_preset(kind, name)
-    unknown = set(params) - set(preset.params)
+    unknown = set(params) - set(preset.defaults)
     if unknown:
         raise ConfigError(
             f"{kind} preset {name!r} does not take parameter(s) "
-            f"{sorted(unknown)}; accepted: {sorted(preset.params)}"
+            f"{sorted(unknown)}; accepted: {sorted(preset.defaults)}"
         )
-    return preset.builder(d=d, **params)
-
-
-def list_presets() -> str:
-    lines = []
-    for p in available():
-        lines.append(f"{p.kind:12s} {p.name:18s} {p.description}")
-        for pname, doc in p.params.items():
-            lines.append(f"{'':12s} {'':18s}   {pname}: {doc}")
-    return "\n".join(lines)
+    try:
+        return preset.builder(d=d, **params)
+    except PathCouplingError:
+        raise
+    except (TypeError, ValueError) as err:  # a value of the wrong type
+        raise ConfigError(f"{kind} preset {name!r} with params {params}: {err}") from None
 
 
 # ---------------------------------------------------------------------------
 # model presets
 
 
-@_register("bm", "model", "standard Brownian motion, optionally scaled", {
-    "sigma": "scalar volatility (default 1.0)",
-    "z0": "starting point, scalar broadcast to all components (default 0.0)",
-})
+@_register("bm", "model", "standard Brownian motion, optionally scaled")
 def _bm(d, sigma=1.0, z0=0.0):
     return SdeModel(
         z0=np.full(d, float(z0)),
@@ -95,11 +95,7 @@ def _bm(d, sigma=1.0, z0=0.0):
     )
 
 
-@_register("const-matrix", "model", "constant matrix diffusion and vector drift", {
-    "sigma": "scalar or d x d matrix (default 1.0 -> identity scale)",
-    "mu": "scalar or length-d drift vector (default 0.0)",
-    "z0": "starting point (default 0.0)",
-})
+@_register("const-matrix", "model", "constant matrix diffusion and vector drift")
 def _const_matrix(d, sigma=1.0, mu=0.0, z0=0.0):
     sig = np.asarray(sigma, dtype=float)
     return SdeModel(
@@ -110,12 +106,7 @@ def _const_matrix(d, sigma=1.0, mu=0.0, z0=0.0):
     )
 
 
-@_register("ou", "model", "mean-reverting linear drift with constant volatility", {
-    "theta": "mean-reversion rate (default 1.0)",
-    "mean": "long-run mean (default 0.0)",
-    "sigma": "scalar volatility (default 1.0)",
-    "z0": "starting point (default 0.0)",
-})
+@_register("ou", "model", "mean-reverting linear drift with constant volatility")
 def _ou(d, theta=1.0, mean=0.0, sigma=1.0, z0=0.0):
     theta = float(theta)
     mean_vec = np.full(d, float(mean))
@@ -131,10 +122,7 @@ def _ou(d, theta=1.0, mean=0.0, sigma=1.0, z0=0.0):
     )
 
 
-@_register("gbm-bounded", "model", "state-dependent but bounded diagonal volatility", {
-    "sigma": "base scale; vol per component is sigma*(1 + x^2/(1+x^2)) (default 1.0)",
-    "z0": "starting point (default 0.0)",
-})
+@_register("gbm-bounded", "model", "bounded state-dependent diagonal volatility sigma*(1 + x^2/(1+x^2))")
 def _gbm_bounded(d, sigma=1.0, z0=0.0):
     s = float(sigma)
 
@@ -154,9 +142,7 @@ def _gbm_bounded(d, sigma=1.0, z0=0.0):
     )
 
 
-@_register("degenerate", "model", "rank-deficient constant diffusion diag(1..1,0..0)", {
-    "rank": "number of unit diagonal entries (default d-1)",
-})
+@_register("degenerate", "model", "constant diffusion diag(1..1,0..0) with rank ones (d-1 if None)")
 def _degenerate(d, rank=None):
     r = d - 1 if rank is None else int(rank)
     if not 0 <= r <= d:
@@ -202,11 +188,7 @@ def _compile_expr(expr: str, d: int):
     return evaluate
 
 
-@_register("expr", "model", "scalar expressions over (t, x) applied isotropically", {
-    "sigma_expr": "volatility expression, e.g. '1 + 0.5*sin(x0)' (default '1')",
-    "mu_expr": "drift expression per component (default '0')",
-    "z0": "starting point (default 0.0)",
-})
+@_register("expr", "model", "scalar expressions over (t, x, x0..) applied isotropically")
 def _expr_model(d, sigma_expr="1", mu_expr="0", z0=0.0):
     sig_fn = _compile_expr(str(sigma_expr), d)
     mu_fn = _compile_expr(str(mu_expr), d)
@@ -238,14 +220,12 @@ def _expr_model(d, sigma_expr="1", mu_expr="0", z0=0.0):
 # rotation presets
 
 
-@_register("identity", "rotation", "the identity transport", {})
+@_register("identity", "rotation", "the identity transport")
 def _rot_identity(d):
     return RotationProcess.identity(d)
 
 
-@_register("sign", "rotation", "constant sign in dimension 1", {
-    "s": "either +1 or -1 (default -1, the antithetic map)",
-})
+@_register("sign", "rotation", "constant sign s = +/-1 in dimension 1 (-1 is the antithetic map)")
 def _rot_sign(d, s=-1.0):
     if d != 1:
         raise ConfigError("the 'sign' rotation preset is 1-d only")
@@ -254,9 +234,7 @@ def _rot_sign(d, s=-1.0):
     return RotationProcess.constant(np.array([[float(s)]]))
 
 
-@_register("angle", "rotation", "constant planar rotation", {
-    "theta": "rotation angle in radians (default 0.0)",
-})
+@_register("angle", "rotation", "constant planar rotation by theta radians")
 def _rot_angle(d, theta=0.0):
     if d != 2:
         raise ConfigError("the 'angle' rotation preset is 2-d only")
@@ -266,17 +244,13 @@ def _rot_angle(d, theta=0.0):
     return RotationProcess(2, q.fn, label=f"angle({theta})")
 
 
-@_register("matrix", "rotation", "constant orthogonal matrix", {
-    "q": "d x d orthogonal matrix (default identity)",
-})
+@_register("matrix", "rotation", "constant orthogonal matrix q (the identity if None)")
 def _rot_matrix(d, q=None):
     mat = np.eye(d) if q is None else np.asarray(q, dtype=float)
     return RotationProcess.constant(mat)
 
 
-@_register("rotation-by-state", "rotation", "planar rotation by the first component", {
-    "scale": "angle per unit of x0 (default 1.0)",
-})
+@_register("rotation-by-state", "rotation", "planar rotation by the first component")
 def _rot_by_state(d, scale=1.0):
     if d != 2:
         raise ConfigError("the 'rotation-by-state' preset is 2-d only")
@@ -295,11 +269,7 @@ def _rot_by_state(d, scale=1.0):
     return RotationProcess(2, fn, label=f"rotation-by-state(scale={a})")
 
 
-@_register("chop", "rotation", "fast +/-1 chopping with a target duty cycle", {
-    "c": "target mean correlation in [-1, 1] (default 0.0)",
-    "block": "steps per block; must divide n_steps (default 16)",
-    "n_steps": "grid size the schedule is laid out on (required)",
-})
+@_register("chop", "rotation", "fast +/-1 chopping to mean correlation c, in blocks that divide n_steps")
 def _rot_chop(d, c=0.0, block=16, n_steps=None):
     if d != 1:
         raise ConfigError("the 'chop' rotation preset is 1-d only")
@@ -313,17 +283,12 @@ def _rot_chop(d, c=0.0, block=16, n_steps=None):
 # correlation presets
 
 
-@_register("const", "correlation", "constant correlation matrix", {
-    "c": "scalar (times identity) or full d x d matrix (default 0.0)",
-})
+@_register("const", "correlation", "constant correlation c, a scalar (times identity) or a d x d matrix")
 def _corr_const(d, c=0.0):
     return CorrelationProcess.constant(np.asarray(c, dtype=float), d=d)
 
 
-@_register("scaled-rotation", "correlation", "contraction of a planar rotation", {
-    "scale": "contraction factor in [0, 1] (default 0.8)",
-    "theta": "rotation angle in radians (default 0.0)",
-})
+@_register("scaled-rotation", "correlation", "contraction scale * R(theta) of a planar rotation, scale in [0, 1]")
 def _corr_scaled_rotation(d, scale=0.8, theta=0.0):
     if d != 2:
         raise ConfigError("the 'scaled-rotation' correlation preset is 2-d only")
@@ -338,7 +303,7 @@ def _corr_scaled_rotation(d, scale=0.8, theta=0.0):
 # cost functional presets (h acts on a batch of paths, g on nonnegative scalars)
 
 
-@_register("zero", "h", "ignore the finite-variation difference", {})
+@_register("zero", "h", "ignore the finite-variation difference")
 def _h_zero(d):
     def h(paths):
         return np.zeros(paths.shape[0])
@@ -346,7 +311,7 @@ def _h_zero(d):
     return h
 
 
-@_register("sup", "h", "sup over time of the euclidean norm", {})
+@_register("sup", "h", "sup over time of the euclidean norm")
 def _h_sup(d):
     def h(paths):
         return np.linalg.norm(paths, axis=2).max(axis=1)
@@ -354,7 +319,7 @@ def _h_sup(d):
     return h
 
 
-@_register("l2", "h", "time integral of the squared euclidean norm", {})
+@_register("l2", "h", "time integral of the squared euclidean norm")
 def _h_l2(d):
     def h(paths):
         sq = (paths[:, :-1] ** 2).sum(axis=2)
@@ -363,16 +328,16 @@ def _h_l2(d):
     return h
 
 
-@_register("identity", "g", "g(r) = r", {})
+@_register("identity", "g", "g(r) = r")
 def _g_identity(d):
     return lambda r: np.asarray(r, dtype=float)
 
 
-@_register("sqrt", "g", "g(r) = sqrt(r)", {})
+@_register("sqrt", "g", "g(r) = sqrt(r)")
 def _g_sqrt(d):
     return lambda r: np.sqrt(np.asarray(r, dtype=float))
 
 
-@_register("square", "g", "g(r) = r^2", {})
+@_register("square", "g", "g(r) = r^2")
 def _g_square(d):
     return lambda r: np.asarray(r, dtype=float) ** 2

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pathcoupling import cli, experiments, pathio
+from pathcoupling import cli, experiments, pathio, presets
 from pathcoupling.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 BASE_CONFIG = {
@@ -46,6 +46,17 @@ def test_list_presets_mentions_every_kind(capsys):
     for name in ("bm", "ou", "gbm-bounded", "const-matrix", "rotation-by-state"):
         assert name in out
     assert sum(line.startswith("model") for line in out.splitlines()) >= 5
+    # under each preset's line, every parameter of its builder but d, with the signature default
+    listed = {}
+    for line in out.splitlines():
+        if line.startswith(" "):
+            listed[preset].append(line.strip())
+        else:
+            preset = tuple(line.split()[:2])
+            listed[preset] = []
+    for p in presets.available():
+        params = [q for q in inspect.signature(p.builder).parameters.values() if q.name != "d"]
+        assert listed[(p.kind, p.name)] == [f"{q.name} = {q.default!r}" for q in params]
 
 
 def test_simulate_writes_binary_and_csv(tmp_path):
@@ -89,6 +100,9 @@ def test_unknown_preset_exits_2_and_names_alternatives(tmp_path, capsys):
     assert "nope" in err and "bm" in err
     # the diagnostic points into the config file
     assert "line" in err
+    cfg = _write_config(tmp_path, {"src": {"preset": ["bm"]}})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert "'src' must be an object with a 'preset' name" in capsys.readouterr().err
 
 
 def test_inadmissible_correlation_exits_3(tmp_path, capsys):
@@ -229,6 +243,7 @@ def test_every_experiment_returns_its_verdicts():
         "rotation-chop-density": dict(N=50, n_list=(16, 32), block=4),
         "kernel-infeasibility": dict(N=50, n_steps=16),
         "synchronous-1d-optimality": dict(N=50, n_steps=16),
+        "optimality-gap": dict(N=50, n_steps=16, probe_N=4),
     }
     assert set(tiny) == set(experiments.EXPERIMENTS)
     for kind, fn in experiments.EXPERIMENTS.items():
@@ -406,12 +421,12 @@ def test_covariation_target_that_is_not_a_number_or_d_by_d_exits_2_with_its_line
 
 @pytest.mark.parametrize(
     "command, section, params",
-    [("couple", "src", "[1]"), ("couple", "correlation", '"c=1"'), ("cost", "h", "[1]")],
-    ids=["src-list", "correlation-string", "cost-h-list"],
+    [("couple", "src", "[1]"), ("couple", "correlation", '"c=1"'), ("cost", "h", "[1]"), ("couple", "dst", '{"d": 2}')],
+    ids=["src-list", "correlation-string", "cost-h-list", "dst-with-d"],
 )
 def test_preset_params_that_are_not_an_object_exit_2_with_their_line(tmp_path, capsys, command, section, params):
     data = json.loads(json.dumps(BASE_CONFIG))
-    holder = {"src": data, "correlation": data["coupling"], "h": data["cost"]}[section]
+    holder = {"src": data, "dst": data, "correlation": data["coupling"], "h": data["cost"]}[section]
     holder[section] = {"preset": holder[section]["preset"], "params": "PARAMS"}
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(data, indent=2).replace('"PARAMS"', params) + "\n")
@@ -480,6 +495,26 @@ def test_preset_param_of_the_wrong_type_is_located_at_its_own_section(tmp_path, 
     err = capsys.readouterr().err
     assert "preset 'bm'" in err and f"line {dst_line}" in err and f"line {src_line}" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "simulate"])
+def test_preset_value_of_the_wrong_type_outside_a_run_config_exits_2_naming_the_preset(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "synchronous-1d-optimality", "N": 10, "n_steps": 8,
+                               "src_params": {"theta": "x"}}))
+    argv = ["experiment", str(cfg)] if command == "experiment" else ["simulate", "--preset", "ou", "--param", "theta=x"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "model preset 'ou'" in err and "'x'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_preset_that_takes_n_steps_is_laid_out_on_the_grid_of_the_run(tmp_path):
+    rotation = {"preset": "chop", "params": {"c": 0.5, "block": 4}}
+    cfg = _write_config(tmp_path, {"coupling": {"constructor": "composed_monge", "rotation": rotation}})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out"), "--format", "json"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["rotation"] == "chop(c=0.5, block=4)" and manifest["n_steps"] == BASE_CONFIG["n_steps"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathcoupling import cost, experiments, presets, sde
-from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_brownians, couple_sdes
+from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_sdes
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
 from pathcoupling.sde import TimeGrid, decompose, ito_map, sample_brownian
@@ -296,29 +296,11 @@ def test_closed_form_rejects_lp_spec_and_bad_step():
 
 
 def test_gap_report_orders_candidates_correctly():
-    model = _bm(1.0)
-    grid = TimeGrid(256)
-    probe = ito_map(model, sample_brownian(grid, 1, 200, seed=81))
-    value, _ = cost.closed_form_optimal(model, model, _sep(), probe)
-    assert value.mean == 0.0
-
-    candidates = [
-        couple_sdes(model, model, CorrelationProcess.constant(c, 1), grid, 3000, seed=82 + i)
-        for i, c in enumerate((1.0, 0.5, 0.0, -1.0))
-    ]
-    report = cost.optimality_gap(candidates, _sep(), model, model, value)
-    gaps = [e.gap for e in report.entries]
-    # brackets are 2 - 2c: 0, 1, 2, 4
-    assert np.allclose(gaps, [0.0, 1.0, 2.0, 4.0], atol=0.05)
-    assert not report.any_flagged
-    assert all(e.gap >= -3 * e.combined_stderr for e in report.entries)
-
-
-def test_gap_rejects_wrong_marginals():
-    model = _bm(1.0)
-    grid = TimeGrid(32)
-    probe = ito_map(model, sample_brownian(grid, 1, 50, seed=91))
-    value, _ = cost.closed_form_optimal(model, model, _sep(), probe)
-    stranger = couple_brownians(CorrelationProcess.constant(1.0, 1), grid, 10, seed=92)
-    with pytest.raises(DomainError):
-        cost.optimality_gap([stranger], _sep(), model, model, value)
+    # a = b = 1: the closed form is 0, correlation c costs 2 - 2c and the c = 0.5 chop costs 1
+    rep = experiments.optimality_gap(a=1.0, b=1.0, N=3000, n_steps=256, seed=82, probe_N=200)
+    assert rep["closed_form"] == 0.0
+    names = ("synchronous", "mid", "independent", "antithetic", "chop")
+    assert np.allclose([rep[f"{name}_gap"] for name in names], [0.0, 1.0, 2.0, 4.0, 1.0], atol=0.05)
+    margins = {f"{name}_margin" for name in names}
+    assert {v["name"] for v in rep["verdicts"]} == margins | {"antithetic_gap", "independent_gap"}
+    assert all(v["ok"] for v in rep["verdicts"])

@@ -140,6 +140,26 @@ def test_couple_worker_count_invariance():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
+@pytest.mark.parametrize("constructor", ["couple_sdes", "composed_monge", "monge_sde", "tanaka_coupling", "rotation_chop"])
+def test_constructors_are_byte_identical_across_worker_counts(constructor):
+    grid, n_pairs, seed = TimeGrid(16), 37, 44
+    d = 1 if constructor in ("tanaka_coupling", "rotation_chop") else 2
+    src = presets.build("model", "gbm-bounded", d=d, sigma=0.5)
+    dst = presets.build("model", "ou", d=d, theta=2.0, mean=0.5)
+    rho, q = CorrelationProcess.constant(0.3, d=d), presets.build("rotation", "rotation-by-state", d=2)
+    build = {
+        "couple_sdes": lambda w: couple_sdes(src, dst, rho, grid, n_pairs, seed, n_workers=w),
+        "composed_monge": lambda w: composed_monge(src, dst, q, grid, n_pairs, seed, n_workers=w),
+        "monge_sde": lambda w: monge_sde(dst.drift, dst.diffusion, q, src, grid, n_pairs, seed, n_workers=w),
+        "tanaka_coupling": lambda w: tanaka_coupling(grid, n_pairs, seed, n_workers=w),
+        "rotation_chop": lambda w: rotation_chop(0.5, grid, n_pairs, seed, 4, n_workers=w),
+    }[constructor]
+    serial = build(1)
+    for n_workers in (2, 4):
+        pair = build(n_workers)
+        assert pair.x.tobytes() == serial.x.tobytes() and pair.y.tobytes() == serial.y.tobytes()
+
+
 def test_couple_sdes_synchronous_is_identity_for_equal_models():
     model = _bm_model(sigma=2.0)
     out = couple_sdes(

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pathcoupling import linalg
 from pathcoupling.errors import DimensionError, DomainError
 
+TOL = linalg.MEMBERSHIP_TOL
 
 def _random_rotation(rng, d):
     """Haar-ish rotation via QR with the sign fix that makes R unique."""
@@ -186,11 +187,10 @@ def test_correlation_margin_matches_singular_value_oracle():
 
 def test_is_correlation_examples():
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
-    assert linalg.is_correlation(rot)
-    assert linalg.is_correlation(0.5 * np.eye(2))
-    assert linalg.is_correlation(np.array([[0.7]]))
-    assert not linalg.is_correlation(1.2 * rot)
-    assert not linalg.is_correlation(np.array([[1.01]]))
+    for c in (rot, 0.5 * np.eye(2), np.array([[0.7]])):
+        assert linalg.correlation_margin(c) >= -TOL
+    for c in (1.2 * rot, np.array([[1.01]])):
+        assert linalg.correlation_margin(c) < -TOL
 
 
 def test_orthogonal_matrices_are_correlations():
@@ -198,15 +198,15 @@ def test_orthogonal_matrices_are_correlations():
     for _ in range(1000):
         d = int(rng.integers(1, 5))
         r = _random_rotation(rng, d)
-        assert linalg.is_correlation(r)
+        assert linalg.correlation_margin(r) >= -TOL
 
 
 def test_is_orthogonal():
     rng = np.random.default_rng(123)
-    assert linalg.is_orthogonal(np.diag([1.0, -1.0]))
-    assert linalg.is_orthogonal(_random_rotation(rng, 3))
-    assert not linalg.is_orthogonal(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    assert not linalg.is_orthogonal(1.001 * np.eye(2))
+    assert linalg.orthogonality_defect(np.diag([1.0, -1.0])) <= TOL
+    assert linalg.orthogonality_defect(_random_rotation(rng, 3)) <= TOL
+    assert linalg.orthogonality_defect(np.array([[1.0, 1.0], [0.0, 1.0]])) > TOL
+    assert linalg.orthogonality_defect(1.001 * np.eye(2)) > TOL
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def test_trace_max_against_grid_oracle():
         oracle = np.einsum("ij,nji->n", a, grid).max()
         assert v == pytest.approx(oracle, abs=1e-6)
         assert np.trace(a @ q) == pytest.approx(v, abs=1e-10)
-        assert linalg.is_orthogonal(q, tol=1e-10)
+        assert linalg.orthogonality_defect(q) <= 1e-10
 
 
 def test_trace_max_diag_example():
@@ -268,7 +268,7 @@ def test_rotation_grid_max_agrees_with_svd_route():
         _, v = linalg.trace_max_rotation(a)
         q_grid, v_grid = linalg.rotation_grid_max(a)
         assert abs(v - v_grid) < 1e-6
-        assert linalg.is_orthogonal(q_grid, tol=1e-12)
+        assert linalg.orthogonality_defect(q_grid) <= 1e-12
     with pytest.raises(DimensionError):
         linalg.rotation_grid_max(np.eye(3))
 

@@ -1,19 +1,48 @@
 """Tests for the preset registry."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from pathcoupling import presets
-from pathcoupling.errors import ConfigError
-from pathcoupling.linalg import is_correlation, is_orthogonal, kernel_dim
+from pathcoupling.errors import ConfigError, DimensionError, DomainError
+from pathcoupling.linalg import MEMBERSHIP_TOL, correlation_margin, kernel_dim, orthogonality_defect
 from pathcoupling.sde import TimeGrid, ito_map, sample_brownian
 
 
 def test_registry_lists_the_core_presets():
-    text = presets.list_presets()
+    names = {p.name for p in presets.available()}
     for name in ("bm", "ou", "gbm-bounded", "const-matrix", "rotation-by-state"):
-        assert name in text
+        assert name in names
     assert len(presets.available("model")) >= 5
+
+
+@pytest.mark.parametrize("preset", presets.available(), ids=lambda p: f"{p.kind}-{p.name}")
+def test_every_preset_takes_its_signature_and_builds_at_its_defaults(preset):
+    accepted = sorted(set(inspect.signature(preset.builder).parameters) - {"d"})
+    with pytest.raises(ConfigError) as err:
+        presets.build(preset.kind, preset.name, nonsense=1)
+    assert str(err.value).endswith(f"accepted: {accepted}")
+    # at its defaults in a dimension it supports; a run config gives n_steps its grid
+    grid = {"n_steps": 16} if "n_steps" in accepted else {}
+    built = []
+    for d in (1, 2):
+        try:
+            built.append(presets.build(preset.kind, preset.name, d=d, **grid))
+        except ConfigError as err:
+            assert f"is {3 - d}-d only" in str(err)
+    assert built
+
+
+def test_a_value_of_the_wrong_type_is_a_config_error_and_domain_errors_pass_through():
+    with pytest.raises(ConfigError) as err:
+        presets.build("model", "ou", theta="x")
+    assert "model preset 'ou'" in str(err.value) and "'x'" in str(err.value)
+    with pytest.raises(DimensionError):
+        presets.build("correlation", "const", d=2, c=[[1.0, 0.0, 0.0]])
+    with pytest.raises(DomainError):
+        presets.build("rotation", "chop", c=2.0, n_steps=16)
 
 
 def test_unknown_preset_is_a_config_error_listing_alternatives():
@@ -78,7 +107,7 @@ def test_rotation_presets_are_orthogonal():
         mat = np.asarray(q.eval(0, 0.0, prefix))
         mats = mat if mat.ndim == 3 else mat[None]
         for single in mats:
-            assert is_orthogonal(single, tol=1e-12)
+            assert orthogonality_defect(single) <= 1e-12
 
 
 def test_sign_and_chop_rotations():
@@ -95,10 +124,10 @@ def test_sign_and_chop_rotations():
 
 def test_correlation_presets_are_admissible():
     c = presets.build("correlation", "const", d=2, c=0.5)
-    assert is_correlation(c.eval(0, 0.0, None, None))
+    assert correlation_margin(c.eval(0, 0.0, None, None)) >= -MEMBERSHIP_TOL
     sr = presets.build("correlation", "scaled-rotation", d=2, scale=0.8, theta=np.pi / 6)
     mat = sr.eval(0, 0.0, None, None)
-    assert is_correlation(mat)
+    assert correlation_margin(mat) >= -MEMBERSHIP_TOL
     assert np.allclose(np.linalg.svd(mat, compute_uv=False), 0.8)
 
 
