@@ -4,10 +4,13 @@ The CLI is a thin orchestration layer over the library.  Runs are driven
 by a versioned JSON config (see ``load_config``).  The ``coupling``
 section, each ``verify`` entry and an experiment config name a function,
 and ``_bind`` checks their other fields against its signature.  A named
-experiment is a function in ``pathcoupling.experiments`` with its shipped
-sizes in a config file under ``pathcoupling/experiments/``; its report
-carries its own verdicts.  All parallelism lives inside the library
-calls; the CLI itself never spawns workers.
+experiment is a function in ``pathcoupling.experiments`` whose keyword
+defaults are its shipped sizes: ``experiment <name>`` binds just its
+``kind`` (plus flags), a JSON config file any of its fields; its report
+carries its own verdicts.  ``simulate`` turns its flags into a run config
+with a ``model`` section and goes through the same sizes and preset
+checks.  All parallelism lives inside the library calls; the CLI itself
+never spawns workers.
 
 Exit codes: 0 success, 2 config error (with a line-numbered diagnostic
 where possible), 3 numerical/domain error, 4 a failed verdict under
@@ -95,16 +98,14 @@ def load_config(path) -> Config:
     return cfg
 
 
-# the config fields that flags replace: all under 'experiment', only the seed elsewhere
+# the config fields that flags replace: all under 'experiment', the sizes d, n_steps, N
+# and seed under 'simulate', only the seed in a run config
 _OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
 
 
-def _load(path, args) -> Config:
-    """The config at ``path``, each field a flag of ``args`` sets replaced by its value."""
-    cfg = load_config(path)
-    for key in _OVERRIDES:
-        if getattr(args, key, None) is not None:
-            cfg.data[key] = getattr(args, key)
+def _with_flags(cfg: Config, args) -> Config:
+    """``cfg``, each field a flag of ``args`` sets replaced by its value."""
+    cfg.data.update((key, getattr(args, key)) for key in _OVERRIDES if getattr(args, key, None) is not None)
     return cfg
 
 
@@ -275,8 +276,20 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _wants(args, fmt) -> bool:
-    return args.format is None or args.format == fmt
+def _write(args, stem, paths, manifest) -> str:
+    """Write ``paths`` to ``<stem>.csv`` and ``<stem>.bin`` and ``manifest`` to ``manifest.json``
+    under ``--out``, each unless ``--format`` names another; what was written where."""
+    out = _out_dir(args)
+    written = []
+    for fmt, name, write, payload in (
+        ("csv", f"{stem}.csv", pathio.write_csv, paths),
+        ("bin", f"{stem}.bin", pathio.write_binary, paths),
+        ("json", "manifest.json", pathio.write_json, manifest),
+    ):
+        if args.format in (None, fmt):
+            write(out / name, payload)
+            written.append(name)
+    return f"wrote {', '.join(written)} to {out}"
 
 
 # ---------------------------------------------------------------------------
@@ -284,31 +297,13 @@ def _wants(args, fmt) -> bool:
 
 
 def cmd_simulate(args) -> int:
-    params = _parse_params(args.param)
-    seed = 0 if args.seed is None else args.seed
-    model = presets.build("model", args.preset, d=args.d, **params)
-    grid = sde.TimeGrid(args.n_steps)
-    driver = sde.sample_brownian(grid, args.d, args.n_paths, seed, n_workers=args.threads)
-    ens = sde.ito_map(model, driver)
-    out = _out_dir(args)
-    written = []
-    if _wants(args, "csv"):
-        pathio.write_csv(out / "ensemble.csv", ens)
-        written.append("ensemble.csv")
-    if _wants(args, "bin"):
-        pathio.write_binary(out / "ensemble.bin", ens)
-        written.append("ensemble.bin")
-    if _wants(args, "json"):
-        manifest = {
-            "model": model.label,
-            "d": args.d,
-            "n_steps": args.n_steps,
-            "N": args.n_paths,
-            "seed": seed,
-        }
-        pathio.write_json(out / "manifest.json", manifest)
-        written.append("manifest.json")
-    print(f"simulated {args.n_paths} x {args.preset}(d={args.d}, n={args.n_steps}); wrote {', '.join(written)} to {out}")
+    model = {"preset": args.preset, "params": _parse_params(args.param)}
+    run = _run(_with_flags(Config({"model": model}, raw="", source="simulate"), args), args.threads)
+    law = run.model("model")
+    ens = sde.ito_map(law, sde.sample_brownian(run.grid, run.d, run.n_pairs, run.seed, n_workers=run.n_workers))
+    manifest = {"model": law.label, "d": run.d, "n_steps": run.grid.n_steps, "N": run.n_pairs, "seed": run.seed}
+    wrote = _write(args, "ensemble", ens, manifest)
+    print(f"simulated {run.n_pairs} x {args.preset}(d={run.d}, n={run.grid.n_steps}); {wrote}")
     return EXIT_OK
 
 
@@ -326,26 +321,14 @@ def _parse_params(items):
 
 
 def cmd_couple(args) -> int:
-    cfg = _load(args.config, args)
-    pair = build_coupled(cfg, n_workers=args.threads)
-    out = _out_dir(args)
-    written = []
-    if _wants(args, "csv"):
-        pathio.write_csv(out / "coupled.csv", pair)
-        written.append("coupled.csv")
-    if _wants(args, "bin"):
-        pathio.write_binary(out / "coupled.bin", pair)
-        written.append("coupled.bin")
-    if _wants(args, "json"):
-        pathio.write_json(out / "manifest.json", dict(pair.provenance))
-        written.append("manifest.json")
-    prov = pair.provenance
-    print(f"coupled {pair.n_pairs} pairs via {prov.get('constructor')}; wrote {', '.join(written)} to {out}")
+    pair = build_coupled(_with_flags(load_config(args.config), args), n_workers=args.threads)
+    wrote = _write(args, "coupled", pair, dict(pair.provenance))
+    print(f"coupled {pair.n_pairs} pairs via {pair.provenance.get('constructor')}; {wrote}")
     return EXIT_OK
 
 
 def cmd_cost(args) -> int:
-    cfg = _load(args.config, args)
+    cfg = _with_flags(load_config(args.config), args)
     run = _run(cfg)
     pair = build_coupled(cfg, n_workers=args.threads)
     make_spec, fields = _bind(cfg, _COSTS, cfg.data.get("cost"), "cost", "kind")
@@ -369,7 +352,7 @@ def cmd_cost(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _load(args.config, args)
+    cfg = _with_flags(load_config(args.config), args)
     entries = cfg.data.get("verify")
     if not isinstance(entries, list) or not entries:
         cfg.error("verify", "config needs a non-empty 'verify' list of test objects")
@@ -423,20 +406,6 @@ def cmd_list_presets(_args) -> int:
 # named experiments
 
 
-def _resolve_experiment(name: str):
-    path = Path(name)
-    if path.suffix == ".json":
-        if not path.exists():
-            raise ConfigError(f"experiment config {name!r} does not exist")
-        return path.stem, path
-    pkg_dir = Path(__file__).parent / "experiments"
-    candidate = pkg_dir / f"{name}.json"
-    if candidate.exists():
-        return name, candidate
-    known = ", ".join(sorted(p.stem for p in pkg_dir.glob("*.json")))
-    raise ConfigError(f"unknown experiment {name!r}; available: {known}")
-
-
 def _shown(value) -> str:
     if isinstance(value, list):
         return "[" + ", ".join(map(_shown, value)) + "]"
@@ -444,8 +413,14 @@ def _shown(value) -> str:
 
 
 def cmd_experiment(args) -> int:
-    name, path = _resolve_experiment(args.name)
-    cfg = _load(path, args)
+    name = args.name
+    if name.endswith(".json"):  # a config file; its stem names the report
+        name, cfg = Path(name).stem, load_config(name)
+    elif name in experiments.EXPERIMENTS:  # the function's defaults
+        cfg = Config({"kind": name}, raw="", source=name)
+    else:
+        raise ConfigError(f"unknown experiment {name!r}; available: {', '.join(sorted(experiments.EXPERIMENTS))}")
+    cfg = _with_flags(cfg, args)
     section = {k: v for k, v in cfg.data.items() if k != "version"}
     fn, fields = _bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")
     result = {"kind": section["kind"], **fn(**fields, n_workers=args.threads)}
@@ -483,11 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict artifacts to one format (default: write all that apply)",
     )
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate one model law and write the ensemble")
+    sizes = argparse.ArgumentParser(add_help=False)
+    sizes.add_argument("--d", type=int, help="override the dimension")
+    sizes.add_argument("--n", dest="n_steps", type=int, help="override the step count")
+    sizes.add_argument("--N", type=int, help="override the path (pair) count")
+
+    p = sub.add_parser("simulate", parents=[common, sizes], help="simulate one model law and write the ensemble")
     p.add_argument("--preset", default="bm", help="model preset name (see list-presets)")
-    p.add_argument("--d", type=int, default=1, help="state dimension")
-    p.add_argument("--n", dest="n_steps", type=int, default=256, help="number of grid steps")
-    p.add_argument("--N", dest="n_paths", type=int, default=1000, help="number of paths")
     p.add_argument("--param", action="append", default=[], metavar="KEY=VALUE",
                    help="preset parameter (JSON value; repeatable)")
     p.set_defaults(func=cmd_simulate)
@@ -504,17 +481,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to a JSON run config")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("experiment", parents=[common], help="run a named experiment config")
+    p = sub.add_parser("experiment", parents=[common, sizes], help="run a named experiment or a config file")
     p.add_argument("name", help="experiment name or path to a config JSON")
     p.add_argument("--check", action="store_true", help="print the experiment's verdicts (exit 4 if one fails)")
     p.add_argument("--a", type=float, default=None, help="override source volatility a")
     p.add_argument("--b", type=float, default=None, help="override target volatility b")
-    p.add_argument("--N", dest="N", type=int, default=None, help="override the pair count")
-    p.add_argument("--n", dest="n_steps", type=int, default=None, help="override the step count")
     p.add_argument("--c", type=float, default=None, help="override the correlation parameter")
     p.add_argument("--block", type=int, default=None, help="override the chop block size")
     p.add_argument("--w", dest="window", type=int, default=None, help="override the certificate window")
-    p.add_argument("--d", type=int, default=None, help="override the dimension")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("list-presets", help="print the preset registry")

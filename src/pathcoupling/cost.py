@@ -168,10 +168,10 @@ def estimate(
     """Mean and standard error of the cost over all pairs of an ensemble.
 
     A separable cost's bracket is the realized quadratic variation of the
-    difference of the martingale parts (:func:`sde.decompose` under each
-    model), with the usual O(sqrt(dt)) error; an Lp cost is the
-    left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].  Beyond the pair, a
-    separable cost stores only the two finite-variation parts, not the martingale parts.
+    difference of the martingale parts (each path less its finite-variation part,
+    ``sde._finite_variation`` under each model), with the usual O(sqrt(dt)) error; an Lp
+    cost is the left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].  Beyond the pair,
+    a separable cost stores only the two finite-variation parts, not the martingale parts.
     """
     if spec.kind == SEPARABLE:
         if src is None or dst is None:

@@ -1,11 +1,12 @@
 """The nine named experiments, each written once as a plain function.
 
-Each function takes the fields of its config file under
-``pathcoupling/experiments/`` as keyword arguments, with the same defaults,
-plus ``n_workers``, and returns the report dict, whose ``verdicts`` list
-holds its acceptance verdicts (``name``, ``value``, ``bound``, ``ok``).
-``pathcoupling experiment`` calls them through :data:`EXPERIMENTS`; the
-acceptance suite calls them at its own contract sizes.
+Each function's keyword defaults are the experiment's shipped sizes; it
+takes them, plus ``n_workers``, and returns the report dict, whose
+``verdicts`` list holds its acceptance verdicts (``name``, ``value``,
+``bound``, ``ok``).  ``pathcoupling experiment <kind>`` calls one through
+:data:`EXPERIMENTS` at those defaults, a flag or a JSON config file
+replacing any of them; the acceptance suite calls them at its own
+contract sizes.
 """
 
 from __future__ import annotations
@@ -176,7 +177,13 @@ def tanaka(N=2000, n_steps=4096, seed=5, window=verify.DEFAULT_WINDOW, alpha=0.0
     }
 
 
-def rho_recovery(cases=(), N=4000, n_steps=256, seed=21, n_workers=1):
+def rho_recovery(
+    cases=({"d": 1, "c": -0.9}, {"d": 1, "c": 0.0}, {"d": 1, "c": 0.7}, {"d": 2, "scale": 0.8, "theta": math.pi / 6}),
+    N=4000,
+    n_steps=256,
+    seed=21,
+    n_workers=1,
+):
     """Terminal realized covariation of constant-correlation couplings, entry by entry.
 
     Each case is ``{"d": d, "c": c}`` (scalar or d x d) or ``{"d": 2, "scale": s,
@@ -307,6 +314,8 @@ def synchronous_1d_optimality(
     margin is negative when the synchronous cost is the smallest by more than
     three combined standard errors.
     """
+    if "d" in src_params or "d" in dst_params:
+        raise ConfigError("synchronous-1d-optimality compares 1-d models; its src_params and dst_params take no 'd'")
     grid = sde.TimeGrid(n_steps)
     src = presets.build("model", "ou", d=1, **src_params)
     dst = presets.build("model", "ou", d=1, **dst_params)
@@ -372,7 +381,7 @@ def optimality_gap(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=13, probe_N=64, n_
     return {**result, "verdicts": verdicts}
 
 
-#: experiment ``kind`` (as in the config files) -> function
+#: experiment ``kind`` (its name on the command line and in a config file) -> function
 EXPERIMENTS = {
     "closed-form-d1": closed_form_d1,
     "closed-form-d2": closed_form_d2,

@@ -2,7 +2,6 @@
 
 import inspect
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,18 +218,17 @@ def test_cost_with_non_finite_result_exits_3_and_writes_no_report(tmp_path, caps
     assert not (out / "cost.json").exists()
 
 
-def test_every_shipped_config_matches_its_experiment_function():
-    config_dir = Path(experiments.__file__).parent / "experiments"
-    configs = sorted(config_dir.glob("*.json"))
-    assert len(configs) == len(experiments.EXPERIMENTS)
-    for path in configs:
-        data = json.loads(path.read_text())
-        fn = experiments.EXPERIMENTS[data["kind"]]
-        params = set(inspect.signature(fn).parameters) - {"n_workers"}
-        fields = set(data) - {"version", "kind"}
-        assert fields <= params, f"{path.name}: {sorted(fields - params)} not taken by {fn.__name__}"
-        section = {k: v for k, v in data.items() if k != "version"}
-        assert cli._bind(cli.load_config(path), experiments.EXPERIMENTS, section, "experiment", "kind")[0] is fn
+@pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENTS))
+def test_experiment_by_name_runs_its_function_at_its_defaults(tmp_path, kind):
+    fn = experiments.EXPERIMENTS[kind]
+    sizes = {"N": 1000 if kind == "tanaka" else 40}  # the adaptedness probe needs 1000 pairs
+    argv = ["experiment", kind, "--N", str(sizes["N"]), "--out", str(tmp_path)]
+    if "n_steps" in inspect.signature(fn).parameters:
+        sizes["n_steps"] = 16
+        argv += ["--n", "16"]
+    assert main(argv) == EXIT_OK
+    pathio.write_json(tmp_path / "want.json", {"kind": kind, **fn(**sizes)})
+    assert (tmp_path / f"{kind}-report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
 def test_every_experiment_returns_its_verdicts():
@@ -506,6 +504,27 @@ def test_preset_value_of_the_wrong_type_outside_a_run_config_exits_2_naming_the_
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "model preset 'ou'" in err and "'x'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["experiment", "simulate"])
+def test_a_d_among_preset_params_outside_a_run_config_exits_2_naming_it(tmp_path, capsys, command):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "synchronous-1d-optimality", "N": 10, "n_steps": 8,
+                               "src_params": {"d": 2}}))
+    argv = ["experiment", str(cfg)] if command == "experiment" else ["simulate", "--preset", "bm", "--param", "d=2"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'d'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, flag, value", [("N", "--N", 0), ("n_steps", "--n", 0), ("d", "--d", 0), ("seed", "--seed", -1)])
+def test_simulate_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, key, flag, value):
+    # the sizes of a run config, checked alike; argparse itself rejects a flag value that is not an integer
+    assert main(["simulate", flag, str(value), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and repr(value) in err
     assert not (tmp_path / "out").exists()
 
 
