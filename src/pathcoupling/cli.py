@@ -501,6 +501,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -14,9 +14,10 @@ recovered by solving sigma against the de-drifted increments step by
 step.  Paths live in one container, :class:`PathEnsemble`: the kernels
 take an ensemble and return one, and a single path is the N = 1 ensemble.
 
-Randomness discipline: every path of an ensemble draws from its own
-substream derived from (seed, path index), so generating an ensemble
-in parallel chunks yields bit-identical output to a serial run.
+Randomness discipline: path i of an ensemble draws the normals of
+``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and nothing
+else, so the output does not depend on the worker count, the chunking
+or the block size.
 
 Storage convention: every ensemble a step kernel produces is stored
 time-major, in a C-contiguous (n_steps+1, N, d) buffer, and
@@ -29,6 +30,7 @@ copies only those not already time-major.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -173,17 +175,14 @@ def constant_diffusion(sigma, d: int, label: str | None = None) -> CoefficientFi
 # sampling
 
 
-def _substream(seed: int, index: int) -> np.random.Generator:
-    """Generator for one path, derived from (seed, path index)."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
-
-
 def _check_draw(seed, d, n_paths, streams):
     """The seed as an int, once seed and sizes are validated."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if d < 1 or n_paths < 1 or streams < 1:
         raise DimensionError("d, n_paths and streams must all be >= 1")
+    if n_paths > 1 << 32:  # a path index is one spawn-key word
+        raise DimensionError(f"n_paths must be at most 2**32, got {n_paths}")
     return int(seed)
 
 
@@ -212,25 +211,65 @@ def _path_view(buf: np.ndarray) -> np.ndarray:
     return np.swapaxes(buf, 0, 1)
 
 
-_BLOCK_VALUES = 1 << 15  # normals (256 kB) drawn into one block of paths before it is stored
+_M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _pcg_states(seed: int, lo: int, hi: int):
+    """The (state, inc) of ``PCG64(SeedSequence(seed, spawn_key=(i,)))`` for i = lo..hi-1 < 2**32.
+
+    SeedSequence hashes the run entropy into a 4-word pool, which is
+    ``SeedSequence(seed).pool`` (its zero padding hashes as absent words
+    do), mixes the spawn word into every pool word, then hashes the pool
+    into 8 output words: those two stages run here across the paths in
+    uint32 arithmetic held in uint64, PCG64's 128-bit seeding step on ints.
+    """
+    # numpy's INIT_A, MULT_A, MIX_MULT_L, MIX_MULT_R, INIT_B and MULT_B, then PCG64's multiplier
+    pool = [int(w) for w in np.random.SeedSequence(seed).pool]
+    hc = 0x43B0D7E5 * pow(0x931E8875, 4 * max(4, -(-seed.bit_length() // 32)), 1 << 32) & _M32
+    key = np.arange(lo, hi, dtype=np.uint64)
+    for j in range(4):
+        v = key ^ hc
+        hc = hc * 0x931E8875 & _M32
+        v = v * hc & _M32
+        v = 0xCA01F9DD * pool[j] - 0x4973F715 * (v ^ v >> 16) & _M32
+        pool[j] = v ^ v >> 16
+    hc, words = 0x8B51F9DD, []
+    for j in range(8):
+        v = pool[j % 4] ^ hc
+        hc = hc * 0x58F38DED & _M32
+        v = v * hc & _M32
+        words.append(v ^ v >> 16)
+    for s_hi, s_lo, i_hi, i_lo in zip(*((words[j] | words[j + 1] << 32).tolist() for j in range(0, 8, 2))):
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        yield ((s_hi << 64 | s_lo) + inc) * 0x2360ED051FC65DA44385DF649FCCF645 + inc & _M128, inc
+
+
+_BLOCK_VALUES = 1 << 17  # normals (1 MiB) drawn into one block of paths before it is stored
 
 
 def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_workers: int, store):
     """Draw the scaled increments of every path, a block of paths at a time.
 
-    Path i draws its (streams, n_steps, d) normals from substream (seed, i);
-    ``store(start, block)`` receives those of paths start, start+1, ...
+    Path i draws its (streams, n_steps, d) normals from
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``; each worker
+    sets every path's state on one reusable generator, the states of a
+    block computed just before it is drawn.  ``store(start, block)``
+    receives the increments of paths start, start+1, ...
     """
     n = grid.n_steps
     root_dt = np.sqrt(grid.dt)
     per_block = max(1, _BLOCK_VALUES // (streams * n * d))
 
     def fill(lo: int, hi: int):
+        gen = np.random.Generator(np.random.PCG64())
         buf = np.empty((min(per_block, hi - lo), streams, n, d))
         for start in range(lo, hi, per_block):
             block = buf[: min(per_block, hi - start)]
-            for j in range(block.shape[0]):
-                _substream(seed, start + j).standard_normal(out=block[j])
+            for row, (state, inc) in zip(block, _pcg_states(seed, start, start + len(block))):
+                gen.bit_generator.state = {
+                    "bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0
+                }
+                gen.standard_normal(out=row)
             block *= root_dt
             if not np.isfinite(block).all():
                 raise DomainError("non-finite values in generated increments")
@@ -241,7 +280,7 @@ def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_worke
     else:
         chunk = -(-n_paths // n_workers)
         bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
 
 
@@ -250,10 +289,11 @@ def brownian_increments(
 ) -> np.ndarray:
     """Brownian increments shaped (streams, n_paths, n_steps, d).
 
-    Path i draws all of its ``streams`` blocks from substream (seed, i)
-    in a fixed order, so the result does not depend on ``n_workers`` or
-    on how the paths are chunked.  The result is a view of time-major
-    storage (streams, n_steps, n_paths, d).
+    Path i draws all of its ``streams`` blocks, in a fixed order, from
+    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``, so the result
+    does not depend on ``n_workers``, on how the paths are chunked or on
+    the block size.  The result is a view of time-major storage
+    (streams, n_steps, n_paths, d).
     """
     seed = _check_draw(seed, d, n_paths, streams)
     out = np.empty((streams, grid.n_steps, n_paths, d))
@@ -269,12 +309,13 @@ def sample_brownian(
     grid: TimeGrid, d: int, n_paths: int, seed: int, n_workers: int = 1
 ) -> PathEnsemble:
     """Standard Brownian ensemble started at 0."""
+    seed = _check_draw(seed, d, n_paths, 1)
     buf = np.zeros((grid.n_steps + 1, n_paths, d))
 
     def store(start, block):
         np.cumsum(block[:, 0], axis=1, out=_path_view(buf[1:, start : start + len(block)]))
 
-    _draw(grid, d, n_paths, _check_draw(seed, d, n_paths, 1), 1, n_workers, store)
+    _draw(grid, d, n_paths, seed, 1, n_workers, store)
     return PathEnsemble(grid=grid, values=_path_view(buf), seed=seed)
 
 

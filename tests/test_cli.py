@@ -528,6 +528,17 @@ def test_simulate_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads", [0, -3])
+@pytest.mark.parametrize("command", ["simulate", "couple", "experiment"])
+def test_a_thread_count_below_one_exits_2_naming_the_flag(tmp_path, capsys, command, threads):
+    head = {"simulate": ["simulate"], "couple": ["couple", "--config", str(_write_config(tmp_path))],
+            "experiment": ["experiment", "tanaka"]}[command]
+    assert main(head + ["--threads", str(threads), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--threads" in err and str(threads) in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_preset_that_takes_n_steps_is_laid_out_on_the_grid_of_the_run(tmp_path):
     rotation = {"preset": "chop", "params": {"c": 0.5, "block": 4}}
     cfg = _write_config(tmp_path, {"coupling": {"constructor": "composed_monge", "rotation": rotation}})

@@ -1,5 +1,7 @@
 """Tests for grids, sampling and the discrete Itô map."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -131,6 +133,91 @@ def test_seed_validation():
         sample_brownian(TimeGrid(4), 1, 2, seed=-1)
     with pytest.raises(DomainError):
         sample_brownian(TimeGrid(4), 1, 2, seed=1.5)
+    with pytest.raises(DomainError):
+        sample_brownian(TimeGrid(4), 1, 2, seed=True)
+    ens = sample_brownian(TimeGrid(4), 1, 2, seed=np.uint64(5))
+    assert type(ens.seed) is int and ens.seed == 5
+
+
+def test_a_path_count_beyond_one_spawn_key_word_is_rejected_before_allocating():
+    with pytest.raises(DimensionError, match="2\\*\\*32"):
+        sample_brownian(TimeGrid(1024), 4, 2**32 + 1, seed=0)
+
+
+def _oracle(seed, i, shape, n_steps):
+    """Path i's scaled normals, from numpy's own per-path generator."""
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(i,))))
+    return gen.standard_normal(shape) * np.sqrt(1.0 / n_steps)
+
+
+# derandomized: the examples are fixed, so a run fails the same way every time
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**200) | st.sampled_from([0, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 1, 2**200]),
+    index=st.integers(0, 2**32 - 1),
+)
+def test_path_states_match_numpys_spawned_generator(seed, index):
+    # the stream contract: path i draws exactly what SeedSequence(seed, spawn_key=(i,)) seeds
+    (state, inc), *rest = sde._pcg_states(seed, index, index + 1)
+    gen = np.random.Generator(np.random.PCG64())
+    gen.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    assert rest == []
+    assert gen.standard_normal(16).tobytes() == _oracle(seed, index, 16, 1).tobytes()
+
+
+@pytest.mark.parametrize("n_workers", [1, 2, 3])
+def test_every_path_is_its_own_stream_across_block_and_chunk_boundaries(n_workers):
+    # 128 paths a block at n = 1024, d = 1; chunks of 300, 150 and 100 paths
+    ens = sample_brownian(TimeGrid(1024), 1, 300, seed=2**40 + 7, n_workers=n_workers)
+    for i in range(300):
+        assert ens.values[i, 0].tobytes() == bytes(8)
+        want = np.cumsum(_oracle(2**40 + 7, i, (1024, 1), 1024), axis=0)
+        assert ens.values[i, 1:].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_paths, n_workers", [(200, 3), (131, 2), (64, 1)])
+def test_increment_streams_do_not_depend_on_blocks_or_chunks(n_paths, n_workers):
+    # 65 paths a block at n = 1000, d = 1 and two streams: chunks of 67, 66 and 64 paths straddle blocks
+    inc = sde.brownian_increments(TimeGrid(1000), 1, n_paths, seed=29, streams=2, n_workers=n_workers)
+    for i in range(n_paths):
+        assert np.ascontiguousarray(inc[:, i]).tobytes() == _oracle(29, i, (2, 1000, 1), 1000).tobytes()
+
+
+@pytest.mark.parametrize("cpus, threads", [(2, 2), (None, 1)])
+def test_the_sampling_pool_never_asks_for_more_threads_than_cpus(monkeypatch, cpus, threads):
+    asked = []
+
+    class Serial:  # records the pool size and runs the map in this thread
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(sde, "ThreadPoolExecutor", Serial)
+    monkeypatch.setattr(sde.os, "cpu_count", lambda: cpus)
+    ens = sample_brownian(TimeGrid(8), 1, 64, seed=3, n_workers=32)
+    assert asked == [threads]
+    monkeypatch.undo()
+    assert np.array_equal(ens.values, sample_brownian(TimeGrid(8), 1, 64, seed=3).values)
+
+
+def test_sampling_peaks_within_two_mib_of_its_output():
+    # states are derived a block at a time: all 10^4 at once would hold about 5 MiB of ints
+    tracemalloc.start()
+    try:
+        ens = sample_brownian(TimeGrid(1024), 1, 10_000, seed=2**40 + 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ens.values.nbytes + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +501,7 @@ def test_kernel_outputs_are_views_of_time_major_storage():
 def test_brownian_increments_keep_their_public_shape():
     inc = sde.brownian_increments(TimeGrid(8), 2, 70, seed=63, streams=2)
     assert inc.shape == (2, 70, 8, 2)
-    one = sde._substream(63, 69).standard_normal((2, 8, 2)) * np.sqrt(1 / 8)
-    assert np.array_equal(inc[:, 69], one)
+    assert np.ascontiguousarray(inc[:, 69]).tobytes() == _oracle(63, 69, (2, 8, 2), 8).tobytes()
 
 
 def test_singularity_check_survives_a_refilled_diffusion_buffer():
