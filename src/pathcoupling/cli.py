@@ -113,7 +113,7 @@ def _bind(cfg: Config, table, section, where: str, key: str | None = None):
     """The function ``table`` names by ``section[key]`` (``table`` itself with no ``key``), and the
     section's other fields, checked against its parameters (but those before a ``/``, and ``n_workers``)
     and cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object,
-    a list of numbers where the default holds numbers."""
+    a list of numbers where the default holds numbers.  A size field is checked by :func:`_size`."""
     if not isinstance(section, dict):
         cfg.error(where, f"config needs a '{where}' object" + (f" with a '{key}' name" if key else ""))
     what, name, fn = "section", where, table
@@ -129,7 +129,9 @@ def _bind(cfg: Config, table, section, where: str, key: str | None = None):
         if k not in defaults:
             cfg.error(k, f"{what} {name!r} takes no field {k!r}; it takes: {', '.join(defaults) or 'none'}")
         json_type = {tuple: list, MappingProxyType: dict}.get(type(defaults[k]), object)
-        if type(defaults[k]) in (int, float):
+        if k in _LEAST:
+            fields[k] = _size(cfg, k, value, f"{what} {name!r} ")
+        elif type(defaults[k]) in (int, float):
             fields[k] = cfg.number(k, value, type(defaults[k]))
         elif not isinstance(value, json_type):
             cfg.error(k, f"field {k!r} must be a JSON {'list' if json_type is list else 'object'}, got {value!r}", json.dumps(value))
@@ -149,18 +151,22 @@ def _numbers(cfg: Config, key, value, default):
     return [_numbers(cfg, key, v, default) if isinstance(v, list) else cfg.number(key, v, type(first)) for v in value]
 
 
+#: the least value of each size field, in a run config, an experiment or any other section
+_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "window": 1, "block": 1, "seed": 0}
+
+
+def _size(cfg: Config, key, value, owner="") -> int:
+    """``value`` of size field ``key`` (of ``owner``); one that is not an integer, or is below its least,
+    is a config error."""
+    number = cfg.number(key, value, int)
+    if number < _LEAST[key]:
+        cfg.error(key, f"{owner}field {key!r} must be at least {_LEAST[key]}, got {value!r}")
+    return number
+
+
 def _sizes(cfg: Config):
-    """(d, n_steps, N, seed) of a run config; a value that is not an integer, or is
-    below 1 (below 0 for the seed), is a config error."""
-
-    def size(key, default, least=1):
-        value = cfg.data.get(key, default)
-        number = cfg.number(key, value, int)
-        if number < least:
-            cfg.error(key, f"field {key!r} must be at least {least}, got {value!r}")
-        return number
-
-    return size("d", 1), size("n_steps", 256), size("N", 1000), size("seed", 0, least=0)
+    """(d, n_steps, N, seed) of a run config, each checked by :func:`_size`."""
+    return tuple(_size(cfg, k, cfg.data.get(k, v)) for k, v in (("d", 1), ("n_steps", 256), ("N", 1000), ("seed", 0)))
 
 
 @dataclass(frozen=True)

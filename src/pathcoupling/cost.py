@@ -28,9 +28,9 @@ from .sde import (
     PathEnsemble,
     SdeModel,
     ValueMemo,
+    _ensemble,
     _eval_diffusion,
     _eval_drift,
-    _finite_variation,
     _path_view,
     time_blocks,
     time_major,
@@ -136,17 +136,29 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 # per-pair values, batched over the pairs of an ensemble
 
 
-def _bracket(x, fv_x, y, fv_y):
-    """Realized quadratic variation of (x - fv_x) - (y - fv_y) per pair (no block outlives its own sum)."""
-    dms = (np.diff(np.subtract(bx - fx, by - fy), axis=0) for bx, fx, by, fy in time_blocks(x, fv_x, y, fv_y))
-    return sum(map(lambda dm: np.einsum("kpd,kpd->p", dm, dm), dms))
-
-
 def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec: CostSpec):
-    x, fv_x = map(_path_view, _finite_variation(src, pair.x_ensemble()))
-    y, fv_y = map(_path_view, _finite_variation(dst, pair.y_ensemble()))
-    bracket = _bracket(x, fv_x, y, fv_y)
-    h_vals = np.asarray(spec.h(np.subtract(fv_x, fv_y, out=fv_x)), dtype=float)
+    """h and g per pair from one walk over the pair's steps: each block runs both drift
+    recursions on from the last knot of the block before, adds its martingale increments
+    to the bracket and stores fv_x - fv_y, the one leg-sized array, for h."""
+    models = (src, dst)
+    legs = [_ensemble(e, "path", m).values for e, m in zip((pair.x_ensemble(), pair.y_ensemble()), models)]
+    n_paths, _, d = legs[0].shape
+    dt = pair.grid.dt
+    diff = np.empty((pair.grid.n_steps + 1, n_paths, d))
+    fvs, last, lo, bracket = None, [m.z0 for m in models], 0, 0
+    for blk in time_blocks(*legs):
+        steps = len(blk[0]) - 1
+        fvs = fvs or [np.empty(blk[0].shape) for _ in models]  # reused; only the last block is shorter
+        for fv, start, model, leg in zip(fvs, last, models, legs):
+            fv[0] = start
+            for j, k in enumerate(range(lo, lo + steps)):
+                fv[j + 1] = fv[j] + _eval_drift(model.drift, k, k * dt, leg[:, : k + 1], n_paths, d) * dt
+        fx, fy = (fv[: steps + 1] for fv in fvs)
+        np.subtract(fx, fy, out=diff[lo : lo + steps + 1])
+        dm = np.diff(np.subtract(blk[0] - fx, blk[1] - fy), axis=0)
+        bracket += np.einsum("kpd,kpd->p", dm, dm)
+        last, lo = [fx[-1], fy[-1]], lo + steps
+    h_vals = np.asarray(spec.h(_path_view(diff)), dtype=float)
     if h_vals.shape != (pair.n_pairs,):
         raise DimensionError(
             f"h must map (N, n_steps+1, d) paths to (N,) scores, got {h_vals.shape}"
@@ -168,10 +180,11 @@ def estimate(
     """Mean and standard error of the cost over all pairs of an ensemble.
 
     A separable cost's bracket is the realized quadratic variation of the
-    difference of the martingale parts (each path less its finite-variation part,
-    ``sde._finite_variation`` under each model), with the usual O(sqrt(dt)) error; an Lp
+    difference of the martingale parts (each path less its finite-variation part
+    z0 + sum_{j<k} b(j, path[0..j]) dt under its model), with the usual O(sqrt(dt)) error; an Lp
     cost is the left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].  Beyond the pair,
-    a separable cost stores only the two finite-variation parts, not the martingale parts.
+    a separable cost stores one leg-sized array, the difference of the finite-variation parts
+    that ``h`` receives, and a few blocks of steps.
     """
     if spec.kind == SEPARABLE:
         if src is None or dst is None:

@@ -355,8 +355,8 @@ def monge_sde(
     if z0_dst is None:
         z0_dst = np.zeros(d)
     z0_dst = np.broadcast_to(np.asarray(z0_dst, dtype=float), (d,))
-    bm = sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)
-    xv = ito_map(src, bm).values
+    # no name holds the Brownian driver, so it is freed once X is built
+    xv = ito_map(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)).values
     x = time_major(xv)
     n = grid.n_steps
     dt = grid.dt

@@ -485,7 +485,7 @@ def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathE
     path up to a single floating-point rounding per entry (no error
     accumulates).  The drift is evaluated on the *given* paths, which
     need not have been produced by :func:`ito_map`.  Both parts are stored
-    whole; ``cost.estimate`` forms the martingale part a block at a time.
+    whole.
     """
     x, fv = _finite_variation(model, paths)
     return tuple(PathEnsemble(grid=paths.grid, values=_path_view(v), seed=paths.seed) for v in (fv, x - fv))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line runner and its exit codes."""
 
+import functools
 import inspect
 import json
 
@@ -301,6 +302,46 @@ def test_empty_experiment_size_list_exits_2(tmp_path, capsys, kind, field):
     cfg.write_text(f'{{\n  "version": 1,\n  "kind": "{kind}",\n  {field}\n}}\n')
     assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert kind in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, args, key, value",
+    [("kernel-infeasibility", ["--N", "0"], "N", 0), ("closed-form-d1", ["--n", "0"], "n_steps", 0),
+     ("tanaka", ["--seed", "-1"], "seed", -1), ("tanaka", ["--w", "0"], "window", 0),
+     ("rotation-chop-density", ["--block", "0"], "block", 0), ("optimality-gap", {"probe_N": 0}, "probe_N", 0),
+     ("rotation-invariance", {"d": 0}, "d", 0), ("rotation-invariance", {"n_seeds": -2}, "n_seeds", -2)],
+    ids=["N-flag", "n-flag", "seed-flag", "w-flag", "block-flag", "probe_N-file", "d-file", "n_seeds-file"],
+)
+def test_an_experiment_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, kind, args, key, value):
+    # from flags or from a config file, as a run config's sizes are; the experiment is never called
+    calls = []
+    fn = experiments.EXPERIMENTS[kind]
+    monkeypatch.setitem(experiments.EXPERIMENTS, kind, functools.wraps(fn)(lambda **kw: calls.append(kw)))
+    head = [kind, *args]
+    if isinstance(args, dict):
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps({"version": 1, "kind": kind, **args}))
+        head = [str(cfg)]
+    assert main(["experiment", *head, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and repr(value) in err and "Traceback" not in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, key",
+    [("verify", {"verify": [{"test": "certificate", "window": 0}]}, "window"),
+     ("couple", {"coupling": {"constructor": "rotation_chop", "block": 0}}, "block"),
+     ("cost", {"closed_form": {"probe_N": 0}}, "probe_N")],
+    ids=["verify-window", "coupling-block", "closed_form-probe_N"],
+)
+def test_a_section_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, command, overrides, key):
+    cfg = _write_config(tmp_path, overrides)
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'{key}'" in err and "at least 1" in err and f"line {line}" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,12 @@
 """Tests for the coupling constructors."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathcoupling import pathio, presets
+from pathcoupling import pathio, presets, sde
 from pathcoupling.coupling import (
     INFEASIBLE,
     UNDECIDED,
@@ -249,6 +250,21 @@ def test_monge_sde_equals_composed_for_constant_coefficients():
     assert np.array_equal(out.x, out.y)
     assert out.provenance["kernel_residual"] == 0.0
     assert not out.provenance["kernel_condition_violated"]
+
+
+def test_monge_sde_holds_no_driver_beside_its_two_legs():
+    n_pairs, n = 2000, 1024
+    leg = n_pairs * (n + 1) * 8
+    src = presets.build("model", "ou", d=1, theta=1.0)
+    tracemalloc.start()
+    try:
+        monge_sde(constant_drift(0.0, 1), constant_diffusion(0.5, 1), RotationProcess.identity(1), src,
+                  TimeGrid(n), n_pairs, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # X and T; a Brownian driver kept through the transport loop would be a third leg
+    assert peak <= 2 * leg + 2 * sde._BLOCK_BYTES, peak / leg
 
 
 def test_monge_sde_invertible_residual_is_exact_zero():

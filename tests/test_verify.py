@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pathcoupling import cost, presets, sde, verify
+from pathcoupling import cost, experiments, presets, sde, verify
 from pathcoupling.coupling import (
     CorrelationProcess,
     CoupledEnsemble,
@@ -345,7 +345,9 @@ def test_every_reduction_over_steps_matches_its_path_major_oracle(case):
         np.testing.assert_allclose(cert.statistic, want, **close)
         wien = verify.wiener_marginal_test(pair.x_ensemble())
         np.testing.assert_allclose([wien.details["z"][k] for k in z], list(z.values()), **close)
-        np.testing.assert_allclose(cost._bracket(x, np.zeros_like(x), y, np.zeros_like(y)), np.einsum("pkd,pkd->p", dm, dm), **close)
+        bm = presets.build("model", "bm", d=pair.d)  # driftless from 0: both finite-variation parts are exactly 0
+        sep = cost._separable_values(pair, bm, bm, experiments.zero_identity_spec(pair.d))
+        np.testing.assert_allclose(sep, np.einsum("pkd,pkd->p", dm, dm), **close)
         np.testing.assert_allclose(cost._lp_values(pair, p), lp, **close)
 
 
