@@ -2,8 +2,10 @@
 
 Everything in this module operates on real square matrices of modest
 dimension (couplings rarely need d > 8) and is deterministic: the same
-input yields bit-identical output on repeated calls.  The decompositions
-are delegated to LAPACK via numpy; what this module adds is tolerance
+input yields bit-identical output on repeated calls.  The SVD and eigh
+kernels go to LAPACK via numpy; the determinant of the screen below and
+the solve of ``sde.inverse_ito_map`` come from :func:`_eliminate`, an
+elementwise elimination over the batch.  What this module adds is tolerance
 handling that the rest of the package agrees on (one rank rule, one PSD
 clamp), the trace-maximising rotation, the pinv/kernel-projector pair
 and the two membership measures used throughout (the correlation margin
@@ -22,7 +24,7 @@ One batching rule: every kernel takes matrices shaped (..., d, d) - one
 (d, d) matrix or any batch of them - with one body for both, and a batch
 gives bit for bit the results of per-matrix calls.  Whether a coefficient
 is shared by all paths or given per path is decided only by the step
-kernels' ``sde._apply``, ``sde._solve`` and ``sde.ValueMemo``.
+kernels' ``sde._apply`` and ``sde.ValueMemo``.
 
 The correlation class consists of the d x d matrices C for which the
 2d x 2d block matrix [[I, C], [C^T, I]] is positive semi-definite;
@@ -100,16 +102,48 @@ def pinv_and_null(a) -> tuple[np.ndarray, np.ndarray]:
     return pinv, vnull @ np.swapaxes(vnull, -1, -2)
 
 
-def kernel_dim(a) -> np.ndarray | int:
-    """Dimension of the kernel of A: the singular values the rank rule drops.
+def _eliminate(a: np.ndarray, b: np.ndarray | None = None):
+    """det A and, given b, the solution of A x = b, for (..., d, d) matrices and (..., d) b.
 
-    Only the members the determinant screen (module docstring) cannot
-    clear are factored by SVD.  An int for one matrix, an integer array
-    shaped like the batch otherwise.
+    Gaussian elimination with partial pivoting (LAPACK's getrf/getrs) entry by entry in
+    elementwise arithmetic over the batch: the Python loops run over d only.  A column's pivot
+    is its first row with the largest |entry| (strict ``>``, as idamax); each row that beats it
+    is swapped in, so for d >= 3 the rows below a pivot may be ordered unlike getrf's, which
+    matters only at exact ties.  A shared (d, d) matrix broadcasts against (N, d) right-hand
+    sides, a batch gives bit for bit the per-matrix results, and a singular or non-finite
+    member gives inf or nan in its own entries, without a warning.  x is None without b.
     """
+    d = a.shape[-1]
+    rows = [[a[..., i, j] for j in range(d)] + ([] if b is None else [b[..., i]]) for i in range(d)]
+    det = 1.0
+    with np.errstate(all="ignore"):
+        for k in range(d):
+            for i in range(k + 1, d):
+                swap = np.abs(rows[i][k]) > np.abs(rows[k][k])
+                det = np.where(swap, -det, det)
+                for j in range(k, len(rows[k])):
+                    upper, lower = rows[k][j], rows[i][j]
+                    rows[k][j], rows[i][j] = np.where(swap, lower, upper), np.where(swap, upper, lower)
+            det = det * rows[k][k]
+            for i in range(k + 1, d):
+                factor = rows[i][k] / rows[k][k]
+                for j in range(k + 1, len(rows[k])):
+                    rows[i][j] = rows[i][j] - factor * rows[k][j]
+        if b is None:
+            return det, None
+        x = np.empty(np.broadcast_shapes(a.shape[:-1], b.shape))
+        for j in reversed(range(d)):
+            np.divide(rows[j][d], rows[j][j], out=x[..., j])
+            for i in range(j):
+                rows[i][d] = rows[i][d] - rows[i][j] * x[..., j]
+    return det, x
+
+
+def _kernel_dim(a, det) -> np.ndarray | int:
+    """:func:`kernel_dim` of ``a``, given its determinant ``det`` from :func:`_eliminate`."""
     a = _finite_square(a)
     with np.errstate(all="ignore"):  # an overflowing or underflowing screen just fails
-        det = np.abs(np.linalg.det(a))
+        det = np.abs(det)
         frobenius_sq = np.einsum("...ij,...ij->...", a, a)
         bound = _SCREEN_MARGIN * DEFAULT_RANK_TOL * frobenius_sq ** (a.shape[-1] / 2)
         rest = ~((det > bound) & (bound >= np.finfo(float).tiny))
@@ -122,6 +156,17 @@ def kernel_dim(a) -> np.ndarray | int:
         s = np.linalg.svd(np.ldexp(a[rest], -shift[:, None, None]), compute_uv=False)
         out[rest] = (~_kept(s)).sum(axis=-1)
     return _scalar_or_batch(out)
+
+
+def kernel_dim(a) -> np.ndarray | int:
+    """Dimension of the kernel of A: the singular values the rank rule drops.
+
+    Only the members the determinant screen (module docstring) cannot
+    clear are factored by SVD.  An int for one matrix, an integer array
+    shaped like the batch otherwise.
+    """
+    a = _square(a)
+    return _kernel_dim(a, _eliminate(a)[0])
 
 
 def _block_extension(c):

@@ -10,6 +10,7 @@ accepted without any such check.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .coupling import CorrelationProcess, RotationProcess, chop_rotation
 from .errors import ConfigError, DimensionError, PathCouplingError
-from .sde import CoefficientField, SdeModel, constant_diffusion, constant_drift
+from .sde import CoefficientField, SdeModel, constant_diffusion, constant_drift, time_blocks
 
 __all__ = ["Preset", "get_preset", "build", "available"]
 
@@ -313,17 +314,16 @@ def _h_zero(d):
 
 @_register("sup", "h", "sup over time of the euclidean norm")
 def _h_sup(d):
-    def h(paths):
-        return np.linalg.norm(paths, axis=2).max(axis=1)
+    def h(paths):  # a few blocks of steps at a time
+        return functools.reduce(np.maximum, (np.linalg.norm(v, axis=2).max(axis=0) for (v,) in time_blocks(paths)))
 
     return h
 
 
 @_register("l2", "h", "time integral of the squared euclidean norm")
 def _h_l2(d):
-    def h(paths):
-        sq = (paths[:, :-1] ** 2).sum(axis=2)
-        return sq.mean(axis=1)
+    def h(paths):  # left endpoints, summed in time order a few blocks of steps at a time
+        return sum((v[:-1] ** 2).sum(axis=2).sum(axis=0) for (v,) in time_blocks(paths)) / (paths.shape[1] - 1)
 
     return h
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError, SingularDiffusionError
-from .linalg import kernel_dim
+from .linalg import _eliminate, _kernel_dim
 
 __all__ = [
     "TimeGrid",
@@ -417,22 +417,15 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     return PathEnsemble(grid=grid, values=paths, seed=driver.seed)
 
 
-def _check_diffusion(s, k, label):
-    """Raise SingularDiffusionError (at step k) if s is numerically singular."""
+def _check_diffusion(s, det, k, label):
+    """Raise SingularDiffusionError (at step k) if s, whose elimination gave det, is numerically singular."""
     try:
-        bad = kernel_dim(s) > 0
+        bad = _kernel_dim(s, det) > 0
     except DomainError as err:
         raise DomainError(f"diffusion {label!r}: {err}", step=k) from None
     if np.any(bad):
         where = "" if s.ndim == 2 else f" on {int(bad.sum())} path(s)"
         raise SingularDiffusionError(f"diffusion {label!r} is singular{where}", step=k)
-
-
-def _solve(s, rhs):
-    """Solve s @ x = rhs per path; s is (d, d) shared or (N, d, d), rhs is (N, d)."""
-    if s.ndim == 2:
-        return np.linalg.solve(s, rhs.T).T
-    return np.linalg.solve(s, rhs[..., None])[..., 0]
 
 
 def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
@@ -450,16 +443,16 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
     x = time_major(solution.values)
     paths = _path_view(x)
     w = np.zeros_like(x)
-    # reads the loop's k when it runs: a failing check raises at the current step
-    check = ValueMemo(lambda s: _check_diffusion(s, k, label))
+    # reads the loop's k and det when it runs: a failing check raises at the current step
+    check = ValueMemo(lambda s: _check_diffusion(s, det, k, label))
     for k in range(grid.n_steps):
         prefix = paths[:, : k + 1]
         t = k * dt
         b = _eval_drift(model.drift, k, t, prefix, n_paths, d)
         s = _eval_diffusion(model.diffusion, k, t, prefix, n_paths, d)
+        det, dw = _eliminate(s, x[k + 1] - x[k] - b * dt)  # one elimination: the screen's det and the solve
         check(s)
-        rhs = x[k + 1] - x[k] - b * dt
-        w[k + 1] = w[k] + _solve(s, rhs)
+        w[k + 1] = w[k] + dw
     return PathEnsemble(grid=grid, values=_path_view(w), seed=solution.seed)
 
 

@@ -189,15 +189,17 @@ def test_separable_estimate_stores_no_martingale_part():
     legs = np.cumsum(np.random.default_rng(15).standard_normal((2, n + 1, n_pairs, 1)), axis=1) * np.sqrt(1.0 / n)
     pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
     src = presets.build("model", "ou", d=1, theta=1.0)
-    tracemalloc.start()
-    try:
-        cost.estimate(pair, _sep(), src, _bm(1.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # fv_x - fv_y for h is the one leg-sized array, beside a few blocks of running state
-    # and temporaries; each stored finite-variation or martingale part would add a leg
-    assert peak <= legs[0].nbytes + 8 * sde._BLOCK_BYTES, peak / legs[0].nbytes
+    for h in ("zero", "sup", "l2"):
+        tracemalloc.start()
+        try:
+            cost.estimate(pair, _sep(presets.build("h", h, d=1)), src, _bm(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # fv_x - fv_y for h is the one leg-sized array, beside a few blocks of running state
+        # and temporaries; each stored finite-variation or martingale part, or an h that
+        # squares or norms the whole path at once, would add a leg
+        assert peak <= legs[0].nbytes + 8 * sde._BLOCK_BYTES, (h, peak / legs[0].nbytes)
 
 
 # ---------------------------------------------------------------------------

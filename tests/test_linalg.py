@@ -340,7 +340,7 @@ def _per_matrix(fn, a):
 
 
 @pytest.mark.parametrize(
-    "name", ["psd_sqrt", "trace_max_rotation", "pinv_and_null", "kernel_dim", "orthogonality_defect"]
+    "name", ["psd_sqrt", "trace_max_rotation", "pinv_and_null", "kernel_dim", "orthogonality_defect", "_eliminate"]
 )
 @PROPERTY
 @given(a=_matrices())
@@ -349,11 +349,13 @@ def test_batch_equals_per_matrix(name, a):
     if name == "psd_sqrt":  # PSD, scaled to at most 1 so the absolute clamp tolerance holds
         a = a @ np.swapaxes(a, -1, -2)
         a /= np.maximum(1.0, np.abs(a).max(axis=(-2, -1), keepdims=True))
+    if name == "_eliminate":  # det and the solution for the row sums; singular members give inf or nan
+        kernel = lambda m: linalg._eliminate(m, m.sum(axis=-1))
     batched = kernel(a)
     batched = batched if isinstance(batched, tuple) else (batched,)
     for got, want in zip(batched, _per_matrix(kernel, a), strict=True):
         assert np.shape(got) == want.shape
-        assert np.array_equal(got, want)
+        assert np.array_equal(got, want, equal_nan=name == "_eliminate")
 
 
 @PROPERTY
@@ -373,26 +375,117 @@ _CUTOFF_RATIOS = (1e-11, 1e-10, 1e-9, 1e-8, 1e-7)
 
 @st.composite
 def _rank_rule_cases(draw):
-    """(..., d, d) matrices at scales 1e-150..1e150 around the rank rule's cutoff: each
-    member is random, has s_min/s_max in ``_CUTOFF_RATIOS``, is exactly rank-deficient
-    or is zero."""
+    """(..., d, d) matrices around the rank rule's cutoff and the screen's bound: each member
+    is random, has s_min/s_max in ``_CUTOFF_RATIOS`` or in 1e-11..1e-8 (condition 1e8..1e11),
+    is exactly rank-deficient or is zero.  About half have their first two rows ordered so
+    that elimination must swap them.  Scales run 1e-150..1e150; about a third of the members
+    away from the cutoff instead have their largest entry near overflow (1e300..1.5e308) or
+    underflow (1e-320..1e-300)."""
     d = draw(st.integers(1, 4))
     batch = draw(st.sampled_from([(), (3,), (2, 3)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     u, _ = np.linalg.qr(rng.standard_normal(batch + (d, d)))
     v, _ = np.linalg.qr(rng.standard_normal(batch + (d, d)))
     s = 10.0 ** rng.uniform(-3.0, 0.0, batch + (d,))
-    kind = rng.integers(0, 4, batch)
-    s[..., -1] = np.where(kind == 1, rng.choice(_CUTOFF_RATIOS, batch) * s.max(axis=-1), s[..., -1])
+    kind = rng.integers(0, 5, batch)
+    near = (kind == 1) | (kind == 4)
+    ratio = np.where(kind == 1, rng.choice(_CUTOFF_RATIOS, batch), 10.0 ** -rng.uniform(8.0, 11.0, batch))
+    s[..., -1] = np.where(near, ratio * s.max(axis=-1), s[..., -1])
     a = (u * s[..., None, :]) @ v
     deficient = kind == 2
     a[deficient, :, 0] = 0.0 if d == 1 else a[deficient, :, -1]
     a[kind == 3] = 0.0
-    return a * 10.0 ** rng.uniform(-150.0, 150.0, batch + (1, 1))
+    if d > 1:
+        swap = (rng.random(batch) < 0.5) & (np.abs(a[..., 1, 0]) <= np.abs(a[..., 0, 0]))
+        a[swap] = a[swap][:, [1, 0, *range(2, d)]]
+    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    unit = np.divide(a, top, out=np.zeros_like(a), where=top > 0)  # largest entry 1
+    exponent = np.where(rng.random(batch) < 0.5, rng.uniform(300.0, 308.2, batch), rng.uniform(-320.0, -300.0, batch))
+    extreme = (~near & (rng.random(batch) < 0.35))[..., None, None]
+    return np.where(extreme, unit * 10.0 ** exponent[..., None, None], a * 10.0 ** rng.uniform(-150.0, 150.0, batch + (1, 1)))
+
+
+def _svd_rank_rule(a):
+    """Kernel dimensions by the rank rule on the singular values of a; a member whose
+    largest entry exceeds 1e300 is first scaled by an exact power of two, so that s_max
+    cannot overflow."""
+    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    s = np.linalg.svd(np.ldexp(a, -np.where(top > 1e300, np.frexp(top)[1], 0)), compute_uv=False)
+    return (~(s > 1e-10 * s[..., :1])).sum(axis=-1)
 
 
 @PROPERTY
 @given(a=_rank_rule_cases())
 def test_screened_kernel_dim_equals_the_svd_rank_rule(a):
-    s = np.linalg.svd(a, compute_uv=False)
-    assert np.array_equal(linalg.kernel_dim(a), (~(s > 1e-10 * s[..., :1])).sum(axis=-1))
+    assert np.array_equal(linalg.kernel_dim(a), _svd_rank_rule(a))
+
+
+@st.composite
+def _systems(draw):
+    """Nonsingular (..., d, d) matrices of condition 1..1e12 at scales 1e-100..1e100 and
+    right-hand sides (..., d).  In about half, a_00 is shrunk by up to 1e-15 and the first
+    two rows are ordered so that elimination must swap them: without the swap, its growth
+    would break the backward-error bound."""
+    d = draw(st.integers(1, 4))
+    batch = draw(st.sampled_from([(), (5,), (2, 3)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.standard_normal(batch + (d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal(batch + (d, d)))
+    s = 10.0 ** -rng.uniform(0.0, 12.0, batch + (d,))
+    a = (u * s[..., None, :]) @ v * 10.0 ** rng.uniform(-100.0, 100.0, batch + (1, 1))
+    if d > 1:
+        tiny = rng.random(batch) < 0.5
+        a[tiny, 0, 0] *= 10.0 ** -rng.uniform(0.0, 15.0, batch)[tiny]
+        swap = tiny & (np.abs(a[..., 1, 0]) <= np.abs(a[..., 0, 0]))
+        a[swap] = a[swap][:, [1, 0, *range(2, d)]]
+    return a, rng.standard_normal(batch + (d,)) * 10.0 ** rng.uniform(-100.0, 100.0, batch + (1,))
+
+
+@PROPERTY
+@given(case=_systems())
+def test_elimination_solves_with_a_small_backward_error(case):
+    # ||A x - b|| <= c d eps ||A|| ||x|| in the max norm (Higham, ch. 9), the residual taken
+    # in extended precision; c = 8 allows for the growth factor of partial pivoting, at most
+    # 2^(d-1) = 8 for d <= 4
+    a, b = case
+    d, eps = a.shape[-1], np.finfo(float).eps
+    _, x = linalg._eliminate(a, b)
+    wide = np.longdouble
+    resid = np.einsum("...ij,...j->...i", a.astype(wide), x.astype(wide)) - b.astype(wide)
+    bound = 8 * d * eps * np.abs(a).sum(axis=-1).max(axis=-1) * np.abs(x).max(axis=-1)
+    assert np.all(np.abs(resid).max(axis=-1) <= bound)
+    # the determinant of a backward-stable factorisation is off by about d eps cond(A)
+    # relative, as is LAPACK's; compared at largest entry 1 (an exact scaling), where
+    # neither overflows
+    unit = np.ldexp(a, -np.frexp(np.abs(a).max(axis=(-2, -1), keepdims=True))[1])
+    det, want = linalg._eliminate(unit)[0], np.linalg.det(unit)
+    assert np.all(np.abs(det - want) <= 64 * d * eps * np.linalg.cond(unit) * np.abs(want))
+
+
+@PROPERTY
+@given(case=_systems(), n=st.integers(1, 7))
+def test_a_shared_matrix_gives_the_bytes_of_its_broadcast_batch(case, n):
+    a, _ = case
+    a = a.reshape((-1,) + a.shape[-2:])[0]
+    b = np.random.default_rng(n).standard_normal((n, a.shape[-1]))
+    det, x = linalg._eliminate(a, b)
+    det_batch, x_batch = linalg._eliminate(np.broadcast_to(a, (n,) + a.shape), b)
+    assert x.tobytes() == x_batch.tobytes()
+    assert np.full(n, det).tobytes() == det_batch.tobytes()
+
+
+@pytest.mark.parametrize("batch", [(), (6,)])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_diagonal_systems_are_exact_quotients(d, batch):
+    # no BLAS in the oracle: x = b / diag(A) correctly rounded, det the product in order
+    rng = np.random.default_rng(d)
+    diag = rng.uniform(0.5, 4.0, batch + (d,)) * rng.choice([-1.0, 1.0], batch + (d,))
+    b = rng.standard_normal((6, d))
+    a = np.zeros(batch + (d, d))
+    a[..., np.arange(d), np.arange(d)] = diag
+    det, x = linalg._eliminate(a, b)
+    assert x.tobytes() == (b / diag).tobytes()
+    want = np.ones(batch)
+    for k in range(d):
+        want = want * diag[..., k]
+    assert np.asarray(det).tobytes() == want.tobytes()

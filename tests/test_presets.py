@@ -5,7 +5,7 @@ import inspect
 import numpy as np
 import pytest
 
-from pathcoupling import presets
+from pathcoupling import presets, sde
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
 from pathcoupling.linalg import MEMBERSHIP_TOL, correlation_margin, kernel_dim, orthogonality_defect
 from pathcoupling.sde import TimeGrid, ito_map, sample_brownian
@@ -129,6 +129,21 @@ def test_correlation_presets_are_admissible():
     mat = sr.eval(0, 0.0, None, None)
     assert correlation_margin(mat) >= -MEMBERSHIP_TOL
     assert np.allclose(np.linalg.svd(mat, compute_uv=False), 0.8)
+
+
+@pytest.mark.parametrize("block_bytes", [sde._BLOCK_BYTES, 256, 8 * 50 * 2 * 7])
+@pytest.mark.parametrize("layout", ["path-major", "time-major"])
+def test_h_presets_walked_over_blocks_match_the_whole_path_formulas(monkeypatch, layout, block_bytes):
+    # 256: one step a block; 8·N·d·7: 7 steps a block, not dividing the 96 steps
+    paths = np.cumsum(np.random.default_rng(7).standard_normal((50, 97, 2)), axis=1)
+    if layout == "time-major":
+        paths = np.ascontiguousarray(np.swapaxes(paths, 0, 1)).swapaxes(0, 1)
+    monkeypatch.setattr(sde, "_BLOCK_BYTES", block_bytes)
+    sup = presets.build("h", "sup", d=2)(paths)
+    assert sup.tobytes() == np.linalg.norm(paths, axis=2).max(axis=1).tobytes()
+    # l2 sums the steps in time order, the whole-path mean pairwise: the last digits may differ
+    l2 = presets.build("h", "l2", d=2)(paths)
+    assert np.allclose(l2, (paths[:, :-1] ** 2).sum(axis=2).mean(axis=1), rtol=1e-14, atol=0.0)
 
 
 def test_cost_functional_presets():

@@ -1,6 +1,7 @@
 """Tests for grids, sampling and the discrete Itô map."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from pathcoupling import presets, sde
+from pathcoupling import coupling, presets, sde
 from pathcoupling.errors import DimensionError, DomainError, SingularDiffusionError
 from pathcoupling.sde import (
     CoefficientField,
@@ -272,13 +273,39 @@ def test_round_trip_is_exact(model):
     assert np.abs(w.values - drv.values).max() < 1e-10
 
 
+def _rotated_vol_model(d, sigma):
+    """A per-path diffusion that is not diagonal: gbm-bounded's volatility turned by the
+    state-dependent angle x_0 + 1 in the first two coordinates (d >= 2).  At angles with
+    |sin| > |cos| the elimination swaps rows, so a batch mixes paths that pivot and paths
+    that do not."""
+    vol = presets.build("model", "gbm-bounded", d=d, sigma=sigma).diffusion
+
+    def diffusion(k, t, prefix):
+        theta = prefix[:, -1, 0] + 1.0
+        rot = np.broadcast_to(np.eye(d), (len(theta), d, d)).copy()
+        c, s = np.cos(theta), np.sin(theta)
+        rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+        return rot @ vol.eval(k, t, prefix)
+
+    return SdeModel(
+        z0=np.zeros(d),
+        drift=constant_drift(0.0, d),
+        diffusion=CoefficientField("diffusion", d, diffusion, label="rotated-vol"),
+        label="rotated-vol",
+    )
+
+
 @st.composite
 def _models_and_drivers(draw):
-    """A bm, gbm-bounded or const-matrix model (sigma = R diag(s), R a random
-    rotation) in d = 1..3, and a Brownian driver of 1..16 paths and 1..128 steps."""
+    """A bm, gbm-bounded, const-matrix (sigma = R diag(s), R a random rotation) or
+    rotated-vol (in d >= 2) model in d = 1..3, and a Brownian driver of 1..16 paths and
+    1..128 steps."""
     d = draw(st.integers(1, 3))
-    kind = draw(st.sampled_from(["bm", "gbm-bounded", "const-matrix"]))
-    if kind == "const-matrix":
+    kind = draw(st.sampled_from(["bm", "gbm-bounded", "const-matrix", "rotated-vol"]))
+    if kind == "rotated-vol":
+        d = max(d, 2)
+        model = _rotated_vol_model(d, draw(st.floats(0.5, 4.0)))
+    elif kind == "const-matrix":
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         rot, _ = np.linalg.qr(rng.standard_normal((d, d)))
         rot[:, 0] *= np.sign(np.linalg.det(rot))
@@ -331,6 +358,36 @@ def test_inverse_singular_diffusion_reports_step():
     with pytest.raises(SingularDiffusionError) as err:
         inverse_ito_map(model, x)
     assert err.value.step == 5  # t = 0.5 at step 5 of 10
+
+
+@pytest.mark.parametrize("member", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])], ids=["zero", "rank-1"])
+def test_one_singular_path_in_a_batch_is_located_without_a_warning(member):
+    def diffusion(k, t, prefix):
+        out = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+        if k == 5:
+            out[2] = member
+        return out
+
+    model = SdeModel(
+        z0=np.zeros(2),
+        drift=constant_drift(0.0, 2),
+        diffusion=CoefficientField("diffusion", 2, diffusion, label="one-singular"),
+    )
+    x = sample_brownian(TimeGrid(8), 2, 4, seed=18)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the elimination's 0/0 on that path must stay silent
+        with pytest.raises(SingularDiffusionError, match="on 1 path\\(s\\)") as err:
+            inverse_ito_map(model, x)
+    assert err.value.step == 5
+
+
+def test_composed_monge_through_a_rotated_diffusion_is_byte_identical_across_worker_counts():
+    src, dst = _rotated_vol_model(2, 0.5), presets.build("model", "ou", d=2, theta=2.0, mean=0.5)
+    q = presets.build("rotation", "rotation-by-state", d=2)
+    serial = coupling.composed_monge(src, dst, q, TimeGrid(16), 37, seed=44, n_workers=1)
+    for n_workers in (2, 3, 4):
+        pair = coupling.composed_monge(src, dst, q, TimeGrid(16), 37, seed=44, n_workers=n_workers)
+        assert pair.x.tobytes() == serial.x.tobytes() and pair.y.tobytes() == serial.y.tobytes()
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2)])
