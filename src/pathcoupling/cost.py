@@ -29,9 +29,9 @@ from .sde import (
     SdeModel,
     ValueMemo,
     _ensemble,
-    _eval_diffusion,
-    _eval_drift,
+    _eval,
     _path_view,
+    _walk,
     time_blocks,
     time_major,
 )
@@ -151,8 +151,11 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
         fvs = fvs or [np.empty(blk[0].shape) for _ in models]  # reused; only the last block is shorter
         for fv, start, model, leg in zip(fvs, last, models, legs):
             fv[0] = start
-            for j, k in enumerate(range(lo, lo + steps)):
-                fv[j + 1] = fv[j] + _eval_drift(model.drift, k, k * dt, leg[:, : k + 1], n_paths, d) * dt
+
+            def step(k, t, prefix):  # the walk ends before model and leg move on
+                return prefix[:, -1] + _eval(model.drift, k, t, leg[:, : k + 1], n_paths) * dt
+
+            _walk(fv[: steps + 1], dt, step, lo)
         fx, fy = (fv[: steps + 1] for fv in fvs)
         np.subtract(fx, fy, out=diff[lo : lo + steps + 1])
         dm = np.diff(np.subtract(blk[0] - fx, blk[1] - fy), axis=0)
@@ -199,17 +202,13 @@ def estimate(
 # closed-form optimum
 
 
-def _require_deterministic(vals, what: str, k: int):
-    """Collapse a per-path batch to one value, insisting it is path-free."""
-    ref = vals[0]
-    spread = float(np.max(np.abs(vals - ref))) if vals.shape[0] > 1 else 0.0
-    if spread > DETERMINISM_TOL:
-        raise DomainError(
-            f"{what} must not depend on the path; spread {spread:.3g} "
-            f"across probe paths exceeds {DETERMINISM_TOL:g}",
-            step=k,
-        )
-    return ref
+def _require_deterministic(vals, what: str):
+    """Collapse a per-path batch to one value, insisting it is path-free (a NaN spread is not)."""
+    spread = float(np.max(np.abs(vals - vals[0])))
+    if not spread <= DETERMINISM_TOL:
+        raise DomainError(f"{what} must not depend on the path; spread {spread:.3g} "
+                          f"across probe paths exceeds {DETERMINISM_TOL:g}")
+    return vals[0]
 
 
 def closed_form_optimal(
@@ -248,36 +247,34 @@ def closed_form_optimal(
 
     sbars = np.empty((n, d, d))
     bracket = np.zeros(n_paths)
-    fv_x = np.empty((n_paths, n + 1, d))
-    fv_x[:, 0] = src.z0
+    fv_x = np.empty((n + 1, n_paths, d))
+    fv_x[0] = src.z0
     fv_y = np.empty((n + 1, d))
     fv_y[0] = dst.z0
 
-    for k in range(n):
-        t = k * dt
+    def step(k, t, fv):
         prefix = x[:, : k + 1]
-        sbar = _eval_diffusion(dst.diffusion, k, t, prefix, n_paths, d)
+        sbar = _eval(dst.diffusion, k, t, prefix, n_paths)
         if sbar.ndim == 3:
-            sbar = _require_deterministic(sbar, "dst diffusion (sigma sigma^T)", k)
-        bbar = _eval_drift(dst.drift, k, t, prefix, n_paths, d)
+            sbar = _require_deterministic(sbar, "dst diffusion (sigma sigma^T)")
+        bbar = _eval(dst.drift, k, t, prefix, n_paths)
         if bbar.ndim == 2:
-            bbar = _require_deterministic(bbar, "dst drift", k)
+            bbar = _require_deterministic(bbar, "dst drift")
         sbars[k] = sbar
-        tr_dst = float(np.einsum("ij,ij->", sbar, sbar))
-
-        b = _eval_drift(src.drift, k, t, prefix, n_paths, d)
-        fv_x[:, k + 1] = fv_x[:, k] + b * dt
+        b = _eval(src.drift, k, t, prefix, n_paths)
         fv_y[k + 1] = fv_y[k] + bbar * dt
-
-        sig = _eval_diffusion(src.diffusion, k, t, prefix, n_paths, d)
+        sig = _eval(src.diffusion, k, t, prefix, n_paths)
         cross = cross_of(np.swapaxes(sig, -1, -2) @ sbar)
         tr_src = np.einsum("...ij,...ij->...", sig, sig)
-        bracket += (tr_src + tr_dst - 2.0 * cross) * dt
+        bracket[:] += (tr_src + float(np.einsum("ij,ij->", sbar, sbar)) - 2.0 * cross) * dt
+        return fv[:, -1] + b * dt
 
+    fv_x = _walk(fv_x, dt, step)
     # the integrand is nonnegative analytically; clip rounding residue so
     # g (e.g. sqrt) never sees a negative bracket
     bracket = np.maximum(bracket, 0.0)
-    h_vals = np.asarray(spec.h(fv_x - fv_y[None]), dtype=float)
+    # h is handed path-major (N, n+1, d) values, so it sums in the same order for every layout
+    h_vals = np.asarray(spec.h(np.subtract(fv_x, fv_y[None], order="C")), dtype=float)
     g_vals = np.asarray(spec.g(bracket), dtype=float)
     value = _from_values(h_vals + g_vals, f"closed-form({spec.label})")
     rotation_of = ValueMemo(lambda a: trace_max_rotation(a)[0])
@@ -287,7 +284,7 @@ def closed_form_optimal(
             raise DomainError(
                 f"optimal rotation is defined on {n} steps, got step {k}"
             )
-        sig = _eval_diffusion(src.diffusion, k, k * dt, x_prefix, x_prefix.shape[0], d)
+        sig = _eval(src.diffusion, k, k * dt, x_prefix, x_prefix.shape[0])
         return rotation_of(np.swapaxes(sig, -1, -2) @ sbars[k]).copy()
 
     q_star = RotationProcess(

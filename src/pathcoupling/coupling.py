@@ -40,10 +40,10 @@ from .sde import (
     ValueMemo,
     _apply,
     _apply_transposed,
-    _eval_diffusion,
-    _eval_drift,
+    _eval,
     _path_view,
     _shaped,
+    _walk,
     brownian_increments,
     ito_map,
     inverse_ito_map,
@@ -175,10 +175,8 @@ def _eval_rotation(q, k, t, xp, n_paths, defect_of):
     d = q.dim
     mat = _shaped(q.eval(k, t, xp), [(d, d), (n_paths, d, d)], "rotation", q.label, k)
     worst = float(np.max(defect_of(mat)))
-    if worst > MEMBERSHIP_TOL:
-        raise DomainError(
-            f"rotation {q.label!r} is not orthogonal (defect {worst:.3e})", step=k
-        )
+    if not worst <= MEMBERSHIP_TOL:  # a NaN defect is not orthogonal either
+        raise DomainError(f"rotation {q.label!r} is not orthogonal (defect {worst:.3e})")
     return mat
 
 
@@ -213,28 +211,22 @@ def couple_brownians(
     d = rho.dim
     inc = brownian_increments(grid, d, n_pairs, seed, streams=2, n_workers=n_workers)
     db, dw = time_major(inc[0]), time_major(inc[1])
-    n = grid.n_steps
-    dt = grid.dt
-    x = np.zeros((n + 1, n_pairs, d))
-    y = np.zeros((n + 1, n_pairs, d))
-    xv, yv = _path_view(x), _path_view(y)
+    x = np.zeros((grid.n_steps + 1, n_pairs, d))
+    np.cumsum(db, axis=0, out=x[1:])
+    xv = _path_view(x)
     margin_of = ValueMemo(correlation_margin)
     # sqrt(I - c^T c), the top-up that restores the Brownian marginal
     root_of = ValueMemo(lambda c: psd_sqrt(np.eye(d) - np.swapaxes(c, -1, -2) @ c, clamp_tol=1e-6))
     shapes = [(d, d), (n_pairs, d, d)]
-    for k in range(n):
-        c = rho.eval(k, k * dt, xv[:, : k + 1], yv[:, : k + 1])
-        c = _shaped(c, shapes, "correlation", rho.label, k)
+
+    def step(k, t, prefix):
+        c = _shaped(rho.eval(k, t, xv[:, : k + 1], prefix), shapes, "correlation", rho.label, k)
         worst = float(np.min(margin_of(c)))
         if worst < -MEMBERSHIP_TOL:
-            raise DomainError(
-                f"correlation {rho.label!r} leaves the admissible class "
-                f"(margin {worst:.3e})",
-                step=k,
-            )
-        dy = _apply_transposed(c, db[k]) + _apply(root_of(c), dw[k])
-        x[k + 1] = x[k] + db[k]
-        y[k + 1] = y[k] + dy
+            raise DomainError(f"correlation {rho.label!r} leaves the admissible class (margin {worst:.3e})")
+        return prefix[:, -1] + (_apply_transposed(c, db[k]) + _apply(root_of(c), dw[k]))
+
+    yv = _walk(np.zeros_like(x), grid.dt, step)
     wiener = [f"wiener(d={d})"] * 2
     return _coupled(grid, xv, yv, seed, "couple_brownians", wiener, correlation=rho.label)
 
@@ -283,17 +275,16 @@ def rotation_monge(q: RotationProcess, driver: PathEnsemble) -> CoupledEnsemble:
     if q.dim != driver.d:
         raise DimensionError(f"rotation dim {q.dim} does not match driver dim {driver.d}")
     n_pairs, _, d = driver.values.shape
-    grid = driver.grid
-    dt = grid.dt
     x = time_major(driver.values)
     xv = _path_view(x)
-    y = np.zeros_like(x)
     defect_of = ValueMemo(orthogonality_defect)
-    for k in range(grid.n_steps):
-        mat = _eval_rotation(q, k, k * dt, xv[:, : k + 1], n_pairs, defect_of)
-        y[k + 1] = y[k] + _apply(mat, x[k + 1] - x[k])
-    y, wiener = _path_view(y), [f"wiener(d={d})"] * 2
-    return _coupled(grid, driver.values, y, driver.seed, "rotation_monge", wiener, rotation=q.label)
+
+    def step(k, t, prefix):
+        mat = _eval_rotation(q, k, t, xv[:, : k + 1], n_pairs, defect_of)
+        return prefix[:, -1] + _apply(mat, x[k + 1] - x[k])
+
+    y, wiener = _walk(np.zeros_like(x), driver.grid.dt, step), [f"wiener(d={d})"] * 2
+    return _coupled(driver.grid, driver.values, y, driver.seed, "rotation_monge", wiener, rotation=q.label)
 
 
 def composed_monge(
@@ -358,38 +349,29 @@ def monge_sde(
     # no name holds the Brownian driver, so it is freed once X is built
     xv = ito_map(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)).values
     x = time_major(xv)
-    n = grid.n_steps
     dt = grid.dt
     ty = np.empty_like(x)
-    tv = _path_view(ty)
     ty[0] = z0_dst
-    resid = np.zeros(n)
+    resid = np.zeros(grid.n_steps)
     defect_of = ValueMemo(orthogonality_defect)
     pinv_of = ValueMemo(pinv_and_null)
-    for k in range(n):
-        t = k * dt
+
+    def step(k, t, tp):
         xp = xv[:, : k + 1]
-        tp = tv[:, : k + 1]
-        b = _eval_drift(src.drift, k, t, xp, n_pairs, d)
-        sig = _eval_diffusion(src.diffusion, k, t, xp, n_pairs, d)
-        bbar = _eval_drift(dst_drift, k, t, tp, n_pairs, d)
-        sbar = _eval_diffusion(dst_diffusion, k, t, tp, n_pairs, d)
+        b = _eval(src.drift, k, t, xp, n_pairs)
+        sig = _eval(src.diffusion, k, t, xp, n_pairs)
+        bbar = _eval(dst_drift, k, t, tp, n_pairs)
+        sbar = _eval(dst_diffusion, k, t, tp, n_pairs)
         qmat = _eval_rotation(q, k, t, xp, n_pairs, defect_of)
         pinv, null_proj = pinv_of(sig)
-        dm = x[k + 1] - x[k] - b * dt
-        u = _apply(pinv, dm)
-        dy = bbar * dt + _apply(sbar, _apply(qmat, u))
-        ty[k + 1] = ty[k] + dy
-        leak = np.matmul(np.matmul(sbar, qmat), null_proj)
-        resid[k] = float(np.abs(leak).max())
-    return _coupled(
-        grid, xv, tv, seed, "monge_sde",
-        [src.label, f"target({dst_drift.label}, {dst_diffusion.label})"],
-        rotation=q.label,
-        kernel_residual=float(resid.max()),
-        kernel_residual_step=int(resid.argmax()),
-        kernel_condition_violated=bool(resid.max() > 1e-8),
-    )
+        u = _apply(pinv, x[k + 1] - x[k] - b * dt)
+        resid[k] = float(np.abs(np.matmul(np.matmul(sbar, qmat), null_proj)).max())
+        return tp[:, -1] + (bbar * dt + _apply(sbar, _apply(qmat, u)))
+
+    tv, worst = _walk(ty, dt, step), int(resid.argmax())
+    return _coupled(grid, xv, tv, seed, "monge_sde", [src.label, f"target({dst_drift.label}, {dst_diffusion.label})"],
+                    rotation=q.label, kernel_residual=float(resid[worst]), kernel_residual_step=worst,
+                    kernel_condition_violated=bool(resid[worst] > 1e-8))
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +479,6 @@ def rotation_chop(
     q, achieved, quantized = chop_rotation(c, grid.n_steps, block)
     driver = sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers)
     out = rotation_monge(q, driver)
-    prov = dict(out.provenance)
-    prov.update(
-        {
-            "constructor": "rotation_chop",
-            "requested_c": float(c),
-            "achieved_c": float(achieved),
-            "block": int(block),
-            "duty_cycle_quantized": quantized,
-        }
-    )
-    return CoupledEnsemble(
-        grid=out.grid, x=out.x, y=out.y, seed=out.seed, provenance=prov
-    )
+    return _coupled(out.grid, out.x, out.y, out.seed, "rotation_chop", out.provenance["marginals"],
+                    rotation=q.label, requested_c=float(c), achieved_c=float(achieved), block=int(block),
+                    duty_cycle_quantized=quantized)

@@ -186,7 +186,7 @@ def correlation_margin(c) -> np.ndarray | float:
     shaped (..., d, d); returns a float or an array shaped like the
     batch.
     """
-    ev = np.linalg.eigvalsh(_block_extension(_square(c)))
+    ev = np.linalg.eigvalsh(_block_extension(_finite_square(c)))
     return _scalar_or_batch(ev[..., 0])
 
 

@@ -10,6 +10,7 @@ accepted without any such check.
 
 from __future__ import annotations
 
+import ast
 import functools
 import inspect
 import math
@@ -165,18 +166,31 @@ _EXPR_NAMES = {
 }
 
 
+#: the syntax of an expression: numbers, names, arithmetic, comparisons and calls of the functions above
+_EXPR_NODES = (ast.Expression, ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp, ast.Compare, ast.Call,
+               ast.operator, ast.unaryop, ast.cmpop)
+
+
 def _compile_expr(expr: str, d: int):
     try:
-        code = compile(expr, "<preset-expr>", "eval")
+        tree = ast.parse(expr, mode="eval")
     except SyntaxError as err:
         raise ConfigError(f"bad expression {expr!r}: {err.msg}") from err
+    nodes = list(ast.walk(tree))  # every node, nested ones too
+    bad = [n for n in nodes if not isinstance(n, _EXPR_NODES) or isinstance(n, ast.Constant)
+           and type(n.value) not in (int, float)]
+    bad += [n for n in nodes if isinstance(n, ast.Call) and not callable(_EXPR_NAMES.get(getattr(n.func, "id", "")))]
+    if bad:
+        raise ConfigError(f"expression {expr!r} may not use {type(bad[0]).__name__} {ast.unparse(bad[0])!r}; "
+                          "only numbers, names, arithmetic, comparisons and calls of the allowed functions")
     allowed = set(_EXPR_NAMES) | {"t", "x"} | {f"x{j}" for j in range(d)}
-    unknown = sorted(set(code.co_names) - allowed)
+    unknown = sorted({n.id for n in nodes if isinstance(n, ast.Name)} - allowed)
     if unknown:
         raise ConfigError(
             f"expression {expr!r} uses unknown names {unknown}; "
             f"allowed: t, x, x0..x{d - 1}, {', '.join(sorted(_EXPR_NAMES))}"
         )
+    code = compile(tree, "<preset-expr>", "eval")
 
     def evaluate(t, x):
         names = dict(_EXPR_NAMES)

@@ -26,6 +26,13 @@ time-major, in a C-contiguous (n_steps+1, N, d) buffer, and
 each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
 is contiguous.  Inputs of any layout are accepted; :func:`time_major`
 copies only those not already time-major.
+
+One walk, :func:`_walk`, fills that storage for every step kernel:
+``z[j+1] = step(k, k * dt, prefix)`` with ``prefix`` the kernel's own
+state z[0..j], and a step returns the new state, not the increment.  A
+step that overflows, divides by zero, makes an invalid value or raises a
+DomainError that names no step fails as a :class:`DomainError` carrying
+``.step``, as does a state that goes non-finite (with its path count).
 """
 
 from __future__ import annotations
@@ -334,13 +341,10 @@ def _shaped(value, shapes, what, label, k) -> np.ndarray:
     )
 
 
-def _eval_drift(field: CoefficientField, k, t, prefix, n_paths, d):
-    return _shaped(field.eval(k, t, prefix), [(d,), (n_paths, d)], "drift", field.label, k)
-
-
-def _eval_diffusion(field: CoefficientField, k, t, prefix, n_paths, d):
-    shapes = [(d, d), (n_paths, d, d)]
-    return _shaped(field.eval(k, t, prefix), shapes, "diffusion", field.label, k)
+def _eval(field: CoefficientField, k, t, prefix, n_paths):
+    """``field`` at step k: (d,) or (N, d) for a drift, (d, d) or (N, d, d) for a diffusion."""
+    shape = (field.dim,) if field.kind == "drift" else (field.dim, field.dim)
+    return _shaped(field.eval(k, t, prefix), [shape, (n_paths, *shape)], field.kind, field.label, k)
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -372,12 +376,13 @@ class ValueMemo:
         self.key = None
         self.value = None
 
-    def __call__(self, mat: np.ndarray):
+    def __call__(self, mat: np.ndarray, *args):
+        """``fn(mat, *args)``; ``args`` (such as a determinant of ``mat``) must follow from ``mat``."""
         if mat.ndim != 2:
-            return self.fn(mat)
+            return self.fn(mat, *args)
         key = mat.tobytes()
         if key != self.key:
-            self.value = self.fn(mat)
+            self.value = self.fn(mat, *args)
             self.key = key
         return self.value
 
@@ -391,6 +396,28 @@ def _ensemble(paths, what: str, model: SdeModel) -> PathEnsemble:
     return paths
 
 
+def _walk(z: np.ndarray, dt: float, step, lo: int = 0) -> np.ndarray:
+    """Fill time-major (h+1, N, d) storage by ``z[j+1] = step(k, k*dt, prefix)``, k = lo + j and
+    ``prefix`` the (N, j+1, d) view of z[0..j]; return the (N, h+1, d) view.  Failures carry k
+    (module docstring).  Every step adds to its state, so a state that went non-finite stays so:
+    only the last knot is checked, and the walk searched for the step only when that fails."""
+    paths = _path_view(z)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for j in range(len(z) - 1):
+            k = lo + j
+            try:
+                z[j + 1] = step(k, k * dt, paths[:, : j + 1])
+            except FloatingPointError as err:
+                raise DomainError(f"floating-point {err}", step=k) from None
+            except DomainError as err:  # one that names no step is given this one
+                raise (err if err.step is not None else type(err)(str(err), step=k)) from None
+    if not np.isfinite(z[-1]).all():
+        bad = ~np.isfinite(z).all(axis=2)
+        j = int(bad.any(axis=1).argmax())
+        raise DomainError(f"the state went non-finite on {int(bad[j].sum())} path(s)", step=lo + max(j, 1) - 1)
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # the Itô map and its inverse
 
@@ -401,31 +428,29 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     The driver is read as Brownian increments dB[k] = driver[k+1] -
     driver[k]; its starting value is ignored.
     """
-    n_paths, _, d = _ensemble(driver, "driver", model).values.shape
-    grid = driver.grid
-    dt = grid.dt
+    n_paths = _ensemble(driver, "driver", model).n_paths
+    dt = driver.grid.dt
     drv = time_major(driver.values)
     z = np.empty_like(drv)
-    paths = _path_view(z)
     z[0] = model.z0
-    for k in range(grid.n_steps):
-        prefix = paths[:, : k + 1]
-        t = k * dt
-        b = _eval_drift(model.drift, k, t, prefix, n_paths, d)
-        s = _eval_diffusion(model.diffusion, k, t, prefix, n_paths, d)
-        z[k + 1] = z[k] + b * dt + _apply(s, drv[k + 1] - drv[k])
-    return PathEnsemble(grid=grid, values=paths, seed=driver.seed)
+
+    def step(k, t, prefix):
+        b = _eval(model.drift, k, t, prefix, n_paths)
+        s = _eval(model.diffusion, k, t, prefix, n_paths)
+        return prefix[:, -1] + b * dt + _apply(s, drv[k + 1] - drv[k])
+
+    return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step), seed=driver.seed)
 
 
-def _check_diffusion(s, det, k, label):
-    """Raise SingularDiffusionError (at step k) if s, whose elimination gave det, is numerically singular."""
+def _check_diffusion(s, det, label):
+    """Raise SingularDiffusionError if s, whose elimination gave det, is numerically singular."""
     try:
         bad = _kernel_dim(s, det) > 0
     except DomainError as err:
-        raise DomainError(f"diffusion {label!r}: {err}", step=k) from None
+        raise DomainError(f"diffusion {label!r}: {err}") from None
     if np.any(bad):
         where = "" if s.ndim == 2 else f" on {int(bad.sum())} path(s)"
-        raise SingularDiffusionError(f"diffusion {label!r} is singular{where}", step=k)
+        raise SingularDiffusionError(f"diffusion {label!r} is singular{where}")
 
 
 def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
@@ -436,38 +461,20 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
     from 0.  Raises :class:`SingularDiffusionError` (carrying the step
     index) when the diffusion is numerically singular at some step.
     """
-    n_paths, _, d = _ensemble(solution, "solution", model).values.shape
-    grid = solution.grid
-    dt = grid.dt
-    label = model.diffusion.label
+    n_paths = _ensemble(solution, "solution", model).n_paths
+    dt = solution.grid.dt
     x = time_major(solution.values)
-    paths = _path_view(x)
-    w = np.zeros_like(x)
-    # reads the loop's k and det when it runs: a failing check raises at the current step
-    check = ValueMemo(lambda s: _check_diffusion(s, det, k, label))
-    for k in range(grid.n_steps):
-        prefix = paths[:, : k + 1]
-        t = k * dt
-        b = _eval_drift(model.drift, k, t, prefix, n_paths, d)
-        s = _eval_diffusion(model.diffusion, k, t, prefix, n_paths, d)
-        det, dw = _eliminate(s, x[k + 1] - x[k] - b * dt)  # one elimination: the screen's det and the solve
-        check(s)
-        w[k + 1] = w[k] + dw
-    return PathEnsemble(grid=grid, values=_path_view(w), seed=solution.seed)
-
-
-def _finite_variation(model: SdeModel, paths: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
-    """The paths and z0 + sum_{j<k} b(j, path[0..j]) * dt, both time-major (n+1, N, d)."""
-    n_paths, _, d = _ensemble(paths, "path", model).values.shape
-    dt = paths.grid.dt
-    x = time_major(paths.values)
     xv = _path_view(x)
-    fv = np.empty_like(x)
-    fv[0] = model.z0
-    for k in range(paths.grid.n_steps):
-        b = _eval_drift(model.drift, k, k * dt, xv[:, : k + 1], n_paths, d)
-        fv[k + 1] = fv[k] + b * dt
-    return x, fv
+    check = ValueMemo(lambda s, det: _check_diffusion(s, det, model.diffusion.label))
+
+    def step(k, t, prefix):
+        b = _eval(model.drift, k, t, xv[:, : k + 1], n_paths)
+        s = _eval(model.diffusion, k, t, xv[:, : k + 1], n_paths)
+        det, dw = _eliminate(s, x[k + 1] - x[k] - b * dt)  # one elimination: the screen's det and the solve
+        check(s, det)
+        return prefix[:, -1] + dw
+
+    return PathEnsemble(grid=solution.grid, values=_walk(np.zeros_like(x), dt, step), seed=solution.seed)
 
 
 def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
@@ -480,5 +487,11 @@ def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathE
     need not have been produced by :func:`ito_map`.  Both parts are stored
     whole.
     """
-    x, fv = _finite_variation(model, paths)
+    n_paths = _ensemble(paths, "path", model).n_paths
+    dt = paths.grid.dt
+    x = time_major(paths.values)
+    xv = _path_view(x)
+    fv = np.empty_like(x)
+    fv[0] = model.z0
+    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + _eval(model.drift, k, t, xv[:, : k + 1], n_paths) * dt)
     return tuple(PathEnsemble(grid=paths.grid, values=_path_view(v), seed=paths.seed) for v in (fv, x - fv))

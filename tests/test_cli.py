@@ -3,6 +3,10 @@
 import functools
 import inspect
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -209,14 +213,44 @@ def test_experiment_reports_are_deterministic(tmp_path):
 
 
 def test_cost_with_non_finite_result_exits_3_and_writes_no_report(tmp_path, capsys):
-    # exp(x^2) from z0 = 3 overflows: mean inf, stderr nan, which JSON cannot hold
+    # exp(x^2) from z0 = 3 overflows at the second step of the source's Itô map, which stops there
     cfg = _write_config(tmp_path, {"src": {"preset": "expr", "params": {"mu_expr": "exp(x*x)", "z0": 3}}})
     out = tmp_path / "out"
-    with pytest.warns(RuntimeWarning):
-        rc = main(["cost", "--config", str(cfg), "--out", str(out)])
+    rc = main(["cost", "--config", str(cfg), "--out", str(out)])  # a warning would fail the suite
     assert rc == EXIT_NUMERIC
-    assert "cost.json" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: floating-point overflow encountered in exp (at step 1)\n"
     assert not (out / "cost.json").exists()
+
+
+def test_overflowing_run_exits_3_at_its_step_with_warnings_as_errors(tmp_path):
+    cfg = _write_config(tmp_path, {"N": 50, "n_steps": 64,
+                                   "src": {"preset": "expr", "params": {"mu_expr": "exp(x*x)", "z0": 3}}})
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "pathcoupling.cli", "cost", "--config", str(cfg),
+                          "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (
+        EXIT_NUMERIC, "", "error: floating-point overflow encountered in exp (at step 1)\n")
+
+
+@pytest.mark.parametrize(
+    "node, mu_expr",
+    [
+        ("Lambda", "(lambda: ().__class__.__base__.__subclasses__().__len__())() * 0 * x"),
+        ("Attribute", "x.__class__"),
+        ("ListComp", "sum([v for v in x])"),
+        ("GeneratorExp", "minimum(x, maximum(v for v in x))"),
+        ("Subscript", "x[0]"),
+        ("NamedExpr", "(y := x) * 0"),
+        ("keyword", "where(x > 0, x, y=1)"),
+        ("Starred", "maximum(*x)"),
+    ],
+)
+def test_expression_outside_the_allowed_syntax_exits_2_naming_it(tmp_path, capsys, node, mu_expr):
+    cfg = _write_config(tmp_path, {"src": {"preset": "expr", "params": {"mu_expr": mu_expr}}})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"may not use {node} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENTS))

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcoupling import cost, experiments, presets, sde
 from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_sdes
@@ -308,3 +310,43 @@ def test_gap_report_orders_candidates_correctly():
     margins = {f"{name}_margin" for name in names}
     assert {v["name"] for v in rep["verdicts"]} == margins | {"antithetic_gap", "independent_gap"}
     assert all(v["ok"] for v in rep["verdicts"])
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+# derandomized: the examples are fixed per test, so a run fails the same way every time
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+MODEL_PRESETS = sorted(p.name for p in presets.available() if p.kind == "model")
+
+
+@PROPERTY
+@given(d=st.integers(1, 3), rank_deficient=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_constant_sigma_closed_form_is_the_nuclear_norm_formula(d, rank_deficient, seed):
+    # with h = zero and g = identity: ||sigma||_F^2 + ||sbar||_F^2 - 2 ||sigma^T sbar||_*
+    rng = np.random.default_rng(seed)
+    sig, sbar = rng.standard_normal((2, d, d)) * 10.0 ** rng.uniform(-1, 1, (2, 1, 1))
+    if rank_deficient:
+        sig[:, -1] = 0.0
+    src, dst = (presets.build("model", "const-matrix", d=d, sigma=s) for s in (sig, sbar))
+    probe = sample_brownian(TimeGrid(8), d, 3, seed=1)
+    value, _ = cost.closed_form_optimal(src, dst, _sep(_h_zero(d), _g_id(d)), probe)
+    scale = np.sum(sig**2) + np.sum(sbar**2)
+    want = scale - 2.0 * np.linalg.norm(sig.T @ sbar, "nuc")
+    assert abs(value.mean - want) <= 1e-12 * scale, (value.mean, want)
+
+
+@PROPERTY
+@given(
+    preset=st.sampled_from(MODEL_PRESETS),
+    d=st.integers(1, 2),
+    h=st.sampled_from(["zero", "sup", "l2"]),
+    g=st.sampled_from(["identity", "sqrt", "square"]),
+    seed=st.integers(0, 2**16),
+)
+def test_synchronous_coupling_of_one_model_costs_exactly_zero(preset, d, h, g, seed):
+    model = presets.build("model", preset, d=d)
+    pair = couple_sdes(model, model, CorrelationProcess.constant(1.0, d), TimeGrid(16), 6, seed=seed)
+    assert pair.x.tobytes() == pair.y.tobytes()
+    est = cost.estimate(pair, _sep(presets.build("h", h, d=d), presets.build("g", g, d=d)), model, model)
+    assert (est.mean, est.stderr) == (0.0, 0.0)

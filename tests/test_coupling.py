@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathcoupling import pathio, presets, sde
 from pathcoupling.coupling import (
@@ -230,6 +232,24 @@ def test_composed_scale_change_is_the_exact_linear_map():
     dst = _bm_model(sigma=1.0)
     out = composed_monge(src, dst, RotationProcess.identity(1), TimeGrid(128), 20, seed=46)
     assert np.array_equal(out.y, 0.5 * out.x)
+
+
+# derandomized: the examples are fixed per test, so a run fails the same way every time
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+@PROPERTY
+@given(d=st.integers(1, 3), per_path=st.booleans(), n_steps=st.integers(1, 32), seed=st.integers(0, 2**32 - 1))
+def test_rotation_monge_keeps_the_norm_of_every_increment(d, per_path, n_steps, seed):
+    # orthogonal Q from the QR factors of random matrices, one per step (and per pair)
+    rng = np.random.default_rng(seed)
+    qs = np.linalg.qr(rng.standard_normal((n_steps, 5 if per_path else 1, d, d)))[0]
+    q = RotationProcess(d, lambda k, t, xp: qs[k] if per_path else qs[k, 0])
+    pair = rotation_monge(q, sample_brownian(TimeGrid(n_steps), d, 5, seed=seed))
+    dx, dy = (np.linalg.norm(np.diff(v, axis=1), axis=2) for v in (pair.x, pair.y))
+    # each difference of knots rounds relative to the knots' size, not to the increment's
+    rounding = 16 * np.finfo(float).eps * (1.0 + np.abs(pair.x).max() + np.abs(pair.y).max())
+    assert np.abs(dy - dx).max() <= rounding
 
 
 # ---------------------------------------------------------------------------
