@@ -41,8 +41,8 @@ from .sde import (
     _apply,
     _apply_transposed,
     _eval,
+    _field_value,
     _path_view,
-    _shaped,
     _walk,
     brownian_increments,
     ito_map,
@@ -173,7 +173,7 @@ class CoupledEnsemble:
 def _eval_rotation(q, k, t, xp, n_paths, defect_of):
     """Q[k], checked orthogonal; ``defect_of`` is a ValueMemo of the defect."""
     d = q.dim
-    mat = _shaped(q.eval(k, t, xp), [(d, d), (n_paths, d, d)], "rotation", q.label, k)
+    mat = _field_value(q, "rotation", [(d, d), (n_paths, d, d)], k, t, xp)
     worst = float(np.max(defect_of(mat)))
     if not worst <= MEMBERSHIP_TOL:  # a NaN defect is not orthogonal either
         raise DomainError(f"rotation {q.label!r} is not orthogonal (defect {worst:.3e})")
@@ -220,7 +220,7 @@ def couple_brownians(
     shapes = [(d, d), (n_pairs, d, d)]
 
     def step(k, t, prefix):
-        c = _shaped(rho.eval(k, t, xv[:, : k + 1], prefix), shapes, "correlation", rho.label, k)
+        c = _field_value(rho, "correlation", shapes, k, t, xv[:, : k + 1], prefix)
         worst = float(np.min(margin_of(c)))
         if worst < -MEMBERSHIP_TOL:
             raise DomainError(f"correlation {rho.label!r} leaves the admissible class (margin {worst:.3e})")

@@ -87,6 +87,16 @@ def build(kind: str, name: str, d: int = 1, **params):
 # model presets
 
 
+def _diagonal(vol, n_paths, d):
+    """(N, d, d) matrices with diagonal ``vol`` ((N, d), or broadcast to it) and zeros elsewhere.
+    Index arrays write it faster than the strided view ``out.reshape(N, d * d)[:, :: d + 1]``,
+    whose inner run of d elements makes the copy twice as slow at d = 2."""
+    out = np.zeros((n_paths, d, d))
+    idx = np.arange(d)
+    out[:, idx, idx] = vol
+    return out
+
+
 @_register("bm", "model", "standard Brownian motion, optionally scaled")
 def _bm(d, sigma=1.0, z0=0.0):
     return SdeModel(
@@ -130,11 +140,7 @@ def _gbm_bounded(d, sigma=1.0, z0=0.0):
 
     def diffusion(k, t, prefix):
         x = prefix[:, -1]
-        vol = s * (1.0 + x * x / (1.0 + x * x))
-        out = np.zeros((x.shape[0], d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = vol
-        return out
+        return _diagonal(s * (1.0 + x * x / (1.0 + x * x)), x.shape[0], d)
 
     return SdeModel(
         z0=np.full(d, float(z0)),
@@ -218,10 +224,7 @@ def _expr_model(d, sigma_expr="1", mu_expr="0", z0=0.0):
     def diffusion(k, t, prefix):
         x = prefix[:, -1]
         val = np.asarray(sig_fn(t, x), dtype=float)
-        out = np.zeros((x.shape[0], d, d))
-        idx = np.arange(d)
-        out[:, idx, idx] = val.reshape(-1, 1) if val.ndim == 1 else val
-        return out
+        return _diagonal(val.reshape(-1, 1) if val.ndim == 1 else val, x.shape[0], d)
 
     return SdeModel(
         z0=np.full(d, float(z0)),

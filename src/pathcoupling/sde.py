@@ -33,6 +33,8 @@ state z[0..j], and a step returns the new state, not the increment.  A
 step that overflows, divides by zero, makes an invalid value or raises a
 DomainError that names no step fails as a :class:`DomainError` carrying
 ``.step``, as does a state that goes non-finite (with its path count).
+A failure inside a drift, diffusion, rotation or correlation field also
+names the field's kind and label.
 """
 
 from __future__ import annotations
@@ -330,13 +332,18 @@ def sample_brownian(
 # coefficient evaluation plumbing
 
 
-def _shaped(value, shapes, what, label, k) -> np.ndarray:
-    """``value`` as a float array, provided its shape is one of ``shapes``."""
+def _field_value(field, what, shapes, k, *args) -> np.ndarray:
+    """``field.eval(k, *args)`` as a float array, provided its shape is one of ``shapes``.
+    A floating-point failure inside the field is a DomainError naming ``what`` and its label."""
+    try:
+        value = field.eval(k, *args)
+    except FloatingPointError as err:
+        raise DomainError(f"{what} {field.label!r}: floating-point {err}") from None
     arr = np.asarray(value, dtype=float)
     if arr.shape in shapes:
         return arr
     raise DimensionError(
-        f"{what} {label!r} returned shape {arr.shape} at step {k}; "
+        f"{what} {field.label!r} returned shape {arr.shape} at step {k}; "
         f"expected {' or '.join(map(str, shapes))}"
     )
 
@@ -344,7 +351,7 @@ def _shaped(value, shapes, what, label, k) -> np.ndarray:
 def _eval(field: CoefficientField, k, t, prefix, n_paths):
     """``field`` at step k: (d,) or (N, d) for a drift, (d, d) or (N, d, d) for a diffusion."""
     shape = (field.dim,) if field.kind == "drift" else (field.dim, field.dim)
-    return _shaped(field.eval(k, t, prefix), [shape, (n_paths, *shape)], field.kind, field.label, k)
+    return _field_value(field, field.kind, [shape, (n_paths, *shape)], k, t, prefix)
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:

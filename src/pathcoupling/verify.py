@@ -13,9 +13,9 @@ Every reduction over steps walks time-major storage a few MB at a time
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 from .coupling import CoupledEnsemble
 from .errors import DomainError
@@ -102,7 +102,9 @@ def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestRep
     mean 0, variance dt, lag-1 autocorrelation 0, and pairwise
     cross-component correlation 0.  Sub-checks share the error budget by
     Bonferroni correction; the statistic is the largest |z| and the
-    threshold the corrected two-sided normal quantile.
+    threshold the corrected two-sided normal quantile,
+    ``statistics.NormalDist().inv_cdf(1 - alpha / (2 n_checks))``.  An
+    ``alpha`` so small that this level rounds to 1 is a DomainError.
     """
     if not 0.0 < alpha < 0.5:
         raise DomainError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -129,7 +131,10 @@ def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestRep
             zs[f"cross[{i},{j}]"] = float(second[i, j] / m_obs * np.sqrt(m_obs))
 
     n_checks = len(zs)
-    threshold = float(stats.norm.ppf(1.0 - alpha / (2.0 * n_checks)))
+    level = 1.0 - alpha / (2.0 * n_checks)
+    if level == 1.0:
+        raise DomainError(f"alpha {alpha} is too small for {n_checks} checks: the threshold would be infinite")
+    threshold = NormalDist().inv_cdf(level)
     statistic = max(abs(z) for z in zs.values())
     return _report(
         "wiener_marginal_test",

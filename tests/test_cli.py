@@ -218,19 +218,42 @@ def test_cost_with_non_finite_result_exits_3_and_writes_no_report(tmp_path, caps
     out = tmp_path / "out"
     rc = main(["cost", "--config", str(cfg), "--out", str(out)])  # a warning would fail the suite
     assert rc == EXIT_NUMERIC
-    assert capsys.readouterr().err == "error: floating-point overflow encountered in exp (at step 1)\n"
+    assert capsys.readouterr().err == "error: drift 'expr(exp(x*x))': floating-point overflow encountered in exp (at step 1)\n"
     assert not (out / "cost.json").exists()
+
+
+def _python(*args):
+    """Run a fresh interpreter on ``args`` with this checkout's package importable."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 def test_overflowing_run_exits_3_at_its_step_with_warnings_as_errors(tmp_path):
     cfg = _write_config(tmp_path, {"N": 50, "n_steps": 64,
                                    "src": {"preset": "expr", "params": {"mu_expr": "exp(x*x)", "z0": 3}}})
-    src = str(pathlib.Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, "-W", "error", "-m", "pathcoupling.cli", "cost", "--config", str(cfg),
-                          "--out", str(tmp_path / "out")], capture_output=True, text=True, env=env, timeout=120)
+    run = _python("-W", "error", "-m", "pathcoupling.cli", "cost", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert (run.returncode, run.stdout, run.stderr) == (
-        EXIT_NUMERIC, "", "error: floating-point overflow encountered in exp (at step 1)\n")
+        EXIT_NUMERIC, "", "error: drift 'expr(exp(x*x))': floating-point overflow encountered in exp (at step 1)\n")
+
+
+def test_the_package_and_a_verify_run_import_no_scipy(tmp_path):
+    # scipy costs a fresh process about 1 s and 70 MB; the package needs numpy only
+    cfg = _write_config(tmp_path, {"N": 20, "n_steps": 16})
+    code = ("import sys, pathcoupling, pathcoupling.cli\n"
+            "rc = pathcoupling.cli.main(sys.argv[1:])\n"
+            "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    run = _python("-c", code, "verify", "--config", str(cfg), "--out", str(tmp_path / "out"))
+    assert run.stdout.splitlines()[-1] == f"{EXIT_OK} []", run.stderr
+    assert [r.name for r in pathio.read_reports_jsonl(tmp_path / "out" / "reports.jsonl")] == [
+        "realized_covariation", "wiener_marginal_test"]
+
+
+def test_verify_with_an_alpha_too_small_for_a_finite_threshold_exits_3(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"verify": [{"test": "wiener", "alpha": 1e-17}]})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "error: alpha 1e-17 is too small for 3 checks" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "reports.jsonl").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Tests for the statistical certification tools."""
 
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -55,7 +56,7 @@ def _wiener_oracle(ens, alpha=0.01):
     for i in range(d):
         for j in range(i + 1, d):
             z[f"cross[{i},{j}]"] = np.mean(u[..., i] * u[..., j]) * np.sqrt(m_obs)
-    threshold = float(stats.norm.ppf(1.0 - alpha / (2.0 * len(z))))
+    threshold = NormalDist().inv_cdf(1.0 - alpha / (2.0 * len(z)))
     return z, threshold, max(abs(v) for v in z.values()) <= threshold
 
 
@@ -127,6 +128,20 @@ def test_wiener_input_validation():
     empty = PathEnsemble(grid=TimeGrid(8), values=np.zeros((0, 9, 1)), seed=0)
     with pytest.raises(DomainError):
         verify.wiener_marginal_test(empty)
+
+
+@pytest.mark.parametrize("alpha", [1e-6, 1e-4, 1e-3, 0.01, 0.05, 0.2, 0.49])
+def test_wiener_threshold_agrees_with_scipy_quantile(alpha):
+    for m in range(2, 61):
+        level = 1.0 - alpha / (2.0 * m)
+        assert NormalDist().inv_cdf(level) == pytest.approx(stats.norm.ppf(level), rel=2e-15, abs=0.0)
+
+
+def test_wiener_rejects_an_alpha_whose_threshold_is_infinite():
+    ens = sample_brownian(TimeGrid(8), 1, 4, seed=1)  # 3 checks
+    assert verify.wiener_marginal_test(ens, alpha=1e-15).threshold > 8.0
+    with pytest.raises(DomainError, match="alpha 1e-17 is too small for 3 checks"):
+        verify.wiener_marginal_test(ens, alpha=1e-17)
 
 
 def test_wiener_calibration_rate():

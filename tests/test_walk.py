@@ -160,15 +160,16 @@ def _failing(value, failure):
 def _run_failing(kernel, failure):
     """Run ``kernel`` with the one field it takes from outside failing at FAIL_STEP."""
     d = 2
-    drift = CoefficientField("drift", d, _failing(np.zeros(d), failure))
+    drift = CoefficientField("drift", d, _failing(np.zeros(d), failure), label="failing")
     bm = presets.build("model", "bm", d=d)
     src = SdeModel(z0=np.zeros(d), drift=drift, diffusion=bm.diffusion)
     driver = sample_brownian(GRID, d, N_PATHS, seed=35)
     spec = CostSpec.separable(h=presets.build("h", "l2", d=d), g=presets.build("g", "identity", d=d))
     if kernel == "couple_brownians":
-        couple_brownians(CorrelationProcess(d, _failing(0.5 * np.eye(d), failure)), GRID, N_PATHS, seed=36)
+        rho = CorrelationProcess(d, _failing(0.5 * np.eye(d), failure), label="failing")
+        couple_brownians(rho, GRID, N_PATHS, seed=36)
     elif kernel == "rotation_monge":
-        rotation_monge(RotationProcess(d, _failing(np.eye(d), failure)), driver)
+        rotation_monge(RotationProcess(d, _failing(np.eye(d), failure), label="failing"), driver)
     elif kernel == "monge_sde":
         monge_sde(drift, bm.diffusion, RotationProcess.identity(d), bm, GRID, N_PATHS, seed=37)
     elif kernel == "closed_form_optimal":
@@ -193,5 +194,7 @@ def test_a_failing_step_raises_a_domain_error_at_its_index(kernel, failure):
     if failure == "nan" and kernel in refused:  # stopped by the membership check before the state
         assert refused[kernel] in str(err.value)
     else:
-        message = {"nan": f"non-finite on {len(BAD_PATHS)} path(s)", "overflow": "floating-point overflow"}
+        kind = {"couple_brownians": "correlation", "rotation_monge": "rotation"}.get(kernel, "drift")
+        message = {"nan": f"non-finite on {len(BAD_PATHS)} path(s)",
+                   "overflow": f"{kind} 'failing': floating-point overflow"}  # names the field that failed
         assert message.get(failure, "refused") in str(err.value)
