@@ -21,10 +21,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coupling import CoupledEnsemble, RotationProcess
+from .coupling import CoupledEnsemble
 from .errors import ConfigError, DimensionError, DomainError
 from .linalg import trace_max_rotation
 from .sde import (
+    CoefficientField,
     PathEnsemble,
     SdeModel,
     ValueMemo,
@@ -35,6 +36,8 @@ from .sde import (
     time_blocks,
     time_major,
 )
+
+__all__ = ["SEPARABLE", "LP_PATH", "DETERMINISM_TOL", "CostSpec", "CostEstimate", "estimate", "closed_form_optimal"]
 
 SEPARABLE = "SEPARABLE"
 LP_PATH = "LP_PATH"
@@ -153,7 +156,7 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
             fv[0] = start
 
             def step(k, t, prefix):  # the walk ends before model and leg move on
-                return prefix[:, -1] + _eval(model.drift, k, t, leg[:, : k + 1], n_paths) * dt
+                return prefix[:, -1] + _eval(model.drift, k, t, n_paths, leg[:, : k + 1]) * dt
 
             _walk(fv[: steps + 1], dt, step, lo)
         fx, fy = (fv[: steps + 1] for fv in fvs)
@@ -216,7 +219,7 @@ def closed_form_optimal(
     dst: SdeModel,
     spec: CostSpec,
     probe_ensemble: PathEnsemble,
-) -> tuple[CostEstimate, RotationProcess]:
+) -> tuple[CostEstimate, CoefficientField]:
     """Optimal separable cost between the two model laws, plus its rotation.
 
     Requires the target drift to depend on time only and the target
@@ -254,16 +257,16 @@ def closed_form_optimal(
 
     def step(k, t, fv):
         prefix = x[:, : k + 1]
-        sbar = _eval(dst.diffusion, k, t, prefix, n_paths)
+        sbar = _eval(dst.diffusion, k, t, n_paths, prefix)
         if sbar.ndim == 3:
             sbar = _require_deterministic(sbar, "dst diffusion (sigma sigma^T)")
-        bbar = _eval(dst.drift, k, t, prefix, n_paths)
+        bbar = _eval(dst.drift, k, t, n_paths, prefix)
         if bbar.ndim == 2:
             bbar = _require_deterministic(bbar, "dst drift")
         sbars[k] = sbar
-        b = _eval(src.drift, k, t, prefix, n_paths)
+        b = _eval(src.drift, k, t, n_paths, prefix)
         fv_y[k + 1] = fv_y[k] + bbar * dt
-        sig = _eval(src.diffusion, k, t, prefix, n_paths)
+        sig = _eval(src.diffusion, k, t, n_paths, prefix)
         cross = cross_of(np.swapaxes(sig, -1, -2) @ sbar)
         tr_src = np.einsum("...ij,...ij->...", sig, sig)
         bracket[:] += (tr_src + float(np.einsum("ij,ij->", sbar, sbar)) - 2.0 * cross) * dt
@@ -284,11 +287,9 @@ def closed_form_optimal(
             raise DomainError(
                 f"optimal rotation is defined on {n} steps, got step {k}"
             )
-        sig = _eval(src.diffusion, k, k * dt, x_prefix, x_prefix.shape[0])
+        sig = _eval(src.diffusion, k, k * dt, x_prefix.shape[0], x_prefix)
         return rotation_of(np.swapaxes(sig, -1, -2) @ sbars[k]).copy()
 
-    q_star = RotationProcess(
-        dim=d, fn=q_fn, label=f"trace-max(src={src.label}, dst={dst.label})"
-    )
+    q_star = CoefficientField("rotation", d, q_fn, label=f"trace-max(src={src.label}, dst={dst.label})")
     return value, q_star
 

@@ -14,12 +14,16 @@ rotation integrals of a driver (which preserve the Wiener law and are
 the invertible, adapted maps between Brownian laws), their conjugation
 by Itô maps, and the direct recursion for a candidate Monge transport
 between two SDE laws including its kernel-condition residual.
+
+rho and Q are coefficient fields (:class:`~pathcoupling.sde.CoefficientField`)
+of kind ``"correlation"``, which sees both coupled prefixes, and
+``"rotation"``.  A kernel refuses a value outside the correlation class
+or the orthogonal group at its step, naming the field's kind and label.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -41,7 +45,6 @@ from .sde import (
     _apply,
     _apply_transposed,
     _eval,
-    _field_value,
     _path_view,
     _walk,
     brownian_increments,
@@ -52,8 +55,6 @@ from .sde import (
 )
 
 __all__ = [
-    "CorrelationProcess",
-    "RotationProcess",
     "CoupledEnsemble",
     "couple_brownians",
     "couple_sdes",
@@ -71,68 +72,6 @@ __all__ = [
 
 INFEASIBLE = "INFEASIBLE"
 UNDECIDED = "UNDECIDED"
-
-
-@dataclass(frozen=True)
-class CorrelationProcess:
-    """Progressive correlation-class-valued process.
-
-    ``fn(k, t, x_prefix, y_prefix)`` sees the step index, the grid time
-    and the prefixes of both coupled paths, shaped (N, k+1, d).  It
-    returns a (d, d) matrix shared by all paths or an (N, d, d) batch.
-    Values are checked against the correlation class at every step by
-    the consumers.
-    """
-
-    dim: int
-    fn: Callable[[int, float, np.ndarray, np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def eval(self, k, t, x_prefix, y_prefix):
-        return self.fn(k, t, x_prefix, y_prefix)
-
-    @classmethod
-    def constant(cls, c, d: int | None = None) -> "CorrelationProcess":
-        c = np.asarray(c, dtype=float)
-        if c.ndim == 0:
-            if d is None:
-                raise DimensionError("scalar correlation needs an explicit dimension")
-            c = float(c) * np.eye(d)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DimensionError(f"correlation matrix must be square, got {c.shape}")
-        if d is not None and c.shape != (d, d):
-            raise DimensionError(f"correlation matrix must be ({d}, {d}), got {c.shape}")
-        mat = c.copy()
-        return cls(mat.shape[0], lambda k, t, xp, yp: mat, label=f"const({mat.tolist()})")
-
-
-@dataclass(frozen=True)
-class RotationProcess:
-    """Progressive orthogonal-matrix-valued process on the first path.
-
-    Same batching convention as :class:`CorrelationProcess`, but the
-    functional only sees the prefix of the path it transports.
-    """
-
-    dim: int
-    fn: Callable[[int, float, np.ndarray], np.ndarray]
-    label: str = "custom"
-
-    def eval(self, k, t, x_prefix):
-        return self.fn(k, t, x_prefix)
-
-    @classmethod
-    def constant(cls, q) -> "RotationProcess":
-        q = np.asarray(q, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise DimensionError(f"rotation matrix must be square, got {q.shape}")
-        mat = q.copy()
-        return cls(mat.shape[0], lambda k, t, xp: mat, label=f"const({mat.tolist()})")
-
-    @classmethod
-    def identity(cls, d: int) -> "RotationProcess":
-        eye = np.eye(d)
-        return cls(d, lambda k, t, xp: eye, label="identity")
 
 
 @dataclass(frozen=True)
@@ -170,14 +109,18 @@ class CoupledEnsemble:
         return PathEnsemble(grid=self.grid, values=self.y, seed=self.seed)
 
 
-def _eval_rotation(q, k, t, xp, n_paths, defect_of):
-    """Q[k], checked orthogonal; ``defect_of`` is a ValueMemo of the defect."""
-    d = q.dim
-    mat = _field_value(q, "rotation", [(d, d), (n_paths, d, d)], k, t, xp)
-    worst = float(np.max(defect_of(mat)))
+def _orthogonal(q):
+    """Refuse a rotation value that is not orthogonal; kernels memoise it as their admission check."""
+    worst = float(np.max(orthogonality_defect(q)))
     if not worst <= MEMBERSHIP_TOL:  # a NaN defect is not orthogonal either
-        raise DomainError(f"rotation {q.label!r} is not orthogonal (defect {worst:.3e})")
-    return mat
+        raise DomainError(f"not orthogonal (defect {worst:.3e})")
+
+
+def _admissible(c):
+    """Refuse a correlation value outside the correlation class, as :func:`_orthogonal` does."""
+    worst = float(np.min(correlation_margin(c)))
+    if worst < -MEMBERSHIP_TOL:
+        raise DomainError(f"leaves the admissible class (margin {worst:.3e})")
 
 
 def _coupled(grid, x, y, seed, constructor, marginals, **detail):
@@ -192,7 +135,7 @@ def _coupled(grid, x, y, seed, constructor, marginals, **detail):
 
 
 def couple_brownians(
-    rho: CorrelationProcess,
+    rho: CoefficientField,
     grid: TimeGrid,
     n_pairs: int,
     seed: int,
@@ -214,16 +157,12 @@ def couple_brownians(
     x = np.zeros((grid.n_steps + 1, n_pairs, d))
     np.cumsum(db, axis=0, out=x[1:])
     xv = _path_view(x)
-    margin_of = ValueMemo(correlation_margin)
     # sqrt(I - c^T c), the top-up that restores the Brownian marginal
     root_of = ValueMemo(lambda c: psd_sqrt(np.eye(d) - np.swapaxes(c, -1, -2) @ c, clamp_tol=1e-6))
-    shapes = [(d, d), (n_pairs, d, d)]
+    admit = ValueMemo(_admissible)
 
     def step(k, t, prefix):
-        c = _field_value(rho, "correlation", shapes, k, t, xv[:, : k + 1], prefix)
-        worst = float(np.min(margin_of(c)))
-        if worst < -MEMBERSHIP_TOL:
-            raise DomainError(f"correlation {rho.label!r} leaves the admissible class (margin {worst:.3e})")
+        c = _eval(rho, k, t, n_pairs, xv[:, : k + 1], prefix, admit=admit)
         return prefix[:, -1] + (_apply_transposed(c, db[k]) + _apply(root_of(c), dw[k]))
 
     yv = _walk(np.zeros_like(x), grid.dt, step)
@@ -234,7 +173,7 @@ def couple_brownians(
 def couple_sdes(
     src: SdeModel,
     dst: SdeModel,
-    rho: CorrelationProcess,
+    rho: CoefficientField,
     grid: TimeGrid,
     n_pairs: int,
     seed: int,
@@ -263,7 +202,7 @@ def couple_sdes(
 # Monge transports
 
 
-def rotation_monge(q: RotationProcess, driver: PathEnsemble) -> CoupledEnsemble:
+def rotation_monge(q: CoefficientField, driver: PathEnsemble) -> CoupledEnsemble:
     """Transport a Brownian driver by a progressive rotation integral.
 
     dY[k] = Q[k] dX[k] with Q orthogonal at every step (checked; a
@@ -277,10 +216,10 @@ def rotation_monge(q: RotationProcess, driver: PathEnsemble) -> CoupledEnsemble:
     n_pairs, _, d = driver.values.shape
     x = time_major(driver.values)
     xv = _path_view(x)
-    defect_of = ValueMemo(orthogonality_defect)
+    admit = ValueMemo(_orthogonal)
 
     def step(k, t, prefix):
-        mat = _eval_rotation(q, k, t, xv[:, : k + 1], n_pairs, defect_of)
+        mat = _eval(q, k, t, n_pairs, xv[:, : k + 1], admit=admit)
         return prefix[:, -1] + _apply(mat, x[k + 1] - x[k])
 
     y, wiener = _walk(np.zeros_like(x), driver.grid.dt, step), [f"wiener(d={d})"] * 2
@@ -290,7 +229,7 @@ def rotation_monge(q: RotationProcess, driver: PathEnsemble) -> CoupledEnsemble:
 def composed_monge(
     src: SdeModel,
     dst: SdeModel,
-    q: RotationProcess,
+    q: CoefficientField,
     grid: TimeGrid,
     n_pairs: int,
     seed: int,
@@ -316,7 +255,7 @@ def composed_monge(
 def monge_sde(
     dst_drift: CoefficientField,
     dst_diffusion: CoefficientField,
-    q: RotationProcess,
+    q: CoefficientField,
     src: SdeModel,
     grid: TimeGrid,
     n_pairs: int,
@@ -353,16 +292,16 @@ def monge_sde(
     ty = np.empty_like(x)
     ty[0] = z0_dst
     resid = np.zeros(grid.n_steps)
-    defect_of = ValueMemo(orthogonality_defect)
+    admit = ValueMemo(_orthogonal)
     pinv_of = ValueMemo(pinv_and_null)
 
     def step(k, t, tp):
         xp = xv[:, : k + 1]
-        b = _eval(src.drift, k, t, xp, n_pairs)
-        sig = _eval(src.diffusion, k, t, xp, n_pairs)
-        bbar = _eval(dst_drift, k, t, tp, n_pairs)
-        sbar = _eval(dst_diffusion, k, t, tp, n_pairs)
-        qmat = _eval_rotation(q, k, t, xp, n_pairs, defect_of)
+        b = _eval(src.drift, k, t, n_pairs, xp)
+        sig = _eval(src.diffusion, k, t, n_pairs, xp)
+        bbar = _eval(dst_drift, k, t, n_pairs, tp)
+        sbar = _eval(dst_diffusion, k, t, n_pairs, tp)
+        qmat = _eval(q, k, t, n_pairs, xp, admit=admit)
         pinv, null_proj = pinv_of(sig)
         u = _apply(pinv, x[k + 1] - x[k] - b * dt)
         resid[k] = float(np.abs(np.matmul(np.matmul(sbar, qmat), null_proj)).max())
@@ -457,7 +396,7 @@ def chop_rotation(c: float, n_steps: int, block: int):
         return schedule[k].reshape(1, 1)
 
     label = f"chop(c={c}, block={block})"
-    return RotationProcess(1, fn, label=label), achieved, quantized
+    return CoefficientField("rotation", 1, fn, label=label), achieved, quantized
 
 
 def rotation_chop(

@@ -276,7 +276,7 @@ def kernel_infeasibility(N=1000, n_steps=256, seed=42, n_workers=1):
     src_ok = presets.build("model", "const-matrix", d=2, sigma=[[2.0, 0.0], [0.0, 1.0]])
     src_bad = presets.build("model", "degenerate", d=2, rank=1)
     dst = presets.build("model", "bm", d=2)
-    q = coupling.RotationProcess.identity(2)
+    q = sde.CoefficientField.constant("rotation", 1.0, 2, "identity")
     invertible = coupling.monge_sde(dst.drift, dst.diffusion, q, src_ok, grid, N, seed, n_workers=n_workers)
     obstructed = coupling.monge_sde(
         dst.drift, dst.diffusion, q, src_bad, grid, N, seed + 1, n_workers=n_workers
@@ -322,7 +322,7 @@ def synchronous_1d_optimality(
     spec = cost.CostSpec.lp(p)
 
     def run(c):
-        rho = coupling.CorrelationProcess.constant(c, d=1)
+        rho = sde.CoefficientField.constant("correlation", c, 1)
         pair = coupling.couple_sdes(src, dst, rho, grid, N, seed, n_workers=n_workers)
         return cost.estimate(pair, spec)
 
@@ -364,7 +364,7 @@ def optimality_gap(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=13, probe_N=64, n_
     def pair(i, c):  # c = None is the chop
         if c is None:
             return coupling.composed_monge(src, dst, chop, grid, N, seed + i, n_workers=n_workers)
-        rho = coupling.CorrelationProcess.constant(c, d=1)
+        rho = sde.CoefficientField.constant("correlation", c, 1)
         return coupling.couple_sdes(src, dst, rho, grid, N, seed + i, n_workers=n_workers)
 
     result = {"a": a, "b": b, "N": N, "n_steps": n_steps, "seed": seed, "closed_form": closed.mean}

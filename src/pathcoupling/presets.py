@@ -19,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .coupling import CorrelationProcess, RotationProcess, chop_rotation
+from .coupling import chop_rotation
 from .errors import ConfigError, DimensionError, PathCouplingError
-from .sde import CoefficientField, SdeModel, constant_diffusion, constant_drift, time_blocks
+from .sde import CoefficientField, SdeModel, time_blocks
 
 __all__ = ["Preset", "get_preset", "build", "available"]
 
@@ -101,8 +101,8 @@ def _diagonal(vol, n_paths, d):
 def _bm(d, sigma=1.0, z0=0.0):
     return SdeModel(
         z0=np.full(d, float(z0)),
-        drift=constant_drift(0.0, d),
-        diffusion=constant_diffusion(float(sigma), d),
+        drift=CoefficientField.constant("drift", 0.0, d),
+        diffusion=CoefficientField.constant("diffusion", float(sigma), d),
         label=f"bm(d={d},sigma={sigma},z0={z0})",
     )
 
@@ -112,8 +112,8 @@ def _const_matrix(d, sigma=1.0, mu=0.0, z0=0.0):
     sig = np.asarray(sigma, dtype=float)
     return SdeModel(
         z0=np.broadcast_to(np.atleast_1d(np.asarray(z0, dtype=float)), (d,)),
-        drift=constant_drift(mu, d),
-        diffusion=constant_diffusion(sig, d),
+        drift=CoefficientField.constant("drift", mu, d),
+        diffusion=CoefficientField.constant("diffusion", sig, d),
         label=f"const-matrix(d={d},sigma={np.asarray(sig).tolist()},mu={mu},z0={z0})",
     )
 
@@ -129,7 +129,7 @@ def _ou(d, theta=1.0, mean=0.0, sigma=1.0, z0=0.0):
     return SdeModel(
         z0=np.full(d, float(z0)),
         drift=CoefficientField("drift", d, drift, label=f"ou(theta={theta},mean={mean})"),
-        diffusion=constant_diffusion(float(sigma), d),
+        diffusion=CoefficientField.constant("diffusion", float(sigma), d),
         label=f"ou(d={d},theta={theta},mean={mean},sigma={sigma},z0={z0})",
     )
 
@@ -144,7 +144,7 @@ def _gbm_bounded(d, sigma=1.0, z0=0.0):
 
     return SdeModel(
         z0=np.full(d, float(z0)),
-        drift=constant_drift(0.0, d),
+        drift=CoefficientField.constant("drift", 0.0, d),
         diffusion=CoefficientField("diffusion", d, diffusion, label=f"gbm-bounded({s})"),
         label=f"gbm-bounded(d={d},sigma={sigma},z0={z0})",
     )
@@ -158,8 +158,8 @@ def _degenerate(d, rank=None):
     sig = np.diag(np.concatenate([np.ones(r), np.zeros(d - r)]))
     return SdeModel(
         z0=np.zeros(d),
-        drift=constant_drift(0.0, d),
-        diffusion=constant_diffusion(sig, d),
+        drift=CoefficientField.constant("drift", 0.0, d),
+        diffusion=CoefficientField.constant("diffusion", sig, d),
         label=f"degenerate(d={d},rank={r})",
     )
 
@@ -240,7 +240,7 @@ def _expr_model(d, sigma_expr="1", mu_expr="0", z0=0.0):
 
 @_register("identity", "rotation", "the identity transport")
 def _rot_identity(d):
-    return RotationProcess.identity(d)
+    return CoefficientField.constant("rotation", 1.0, d, "identity")
 
 
 @_register("sign", "rotation", "constant sign s = +/-1 in dimension 1 (-1 is the antithetic map)")
@@ -249,7 +249,7 @@ def _rot_sign(d, s=-1.0):
         raise ConfigError("the 'sign' rotation preset is 1-d only")
     if float(s) not in (-1.0, 1.0):
         raise ConfigError(f"s must be +1 or -1, got {s}")
-    return RotationProcess.constant(np.array([[float(s)]]))
+    return CoefficientField.constant("rotation", [[float(s)]])
 
 
 @_register("angle", "rotation", "constant planar rotation by theta radians")
@@ -258,14 +258,12 @@ def _rot_angle(d, theta=0.0):
         raise ConfigError("the 'angle' rotation preset is 2-d only")
     th = float(theta)
     c, s = math.cos(th), math.sin(th)
-    q = RotationProcess.constant(np.array([[c, -s], [s, c]]))
-    return RotationProcess(2, q.fn, label=f"angle({theta})")
+    return CoefficientField.constant("rotation", [[c, -s], [s, c]], label=f"angle({theta})")
 
 
 @_register("matrix", "rotation", "constant orthogonal matrix q (the identity if None)")
 def _rot_matrix(d, q=None):
-    mat = np.eye(d) if q is None else np.asarray(q, dtype=float)
-    return RotationProcess.constant(mat)
+    return CoefficientField.constant("rotation", np.eye(d) if q is None else q)
 
 
 @_register("rotation-by-state", "rotation", "planar rotation by the first component")
@@ -284,7 +282,7 @@ def _rot_by_state(d, scale=1.0):
         out[:, 1, 1] = c
         return out
 
-    return RotationProcess(2, fn, label=f"rotation-by-state(scale={a})")
+    return CoefficientField("rotation", 2, fn, label=f"rotation-by-state(scale={a})")
 
 
 @_register("chop", "rotation", "fast +/-1 chopping to mean correlation c, in blocks that divide n_steps")
@@ -303,7 +301,7 @@ def _rot_chop(d, c=0.0, block=16, n_steps=None):
 
 @_register("const", "correlation", "constant correlation c, a scalar (times identity) or a d x d matrix")
 def _corr_const(d, c=0.0):
-    return CorrelationProcess.constant(np.asarray(c, dtype=float), d=d)
+    return CoefficientField.constant("correlation", c, d)
 
 
 @_register("scaled-rotation", "correlation", "contraction scale * R(theta) of a planar rotation, scale in [0, 1]")
@@ -313,8 +311,7 @@ def _corr_scaled_rotation(d, scale=0.8, theta=0.0):
     th, sc = float(theta), float(scale)
     c, s = math.cos(th), math.sin(th)
     mat = sc * np.array([[c, -s], [s, c]])
-    proc = CorrelationProcess.constant(mat)
-    return CorrelationProcess(2, proc.fn, label=f"scaled-rotation({sc},{th})")
+    return CoefficientField.constant("correlation", mat, label=f"scaled-rotation({sc},{th})")
 
 
 # ---------------------------------------------------------------------------

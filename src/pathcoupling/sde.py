@@ -1,10 +1,12 @@
 """Paths, coefficient fields and the discrete Itô map.
 
 Time is always the unit interval discretised into ``n_steps`` uniform
-steps.  An SDE model is a starting point plus two coefficient fields
-(drift and diffusion) evaluated non-anticipatively: a field only ever
-sees the step index, the grid time and the path prefix up to that step.
-The solver is the left-endpoint Euler recursion
+steps.  A coefficient field is of one of four kinds, drift, diffusion,
+rotation or correlation, and is evaluated non-anticipatively: it only
+ever sees the step index, the grid time and the path prefix up to that
+step (a correlation sees both coupled prefixes).  An SDE model is a
+starting point plus a drift and a diffusion field.  The solver is the
+left-endpoint Euler recursion
 
     Z[k+1] = Z[k] + b(k, Z[0..k]) * dt + sigma(k, Z[0..k]) @ dB[k],
 
@@ -33,8 +35,10 @@ state z[0..j], and a step returns the new state, not the increment.  A
 step that overflows, divides by zero, makes an invalid value or raises a
 DomainError that names no step fails as a :class:`DomainError` carrying
 ``.step``, as does a state that goes non-finite (with its path count).
-A failure inside a drift, diffusion, rotation or correlation field also
-names the field's kind and label.
+Every kernel evaluates every field through one function, ``_eval``: a
+value of the wrong shape, a floating-point failure inside the field and
+a value refused by the kernel's membership check also name the field's
+kind and label.
 """
 
 from __future__ import annotations
@@ -110,13 +114,15 @@ class PathEnsemble:
 
 @dataclass(frozen=True)
 class CoefficientField:
-    """A non-anticipative coefficient functional.
+    """A non-anticipative coefficient functional of one of four kinds.
 
     ``fn(k, t, prefix)`` receives the step index, the grid time t = k*dt
-    and the batched path prefix shaped (N, k+1, d); it must return
+    and the batched path prefix shaped (N, k+1, d); a correlation's
+    ``fn(k, t, x_prefix, y_prefix)`` receives both coupled prefixes.  It
+    must return
 
-    * drift:      (d,) shared across paths, or (N, d) per path,
-    * diffusion:  (d, d) shared across paths, or (N, d, d) per path.
+    * drift:                            (d,) shared across paths, or (N, d) per path,
+    * diffusion, rotation, correlation: (d, d) shared across paths, or (N, d, d) per path.
 
     Returning the shared shape whenever the coefficient does not depend
     on the path keeps the per-step membership and singularity checks
@@ -124,17 +130,34 @@ class CoefficientField:
     only the prefix is ever passed in.
     """
 
-    kind: str  # "drift" | "diffusion"
+    kind: str  # "drift" | "diffusion" | "rotation" | "correlation"
     dim: int
-    fn: Callable[[int, float, np.ndarray], np.ndarray]
+    fn: Callable[..., np.ndarray]
     label: str = "custom"
 
     def __post_init__(self):
-        if self.kind not in ("drift", "diffusion"):
+        if self.kind not in ("drift", "diffusion", "rotation", "correlation"):
             raise DimensionError(f"unknown coefficient kind {self.kind!r}")
 
-    def eval(self, k: int, t: float, prefix: np.ndarray) -> np.ndarray:
-        return self.fn(k, t, prefix)
+    def eval(self, k: int, t: float, *prefixes: np.ndarray) -> np.ndarray:
+        return self.fn(k, t, *prefixes)
+
+    @classmethod
+    def constant(cls, kind: str, value, d: int | None = None, label: str | None = None) -> "CoefficientField":
+        """The field that is ``value`` at every step: a drift broadcast to (d,), any other
+        kind a square matrix or a scalar times the d x d identity."""
+        value = np.asarray(value, dtype=float)
+        if value.ndim == 0 and d is None:
+            raise DimensionError(f"a scalar constant {kind} needs an explicit dimension")
+        if kind == "drift":
+            value = np.broadcast_to(value, (value.size if d is None else d,)).copy()
+        else:
+            value = float(value) * np.eye(d) if value.ndim == 0 else value.copy()
+            if value.ndim != 2 or value.shape[0] != value.shape[1] or d not in (None, len(value)):
+                square = "square" if d is None else f"({d}, {d})"
+                raise DimensionError(f"constant {kind} must be {square}, got {value.shape}")
+        default = "const-matrix" if kind == "diffusion" else f"const({value.tolist()})"
+        return cls(kind, len(value), lambda k, t, *prefixes: value, label=label or default)
 
 
 @dataclass(frozen=True)
@@ -156,28 +179,13 @@ class SdeModel:
                 f"coefficient dims ({self.drift.dim}, {self.diffusion.dim}) "
                 f"do not match z0 dim {z0.size}"
             )
+        if (self.drift.kind, self.diffusion.kind) != ("drift", "diffusion"):
+            kinds = f"{self.drift.kind} and a {self.diffusion.kind}"
+            raise DimensionError(f"a model takes a drift and a diffusion, got a {kinds}")
 
     @property
     def dim(self) -> int:
         return self.z0.size
-
-
-def constant_drift(mu, d: int, label: str | None = None) -> CoefficientField:
-    mu = np.broadcast_to(np.asarray(mu, dtype=float), (d,)).copy()
-    return CoefficientField(
-        "drift", d, lambda k, t, prefix: mu, label=label or f"const({mu.tolist()})"
-    )
-
-
-def constant_diffusion(sigma, d: int, label: str | None = None) -> CoefficientField:
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.ndim == 0:
-        sigma = float(sigma) * np.eye(d)
-    if sigma.shape != (d, d):
-        raise DimensionError(f"constant diffusion must be ({d}, {d}), got {sigma.shape}")
-    return CoefficientField(
-        "diffusion", d, lambda k, t, prefix: sigma, label=label or "const-matrix"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -332,26 +340,23 @@ def sample_brownian(
 # coefficient evaluation plumbing
 
 
-def _field_value(field, what, shapes, k, *args) -> np.ndarray:
-    """``field.eval(k, *args)`` as a float array, provided its shape is one of ``shapes``.
-    A floating-point failure inside the field is a DomainError naming ``what`` and its label."""
+def _eval(field: CoefficientField, k, t, n_paths, *prefixes, admit=None) -> np.ndarray:
+    """``field`` at step k as a float array, shared or per path: (d,) or (N, d) for a drift,
+    (d, d) or (N, d, d) for any other kind.  ``admit(value)``, a kernel's memoised membership
+    check, refuses a value by raising a DomainError.  A wrong shape, a floating-point failure,
+    a refusal and any other Dimension- or DomainError out of the field name its kind and label."""
     try:
-        value = field.eval(k, *args)
+        value = np.asarray(field.fn(k, t, *prefixes), dtype=float)
+        shape = (field.dim,) if field.kind == "drift" else (field.dim, field.dim)
+        if value.shape != shape and value.shape != (n_paths, *shape):
+            raise DimensionError(f"returned shape {value.shape} at step {k}; expected {shape} or {(n_paths, *shape)}")
+        if admit is not None:
+            admit(value)
+        return value
     except FloatingPointError as err:
-        raise DomainError(f"{what} {field.label!r}: floating-point {err}") from None
-    arr = np.asarray(value, dtype=float)
-    if arr.shape in shapes:
-        return arr
-    raise DimensionError(
-        f"{what} {field.label!r} returned shape {arr.shape} at step {k}; "
-        f"expected {' or '.join(map(str, shapes))}"
-    )
-
-
-def _eval(field: CoefficientField, k, t, prefix, n_paths):
-    """``field`` at step k: (d,) or (N, d) for a drift, (d, d) or (N, d, d) for a diffusion."""
-    shape = (field.dim,) if field.kind == "drift" else (field.dim, field.dim)
-    return _field_value(field, field.kind, [shape, (n_paths, *shape)], k, t, prefix)
+        raise DomainError(f"{field.kind} {field.label!r}: floating-point {err}") from None
+    except (DimensionError, DomainError) as err:
+        raise type(err)(f"{field.kind} {field.label!r}: {err}") from None
 
 
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -442,8 +447,8 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     z[0] = model.z0
 
     def step(k, t, prefix):
-        b = _eval(model.drift, k, t, prefix, n_paths)
-        s = _eval(model.diffusion, k, t, prefix, n_paths)
+        b = _eval(model.drift, k, t, n_paths, prefix)
+        s = _eval(model.diffusion, k, t, n_paths, prefix)
         return prefix[:, -1] + b * dt + _apply(s, drv[k + 1] - drv[k])
 
     return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step), seed=driver.seed)
@@ -475,8 +480,8 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
     check = ValueMemo(lambda s, det: _check_diffusion(s, det, model.diffusion.label))
 
     def step(k, t, prefix):
-        b = _eval(model.drift, k, t, xv[:, : k + 1], n_paths)
-        s = _eval(model.diffusion, k, t, xv[:, : k + 1], n_paths)
+        b = _eval(model.drift, k, t, n_paths, xv[:, : k + 1])
+        s = _eval(model.diffusion, k, t, n_paths, xv[:, : k + 1])
         det, dw = _eliminate(s, x[k + 1] - x[k] - b * dt)  # one elimination: the screen's det and the solve
         check(s, det)
         return prefix[:, -1] + dw
@@ -500,5 +505,5 @@ def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathE
     xv = _path_view(x)
     fv = np.empty_like(x)
     fv[0] = model.z0
-    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + _eval(model.drift, k, t, xv[:, : k + 1], n_paths) * dt)
+    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + _eval(model.drift, k, t, n_paths, xv[:, : k + 1]) * dt)
     return tuple(PathEnsemble(grid=paths.grid, values=_path_view(v), seed=paths.seed) for v in (fv, x - fv))

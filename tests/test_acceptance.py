@@ -16,14 +16,12 @@ import pytest
 
 from pathcoupling import cost, experiments, presets, verify
 from pathcoupling.coupling import (
-    CorrelationProcess,
-    RotationProcess,
     composed_monge,
     couple_brownians,
     couple_sdes,
     rotation_monge,
 )
-from pathcoupling.sde import TimeGrid, inverse_ito_map, ito_map, sample_brownian
+from pathcoupling.sde import CoefficientField, TimeGrid, inverse_ito_map, ito_map, sample_brownian
 
 
 @pytest.fixture
@@ -126,7 +124,7 @@ def test_criterion_06_certificate_separation(criterion):
     cert_d2 = verify.monge_certificate(state_pair, window=256)
 
     # a strict-contraction correlation is not a transport and must fail
-    rho_pair = couple_brownians(CorrelationProcess.constant(0.7, 1), TimeGrid(1024), 2000, 63)
+    rho_pair = couple_brownians(CoefficientField.constant("correlation", 0.7, 1), TimeGrid(1024), 2000, 63)
     cert_rho = verify.monge_certificate(rho_pair, window=64)
 
     # |rho| = 1 everywhere passes the necessary condition yet carries no map:
@@ -199,10 +197,10 @@ def test_criterion_10_exact_identities(criterion):
         round_dev = max(round_dev, float(np.max(np.abs(recovered.values - driver.values))))
 
     src = _bm(2.0)
-    sync = couple_sdes(src, src, CorrelationProcess.constant(1.0, 1), grid, 200, 81)
+    sync = couple_sdes(src, src, CoefficientField.constant("correlation", 1.0, 1), grid, 200, 81)
     sync_cost = cost.estimate(sync, cost.CostSpec.lp(2.0)).mean
 
-    ident = composed_monge(src, src, RotationProcess.identity(1), grid, 200, 82)
+    ident = composed_monge(src, src, CoefficientField.constant("rotation", 1.0, 1, "identity"), grid, 200, 82)
     ident_dist = float(np.max(np.abs(ident.x - ident.y)))
 
     ok = round_dev < 1e-10 and sync_cost == 0.0 and ident_dist == 0.0

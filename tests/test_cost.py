@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcoupling import cost, experiments, presets, sde
-from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_sdes
+from pathcoupling.coupling import CoupledEnsemble, couple_sdes
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
-from pathcoupling.sde import TimeGrid, decompose, ito_map, sample_brownian
+from pathcoupling.sde import CoefficientField, TimeGrid, decompose, ito_map, sample_brownian
 
 
 def _bm(sigma, d=1):
@@ -117,7 +117,7 @@ def test_antithetic_bracket_matches_four():
     # concentrates at <2B>_1 = 4.
     model = _bm(1.0)
     grid = TimeGrid(256)
-    ens = couple_sdes(model, model, CorrelationProcess.constant(-1.0, 1), grid, 10_000, seed=11)
+    ens = couple_sdes(model, model, CoefficientField.constant("correlation", -1.0, 1), grid, 10_000, seed=11)
     est = cost.estimate(ens, _sep(), model, model)
     assert est.n_pairs == 10_000
     assert abs(est.mean - 4.0) <= 3 * est.stderr
@@ -127,28 +127,28 @@ def test_estimate_lp_antithetic_mean_two():
     # E int (2B_s)^2 ds = 4 int s ds = 2, minus an O(1/n) left-endpoint bias.
     model = _bm(1.0)
     grid = TimeGrid(2048)
-    ens = couple_sdes(model, model, CorrelationProcess.constant(-1.0, 1), grid, 4000, seed=12)
+    ens = couple_sdes(model, model, CoefficientField.constant("correlation", -1.0, 1), grid, 4000, seed=12)
     est = cost.estimate(ens, CostSpec.lp(2))
     assert abs(est.mean - 2.0) <= 3 * est.stderr + 2.0 / grid.n_steps
 
 
 def test_estimate_single_pair_is_degenerate():
     model = _bm(1.0)
-    ens = couple_sdes(model, model, CorrelationProcess.constant(1.0, 1), TimeGrid(8), 1, seed=1)
+    ens = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(8), 1, seed=1)
     est = cost.estimate(ens, CostSpec.lp(2))
     assert est.degenerate and est.stderr == 0.0 and est.n_pairs == 1
 
 
 def test_synchronous_identical_models_cost_exactly_zero():
     model = _bm(1.0)
-    ens = couple_sdes(model, model, CorrelationProcess.constant(1.0, 1), TimeGrid(128), 64, seed=9)
+    ens = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(128), 64, seed=9)
     est = cost.estimate(ens, _sep(), model, model)
     assert est.mean == 0.0 and est.stderr == 0.0
 
 
 def test_separable_rejects_missing_models_and_bad_h():
     model = _bm(1.0)
-    ens = couple_sdes(model, model, CorrelationProcess.constant(1.0, 1), TimeGrid(8), 4, seed=2)
+    ens = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(8), 4, seed=2)
     with pytest.raises(ConfigError):
         cost.estimate(ens, _sep())
     bad = CostSpec.separable(h=lambda paths: np.zeros(3), g=_g_id())
@@ -172,7 +172,7 @@ def _separable_oracle(pair, src, dst, spec):
 def test_separable_values_have_the_bytes_of_the_full_decomposition(d, layout, block_bytes):
     src = presets.build("model", "ou", d=d, theta=1.5, mean=0.3, z0=1.0)
     dst = presets.build("model", "bm", d=d, sigma=0.7)
-    pair = couple_sdes(src, dst, CorrelationProcess.constant(0.5, d), TimeGrid(96), 300, seed=14)
+    pair = couple_sdes(src, dst, CoefficientField.constant("correlation", 0.5, d), TimeGrid(96), 300, seed=14)
     if layout == "path-major":
         pair = CoupledEnsemble(grid=pair.grid, x=pair.x.copy(), y=pair.y.copy(), seed=pair.seed)
     for h, g in (("sup", "identity"), ("l2", "sqrt")):
@@ -222,7 +222,7 @@ def test_closed_form_d1_attained_by_synchronous_coupling():
     src, dst = _bm(2.0), _bm(1.0)
     probe = ito_map(src, sample_brownian(TimeGrid(256), 1, 500, seed=22))
     value, _ = cost.closed_form_optimal(src, dst, _sep(), probe)
-    opt = couple_sdes(src, dst, CorrelationProcess.constant(1.0, 1), TimeGrid(256), 4000, seed=23)
+    opt = couple_sdes(src, dst, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(256), 4000, seed=23)
     est = cost.estimate(opt, _sep(), src, dst)
     assert abs(est.mean - value.mean) <= 3 * np.hypot(est.stderr, value.stderr)
 
@@ -346,7 +346,7 @@ def test_constant_sigma_closed_form_is_the_nuclear_norm_formula(d, rank_deficien
 )
 def test_synchronous_coupling_of_one_model_costs_exactly_zero(preset, d, h, g, seed):
     model = presets.build("model", preset, d=d)
-    pair = couple_sdes(model, model, CorrelationProcess.constant(1.0, d), TimeGrid(16), 6, seed=seed)
+    pair = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, d), TimeGrid(16), 6, seed=seed)
     assert pair.x.tobytes() == pair.y.tobytes()
     est = cost.estimate(pair, _sep(presets.build("h", h, d=d), presets.build("g", g, d=d)), model, model)
     assert (est.mean, est.stderr) == (0.0, 0.0)

@@ -12,8 +12,6 @@ from pathcoupling import pathio, presets, sde
 from pathcoupling.coupling import (
     INFEASIBLE,
     UNDECIDED,
-    CorrelationProcess,
-    RotationProcess,
     chop_rotation,
     composed_monge,
     couple_brownians,
@@ -32,8 +30,6 @@ from pathcoupling.sde import (
     SdeModel,
     TimeGrid,
     brownian_increments,
-    constant_diffusion,
-    constant_drift,
     inverse_ito_map,
     ito_map,
     sample_brownian,
@@ -43,8 +39,8 @@ from pathcoupling.sde import (
 def _bm_model(d=1, sigma=1.0):
     return SdeModel(
         z0=np.zeros(d),
-        drift=constant_drift(0.0, d),
-        diffusion=constant_diffusion(sigma, d),
+        drift=CoefficientField.constant("drift", 0.0, d),
+        diffusion=CoefficientField.constant("diffusion", sigma, d),
         label=f"bm(d={d},sigma={sigma})",
     )
 
@@ -56,7 +52,7 @@ def _ou_model(theta, d=1):
     return SdeModel(
         z0=np.zeros(d),
         drift=CoefficientField("drift", d, drift, label=f"ou({theta})"),
-        diffusion=constant_diffusion(1.0, d),
+        diffusion=CoefficientField.constant("diffusion", 1.0, d),
         label=f"ou(theta={theta})",
     )
 
@@ -66,27 +62,27 @@ def _ou_model(theta, d=1):
 
 
 def test_identity_correlation_reproduces_the_driver():
-    rho = CorrelationProcess.constant(1.0, d=2)
+    rho = CoefficientField.constant("correlation", 1.0, d=2)
     out = couple_brownians(rho, TimeGrid(64), 50, seed=31)
     assert np.array_equal(out.x, out.y)
 
 
 def test_independent_coupling_has_vanishing_cross_moment():
-    rho = CorrelationProcess.constant(0.0, d=1)
+    rho = CoefficientField.constant("correlation", 0.0, d=1)
     out = couple_brownians(rho, TimeGrid(64), 4000, seed=32)
     r = np.corrcoef(out.x[:, -1, 0], out.y[:, -1, 0])[0, 1]
     assert abs(r) < 4.0 / np.sqrt(4000)
 
 
 def test_constant_correlation_realized_covariation():
-    rho = CorrelationProcess.constant(0.7, d=1)
+    rho = CoefficientField.constant("correlation", 0.7, d=1)
     out = couple_brownians(rho, TimeGrid(1024), 10_000, seed=33)
     qcov = (np.diff(out.x, axis=1) * np.diff(out.y, axis=1)).sum(axis=1)
     assert abs(qcov.mean() - 0.7) < 0.02
 
 
 def test_both_marginals_have_brownian_increment_variance():
-    rho = CorrelationProcess.constant(-0.4, d=1)
+    rho = CoefficientField.constant("correlation", -0.4, d=1)
     grid = TimeGrid(128)
     out = couple_brownians(rho, grid, 2000, seed=34)
     for side in (out.x, out.y):
@@ -104,7 +100,7 @@ def test_matrix_correlation_cross_covariation():
     c = 0.8 * np.array(
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
-    out = couple_brownians(CorrelationProcess.constant(c), TimeGrid(256), 4000, seed=35)
+    out = couple_brownians(CoefficientField.constant("correlation", c), TimeGrid(256), 4000, seed=35)
     dx, dy = np.diff(out.x, axis=1), np.diff(out.y, axis=1)
     cross = np.einsum("nki,nkj->ij", dx, dy) / 4000
     assert np.abs(cross - c).max() < 0.03
@@ -112,13 +108,13 @@ def test_matrix_correlation_cross_covariation():
 
 def test_inadmissible_correlation_raises_with_step():
     with pytest.raises(DomainError) as err:
-        couple_brownians(CorrelationProcess.constant(1.2, d=1), TimeGrid(8), 5, seed=36)
+        couple_brownians(CoefficientField.constant("correlation", 1.2, d=1), TimeGrid(8), 5, seed=36)
     assert err.value.step == 0
 
     def late_violation(k, t, xp, yp):
         return np.array([[1.5 if k >= 10 else 0.5]])
 
-    rho = CorrelationProcess(1, late_violation, label="late")
+    rho = CoefficientField("correlation", 1, late_violation, label="late")
     with pytest.raises(DomainError) as err:
         couple_brownians(rho, TimeGrid(32), 5, seed=37)
     assert err.value.step == 10
@@ -129,7 +125,7 @@ def test_path_dependent_correlation_batched():
         sign = np.where(xp[:, -1, 0] > 0, 0.6, -0.6)
         return sign.reshape(-1, 1, 1)
 
-    rho = CorrelationProcess(1, rho_fn, label="sign-switch")
+    rho = CoefficientField("correlation", 1, rho_fn, label="sign-switch")
     out = couple_brownians(rho, TimeGrid(64), 500, seed=38)
     assert out.x.shape == out.y.shape == (500, 65, 1)
     inc = np.diff(out.y, axis=1)
@@ -137,7 +133,7 @@ def test_path_dependent_correlation_batched():
 
 
 def test_couple_worker_count_invariance():
-    rho = CorrelationProcess.constant(0.3, d=1)
+    rho = CoefficientField.constant("correlation", 0.3, d=1)
     a = couple_brownians(rho, TimeGrid(32), 41, seed=39, n_workers=1)
     b = couple_brownians(rho, TimeGrid(32), 41, seed=39, n_workers=3)
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
@@ -149,7 +145,7 @@ def test_constructors_are_byte_identical_across_worker_counts(constructor):
     d = 1 if constructor in ("tanaka_coupling", "rotation_chop") else 2
     src = presets.build("model", "gbm-bounded", d=d, sigma=0.5)
     dst = presets.build("model", "ou", d=d, theta=2.0, mean=0.5)
-    rho, q = CorrelationProcess.constant(0.3, d=d), presets.build("rotation", "rotation-by-state", d=2)
+    rho, q = CoefficientField.constant("correlation", 0.3, d=d), presets.build("rotation", "rotation-by-state", d=2)
     build = {
         "couple_sdes": lambda w: couple_sdes(src, dst, rho, grid, n_pairs, seed, n_workers=w),
         "composed_monge": lambda w: composed_monge(src, dst, q, grid, n_pairs, seed, n_workers=w),
@@ -166,7 +162,7 @@ def test_constructors_are_byte_identical_across_worker_counts(constructor):
 def test_couple_sdes_synchronous_is_identity_for_equal_models():
     model = _bm_model(sigma=2.0)
     out = couple_sdes(
-        model, model, CorrelationProcess.constant(1.0, d=1), TimeGrid(64), 20, seed=40
+        model, model, CoefficientField.constant("correlation", 1.0, d=1), TimeGrid(64), 20, seed=40
     )
     assert np.array_equal(out.x, out.y)
     assert out.provenance["marginals"] == [model.label, model.label]
@@ -178,16 +174,16 @@ def test_couple_sdes_synchronous_is_identity_for_equal_models():
 
 def test_rotation_identity_and_antithetic_are_exact():
     drv = sample_brownian(TimeGrid(128), 2, 30, seed=41)
-    same = rotation_monge(RotationProcess.identity(2), drv)
+    same = rotation_monge(CoefficientField.constant("rotation", 1.0, 2, "identity"), drv)
     assert np.array_equal(same.y, same.x)
-    flip = rotation_monge(RotationProcess.constant(-np.eye(2)), drv)
+    flip = rotation_monge(CoefficientField.constant("rotation", -np.eye(2)), drv)
     assert np.array_equal(flip.y, -flip.x)
 
 
 def test_rotation_monge_rejects_non_orthogonal():
     drv = sample_brownian(TimeGrid(8), 2, 4, seed=42)
     with pytest.raises(DomainError) as err:
-        rotation_monge(RotationProcess.constant(1.1 * np.eye(2)), drv)
+        rotation_monge(CoefficientField.constant("rotation", 1.1 * np.eye(2)), drv)
     assert err.value.step == 0
 
 
@@ -202,7 +198,7 @@ def test_state_dependent_rotation_preserves_terminal_covariance():
         out[:, 1, 1] = c
         return out
 
-    q = RotationProcess(2, fn, label="state-angle")
+    q = CoefficientField("rotation", 2, fn, label="state-angle")
     drv = sample_brownian(TimeGrid(128), 2, 4000, seed=43)
     out = rotation_monge(q, drv)
     term = out.y[:, -1]
@@ -214,7 +210,7 @@ def test_state_dependent_rotation_preserves_terminal_covariance():
 def test_composed_identity_is_exact_for_power_of_two_scale():
     model = _bm_model(sigma=2.0)
     out = composed_monge(
-        model, model, RotationProcess.identity(1), TimeGrid(256), 20, seed=44
+        model, model, CoefficientField.constant("rotation", 1.0, 1, "identity"), TimeGrid(256), 20, seed=44
     )
     assert np.array_equal(out.x, out.y)
 
@@ -222,7 +218,7 @@ def test_composed_identity_is_exact_for_power_of_two_scale():
 def test_composed_identity_generic_model():
     model = _ou_model(theta=1.7)
     out = composed_monge(
-        model, model, RotationProcess.identity(1), TimeGrid(256), 20, seed=45
+        model, model, CoefficientField.constant("rotation", 1.0, 1, "identity"), TimeGrid(256), 20, seed=45
     )
     assert np.abs(out.x - out.y).max() < 1e-10
 
@@ -230,7 +226,8 @@ def test_composed_identity_generic_model():
 def test_composed_scale_change_is_the_exact_linear_map():
     src = _bm_model(sigma=2.0)
     dst = _bm_model(sigma=1.0)
-    out = composed_monge(src, dst, RotationProcess.identity(1), TimeGrid(128), 20, seed=46)
+    identity = CoefficientField.constant("rotation", 1.0, 1, "identity")
+    out = composed_monge(src, dst, identity, TimeGrid(128), 20, seed=46)
     assert np.array_equal(out.y, 0.5 * out.x)
 
 
@@ -244,7 +241,7 @@ def test_rotation_monge_keeps_the_norm_of_every_increment(d, per_path, n_steps, 
     # orthogonal Q from the QR factors of random matrices, one per step (and per pair)
     rng = np.random.default_rng(seed)
     qs = np.linalg.qr(rng.standard_normal((n_steps, 5 if per_path else 1, d, d)))[0]
-    q = RotationProcess(d, lambda k, t, xp: qs[k] if per_path else qs[k, 0])
+    q = CoefficientField("rotation", d, lambda k, t, xp: qs[k] if per_path else qs[k, 0])
     pair = rotation_monge(q, sample_brownian(TimeGrid(n_steps), d, 5, seed=seed))
     dx, dy = (np.linalg.norm(np.diff(v, axis=1), axis=2) for v in (pair.x, pair.y))
     # each difference of knots rounds relative to the knots' size, not to the increment's
@@ -259,9 +256,9 @@ def test_rotation_monge_keeps_the_norm_of_every_increment(d, per_path, n_steps, 
 def test_monge_sde_equals_composed_for_constant_coefficients():
     src = _bm_model(sigma=2.0)
     out = monge_sde(
-        constant_drift(0.0, 1),
-        constant_diffusion(2.0, 1),
-        RotationProcess.identity(1),
+        CoefficientField.constant("drift", 0.0, 1),
+        CoefficientField.constant("diffusion", 2.0, 1),
+        CoefficientField.constant("rotation", 1.0, 1, "identity"),
         src,
         TimeGrid(64),
         10,
@@ -278,8 +275,8 @@ def test_monge_sde_holds_no_driver_beside_its_two_legs():
     src = presets.build("model", "ou", d=1, theta=1.0)
     tracemalloc.start()
     try:
-        monge_sde(constant_drift(0.0, 1), constant_diffusion(0.5, 1), RotationProcess.identity(1), src,
-                  TimeGrid(n), n_pairs, seed=3)
+        monge_sde(CoefficientField.constant("drift", 0.0, 1), CoefficientField.constant("diffusion", 0.5, 1),
+                  CoefficientField.constant("rotation", 1.0, 1, "identity"), src, TimeGrid(n), n_pairs, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,9 +286,9 @@ def test_monge_sde_holds_no_driver_beside_its_two_legs():
 
 def test_monge_sde_invertible_residual_is_exact_zero():
     out = monge_sde(
-        constant_drift(0.1, 2),
-        constant_diffusion(np.array([[1.0, 0.2], [0.0, 0.9]]), 2),
-        RotationProcess.identity(2),
+        CoefficientField.constant("drift", 0.1, 2),
+        CoefficientField.constant("diffusion", np.array([[1.0, 0.2], [0.0, 0.9]]), 2),
+        CoefficientField.constant("rotation", 1.0, 2, "identity"),
         _bm_model(d=2, sigma=1.5),
         TimeGrid(32),
         8,
@@ -304,14 +301,14 @@ def test_monge_sde_obstructed_pair_reports_unit_residual():
     # Source kernel e2 cannot be absorbed: the target diffusion is full rank.
     src = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift(0.0, 2),
-        diffusion=constant_diffusion(np.diag([1.0, 0.0]), 2),
+        drift=CoefficientField.constant("drift", 0.0, 2),
+        diffusion=CoefficientField.constant("diffusion", np.diag([1.0, 0.0]), 2),
         label="degenerate",
     )
     out = monge_sde(
-        constant_drift(0.0, 2),
-        constant_diffusion(1.0, 2),
-        RotationProcess.identity(2),
+        CoefficientField.constant("drift", 0.0, 2),
+        CoefficientField.constant("diffusion", 1.0, 2),
+        CoefficientField.constant("rotation", 1.0, 2, "identity"),
         src,
         TimeGrid(16),
         5,
@@ -327,13 +324,13 @@ def test_monge_sde_aligned_degenerate_pair_is_clean():
     sig = np.diag([1.0, 0.0])
     src = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift(0.0, 2),
-        diffusion=constant_diffusion(sig, 2),
+        drift=CoefficientField.constant("drift", 0.0, 2),
+        diffusion=CoefficientField.constant("diffusion", sig, 2),
     )
     out = monge_sde(
-        constant_drift([0.0, 0.3], 2),
-        constant_diffusion(sig, 2),
-        RotationProcess.identity(2),
+        CoefficientField.constant("drift", [0.0, 0.3], 2),
+        CoefficientField.constant("diffusion", sig, 2),
+        CoefficientField.constant("rotation", 1.0, 2, "identity"),
         src,
         TimeGrid(20),
         6,
@@ -416,7 +413,7 @@ def test_rotation_chop_mimics_target_correlation():
 def test_provenance_identifies_the_constructor():
     out = rotation_chop(0.5, TimeGrid(32), 4, seed=55, block=8)
     assert out.provenance["constructor"] == "rotation_chop"
-    pair = couple_brownians(CorrelationProcess.constant(0.2, d=1), TimeGrid(8), 3, seed=56)
+    pair = couple_brownians(CoefficientField.constant("correlation", 0.2, d=1), TimeGrid(8), 3, seed=56)
     assert pair.provenance["constructor"] == "couple_brownians"
     assert pair.provenance["marginals"] == ["wiener(d=1)", "wiener(d=1)"]
 
@@ -463,7 +460,7 @@ def test_composed_monge_matches_the_kernel_chain_on_path_major_arrays():
 def test_couple_brownians_matches_a_path_major_recursion():
     c = np.array([[0.5, -0.2], [0.3, 0.4]])
     grid = TimeGrid(32)
-    out = couple_brownians(CorrelationProcess.constant(c), grid, 20, seed=73)
+    out = couple_brownians(CoefficientField.constant("correlation", c), grid, 20, seed=73)
     db, dw = np.ascontiguousarray(brownian_increments(grid, 2, 20, seed=73, streams=2))
     root = psd_sqrt(np.eye(2) - c.T @ c, clamp_tol=1e-6)
     x = np.zeros((20, 33, 2))
@@ -477,16 +474,16 @@ def test_couple_brownians_matches_a_path_major_recursion():
 def test_monge_sde_matches_a_path_major_recursion():
     src = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift([0.1, -0.2], 2),
-        diffusion=constant_diffusion([[1.0, 0.5], [0.0, 2.0]], 2),
+        drift=CoefficientField.constant("drift", [0.1, -0.2], 2),
+        diffusion=CoefficientField.constant("diffusion", [[1.0, 0.5], [0.0, 2.0]], 2),
         label="src",
     )
     sbar = np.array([[0.7, 0.0], [0.2, 1.1]])
     q = np.array([[0.0, -1.0], [1.0, 0.0]])
     grid = TimeGrid(32)
     out = monge_sde(
-        constant_drift(0.3, 2), constant_diffusion(sbar, 2), RotationProcess.constant(q),
-        src, grid, 15, seed=74,
+        CoefficientField.constant("drift", 0.3, 2), CoefficientField.constant("diffusion", sbar, 2),
+        CoefficientField.constant("rotation", q), src, grid, 15, seed=74,
     )
     x = ito_map(src, _path_major(sample_brownian(grid, 2, 15, seed=74))).values
     assert _same_bytes(out.x, x)
@@ -511,20 +508,20 @@ def _refilled(d, good, bad, from_step):
 
 def test_orthogonality_check_survives_a_refilled_rotation_buffer():
     fn = _refilled(2, np.eye(2), np.diag([1.0, 1.1]), from_step=11)
-    q = RotationProcess(2, fn, label="refilled")
+    q = CoefficientField("rotation", 2, fn, label="refilled")
     with pytest.raises(DomainError) as err:
         rotation_monge(q, sample_brownian(TimeGrid(32), 2, 4, seed=75))
     assert err.value.step == 11
     with pytest.raises(DomainError) as err:
-        monge_sde(constant_drift(0.0, 2), constant_diffusion(1.0, 2), q, _bm_model(d=2),
-                  TimeGrid(32), 4, seed=76)
+        monge_sde(CoefficientField.constant("drift", 0.0, 2), CoefficientField.constant("diffusion", 1.0, 2), q,
+                  _bm_model(d=2), TimeGrid(32), 4, seed=76)
     assert err.value.step == 11
 
 
 def test_correlation_check_survives_a_refilled_correlation_buffer():
     fn = _refilled(2, 0.5 * np.eye(2), np.diag([0.5, 1.2]), from_step=7)
     with pytest.raises(DomainError) as err:
-        couple_brownians(CorrelationProcess(2, fn, label="refilled"), TimeGrid(16), 4, seed=77)
+        couple_brownians(CoefficientField("correlation", 2, fn, label="refilled"), TimeGrid(16), 4, seed=77)
     assert err.value.step == 7
 
 
@@ -532,12 +529,12 @@ def test_kernel_residual_follows_a_refilled_diffusion_buffer():
     fn = _refilled(2, np.eye(2), np.diag([1.0, 0.0]), from_step=5)
     src = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift(0.0, 2),
+        drift=CoefficientField.constant("drift", 0.0, 2),
         diffusion=CoefficientField("diffusion", 2, fn, label="refilled"),
         label="refilled",
     )
-    out = monge_sde(constant_drift(0.0, 2), constant_diffusion(1.0, 2),
-                    RotationProcess.identity(2), src, TimeGrid(16), 4, seed=78)
+    out = monge_sde(CoefficientField.constant("drift", 0.0, 2), CoefficientField.constant("diffusion", 1.0, 2),
+                    CoefficientField.constant("rotation", 1.0, 2, "identity"), src, TimeGrid(16), 4, seed=78)
     assert out.provenance["kernel_condition_violated"]
     assert out.provenance["kernel_residual_step"] == 5
 
@@ -557,7 +554,7 @@ def test_written_bytes_are_stable(tmp_path):
     # so the recorded digests do not depend on the BLAS build
     src = presets.build("model", "ou", d=2, theta=1.0, z0=1.0)
     dst = presets.build("model", "ou", d=2, theta=2.0, mean=0.5)
-    rho = CorrelationProcess.constant(np.diag([0.6, -0.3]))
+    rho = CoefficientField.constant("correlation", np.diag([0.6, -0.3]))
     pair = couple_sdes(src, dst, rho, TimeGrid(16), 4, seed=2024)
     bm = sample_brownian(TimeGrid(16), 2, 3, seed=2025)
     writers = {"csv": pathio.write_csv, "bin": pathio.write_binary}

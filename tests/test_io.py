@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcoupling import pathio, verify
-from pathcoupling.coupling import CorrelationProcess, CoupledEnsemble, couple_brownians
+from pathcoupling.coupling import CoupledEnsemble, couple_brownians
 from pathcoupling.errors import ConfigError
-from pathcoupling.sde import PathEnsemble, TimeGrid, sample_brownian
+from pathcoupling.sde import CoefficientField, PathEnsemble, TimeGrid, sample_brownian
 
 
 def _ensemble(seed=5):
@@ -19,7 +19,7 @@ def _ensemble(seed=5):
 
 
 def _coupled(seed=6):
-    return couple_brownians(CorrelationProcess.constant(0.5, 2), TimeGrid(16), 5, seed=seed)
+    return couple_brownians(CoefficientField.constant("correlation", 0.5, 2), TimeGrid(16), 5, seed=seed)
 
 
 def test_csv_round_trip_plain(tmp_path):
@@ -62,7 +62,7 @@ def _rewrite_rows(f, edit):
 def test_csv_rejects_a_duplicated_or_missing_row(tmp_path, edit):
     # N=2, n=4: row (0, 3) written again in place of row (0, 4), or row (0, 4) dropped
     f = tmp_path / "pair.csv"
-    pathio.write_csv(f, couple_brownians(CorrelationProcess.constant(0.5, 1), TimeGrid(4), 2, seed=3))
+    pathio.write_csv(f, couple_brownians(CoefficientField.constant("correlation", 0.5, 1), TimeGrid(4), 2, seed=3))
     _rewrite_rows(f, edit)
     with pytest.raises(ConfigError):
         pathio.read_csv(f)
@@ -81,7 +81,7 @@ def test_csv_rejects_a_duplicated_or_missing_row(tmp_path, edit):
 def test_csv_with_a_malformed_key_column_is_a_config_error_naming_the_file(tmp_path, edit):
     # filterwarnings = error: a warning ahead of the ConfigError would fail the test
     f = tmp_path / "pair.csv"
-    pathio.write_csv(f, couple_brownians(CorrelationProcess.constant(0.5, 1), TimeGrid(4), 2, seed=3))
+    pathio.write_csv(f, couple_brownians(CoefficientField.constant("correlation", 0.5, 1), TimeGrid(4), 2, seed=3))
     _rewrite_rows(f, edit)
     with pytest.raises(ConfigError, match="pair.csv"):
         pathio.read_csv(f)
@@ -218,7 +218,7 @@ def test_cost_report_payload(tmp_path):
     from pathcoupling import cost, presets
 
     model = presets.build("model", "bm", d=1, sigma=1.0)
-    ens = couple_brownians(CorrelationProcess.constant(1.0, 1), TimeGrid(32), 16, seed=9)
+    ens = couple_brownians(CoefficientField.constant("correlation", 1.0, 1), TimeGrid(32), 16, seed=9)
     spec = cost.CostSpec.lp(2)
     est = cost.estimate(ens, spec)
     payload = pathio.cost_report(est, n_steps=32, seed=9)

@@ -131,6 +131,54 @@ def test_correlation_presets_are_admissible():
     assert np.allclose(np.linalg.svd(mat, compute_uv=False), 0.8)
 
 
+# The labels each preset gives its fields, as recorded before rotations and correlations became
+# coefficient fields; provenance carries them into manifest.json and error messages name them.
+_FIELD_LABELS = [  # kind, name, d, parameters, labels
+    ("model", "bm", 1, {}, ("const([0.0])", "const-matrix")),
+    ("model", "bm", 2, {}, ("const([0.0, 0.0])", "const-matrix")),
+    ("model", "bm", 2, {"sigma": 2.0}, ("const([0.0, 0.0])", "const-matrix")),
+    ("model", "const-matrix", 1, {}, ("const([0.0])", "const-matrix")),
+    ("model", "const-matrix", 2, {}, ("const([0.0, 0.0])", "const-matrix")),
+    ("model", "const-matrix", 2, {"mu": [0.1, -0.2], "sigma": [[1.0, 0.5], [0.0, 1.0]]},
+     ("const([0.1, -0.2])", "const-matrix")),
+    ("model", "degenerate", 1, {}, ("const([0.0])", "const-matrix")),
+    ("model", "degenerate", 2, {}, ("const([0.0, 0.0])", "const-matrix")),
+    ("model", "expr", 1, {}, ("expr(0)", "expr(1)")),
+    ("model", "expr", 2, {}, ("expr(0)", "expr(1)")),
+    ("model", "gbm-bounded", 1, {}, ("const([0.0])", "gbm-bounded(1.0)")),
+    ("model", "gbm-bounded", 2, {}, ("const([0.0, 0.0])", "gbm-bounded(1.0)")),
+    ("model", "ou", 1, {}, ("ou(theta=1.0,mean=0.0)", "const-matrix")),
+    ("model", "ou", 2, {}, ("ou(theta=1.0,mean=0.0)", "const-matrix")),
+    ("rotation", "angle", 2, {}, "angle(0.0)"),
+    ("rotation", "angle", 2, {"theta": 0.5}, "angle(0.5)"),
+    ("rotation", "chop", 1, {"n_steps": 16}, "chop(c=0.0, block=16)"),
+    ("rotation", "identity", 1, {}, "identity"),
+    ("rotation", "identity", 2, {}, "identity"),
+    ("rotation", "matrix", 1, {}, "const([[1.0]])"),
+    ("rotation", "matrix", 2, {}, "const([[1.0, 0.0], [0.0, 1.0]])"),
+    ("rotation", "matrix", 2, {"q": [[0.0, 1.0], [1.0, 0.0]]}, "const([[0.0, 1.0], [1.0, 0.0]])"),
+    ("rotation", "rotation-by-state", 2, {}, "rotation-by-state(scale=1.0)"),
+    ("rotation", "sign", 1, {}, "const([[-1.0]])"),
+    ("rotation", "sign", 1, {"s": 1.0}, "const([[1.0]])"),
+    ("correlation", "const", 1, {}, "const([[0.0]])"),
+    ("correlation", "const", 2, {}, "const([[0.0, 0.0], [0.0, 0.0]])"),
+    ("correlation", "const", 2, {"c": [[0.5, 0.0], [0.0, -0.25]]}, "const([[0.5, 0.0], [0.0, -0.25]])"),
+    ("correlation", "scaled-rotation", 2, {}, "scaled-rotation(0.8,0.0)"),
+    ("correlation", "scaled-rotation", 2, {"scale": 0.5, "theta": 1.0}, "scaled-rotation(0.5,1.0)"),
+]
+
+
+def test_every_preset_keeps_its_field_labels():
+    labels = []
+    for kind, name, d, params, _ in _FIELD_LABELS:
+        built = presets.build(kind, name, d=d, **params)
+        labels.append((built.drift.label, built.diffusion.label) if kind == "model" else built.label)
+    assert labels == [row[-1] for row in _FIELD_LABELS]
+    # every model, rotation and correlation preset is pinned
+    fields = {(p.kind, p.name) for p in presets.available() if p.kind in ("model", "rotation", "correlation")}
+    assert {row[:2] for row in _FIELD_LABELS} == fields
+
+
 @pytest.mark.parametrize("block_bytes", [sde._BLOCK_BYTES, 256, 8 * 50 * 2 * 7])
 @pytest.mark.parametrize("layout", ["path-major", "time-major"])
 def test_h_presets_walked_over_blocks_match_the_whole_path_formulas(monkeypatch, layout, block_bytes):

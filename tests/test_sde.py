@@ -16,8 +16,6 @@ from pathcoupling.sde import (
     PathEnsemble,
     SdeModel,
     TimeGrid,
-    constant_diffusion,
-    constant_drift,
     decompose,
     inverse_ito_map,
     ito_map,
@@ -28,8 +26,8 @@ from pathcoupling.sde import (
 def _bm_model(d=1, sigma=1.0, z0=0.0):
     return SdeModel(
         z0=np.full(d, z0),
-        drift=constant_drift(0.0, d),
-        diffusion=constant_diffusion(sigma, d),
+        drift=CoefficientField.constant("drift", 0.0, d),
+        diffusion=CoefficientField.constant("diffusion", sigma, d),
         label=f"bm({sigma})",
     )
 
@@ -41,7 +39,7 @@ def _ou_model(d=1, theta=1.0, z0=0.0):
     return SdeModel(
         z0=np.full(d, z0),
         drift=CoefficientField("drift", d, drift, label="ou-drift"),
-        diffusion=constant_diffusion(1.0, d),
+        diffusion=CoefficientField.constant("diffusion", 1.0, d),
         label="ou",
     )
 
@@ -56,7 +54,7 @@ def _bounded_vol_model(d=1):
 
     return SdeModel(
         z0=np.zeros(d),
-        drift=constant_drift(0.0, d),
+        drift=CoefficientField.constant("drift", 0.0, d),
         diffusion=CoefficientField("diffusion", d, diffusion, label="bounded-vol"),
         label="bounded-vol",
     )
@@ -236,8 +234,8 @@ def test_ito_map_pure_drift_is_a_straight_line():
     g = TimeGrid(50)
     model = SdeModel(
         z0=np.array([1.0]),
-        drift=constant_drift(2.0, 1),
-        diffusion=constant_diffusion(0.0, 1),
+        drift=CoefficientField.constant("drift", 2.0, 1),
+        diffusion=CoefficientField.constant("diffusion", 0.0, 1),
     )
     drv = sample_brownian(g, 1, 3, seed=5)
     out = ito_map(model, drv)
@@ -289,7 +287,7 @@ def _rotated_vol_model(d, sigma):
 
     return SdeModel(
         z0=np.zeros(d),
-        drift=constant_drift(0.0, d),
+        drift=CoefficientField.constant("drift", 0.0, d),
         diffusion=CoefficientField("diffusion", d, diffusion, label="rotated-vol"),
         label="rotated-vol",
     )
@@ -332,8 +330,8 @@ def test_round_trip_matrix_diffusion():
     sig = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
     model = SdeModel(
         z0=np.zeros(d),
-        drift=constant_drift([0.1, -0.2, 0.0], d),
-        diffusion=constant_diffusion(sig, d),
+        drift=CoefficientField.constant("drift", [0.1, -0.2, 0.0], d),
+        diffusion=CoefficientField.constant("diffusion", sig, d),
     )
     g = TimeGrid(256)
     drv = sample_brownian(g, d, 40, seed=15)
@@ -349,7 +347,7 @@ def test_inverse_singular_diffusion_reports_step():
 
     model = SdeModel(
         z0=np.zeros(1),
-        drift=constant_drift(0.0, 1),
+        drift=CoefficientField.constant("drift", 0.0, 1),
         diffusion=CoefficientField("diffusion", 1, vanish, label="vanishing"),
     )
     g = TimeGrid(n)
@@ -370,7 +368,7 @@ def test_one_singular_path_in_a_batch_is_located_without_a_warning(member):
 
     model = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift(0.0, 2),
+        drift=CoefficientField.constant("drift", 0.0, 2),
         diffusion=CoefficientField("diffusion", 2, diffusion, label="one-singular"),
     )
     x = sample_brownian(TimeGrid(8), 2, 4, seed=18)
@@ -397,7 +395,7 @@ def test_inverse_non_finite_diffusion_reports_step(shape):
 
     model = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift(0.0, 2),
+        drift=CoefficientField.constant("drift", 0.0, 2),
         diffusion=CoefficientField("diffusion", 2, blow_up, label="blow-up"),
     )
     x = sample_brownian(TimeGrid(8), 2, 4, seed=17)
@@ -435,8 +433,8 @@ def test_decompose_noiseless_model_has_zero_martingale():
     g = TimeGrid(64)
     model = SdeModel(
         z0=np.array([0.3]),
-        drift=constant_drift(1.0, 1),
-        diffusion=constant_diffusion(0.0, 1),
+        drift=CoefficientField.constant("drift", 1.0, 1),
+        diffusion=CoefficientField.constant("diffusion", 0.0, 1),
     )
     x = ito_map(model, sample_brownian(g, 1, 5, seed=19))
     fv, mart = decompose(model, x)
@@ -476,21 +474,43 @@ def test_solver_is_non_anticipative():
     assert not np.array_equal(xa.values[:, 41:], xb.values[:, 41:])
 
 
-def test_bad_coefficient_shape_is_reported():
-    model = SdeModel(
-        z0=np.zeros(2),
-        drift=CoefficientField("drift", 2, lambda k, t, p: np.zeros(3)),
-        diffusion=constant_diffusion(1.0, 2),
-    )
+@pytest.mark.parametrize("kind", ["drift", "diffusion", "rotation", "correlation"])
+def test_bad_coefficient_shape_is_reported(kind):
+    good = np.zeros(2) if kind == "drift" else np.eye(2)
+    field = CoefficientField(kind, 2, lambda k, t, *prefixes: np.zeros(3) if k == 2 else good, label="bad")
     drv = sample_brownian(TimeGrid(4), 2, 3, seed=23)
-    with pytest.raises(DimensionError):
-        ito_map(model, drv)
+    bm = _bm_model(d=2)
+    with pytest.raises(DimensionError) as err:
+        if kind == "rotation":
+            coupling.rotation_monge(field, drv)
+        elif kind == "correlation":
+            coupling.couple_brownians(field, TimeGrid(4), 3, seed=23)
+        else:
+            ito_map(SdeModel(z0=np.zeros(2), **{"drift": bm.drift, "diffusion": bm.diffusion, kind: field}), drv)
+    assert f"{kind} 'bad': returned shape (3,) at step 2" in str(err.value)
 
 
 def test_model_dimension_mismatch():
     drv = sample_brownian(TimeGrid(4), 2, 3, seed=24)
     with pytest.raises(DimensionError):
         ito_map(_bm_model(d=1), drv)
+
+
+def test_a_constant_field_is_a_vector_or_a_square_matrix():
+    assert CoefficientField.constant("drift", 0.5, 3).eval(0, 0.0, None).tolist() == [0.5, 0.5, 0.5]
+    rho = CoefficientField.constant("correlation", 0.5, 2)
+    assert rho.dim == 2 and rho.eval(0, 0.0, None, None).tolist() == [[0.5, 0.0], [0.0, 0.5]]
+    for kind, value, d in [("rotation", 1.0, None), ("correlation", [[1.0, 0.0]], None), ("diffusion", np.eye(2), 3)]:
+        with pytest.raises(DimensionError, match=kind):
+            CoefficientField.constant(kind, value, d)
+
+
+def test_a_model_takes_a_drift_and_a_diffusion():
+    bm = _bm_model(d=2)
+    rotation = CoefficientField.constant("rotation", 1.0, 2, "identity")
+    for drift, diffusion in [(bm.diffusion, bm.drift), (bm.drift, rotation)]:
+        with pytest.raises(DimensionError, match=f"got a {drift.kind} and a {diffusion.kind}"):
+            SdeModel(z0=np.zeros(2), drift=drift, diffusion=diffusion)
 
 
 def test_ou_terminal_variance_matches_closed_form():
@@ -523,7 +543,9 @@ def _layouts(ens):
 def _layout_models(d):
     mat = np.eye(d) + 0.3 * np.ones((d, d))
     matrix_model = SdeModel(
-        z0=np.full(d, 0.5), drift=constant_drift(0.1, d), diffusion=constant_diffusion(mat, d)
+        z0=np.full(d, 0.5),
+        drift=CoefficientField.constant("drift", 0.1, d),
+        diffusion=CoefficientField.constant("diffusion", mat, d),
     )
     return [
         _bm_model(d, sigma=2.0), _ou_model(d, theta=1.5, z0=1.0), _bounded_vol_model(d), matrix_model
@@ -573,7 +595,7 @@ def test_singularity_check_survives_a_refilled_diffusion_buffer():
 
     model = SdeModel(
         z0=np.zeros(2),
-        drift=constant_drift(0.0, 2),
+        drift=CoefficientField.constant("drift", 0.0, 2),
         diffusion=CoefficientField("diffusion", 2, diffusion, label="refilled"),
     )
     path = sample_brownian(TimeGrid(16), 2, 3, seed=64)

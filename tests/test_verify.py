@@ -11,7 +11,6 @@ from scipy import stats
 
 from pathcoupling import cost, experiments, presets, sde, verify
 from pathcoupling.coupling import (
-    CorrelationProcess,
     CoupledEnsemble,
     couple_brownians,
     rotation_monge,
@@ -19,7 +18,7 @@ from pathcoupling.coupling import (
 )
 from pathcoupling.errors import DomainError
 from pathcoupling.linalg import correlation_margin
-from pathcoupling.sde import PathEnsemble, TimeGrid, ito_map, sample_brownian
+from pathcoupling.sde import CoefficientField, PathEnsemble, TimeGrid, ito_map, sample_brownian
 
 
 def _rotation_d2(scale=0.5):
@@ -181,14 +180,14 @@ def test_covariation_terminal_synchronous_and_antithetic():
     grid = TimeGrid(256)
     budget = 2 * np.sqrt(grid.dt)
     for c, target in ((1.0, 1.0), (-1.0, -1.0)):
-        ens = couple_brownians(CorrelationProcess.constant(c, 1), grid, 2000, seed=41)
+        ens = couple_brownians(CoefficientField.constant("correlation", c, 1), grid, 2000, seed=41)
         rep = verify.realized_covariation(ens)
         tol = 3 * rep.terminal_stderr[0, 0] + budget
         assert abs(rep.terminal_mean[0, 0] - target) <= tol
 
 
 def test_covariation_constant_rho_07():
-    ens = couple_brownians(CorrelationProcess.constant(0.7, 1), TimeGrid(256), 10_000, seed=42)
+    ens = couple_brownians(CoefficientField.constant("correlation", 0.7, 1), TimeGrid(256), 10_000, seed=42)
     rep = verify.realized_covariation(ens)
     assert abs(rep.terminal_mean[0, 0] - 0.7) <= 0.02
 
@@ -199,7 +198,7 @@ def test_covariation_matrix_rho_d2():
         [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
     )
     grid = TimeGrid(256)
-    ens = couple_brownians(CorrelationProcess.constant(rho), grid, 4000, seed=43)
+    ens = couple_brownians(CoefficientField.constant("correlation", rho), grid, 4000, seed=43)
     rep = verify.realized_covariation(ens)
     tol = 3 * rep.terminal_stderr + 2 * np.sqrt(grid.dt)
     assert np.all(np.abs(rep.terminal_mean - rho) <= tol)
@@ -207,7 +206,7 @@ def test_covariation_matrix_rho_d2():
 
 def test_covariation_windowed_tracks_rho_and_matches_oracle():
     grid = TimeGrid(512)
-    ens = couple_brownians(CorrelationProcess.constant(0.5, 1), grid, 2000, seed=44)
+    ens = couple_brownians(CoefficientField.constant("correlation", 0.5, 1), grid, 2000, seed=44)
     rep = verify.realized_covariation(ens, window=64)
     assert rep.rho_hat.shape == (8, 1, 1)
     assert np.max(np.abs(rep.rho_hat - 0.5)) < 0.02
@@ -223,7 +222,7 @@ def test_covariation_test_against_scalar_and_matrix_targets():
     theta = np.pi / 6
     rho = 0.8 * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     grid = TimeGrid(64)
-    ens = couple_brownians(CorrelationProcess.constant(rho), grid, 500, seed=46)
+    ens = couple_brownians(CoefficientField.constant("correlation", rho), grid, 500, seed=46)
     cov = verify.realized_covariation(ens)
     rep = verify.covariation_test(ens, rho.tolist())
     assert rep.name == "realized_covariation" and rep.comparison == "<=" and rep.passed
@@ -238,7 +237,7 @@ def test_covariation_test_against_scalar_and_matrix_targets():
 
 
 def test_covariation_window_clamped_to_grid():
-    ens = couple_brownians(CorrelationProcess.constant(0.0, 1), TimeGrid(16), 8, seed=45)
+    ens = couple_brownians(CoefficientField.constant("correlation", 0.0, 1), TimeGrid(16), 8, seed=45)
     rep = verify.realized_covariation(ens, window=64)
     assert rep.window == 16 and rep.rho_hat.shape[0] == 1
 
@@ -249,7 +248,7 @@ def test_covariation_window_clamped_to_grid():
 
 @pytest.mark.parametrize("window", [0, -4])
 def test_certificate_rejects_a_window_below_one_step(window):
-    ens = couple_brownians(CorrelationProcess.constant(0.0, 1), TimeGrid(16), 8, seed=45)
+    ens = couple_brownians(CoefficientField.constant("correlation", 0.0, 1), TimeGrid(16), 8, seed=45)
     with pytest.raises(DomainError, match="window must be positive"):
         verify.monge_certificate(ens, window=window)
 
@@ -273,7 +272,7 @@ def test_certificate_passes_on_state_dependent_rotation_d2():
 
 
 def test_certificate_fails_on_constant_rho_07():
-    ens = couple_brownians(CorrelationProcess.constant(0.7, 1), TimeGrid(1024), 2000, seed=53)
+    ens = couple_brownians(CoefficientField.constant("correlation", 0.7, 1), TimeGrid(1024), 2000, seed=53)
     rep = verify.monge_certificate(ens)
     assert not rep.passed
     # the defect concentrates near |0.49 - 1|
@@ -296,7 +295,7 @@ def test_certificate_passes_on_tanaka():
     ),
 )
 def test_certificate_flags_rho_09_at_default_window():
-    ens = couple_brownians(CorrelationProcess.constant(0.9, 1), TimeGrid(4096), 10_000, seed=55)
+    ens = couple_brownians(CoefficientField.constant("correlation", 0.9, 1), TimeGrid(4096), 10_000, seed=55)
     rep = verify.monge_certificate(ens, window=64)
     assert not rep.passed
 
@@ -309,7 +308,7 @@ def test_windowed_rho_is_admissible_correlation():
     w = 64
     grid = TimeGrid(512)
     for ens in (
-        couple_brownians(CorrelationProcess.constant(0.7, 1), grid, 256, seed=56),
+        couple_brownians(CoefficientField.constant("correlation", 0.7, 1), grid, 256, seed=56),
         rotation_monge(
             presets.build("rotation", "sign", d=1, s=-1),
             sample_brownian(grid, 1, 256, seed=57),
@@ -390,7 +389,7 @@ def test_realized_covariation_memory_does_not_grow_with_n():
 def test_adaptedness_synchronous_and_antithetic_pass():
     grid = TimeGrid(256)
     for c in (1.0, -1.0):
-        ens = couple_brownians(CorrelationProcess.constant(c, 1), grid, 2000, seed=61)
+        ens = couple_brownians(CoefficientField.constant("correlation", c, 1), grid, 2000, seed=61)
         rep = verify.adaptedness_probe(ens)
         assert rep.passed
         assert rep.statistic > 0.9
@@ -404,9 +403,9 @@ def test_adaptedness_tanaka_fails_near_half():
 
 
 def test_adaptedness_validates_input():
-    ens = couple_brownians(CorrelationProcess.constant(1.0, 1), TimeGrid(16), 100, seed=63)
+    ens = couple_brownians(CoefficientField.constant("correlation", 1.0, 1), TimeGrid(16), 100, seed=63)
     with pytest.raises(DomainError):
         verify.adaptedness_probe(ens)
-    big = couple_brownians(CorrelationProcess.constant(1.0, 1), TimeGrid(16), 1000, seed=64)
+    big = couple_brownians(CoefficientField.constant("correlation", 1.0, 1), TimeGrid(16), 1000, seed=64)
     with pytest.raises(DomainError):
         verify.adaptedness_probe(big, k_neighbors=4)

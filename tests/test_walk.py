@@ -7,8 +7,6 @@ import pytest
 
 from pathcoupling import cost, presets, sde
 from pathcoupling.coupling import (
-    CorrelationProcess,
-    RotationProcess,
     couple_brownians,
     couple_sdes,
     monge_sde,
@@ -73,8 +71,8 @@ def _outputs(kernel, d, per_path):
     """The arrays one kernel produces for one case, in a fixed order."""
     src, dst = _model(d, per_path), _model(d, per_path, z0=-0.25, dst=True)
     _, _, q, c = _coefficients(d, per_path)
-    rot = RotationProcess(d, lambda k, t, xp: q(xp[:, -1]))
-    rho = CorrelationProcess(d, lambda k, t, xp, yp: c(xp[:, -1], yp[:, -1]))
+    rot = CoefficientField("rotation", d, lambda k, t, xp: q(xp[:, -1]))
+    rho = CoefficientField("correlation", d, lambda k, t, xp, yp: c(xp[:, -1], yp[:, -1]))
     driver = sample_brownian(GRID, d, N_PATHS, seed=31)
     if kernel == "ito_map":
         return [ito_map(src, driver).values]
@@ -166,16 +164,17 @@ def _run_failing(kernel, failure):
     driver = sample_brownian(GRID, d, N_PATHS, seed=35)
     spec = CostSpec.separable(h=presets.build("h", "l2", d=d), g=presets.build("g", "identity", d=d))
     if kernel == "couple_brownians":
-        rho = CorrelationProcess(d, _failing(0.5 * np.eye(d), failure), label="failing")
+        rho = CoefficientField("correlation", d, _failing(0.5 * np.eye(d), failure), label="failing")
         couple_brownians(rho, GRID, N_PATHS, seed=36)
     elif kernel == "rotation_monge":
-        rotation_monge(RotationProcess(d, _failing(np.eye(d), failure), label="failing"), driver)
+        rotation_monge(CoefficientField("rotation", d, _failing(np.eye(d), failure), label="failing"), driver)
     elif kernel == "monge_sde":
-        monge_sde(drift, bm.diffusion, RotationProcess.identity(d), bm, GRID, N_PATHS, seed=37)
+        identity = CoefficientField.constant("rotation", 1.0, d, "identity")
+        monge_sde(drift, bm.diffusion, identity, bm, GRID, N_PATHS, seed=37)
     elif kernel == "closed_form_optimal":
         cost.closed_form_optimal(src, bm, spec, driver)
     elif kernel == "separable_values":
-        pair = couple_sdes(bm, bm, CorrelationProcess.constant(1.0, d), GRID, N_PATHS, seed=38)
+        pair = couple_sdes(bm, bm, CoefficientField.constant("correlation", 1.0, d), GRID, N_PATHS, seed=38)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sde, "_BLOCK_BYTES", 8 * N_PATHS * d * 2)  # blocks of 2 steps: step 3 is in the second
             cost.estimate(pair, spec, src, bm)
@@ -191,10 +190,11 @@ def test_a_failing_step_raises_a_domain_error_at_its_index(kernel, failure):
     assert err.value.step == FAIL_STEP
     assert str(err.value).endswith(f"(at step {FAIL_STEP})")
     refused = {"couple_brownians": "non-finite entries", "rotation_monge": "not orthogonal (defect nan)"}
+    kind = {"couple_brownians": "correlation", "rotation_monge": "rotation"}.get(kernel, "drift")
     if failure == "nan" and kernel in refused:  # stopped by the membership check before the state
         assert refused[kernel] in str(err.value)
+        assert f"{kind} 'failing'" in str(err.value)  # names the field it refused
     else:
-        kind = {"couple_brownians": "correlation", "rotation_monge": "rotation"}.get(kernel, "drift")
         message = {"nan": f"non-finite on {len(BAD_PATHS)} path(s)",
                    "overflow": f"{kind} 'failing': floating-point overflow"}  # names the field that failed
         assert message.get(failure, "refused") in str(err.value)
