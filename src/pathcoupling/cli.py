@@ -189,14 +189,14 @@ class _Run:
         if not isinstance(section, dict) or not isinstance(section.get("preset"), str):
             self.cfg.error(key, f"'{key}' must be an object with a 'preset' name")
         params = section.get("params", {})
-        if not isinstance(params, dict) or "d" in params:  # the dimension is the run's 'd'
-            message = f"the params of '{key}' must be a JSON object without 'd', got {params!r}"
+        if not isinstance(params, dict) or {"d", "n_steps"} & set(params):  # the run's 'd' and grid
+            message = f"the params of '{key}' must be a JSON object without 'd' or 'n_steps', got {params!r}"
             self.cfg.error("params", message, json.dumps(params), within=key)
         try:
             if "n_steps" in presets.get_preset(kind, section["preset"]).defaults:  # a schedule on the run's grid
                 params = {"n_steps": self.grid.n_steps, **params}
             return presets.build(kind, section["preset"], d=self.d, **params)
-        except ConfigError as err:
+        except (ConfigError, DimensionError) as err:  # a value of the wrong shape too
             self.cfg.error("preset", str(err), json.dumps(section["preset"]), within=key)
 
     def call(self, constructor, *head, **kw):
@@ -380,12 +380,12 @@ def _wiener(cfg, pair, /, side="y", alpha=0.01):
     return verify.wiener_marginal_test(pair.x_ensemble() if side == "x" else pair.y_ensemble(), alpha)
 
 
-def _covariation(cfg, pair, /, target=None, window=verify.DEFAULT_WINDOW):
+def _covariation(cfg, pair, /, target=None):
     entries = np.asarray(target, dtype=object)
     if entries.shape not in ((), (pair.d, pair.d)) or not all(map(_is_number, entries.flat)):
         message = f"'target' must be a number or a {pair.d} x {pair.d} list of numbers, got {target!r}"
         cfg.error("target", message, json.dumps(target))
-    return verify.covariation_test(pair, target, window)
+    return verify.covariation_test(pair, target)
 
 
 def _certificate(cfg, pair, /, window=verify.DEFAULT_WINDOW, tol=None):

@@ -164,11 +164,14 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
         dm = np.diff(np.subtract(blk[0] - fx, blk[1] - fy), axis=0)
         bracket += np.einsum("kpd,kpd->p", dm, dm)
         last, lo = [fx[-1], fy[-1]], lo + steps
-    h_vals = np.asarray(spec.h(_path_view(diff)), dtype=float)
-    if h_vals.shape != (pair.n_pairs,):
-        raise DimensionError(
-            f"h must map (N, n_steps+1, d) paths to (N,) scores, got {h_vals.shape}"
-        )
+    return _priced(spec, _path_view(diff), bracket)
+
+
+def _priced(spec: CostSpec, fv_diff, bracket):
+    """Per pair, h of the (N, n_steps+1, d) finite-variation differences plus g of the (N,) bracket."""
+    h_vals = np.asarray(spec.h(fv_diff), dtype=float)
+    if h_vals.shape != bracket.shape:
+        raise DimensionError(f"h must map (N, n_steps+1, d) paths to (N,) scores, got {h_vals.shape}")
     return h_vals + np.asarray(spec.g(bracket), dtype=float)
 
 
@@ -277,9 +280,7 @@ def closed_form_optimal(
     # g (e.g. sqrt) never sees a negative bracket
     bracket = np.maximum(bracket, 0.0)
     # h is handed path-major (N, n+1, d) values, so it sums in the same order for every layout
-    h_vals = np.asarray(spec.h(np.subtract(fv_x, fv_y[None], order="C")), dtype=float)
-    g_vals = np.asarray(spec.g(bracket), dtype=float)
-    value = _from_values(h_vals + g_vals, f"closed-form({spec.label})")
+    value = _from_values(_priced(spec, np.subtract(fv_x, fv_y[None], order="C"), bracket), f"closed-form({spec.label})")
     rotation_of = ValueMemo(lambda a: trace_max_rotation(a)[0])
 
     def q_fn(k, t, x_prefix):

@@ -11,9 +11,10 @@ the Brownian marginal,
 with rho constrained to the correlation class at every step.  The
 constructors here build exactly that, plus the transport variants:
 rotation integrals of a driver (which preserve the Wiener law and are
-the invertible, adapted maps between Brownian laws), their conjugation
-by Itô maps, and the direct recursion for a candidate Monge transport
-between two SDE laws including its kernel-condition residual.
+the invertible, adapted maps between Brownian laws; Tanaka's pair is
+one, X = int sign(Y) dY built by :func:`rotation_monge`), their
+conjugation by Itô maps, and the direct recursion for a candidate Monge
+transport between two SDE laws including its kernel-condition residual.
 
 rho and Q are coefficient fields (:class:`~pathcoupling.sde.CoefficientField`)
 of kind ``"correlation"``, which sees both coupled prefixes, and
@@ -280,17 +281,16 @@ def monge_sde(
     rank at every probe.
     """
     d = src.dim
-    if dst_drift.dim != d or dst_diffusion.dim != d or q.dim != d:
-        raise DimensionError("target coefficient and rotation dimensions must match src")
-    if z0_dst is None:
-        z0_dst = np.zeros(d)
-    z0_dst = np.broadcast_to(np.asarray(z0_dst, dtype=float), (d,))
+    z0_dst = np.broadcast_to(np.asarray(0.0 if z0_dst is None else z0_dst, dtype=float), (d,))
+    dst = SdeModel(z0_dst, dst_drift, dst_diffusion, label=f"target({dst_drift.label}, {dst_diffusion.label})")
+    if q.dim != d:
+        raise DimensionError(f"rotation dim {q.dim} does not match src dim {d}")
     # no name holds the Brownian driver, so it is freed once X is built
     xv = ito_map(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)).values
     x = time_major(xv)
     dt = grid.dt
     ty = np.empty_like(x)
-    ty[0] = z0_dst
+    ty[0] = dst.z0
     resid = np.zeros(grid.n_steps)
     admit = ValueMemo(_orthogonal)
     pinv_of = ValueMemo(pinv_and_null)
@@ -299,8 +299,8 @@ def monge_sde(
         xp = xv[:, : k + 1]
         b = _eval(src.drift, k, t, n_pairs, xp)
         sig = _eval(src.diffusion, k, t, n_pairs, xp)
-        bbar = _eval(dst_drift, k, t, n_pairs, tp)
-        sbar = _eval(dst_diffusion, k, t, n_pairs, tp)
+        bbar = _eval(dst.drift, k, t, n_pairs, tp)
+        sbar = _eval(dst.diffusion, k, t, n_pairs, tp)
         qmat = _eval(q, k, t, n_pairs, xp, admit=admit)
         pinv, null_proj = pinv_of(sig)
         u = _apply(pinv, x[k + 1] - x[k] - b * dt)
@@ -308,7 +308,7 @@ def monge_sde(
         return tp[:, -1] + (bbar * dt + _apply(sbar, _apply(qmat, u)))
 
     tv, worst = _walk(ty, dt, step), int(resid.argmax())
-    return _coupled(grid, xv, tv, seed, "monge_sde", [src.label, f"target({dst_drift.label}, {dst_diffusion.label})"],
+    return _coupled(grid, xv, tv, seed, "monge_sde", [src.label, dst.label],
                     rotation=q.label, kernel_residual=float(resid[worst]), kernel_residual_step=worst,
                     kernel_condition_violated=bool(resid[worst] > 1e-8))
 
@@ -357,20 +357,15 @@ def tanaka_coupling(
 ) -> CoupledEnsemble:
     """The classic non-transport coupling with unit-modulus correlation.
 
-    Simulates Y as standard 1-d Brownian motion and sets
-    dX[k] = sign(Y[k]) dY[k] with sign(0) = -1.  Then X is Brownian too
-    and the instantaneous correlation is +/-1 at every step, yet Y is
-    not a function of X: Y solves dY = sign(Y) dX, which has no strong
-    solution, so no amount of looking at X pins down the sign of Y.
+    Simulates Y as standard 1-d Brownian motion and sets X to the rotation
+    integral dX[k] = sign(Y[k]) dY[k] of :func:`rotation_monge`, sign(0) = -1.
+    Then X is Brownian too and the instantaneous correlation is +/-1 at
+    every step, yet Y is not a function of X: Y solves dY = sign(Y) dX, which
+    has no strong solution, so no amount of looking at X pins down the sign of Y.
     """
-    y_ens = sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers)
-    y = y_ens.values
-    sgn = np.where(y[:, :-1] > 0.0, 1.0, -1.0)
-    dx = sgn * np.diff(y, axis=1)
-    x = np.zeros_like(y)
-    np.cumsum(dx, axis=1, out=x[:, 1:])
-    wiener = ["wiener(d=1)"] * 2
-    return _coupled(grid, x, y, seed, "tanaka_coupling", wiener, correlation="sign(y)")
+    sign = CoefficientField("rotation", 1, lambda k, t, yp: np.where(yp[:, -1:] > 0.0, 1.0, -1.0), label="sign(y)")
+    pair = rotation_monge(sign, sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers))
+    return _coupled(grid, pair.y, pair.x, seed, "tanaka_coupling", pair.provenance["marginals"], correlation=sign.label)
 
 
 def chop_rotation(c: float, n_steps: int, block: int):
@@ -393,6 +388,8 @@ def chop_rotation(c: float, n_steps: int, block: int):
     schedule = np.tile(pattern, n_steps // block)
 
     def fn(k, t, xp):
+        if not 0 <= k < n_steps:
+            raise DomainError(f"chop schedule is defined on {n_steps} steps, got step {k}")
         return schedule[k].reshape(1, 1)
 
     label = f"chop(c={c}, block={block})"

@@ -67,7 +67,8 @@ def get_preset(kind: str, name: str) -> Preset:
 
 def build(kind: str, name: str, d: int = 1, **params):
     """The ``kind`` preset ``name`` in dimension ``d``.  A parameter it does not take, or a value
-    of the wrong type, is a ConfigError; a DomainError or DimensionError passes through."""
+    of the wrong type, is a ConfigError; a DomainError or DimensionError, such as a matrix value
+    that is not d x d, passes through (the CLI reports it as a config error at the preset)."""
     preset = get_preset(kind, name)
     unknown = set(params) - set(preset.defaults)
     if unknown:
@@ -263,7 +264,7 @@ def _rot_angle(d, theta=0.0):
 
 @_register("matrix", "rotation", "constant orthogonal matrix q (the identity if None)")
 def _rot_matrix(d, q=None):
-    return CoefficientField.constant("rotation", np.eye(d) if q is None else q)
+    return CoefficientField.constant("rotation", np.eye(d) if q is None else q, d)
 
 
 @_register("rotation-by-state", "rotation", "planar rotation by the first component")

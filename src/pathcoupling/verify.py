@@ -220,11 +220,11 @@ def covariation_budget(report: CovariationReport, dt: float) -> np.ndarray:
     return 3.0 * report.terminal_stderr + 2.0 * np.sqrt(dt)
 
 
-def covariation_test(ensemble: CoupledEnsemble, target, window: int = DEFAULT_WINDOW) -> TestReport:
+def covariation_test(ensemble: CoupledEnsemble, target) -> TestReport:
     """Does the terminal realized covariation match ``target`` (a scalar times the
     identity, or d x d)?  The statistic is the largest entrywise deviation, the
     threshold the largest entry of :func:`covariation_budget`."""
-    rep = realized_covariation(ensemble, window=window)
+    rep = realized_covariation(ensemble)
     target = np.asarray(target, dtype=float)
     if target.ndim == 0:
         target = float(target) * np.eye(ensemble.d)

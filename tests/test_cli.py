@@ -456,7 +456,7 @@ def test_unknown_cost_field_or_kind_exits_2_with_its_line(tmp_path, capsys, cost
     "command, overrides, key, value",
     [
         ("verify", {"verify": [{"test": "wiener", "alpha": "x"}]}, "alpha", "x"),
-        ("verify", {"verify": [{"test": "covariation", "target": 2.0, "window": 2.5}]}, "window", 2.5),
+        ("verify", {"verify": [{"test": "certificate", "window": 2.5}]}, "window", 2.5),
         ("verify", {"verify": [{"test": "certificate", "window": "64"}]}, "window", "64"),
         ("verify", {"verify": [{"test": "certificate", "tol": True}]}, "tol", True),
         ("verify", {"verify": [{"test": "adaptedness", "k_neighbors": 5.5}]}, "k_neighbors", 5.5),
@@ -479,12 +479,57 @@ def test_non_numeric_field_exits_2_naming_the_key_and_line(tmp_path, capsys, com
 
 
 def test_rejected_value_is_located_on_its_own_line_not_the_first_with_its_key(tmp_path, capsys):
-    entries = [{"test": "covariation", "target": 2.0, "window": 8}, {"test": "certificate", "window": 2.5}]
+    entries = [{"test": "certificate", "window": 8}, {"test": "certificate", "window": 2.5}]
     cfg = _write_config(tmp_path, {"verify": entries})
     first, bad = (i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"window"' in text)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "'window'" in err and f"line {bad}" in err and f"line {first}" not in err
+
+
+def test_a_covariation_window_exits_2_naming_it(tmp_path, capsys):
+    # the test prices the terminal covariation only; config v1 had a window that sized nothing it reported
+    cfg = _write_config(tmp_path, {"verify": [{"test": "covariation", "target": 2.0, "window": 8}]})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"window"' in text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'covariation' takes no field 'window'; it takes: target" in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _line_after(cfg, key, text):
+    """The first line of ``cfg`` that holds ``text`` at or after the first that holds ``key``."""
+    lines = list(enumerate(cfg.read_text().splitlines(), 1))
+    start = next(i for i, line in lines if f'"{key}"' in line)
+    return next(i for i, line in lines[start - 1 :] if text in line)
+
+
+@pytest.mark.parametrize(
+    "overrides, key, message",
+    [({"d": 2, "coupling": {"constructor": "rotation_monge",
+                            "rotation": {"preset": "matrix", "params": {"q": [[1.0]]}}}},
+      "rotation", "constant rotation must be (2, 2), got (1, 1)"),
+     ({"coupling": {"constructor": "couple_brownians",
+                    "correlation": {"preset": "const", "params": {"c": [[0.5, 0.0], [0.0, 0.5]]}}}},
+      "correlation", "constant correlation must be (1, 1), got (2, 2)")],
+    ids=["matrix-q", "const-c"],
+)
+def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsys, overrides, key, message):
+    cfg = _write_config(tmp_path, overrides)
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err, line = capsys.readouterr().err, _line_after(cfg, key, '"preset"')
+    assert message in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_n_steps_among_preset_params_exits_2_with_its_line(tmp_path, capsys):
+    # the run's grid lays out a schedule; a chop of 128 steps on a run of 256 used to fail at step 128
+    rotation = {"preset": "chop", "params": {"c": 0.5, "block": 16, "n_steps": 128}}
+    cfg = _write_config(tmp_path, {"n_steps": 256, "coupling": {"constructor": "rotation_monge", "rotation": rotation}})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err, line = capsys.readouterr().err, _line_after(cfg, "rotation", '"params"')
+    assert "'n_steps'" in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("field, value", [("n_steps", 64.5), ("N", "1000"), ("seed", False)])

@@ -156,6 +156,20 @@ def test_separable_rejects_missing_models_and_bad_h():
         cost.estimate(ens, bad, model, model)
 
 
+def test_closed_form_refuses_an_h_of_the_wrong_shape_as_the_estimate_does():
+    # an (N, 1) h broadcast against the (N,) bracket used to be averaged as an (N, N) table
+    model = _bm(1.0)
+    ens = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(8), 4, seed=2)
+    column = CostSpec.separable(h=lambda paths: np.zeros((len(paths), 1)), g=_g_id())
+    messages = []
+    for price in (lambda: cost.estimate(ens, column, model, model),
+                  lambda: cost.closed_form_optimal(model, model, column, ens.x_ensemble())):
+        with pytest.raises(DimensionError) as err:
+            price()
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == "h must map (N, n_steps+1, d) paths to (N,) scores, got (4, 1)"
+
+
 def _separable_oracle(pair, src, dst, spec):
     """Per-pair separable values from both legs' full decomposition, the martingale
     difference's bracket summed over the same blocks of steps."""

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcoupling import pathio, presets, sde
+from pathcoupling import coupling, pathio, presets, sde
 from pathcoupling.coupling import (
     INFEASIBLE,
     UNDECIDED,
@@ -341,6 +341,17 @@ def test_monge_sde_aligned_degenerate_pair_is_clean():
     assert np.allclose(flat, 0.3 * np.linspace(0, 1, 21), atol=1e-12)
 
 
+def test_monge_sde_refuses_swapped_target_fields_before_it_draws_a_path(monkeypatch):
+    bm = _bm_model(d=2)
+    identity = CoefficientField.constant("rotation", 1.0, 2, "identity")
+    monkeypatch.setattr(coupling, "sample_brownian", None)  # a draw would fail with a TypeError
+    with pytest.raises(DimensionError) as err:
+        monge_sde(bm.diffusion, bm.drift, identity, bm, TimeGrid(8), 3, seed=1)
+    assert str(err.value) == "a model takes a drift and a diffusion, got a diffusion and a drift"
+    with pytest.raises(DimensionError, match="rotation dim 1 does not match src dim 2"):
+        monge_sde(bm.drift, bm.diffusion, CoefficientField.constant("rotation", 1.0, 1), bm, TimeGrid(8), 3, seed=1)
+
+
 def test_feasibility_verdicts():
     report = feasibility_check([np.diag([1.0, 0.0])], [np.eye(2)])
     assert report.verdict == INFEASIBLE
@@ -392,6 +403,15 @@ def test_chop_rotation_schedule_and_quantisation():
         chop_rotation(0.5, 60, 16)
     with pytest.raises(DomainError):
         chop_rotation(1.5, 64, 16)
+
+
+def test_a_chop_schedule_run_past_its_last_step_fails_at_that_step():
+    q, _, _ = chop_rotation(0.5, 128, 16)
+    with pytest.raises(DomainError) as err:
+        rotation_monge(q, sample_brownian(TimeGrid(256), 1, 3, seed=1))
+    assert err.value.step == 128
+    assert str(err.value) == ("rotation 'chop(c=0.5, block=16)': chop schedule is defined on 128 steps, "
+                              "got step 128 (at step 128)")
 
 
 def test_rotation_chop_extremes_are_exact():

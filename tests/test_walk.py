@@ -11,6 +11,7 @@ from pathcoupling.coupling import (
     couple_sdes,
     monge_sde,
     rotation_monge,
+    tanaka_coupling,
 )
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import DomainError
@@ -129,6 +130,26 @@ _KERNEL_SHA256 = {
 @pytest.mark.parametrize("kernel", sorted(_KERNEL_SHA256))
 def test_kernel_outputs_keep_their_bytes(kernel):
     assert _digest(kernel) == _KERNEL_SHA256[kernel]
+
+
+# sha256 of tanaka_coupling's x then y leg at (N, n_steps, seed), recorded while X was still
+# summed path by path with its own cumulative sum instead of by rotation_monge's walk
+_TANAKA_SHA256 = {
+    (3, 8, 0): "c0b75127be4b8671fd42169cee5e7c984bf09e40f9dd373592671d94ebe7ee9b",
+    (7, 16, 3): "1fbbca64cc87606847abe667d504ab1d7d44f39e0183198351b154f3a1751b5f",
+    (500, 1024, 64): "005ab6ddd8ac53c9c7030cc839259bf6d166340a9d22284666c94db0c426ba32",
+}
+
+
+@pytest.mark.parametrize("sizes", sorted(_TANAKA_SHA256))
+def test_tanaka_coupling_keeps_its_bytes_in_time_major_legs(sizes):
+    n_pairs, n_steps, seed = sizes
+    pair = tanaka_coupling(TimeGrid(n_steps), n_pairs, seed)
+    sha = hashlib.sha256()
+    for leg in (pair.x, pair.y):
+        assert np.swapaxes(leg, 0, 1).flags.c_contiguous  # the storage every step kernel fills
+        sha.update(np.ascontiguousarray(leg).tobytes())
+    assert sha.hexdigest() == _TANAKA_SHA256[sizes]
 
 
 # ---------------------------------------------------------------------------
