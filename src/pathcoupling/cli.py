@@ -20,6 +20,7 @@ where possible), 3 numerical/domain error, 4 a failed verdict under
 from __future__ import annotations
 
 import argparse
+import hashlib
 import inspect
 import json
 import sys
@@ -239,6 +240,10 @@ def _tanaka(run, /):
 
 
 def _rotation_chop(run, /, c=0.0, block=16):
+    try:
+        coupling.chop_rotation(c, run.grid.n_steps, block)  # the schedule's own check, located at the block
+    except DimensionError as err:
+        run.cfg.error("block", str(err), json.dumps(block), within="coupling")
     return run.call(coupling.rotation_chop, c, block=block)
 
 
@@ -253,6 +258,28 @@ def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
     run = _run(cfg, n_workers)
     ctor, fields = _bind(cfg, _COUPLINGS, cfg.data.get("coupling"), "coupling", "constructor")
     return ctor(run, **fields)
+
+
+def _run_sha256(cfg: Config) -> str:
+    """sha256 of the canonical JSON of what fixes a config's coupled ensemble: its checked
+    sizes and its ``src``, ``dst`` and ``coupling`` sections (the thread count changes no byte)."""
+    run = dict(zip(("d", "n_steps", "N", "seed"), _sizes(cfg)))
+    run.update((key, cfg.data.get(key)) for key in ("src", "dst", "coupling"))
+    return hashlib.sha256(json.dumps(run, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+
+
+def _coupled_for(cfg: Config, args) -> coupling.CoupledEnsemble:
+    """The coupled ensemble ``cfg`` describes: read from ``--out/coupled.bin`` if the ``manifest.json``
+    beside it has this run's ``run_sha256`` and the file's ``bin_sha256``, else built afresh."""
+    run_sha256, out = _run_sha256(cfg), Path(args.out)
+    try:
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = manifest.get("bin_sha256") if isinstance(manifest, dict) else None
+        if isinstance(digest, str) and manifest.get("run_sha256") == run_sha256:
+            return pathio.read_binary(out / "coupled.bin", sha256=digest)
+    except (OSError, ValueError, ConfigError):  # a missing or unreadable file, or a binary altered since
+        pass
+    return build_coupled(cfg, n_workers=args.threads)
 
 
 def _lp(run, /, p=2.0):
@@ -284,17 +311,19 @@ def _out_dir(args) -> Path:
 
 def _write(args, stem, paths, manifest) -> str:
     """Write ``paths`` to ``<stem>.csv`` and ``<stem>.bin`` and ``manifest`` to ``manifest.json``
-    under ``--out``, each unless ``--format`` names another; what was written where."""
+    under ``--out``, each unless ``--format`` names another; a manifest written with the binary
+    records its ``bin_sha256``.  What was written where."""
     out = _out_dir(args)
     written = []
-    for fmt, name, write, payload in (
-        ("csv", f"{stem}.csv", pathio.write_csv, paths),
-        ("bin", f"{stem}.bin", pathio.write_binary, paths),
-        ("json", "manifest.json", pathio.write_json, manifest),
-    ):
-        if args.format in (None, fmt):
-            write(out / name, payload)
-            written.append(name)
+    if args.format in (None, "csv"):
+        pathio.write_csv(out / f"{stem}.csv", paths)
+        written.append(f"{stem}.csv")
+    if args.format in (None, "bin"):
+        manifest = {**manifest, "bin_sha256": pathio.write_binary(out / f"{stem}.bin", paths)}
+        written.append(f"{stem}.bin")
+    if args.format in (None, "json"):
+        pathio.write_json(out / "manifest.json", manifest)
+        written.append("manifest.json")
     return f"wrote {', '.join(written)} to {out}"
 
 
@@ -327,8 +356,9 @@ def _parse_params(items):
 
 
 def cmd_couple(args) -> int:
-    pair = build_coupled(_with_flags(load_config(args.config), args), n_workers=args.threads)
-    wrote = _write(args, "coupled", pair, dict(pair.provenance))
+    cfg = _with_flags(load_config(args.config), args)
+    pair = build_coupled(cfg, n_workers=args.threads)
+    wrote = _write(args, "coupled", pair, {**pair.provenance, "run_sha256": _run_sha256(cfg)})
     print(f"coupled {pair.n_pairs} pairs via {pair.provenance.get('constructor')}; {wrote}")
     return EXIT_OK
 
@@ -336,7 +366,7 @@ def cmd_couple(args) -> int:
 def cmd_cost(args) -> int:
     cfg = _with_flags(load_config(args.config), args)
     run = _run(cfg)
-    pair = build_coupled(cfg, n_workers=args.threads)
+    pair = _coupled_for(cfg, args)
     make_spec, fields = _bind(cfg, _COSTS, cfg.data.get("cost"), "cost", "kind")
     spec, src, dst = make_spec(run, **fields)
     est = cost.estimate(pair, spec, src=src, dst=dst)
@@ -363,7 +393,7 @@ def cmd_verify(args) -> int:
     if not isinstance(entries, list) or not entries:
         cfg.error("verify", "config needs a non-empty 'verify' list of test objects")
     tests = [_bind(cfg, _TESTS, entry, "verify", "test") for entry in entries]
-    pair = build_coupled(cfg, n_workers=args.threads)
+    pair = _coupled_for(cfg, args)
     reports = [test(cfg, pair, **fields) for test, fields in tests]
     out = _out_dir(args)
     pathio.write_reports_jsonl(out / "reports.jsonl", reports)

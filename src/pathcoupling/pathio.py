@@ -3,17 +3,24 @@
 CSV carries one row per (path, step) with columns
 ``path_id, step, t, x_1..x_d`` (plus ``y_1..y_d`` for coupled data) and
 round-trips values exactly via %.17g; its bytes are ``np.savetxt``'s on
-POSIX, formatted from one per-grid row template a block of rows at a time.
+POSIX, formatted from one row template per path a block of rows at a time.
 A file already in (path_id, step) order is read without a sort, and a
-missing or repeated row is a ConfigError.  The binary format is the magic
-``PCPL1``, a little-endian header ``<IIQQ`` of (d, n_steps, N, seed),
-then the path block(s) as little-endian float64; one block is a plain
-ensemble, two blocks are the x and y legs of a coupled ensemble.
+missing or repeated row, or a ``t`` that is not the grid's time of its
+step, is a ConfigError.  The binary format is the magic ``PCPL1``, a
+little-endian header ``<IIQQ`` of (d, n_steps, N, seed), then the path
+block(s) as little-endian float64; one block is a plain ensemble, two
+blocks are the x and y legs of a coupled ensemble.  ``write_binary``
+returns the sha256 of the bytes it wrote, and ``read_binary`` can refuse
+a file whose bytes do not match one; it hands out the time-major layout
+every kernel builds (see :mod:`pathcoupling.sde`), so a statistic of a
+read-back ensemble has the same bytes as one of the ensemble built afresh.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -46,26 +53,27 @@ def write_csv(path, obj) -> None:
     header = ["path_id", "step", "t"] + [f"x_{i + 1}" for i in range(d)]
     if len(blocks) == 2:
         header += [f"y_{i + 1}" for i in range(d)]
-    # one row template per grid: step and t are literal text, path_id and values stay open
+    # one row template per path: path_id, step and t are literal text, only the values stay open
     values = ",%.17g" * (len(blocks) * d)
-    rows = "".join(f"%d,{k},{'%.17g' % t}{values}\n" for k, t in enumerate(grid.times))
+    rows = [f",{k},{'%.17g' % t}{values}" for k, t in enumerate(grid.times)]
     per_block = max(1, _CSV_BLOCK_ROWS // n_rows)
-    buf = np.empty((min(per_block, n_paths), n_rows, 1 + len(blocks) * d))
+    buf = np.empty((min(per_block, n_paths), n_rows, len(blocks) * d))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for p0 in range(0, n_paths, per_block):
             part = buf[: n_paths - p0]
-            part[:, :, 0] = np.arange(p0, p0 + len(part))[:, None]
             for b, blk in enumerate(blocks):
-                part[:, :, 1 + b * d : 1 + (b + 1) * d] = blk[p0 : p0 + len(part)]
-            fh.write((rows * len(part)) % tuple(part.ravel().tolist()))
+                part[:, :, b * d : (b + 1) * d] = blk[p0 : p0 + len(part)]
+            template = "".join(f"{p}" + f"\n{p}".join(rows) + "\n" for p in range(p0, p0 + len(part)))
+            fh.write(template % tuple(part.ravel().tolist()))
 
 
 def read_csv(path):
     """Read back an ensemble written by :func:`write_csv`.
 
     Rows may come in any order, but each (path_id, step) of the grid must
-    appear exactly once. CSV carries no seed, so the result reports seed 0.
+    appear exactly once, with its step's grid time as ``t``. CSV carries no
+    seed, so the result reports seed 0.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -93,6 +101,11 @@ def read_csv(path):
             p, k = keys[bad[0]]
             raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated")
     grid = TimeGrid(n_rows - 1)
+    bad = np.flatnonzero(table[:, 2].reshape(n_paths, n_rows) != grid.times)  # %.17g reads back exactly
+    if bad.size:
+        p, k = keys[bad[0]]
+        t, expected = float(table[bad[0], 2]), float(grid.times[k])
+        raise ConfigError(f"{path}: the row for path_id {p}, step {k} has t {t!r}, not {expected!r}")
     x = table[:, 3 : 3 + d].reshape(n_paths, n_rows, d)
     if not coupled:
         return PathEnsemble(grid=grid, values=x, seed=0)
@@ -104,39 +117,54 @@ def read_csv(path):
 # binary
 
 
-def write_binary(path, obj) -> None:
+def write_binary(path, obj) -> str:
+    """Write ``obj`` in the binary format; the sha256 hex digest of the bytes written."""
     grid, blocks, seed = _parts(obj)
     n_paths, _, d = blocks[0].shape
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(_HEADER.pack(d, grid.n_steps, n_paths, seed))
-        for blk in blocks:
-            fh.write(np.ascontiguousarray(blk, dtype="<f8").data)
+        for chunk in (MAGIC, _HEADER.pack(d, grid.n_steps, n_paths, seed),
+                      *(np.ascontiguousarray(blk, dtype="<f8").data for blk in blocks)):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
-def read_binary(path):
+def read_binary(path, sha256: str | None = None):
+    """Read back an ensemble written by :func:`write_binary`, in time-major layout.
+
+    With ``sha256``, a file whose bytes do not have that hex digest is a
+    ConfigError; the bytes hashed are the bytes parsed, read once.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
+        head = fh.read(len(MAGIC) + _HEADER.size)
+        digest = hashlib.sha256(head)
+        magic, header = head[: len(MAGIC)], head[len(MAGIC) :]
         if magic != MAGIC:
             raise ConfigError(f"{path}: not a path ensemble file (bad magic {magic!r})")
-        header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
             raise ConfigError(f"{path}: truncated header")
         d, n_steps, n_paths, seed = _HEADER.unpack(header)
-        payload = fh.read()
-    block = n_paths * (n_steps + 1) * d * 8
-    if block == 0 or len(payload) not in (block, 2 * block):
-        raise ConfigError(
-            f"{path}: payload of {len(payload)} bytes does not hold 1 or 2 "
-            f"blocks of {block}"
-        )
-    shape = (n_paths, n_steps + 1, d)
+        size = os.fstat(fh.fileno()).st_size - len(head)
+        block = n_paths * (n_steps + 1) * d * 8
+        if block == 0 or size not in (block, 2 * block):
+            raise ConfigError(f"{path}: payload of {size} bytes does not hold 1 or 2 blocks of {block}")
+        # each leg is read into a path-major buffer, then copied into (n+1, N, d) storage and
+        # handed out as its (N, n+1, d) view, so the file's bytes are never held whole
+        legs = []
+        for _ in range(size // block):
+            buf = np.empty((n_paths, n_steps + 1, d), dtype="<f8")
+            if fh.readinto(buf.data) != block:
+                raise ConfigError(f"{path}: truncated while it was read")
+            if sha256 is not None:
+                digest.update(buf.data)
+            legs.append(buf.swapaxes(0, 1).copy().swapaxes(0, 1))
+    if sha256 is not None and digest.hexdigest() != sha256:
+        raise ConfigError(f"{path}: contents do not match sha256 {sha256}")
     grid = TimeGrid(n_steps)
-    x = np.frombuffer(payload[:block], dtype="<f8").reshape(shape).copy()
-    if len(payload) == block:
-        return PathEnsemble(grid=grid, values=x, seed=int(seed))
-    y = np.frombuffer(payload[block:], dtype="<f8").reshape(shape).copy()
-    return CoupledEnsemble(grid=grid, x=x, y=y, seed=int(seed))
+    if len(legs) == 1:
+        return PathEnsemble(grid=grid, values=legs[0], seed=int(seed))
+    return CoupledEnsemble(grid=grid, x=legs[0], y=legs[1], seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line runner and its exit codes."""
 
 import functools
+import hashlib
 import inspect
 import json
 import os
@@ -505,19 +506,25 @@ def _line_after(cfg, key, text):
 
 
 @pytest.mark.parametrize(
-    "overrides, key, message",
+    "overrides, key, located, message",
     [({"d": 2, "coupling": {"constructor": "rotation_monge",
                             "rotation": {"preset": "matrix", "params": {"q": [[1.0]]}}}},
-      "rotation", "constant rotation must be (2, 2), got (1, 1)"),
+      "rotation", '"preset"', "constant rotation must be (2, 2), got (1, 1)"),
      ({"coupling": {"constructor": "couple_brownians",
                     "correlation": {"preset": "const", "params": {"c": [[0.5, 0.0], [0.0, 0.5]]}}}},
-      "correlation", "constant correlation must be (1, 1), got (2, 2)")],
-    ids=["matrix-q", "const-c"],
+      "correlation", '"preset"', "constant correlation must be (1, 1), got (2, 2)"),
+     ({"n_steps": 60, "coupling": {"constructor": "rotation_monge",
+                                   "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}},
+      "rotation", '"preset"', "block (16) must divide n_steps (60)"),
+     # the constructor's own block is located at its field, as the preset's is at the preset
+     ({"n_steps": 60, "coupling": {"constructor": "rotation_chop", "c": 0.5, "block": 16}},
+      "coupling", '"block"', "block (16) must divide n_steps (60)")],
+    ids=["matrix-q", "const-c", "chop-block", "rotation_chop-block"],
 )
-def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsys, overrides, key, message):
+def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsys, overrides, key, located, message):
     cfg = _write_config(tmp_path, overrides)
     assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    err, line = capsys.readouterr().err, _line_after(cfg, key, '"preset"')
+    err, line = capsys.readouterr().err, _line_after(cfg, key, located)
     assert message in err and f"line {line}:" in err
     assert not (tmp_path / "out").exists()
 
@@ -714,3 +721,108 @@ def test_list_field_entries_are_cast_to_the_type_of_the_default(tmp_path):
     section = {"kind": "rotation-chop-density", "n_list": [64.0, 128]}
     n_list = cli._bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")[1]["n_list"]
     assert n_list == [64, 128] and all(type(n) is int for n in n_list)
+
+
+# ---------------------------------------------------------------------------
+# verify and cost read the ensemble couple left in --out when it is the run's
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The configs ``cli.build_coupled`` is called with, in order."""
+    calls = []
+    build = cli.build_coupled
+    monkeypatch.setattr(cli, "build_coupled", lambda cfg, **kw: calls.append(cfg) or build(cfg, **kw))
+    return calls
+
+
+def _cli(command, cfg, out, *flags):
+    assert main([command, "--config", str(cfg), "--out", str(out), *flags]) == EXIT_OK
+
+
+REUSE_VERIFY = [{"test": "wiener", "side": "x"}, {"test": "wiener", "side": "y"},
+                {"test": "covariation", "target": 0.5}, {"test": "certificate", "window": 16},
+                {"test": "adaptedness"}]
+REUSE_COSTS = {"lp": ({"kind": "lp"}, None), "separable": ({"kind": "separable", "h": {"preset": "l2"}}, None),
+               "separable-closed_form": ({"kind": "separable"}, {"probe_N": 16})}
+REUSE_COUPLINGS = {
+    "couple_sdes": {"constructor": "couple_sdes", "correlation": {"preset": "const", "params": {"c": 0.5}}},
+    "composed_monge": {"constructor": "composed_monge", "rotation": {"preset": "identity"}},
+}
+
+
+@pytest.mark.parametrize("constructor", REUSE_COUPLINGS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_reused_ensemble_gives_the_bytes_of_a_fresh_build(tmp_path, builds, d, constructor):
+    # a read-back is laid out as a fresh build is; path-major storage moves the last digit of
+    # the covariation, certificate and lp statistics
+    cfg = _write_config(tmp_path, {"d": d, "n_steps": 64, "N": 1000, "verify": REUSE_VERIFY,
+                                   "coupling": REUSE_COUPLINGS[constructor],
+                                   "src": {"preset": "ou", "params": {"theta": 1.0}}})
+    _cli("couple", cfg, tmp_path / "reuse")
+    _cli("verify", cfg, tmp_path / "reuse")
+    _cli("verify", cfg, tmp_path / "fresh")
+    assert len(builds) == 2  # couple's and the fresh verify's
+    reports = (tmp_path / "fresh" / "reports.jsonl").read_bytes()
+    assert (tmp_path / "reuse" / "reports.jsonl").read_bytes() == reports
+    assert [r.name for r in pathio.read_reports_jsonl(tmp_path / "fresh" / "reports.jsonl")] == [
+        "wiener_marginal_test", "wiener_marginal_test", "realized_covariation", "monge_certificate",
+        "adaptedness_probe"]
+    for name, (cost_section, closed_form) in REUSE_COSTS.items():
+        cfg = _write_config(tmp_path, {**json.loads(cfg.read_text()), "cost": cost_section, "closed_form": closed_form})
+        _cli("cost", cfg, tmp_path / "reuse")
+        _cli("cost", cfg, tmp_path / "fresh")
+        assert (tmp_path / "reuse" / "cost.json").read_bytes() == (tmp_path / "fresh" / "cost.json").read_bytes(), name
+    assert len(builds) == 2 + len(REUSE_COSTS)
+
+
+def test_couple_then_verify_and_cost_build_once(tmp_path, builds):
+    cfg = _write_config(tmp_path)
+    _cli("couple", cfg, tmp_path / "out", "--threads", "1")
+    _cli("verify", cfg, tmp_path / "out", "--threads", "2")  # the thread count changes no byte
+    _cli("cost", cfg, tmp_path / "out")
+    assert len(builds) == 1
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    blob = (tmp_path / "out" / "coupled.bin").read_bytes()
+    assert manifest["bin_sha256"] == hashlib.sha256(blob).hexdigest() and len(manifest["run_sha256"]) == 64
+
+
+def _flip_last_byte(out):
+    blob = bytearray((out / "coupled.bin").read_bytes())
+    blob[-1] ^= 1
+    (out / "coupled.bin").write_bytes(bytes(blob))
+
+
+def _truncate(out):
+    (out / "coupled.bin").write_bytes((out / "coupled.bin").read_bytes()[:-8])
+
+
+def _strip_digests(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    del manifest["run_sha256"], manifest["bin_sha256"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize(
+    "change, couple_flags, verify_flags, edit",
+    [({"seed": 10}, (), (), None),
+     (None, (), ("--seed", "10"), None),
+     ({"dst": {"preset": "bm", "params": {"sigma": 1.5}}}, (), (), None),
+     (None, ("--format", "csv"), (), None),
+     (None, ("--format", "json"), (), None),
+     (None, (), (), _flip_last_byte),
+     (None, (), (), _truncate),
+     (None, (), (), _strip_digests)],
+    ids=["seed", "seed-flag", "preset-param", "format-csv", "format-json", "flipped-byte", "truncated",
+         "manifest-without-digests"],
+)
+def test_a_stale_altered_or_missing_ensemble_is_built_again(tmp_path, builds, change, couple_flags, verify_flags, edit):
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    _cli("couple", _write_config(tmp_path), out, *couple_flags)
+    if edit is not None:
+        edit(out)
+    cfg = _write_config(tmp_path, change, name="verify.json")
+    _cli("verify", cfg, out, *verify_flags)
+    assert len(builds) == 2
+    _cli("verify", cfg, fresh, *verify_flags)
+    assert (out / "reports.jsonl").read_bytes() == (fresh / "reports.jsonl").read_bytes()

@@ -1,5 +1,6 @@
 """Round-trip tests for CSV, binary, and JSON report formats."""
 
+import hashlib
 import json
 import tracemalloc
 
@@ -84,6 +85,15 @@ def test_csv_with_a_malformed_key_column_is_a_config_error_naming_the_file(tmp_p
     pathio.write_csv(f, couple_brownians(CoefficientField.constant("correlation", 0.5, 1), TimeGrid(4), 2, seed=3))
     _rewrite_rows(f, edit)
     with pytest.raises(ConfigError, match="pair.csv"):
+        pathio.read_csv(f)
+
+
+def test_csv_with_a_t_off_the_grid_is_a_config_error_naming_its_row(tmp_path):
+    # N=2, n=4: row 2 is (path 0, step 1) at t = 0.25
+    f = tmp_path / "pair.csv"
+    pathio.write_csv(f, couple_brownians(CoefficientField.constant("correlation", 0.5, 1), TimeGrid(4), 2, seed=3))
+    _rewrite_rows(f, lambda rows: rows[:1] + [rows[1].replace(",1,0.25,", ",1,7.5,", 1)] + rows[2:])
+    with pytest.raises(ConfigError, match=r"pair.csv: the row for path_id 0, step 1 has t 7.5, not 0.25"):
         pathio.read_csv(f)
 
 
@@ -195,6 +205,17 @@ def test_binary_rejects_corruption(tmp_path):
     g.write_bytes(g.read_bytes()[:-8])
     with pytest.raises(ConfigError):
         pathio.read_binary(g)
+
+
+def test_binary_digest_is_of_the_bytes_written_and_read(tmp_path):
+    f = tmp_path / "pair.bin"
+    digest = pathio.write_binary(f, _coupled())
+    assert digest == hashlib.sha256(f.read_bytes()).hexdigest()
+    back = pathio.read_binary(f, sha256=digest)
+    assert np.array_equal(back.x, _coupled().x) and np.array_equal(back.y, _coupled().y)
+    f.write_bytes(f.read_bytes()[:-1] + b"\x01")
+    with pytest.raises(ConfigError, match="do not match sha256"):
+        pathio.read_binary(f, sha256=digest)
 
 
 def test_binary_write_is_deterministic(tmp_path):
