@@ -101,7 +101,7 @@ def load_config(path) -> Config:
 
 # the config fields that flags replace: all under 'experiment', the sizes d, n_steps, N
 # and seed under 'simulate', only the seed in a run config
-_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "window", "d")
+_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "d")
 
 
 def _with_flags(cfg: Config, args) -> Config:
@@ -153,7 +153,7 @@ def _numbers(cfg: Config, key, value, default):
 
 
 #: the least value of each size field, in a run config, an experiment or any other section
-_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "window": 1, "block": 1, "seed": 0}
+_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "block": 1, "seed": 0}
 
 
 def _size(cfg: Config, key, value, owner="") -> int:
@@ -251,6 +251,9 @@ def _rotation_chop(run, /, c=0.0, block=16):
 _COUPLINGS = {f.__name__[1:]: f for f in (
     _couple_brownians, _couple_sdes, _rotation_monge, _composed_monge, _monge_sde, _tanaka, _rotation_chop
 )}
+
+#: the constructors that couple the laws of the run's ``src`` and ``dst`` models rather than Brownian motions
+_SDE_COUPLINGS = ("couple_sdes", "composed_monge", "monge_sde")
 
 
 def build_coupled(cfg: Config, n_workers: int = 1) -> coupling.CoupledEnsemble:
@@ -366,16 +369,15 @@ def cmd_couple(args) -> int:
 def cmd_cost(args) -> int:
     cfg = _with_flags(load_config(args.config), args)
     run = _run(cfg)
-    pair = _coupled_for(cfg, args)
     make_spec, fields = _bind(cfg, _COSTS, cfg.data.get("cost"), "cost", "kind")
     spec, src, dst = make_spec(run, **fields)
-    est = cost.estimate(pair, spec, src=src, dst=dst)
-    closed = None
-    if cfg.data.get("closed_form") is not None:
-        closed_form, fields = _bind(cfg, _closed_form, cfg.data["closed_form"], "closed_form")
+    closed_fields = cfg.data.get("closed_form")
+    if closed_fields is not None:  # bound, as every other section, before the ensemble is built or read
+        closed_fields = _bind(cfg, _closed_form, closed_fields, "closed_form")[1]
         if spec.kind != cost.SEPARABLE:
             cfg.error("closed_form", "the closed form applies to separable costs only")
-        closed = closed_form(run, src, dst, spec, **fields)
+    est = cost.estimate(_coupled_for(cfg, args), spec, src=src, dst=dst)
+    closed = None if closed_fields is None else _closed_form(run, src, dst, spec, **closed_fields)
     payload = pathio.cost_report(est, n_steps=run.grid.n_steps, seed=run.seed, closed_form=closed)
     out = _out_dir(args)
     pathio.write_json(out / "cost.json", payload)
@@ -418,8 +420,11 @@ def _covariation(cfg, pair, /, target=None):
     return verify.covariation_test(pair, target)
 
 
-def _certificate(cfg, pair, /, window=verify.DEFAULT_WINDOW, tol=None):
-    return verify.monge_certificate(pair, window, tol if tol is None else cfg.number("tol", tol))
+def _certificate(cfg, pair, /):
+    if cfg.data["coupling"]["constructor"] not in _SDE_COUPLINGS:  # the legs are the drivers
+        return verify.monge_certificate(pair)
+    run = _run(cfg)
+    return verify.monge_certificate(pair, run.model("src"), run.model("dst"))
 
 
 def _adaptedness(cfg, pair, /, k_neighbors=5, threshold=0.75):
@@ -524,7 +529,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=float, default=None, help="override target volatility b")
     p.add_argument("--c", type=float, default=None, help="override the correlation parameter")
     p.add_argument("--block", type=int, default=None, help="override the chop block size")
-    p.add_argument("--w", dest="window", type=int, default=None, help="override the certificate window")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("list-presets", help="print the preset registry")

@@ -152,10 +152,10 @@ def rotation_invariance(
     }
 
 
-def tanaka(N=2000, n_steps=4096, seed=5, window=verify.DEFAULT_WINDOW, alpha=0.01, n_workers=1):
+def tanaka(N=2000, n_steps=4096, seed=5, alpha=0.01, n_workers=1):
     """The Tanaka coupling passes the certificate and the Wiener test yet carries no adapted map."""
     pair = coupling.tanaka_coupling(sde.TimeGrid(n_steps), N, seed, n_workers=n_workers)
-    cert = verify.monge_certificate(pair, window=window)
+    cert = verify.monge_certificate(pair)
     wien = verify.wiener_marginal_test(pair.x_ensemble(), alpha=alpha)
     adapted = verify.adaptedness_probe(pair)
     return {

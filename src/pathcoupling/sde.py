@@ -211,14 +211,14 @@ def time_major(values: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 21  # bytes of one input's time slices per block of a walk over steps
 
 
-def time_blocks(*paths: np.ndarray, span: int = 1):
+def time_blocks(*paths: np.ndarray):
     """Walk (N, n+1, d) paths over their steps: per block, a tuple of each input's
     time-major (h+1, N, d) view of knots lo..lo+h, the next block starting at lo+h.
-    h is about ``_BLOCK_BYTES`` of the first input's time slices, rounded down to
-    whole groups of ``span`` steps (at least one); only the last block may be shorter."""
+    h is about ``_BLOCK_BYTES`` of the first input's time slices (at least one step);
+    only the last block may be shorter."""
     views = [np.swapaxes(p, 0, 1) for p in paths]
     n, n_paths, d = views[0].shape
-    block = max(1, _BLOCK_BYTES // (8 * max(1, n_paths * d) * span)) * span
+    block = max(1, _BLOCK_BYTES // (8 * max(1, n_paths * d)))
     for lo in range(0, n - 1, block):
         yield tuple(v[lo : lo + block + 1] for v in views)
 

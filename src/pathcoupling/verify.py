@@ -1,10 +1,9 @@
 """Statistical certification of simulated ensembles and couplings.
 
 Four diagnostics: a moment-based Brownian marginal test, realized
-covariation (tested against a target) with a windowed correlation-density
-estimate, an orthogonality certificate for Monge-type couplings (necessary,
-never sufficient), and a nearest-neighbour probe of whether one marginal
-is a function of the other.
+covariation (tested against a target), a per-step isometry certificate of
+the drivers for Monge-type couplings (necessary, never sufficient), and a
+nearest-neighbour probe of whether one marginal is a function of the other.
 
 Every reduction over steps walks time-major storage a few MB at a time
 (:func:`sde.time_blocks`): no path-major copy, no growth with n_steps.
@@ -19,9 +18,8 @@ import numpy as np
 
 from .coupling import CoupledEnsemble
 from .errors import DomainError
-from .sde import PathEnsemble, time_blocks
-
-DEFAULT_WINDOW = 64
+from .linalg import MEMBERSHIP_TOL
+from .sde import PathEnsemble, SdeModel, inverse_ito_map, time_blocks
 
 _CHUNK = 1024  # test rows per block of the adaptedness probe
 
@@ -154,64 +152,28 @@ def wiener_marginal_test(ensemble: PathEnsemble, alpha: float = 0.01) -> TestRep
 
 @dataclass(frozen=True)
 class CovariationReport:
-    """Realized covariation of a coupled ensemble.
-
-    ``terminal_mean`` is the ensemble average of the per-pair terminal
-    matrix sum over steps of dX dY^T; ``rho_hat`` is the windowed,
-    ensemble-averaged derivative estimate (left-aligned windows of
-    ``window`` steps; a trailing partial window is dropped).
-    """
+    """Realized covariation of a coupled ensemble: the ensemble average of the
+    per-pair terminal matrix sum over steps of dX dY^T, and its standard error."""
 
     terminal_mean: np.ndarray
     terminal_stderr: np.ndarray
-    rho_hat: np.ndarray
-    window: int
-    window_times: np.ndarray
     n_pairs: int
-
-
-def _window(window, n) -> int:
-    """The window length in steps, capped at ``n``; below one step is a DomainError."""
-    w = min(int(window), n)
-    if w < 1:
-        raise DomainError(f"window must be positive, got {window}")
-    return w
-
-
-def _window_sums(x, y, w):
-    """Per-pair sums of dX dY^T over whole windows of ``w`` steps (a trailing partial
-    window is dropped), as one (windows, N, d, d) array per time block."""
-    m = (x.shape[1] - 1) // w * w + 1
-    for block in time_blocks(x[:, :m], y[:, :m], span=w):
-        yield np.einsum("nwpi,nwpj->npij", *(np.diff(b, axis=0).reshape(-1, w, *b.shape[1:]) for b in block))
 
 
 def pair_covariation(x, y) -> np.ndarray:
     """Per-pair realized covariation sum_k dX_k dY_k^T of (N, n+1, d) legs: (N, d, d)."""
-    return sum(map(lambda s: s.sum(axis=0), _window_sums(x, y, 1)))  # holds no block while forming the next
+    sums = (np.einsum("npi,npj->npij", np.diff(bx, axis=0), np.diff(by, axis=0)) for bx, by in time_blocks(x, y))
+    return sum(map(lambda s: s.sum(axis=0), sums))  # holds no block while forming the next
 
 
-def realized_covariation(ensemble: CoupledEnsemble, window: int = DEFAULT_WINDOW) -> CovariationReport:
-    """Terminal realized covariation and a windowed correlation estimate."""
+def realized_covariation(ensemble: CoupledEnsemble) -> CovariationReport:
+    """Terminal realized covariation: its mean over the pairs and its standard error."""
     n_pairs = ensemble.n_pairs
     if n_pairs == 0:
         raise DomainError("cannot estimate covariation of an empty ensemble")
-    grid = ensemble.grid
-    n, dt = grid.n_steps, grid.dt
     terminal = pair_covariation(ensemble.x, ensemble.y)
-    terminal_mean = terminal.mean(axis=0)
     terminal_stderr = terminal.std(axis=0, ddof=int(n_pairs > 1)) / np.sqrt(n_pairs)  # 0 for one pair
-
-    w = _window(window, n)
-    rho_hat = np.concatenate([(s / (w * dt)).mean(axis=1) for s in _window_sums(ensemble.x, ensemble.y, w)])
-    return CovariationReport(
-        terminal_mean=terminal_mean,
-        terminal_stderr=terminal_stderr,
-        rho_hat=rho_hat,
-        window=w,
-        window_times=np.arange(len(rho_hat)) * (w * dt),
-        n_pairs=n_pairs,
-    )
+    return CovariationReport(terminal_mean=terminal.mean(axis=0), terminal_stderr=terminal_stderr, n_pairs=n_pairs)
 
 
 def covariation_budget(report: CovariationReport, dt: float) -> np.ndarray:
@@ -236,44 +198,43 @@ def covariation_test(ensemble: CoupledEnsemble, target) -> TestReport:
 
 def monge_certificate(
     ensemble: CoupledEnsemble,
-    window: int = DEFAULT_WINDOW,
-    tol: float | None = None,
+    src: SdeModel | None = None,
+    dst: SdeModel | None = None,
 ) -> TestReport:
-    """Necessary orthogonality check for couplings induced by rotations.
+    """Necessary isometry check for couplings induced by rotations.
 
-    Estimates the correlation density on disjoint windows, pair by pair,
-    and averages the defect max|rho^T rho - Id|.  Couplings driven by an
-    orthogonal rotation process leave only estimation noise, so the
-    default tolerance budgets the O(1/sqrt(window)) noise floor:
-    tol = 3/sqrt(window) + 0.05.  Passing is necessary but NOT sufficient
-    for the coupling to be a transport map - a sign-flip construction
-    with no strong solution passes while not being one.
+    A transport dB~ = Q dB with Q orthogonal keeps the norm of every driver
+    increment, so per pair sum_k | |dB~_k|^2 - |dB_k|^2 | / sum_k |dB_k|^2
+    is rounding only; the statistic is its mean over the pairs.  The drivers
+    are the legs, a leg with a model recovered as ``inverse_ito_map(src, x)``
+    or ``inverse_ito_map(dst, y)``, as in ``cost.estimate``.  The threshold
+    d * MEMBERSHIP_TOL admits every rotation the kernels admit, since
+    |v^T (Q^T Q - I) v| <= d * defect * |v|^2.
+    Passing is necessary but NOT sufficient for the coupling to be a
+    transport map - Tanaka's pair is isometric and is not one.
     """
     n_pairs = ensemble.n_pairs
     if n_pairs == 0:
         raise DomainError("cannot certify an empty ensemble")
-    grid = ensemble.grid
-    n, dt = grid.n_steps, grid.dt
-    w = _window(window, n)
-    n_win = n // w
-    if tol is None:
-        tol = 3.0 / np.sqrt(w) + 0.05
-
-    total = 0.0
-    for s in _window_sums(ensemble.x, ensemble.y, w):
-        rho = s / (w * dt)
-        gram = np.einsum("npki,npkj->npij", rho, rho)
-        total += float(np.abs(gram - np.eye(ensemble.d)).max(axis=(2, 3)).sum())
-    statistic = total / (n_pairs * n_win)
+    legs = (ensemble.x_ensemble(), ensemble.y_ensemble())
+    x, y = (leg.values if model is None else inverse_ito_map(model, leg).values for leg, model in zip(legs, (src, dst)))
+    moved, norm = 0.0, 0.0
+    for bx, by in time_blocks(x, y):
+        sq_x, sq_y = (np.einsum("kpi,kpi->kp", db, db) for db in (np.diff(bx, axis=0), np.diff(by, axis=0)))
+        moved += np.abs(sq_y - sq_x).sum(axis=0)
+        norm += sq_x.sum(axis=0)
+    still = ~(norm > 0.0)  # a NaN sum too
+    if still.any():
+        raise DomainError(f"the squared driver increments of {int(still.sum())} pair(s) sum to no positive number")
     return _report(
         "monge_certificate",
-        statistic,
-        tol,
+        np.mean(moved / norm),
+        ensemble.d * MEMBERSHIP_TOL,
         "<=",
         n_pairs,
-        n,
+        ensemble.grid.n_steps,
         ensemble.seed,
-        {"window": w, "n_windows": n_win, "necessary_only": True},
+        {"necessary_only": True},
     )
 
 
@@ -294,7 +255,10 @@ def adaptedness_probe(
     Couplings where Y is a path functional of X score near 1; the
     sign-flip construction scores near 1/2 because sign(Y_1) is
     asymptotically independent of X.  Heuristic by design -- an
-    illustration, not a proof of (non-)adaptedness.
+    illustration, not a proof of (non-)adaptedness.  Blind spot: a
+    transport whose rotation reads fine-scale features of X is called
+    non-adapted too, since 8 knots cannot see them; Q_k = sign(X_k - X_{k-1})
+    scores 0.50-0.52 at N = 4000, n = 1024, and passes the certificate.
     """
     n_pairs = ensemble.n_pairs
     if n_pairs < 1000:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from pathcoupling import cli, experiments, pathio, presets
+from pathcoupling import cli, experiments, linalg, pathio, presets
 from pathcoupling.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 
 BASE_CONFIG = {
@@ -295,7 +295,7 @@ def test_every_experiment_returns_its_verdicts():
         "closed-form-d1": dict(N=50, n_steps=16, probe_N=4),
         "closed-form-d2": dict(N=50, n_steps=16, probe_N=4, grid_points=100),
         "rotation-invariance": dict(N=50, n_steps=16, n_seeds=2),
-        "tanaka": dict(N=1000, n_steps=64, window=16),
+        "tanaka": dict(N=1000, n_steps=64),
         "rho-recovery": dict(cases=[{"d": 1, "c": 0.5}], N=50, n_steps=16),
         "rotation-chop-density": dict(N=50, n_list=(16, 32), block=4),
         "kernel-infeasibility": dict(N=50, n_steps=16),
@@ -366,10 +366,10 @@ def test_empty_experiment_size_list_exits_2(tmp_path, capsys, kind, field):
 @pytest.mark.parametrize(
     "kind, args, key, value",
     [("kernel-infeasibility", ["--N", "0"], "N", 0), ("closed-form-d1", ["--n", "0"], "n_steps", 0),
-     ("tanaka", ["--seed", "-1"], "seed", -1), ("tanaka", ["--w", "0"], "window", 0),
+     ("tanaka", ["--seed", "-1"], "seed", -1), ("rotation-invariance", ["--d", "0"], "d", 0),
      ("rotation-chop-density", ["--block", "0"], "block", 0), ("optimality-gap", {"probe_N": 0}, "probe_N", 0),
      ("rotation-invariance", {"d": 0}, "d", 0), ("rotation-invariance", {"n_seeds": -2}, "n_seeds", -2)],
-    ids=["N-flag", "n-flag", "seed-flag", "w-flag", "block-flag", "probe_N-file", "d-file", "n_seeds-file"],
+    ids=["N-flag", "n-flag", "seed-flag", "d-flag", "block-flag", "probe_N-file", "d-file", "n_seeds-file"],
 )
 def test_an_experiment_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, kind, args, key, value):
     # from flags or from a config file, as a run config's sizes are; the experiment is never called
@@ -389,10 +389,10 @@ def test_an_experiment_size_below_its_least_exits_2_naming_the_field(tmp_path, c
 
 @pytest.mark.parametrize(
     "command, overrides, key",
-    [("verify", {"verify": [{"test": "certificate", "window": 0}]}, "window"),
+    [("verify", {"coupling": {"constructor": "rotation_chop", "block": 0}}, "block"),
      ("couple", {"coupling": {"constructor": "rotation_chop", "block": 0}}, "block"),
      ("cost", {"closed_form": {"probe_N": 0}}, "probe_N")],
-    ids=["verify-window", "coupling-block", "closed_form-probe_N"],
+    ids=["verify-coupling-block", "coupling-block", "closed_form-probe_N"],
 )
 def test_a_section_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, command, overrides, key):
     cfg = _write_config(tmp_path, overrides)
@@ -422,12 +422,12 @@ def test_non_integer_size_exits_2_naming_the_key_and_line(tmp_path, capsys, comm
     "command, overrides, key",
     [
         ("verify", {"verify": [{"test": "wiener", "alpah": 0.5}]}, "alpah"),
-        ("verify", {"verify": [{"test": "certificate", "windw": 32}]}, "windw"),
+        ("verify", {"verify": [{"test": "certificate", "window": 64}]}, "window"),  # a config v1 field, now gone
         ("couple", {"coupling": {"constructor": "rotation_chop", "c": 0.5, "blok": 4}}, "blok"),
         ("couple", {"coupling": {**BASE_CONFIG["coupling"], "rotation": {"preset": "identity"}}},
          "rotation"),
     ],
-    ids=["wiener-alpah", "certificate-windw", "rotation_chop-blok", "couple_sdes-rotation"],
+    ids=["wiener-alpah", "certificate-window", "rotation_chop-blok", "couple_sdes-rotation"],
 )
 def test_unknown_coupling_or_verify_field_exits_2_with_its_line(tmp_path, capsys, command, overrides, key):
     cfg = _write_config(tmp_path, overrides)
@@ -457,9 +457,9 @@ def test_unknown_cost_field_or_kind_exits_2_with_its_line(tmp_path, capsys, cost
     "command, overrides, key, value",
     [
         ("verify", {"verify": [{"test": "wiener", "alpha": "x"}]}, "alpha", "x"),
-        ("verify", {"verify": [{"test": "certificate", "window": 2.5}]}, "window", 2.5),
-        ("verify", {"verify": [{"test": "certificate", "window": "64"}]}, "window", "64"),
-        ("verify", {"verify": [{"test": "certificate", "tol": True}]}, "tol", True),
+        ("verify", {"verify": [{"test": "wiener", "alpha": [0.01]}]}, "alpha", [0.01]),
+        ("verify", {"verify": [{"test": "adaptedness", "k_neighbors": "5"}]}, "k_neighbors", "5"),
+        ("verify", {"verify": [{"test": "adaptedness", "threshold": True}]}, "threshold", True),
         ("verify", {"verify": [{"test": "adaptedness", "k_neighbors": 5.5}]}, "k_neighbors", 5.5),
         ("verify", {"verify": [{"test": "adaptedness", "threshold": None}]}, "threshold", None),
         ("couple", {"coupling": {"constructor": "rotation_chop", "c": "0.5"}}, "c", "0.5"),
@@ -467,7 +467,7 @@ def test_unknown_cost_field_or_kind_exits_2_with_its_line(tmp_path, capsys, cost
         ("cost", {"cost": {"kind": "lp", "p": [2]}}, "p", [2]),
         ("cost", {"closed_form": {"probe_N": 16.5}}, "probe_N", 16.5),
     ],
-    ids=["alpha-str", "window-frac", "window-str", "tol-bool", "k-frac", "threshold-null",
+    ids=["alpha-str", "alpha-list", "k-str", "threshold-bool", "k-frac", "threshold-null",
          "c-str", "block-frac", "p-list", "probe_N-frac"],
 )
 def test_non_numeric_field_exits_2_naming_the_key_and_line(tmp_path, capsys, command, overrides, key, value):
@@ -480,12 +480,53 @@ def test_non_numeric_field_exits_2_naming_the_key_and_line(tmp_path, capsys, com
 
 
 def test_rejected_value_is_located_on_its_own_line_not_the_first_with_its_key(tmp_path, capsys):
-    entries = [{"test": "certificate", "window": 8}, {"test": "certificate", "window": 2.5}]
+    entries = [{"test": "adaptedness", "k_neighbors": 7}, {"test": "adaptedness", "k_neighbors": 2.5}]
     cfg = _write_config(tmp_path, {"verify": entries})
-    first, bad = (i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"window"' in text)
+    first, bad = (i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"k_neighbors"' in text)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert "'window'" in err and f"line {bad}" in err and f"line {first}" not in err
+    assert "'k_neighbors'" in err and f"line {bad}" in err and f"line {first}" not in err
+
+
+CERTIFIED = {
+    "composed_monge-sign": (1, "composed_monge", "ou", "gbm-bounded", "sign", True),
+    "composed_monge-rotation-by-state": (2, "composed_monge", "gbm-bounded", "ou", "rotation-by-state", True),
+    "monge_sde-rotation-by-state": (2, "monge_sde", "ou", "gbm-bounded", "rotation-by-state", True),
+    "couple_sdes-rho-0.7": (1, "couple_sdes", "ou", "gbm-bounded", None, False),
+}
+
+
+@pytest.mark.parametrize("case", CERTIFIED)
+def test_the_certificate_of_an_sde_coupling_checks_its_recovered_drivers(tmp_path, case):
+    d, constructor, src, dst, rotation, passed = CERTIFIED[case]
+    section = {"constructor": constructor, "rotation": {"preset": rotation}}
+    if rotation is None:
+        section = {"constructor": constructor, "correlation": {"preset": "const", "params": {"c": 0.7}}}
+    cfg = _write_config(tmp_path, {"d": d, "n_steps": 256, "N": 200, "src": {"preset": src}, "dst": {"preset": dst},
+                                   "coupling": section, "verify": [{"test": "certificate"}]})
+    _cli("verify", cfg, tmp_path / "out")
+    (rep,) = pathio.read_reports_jsonl(tmp_path / "out" / "reports.jsonl")
+    assert rep.name == "monge_certificate" and rep.passed is passed and rep.threshold == d * linalg.MEMBERSHIP_TOL
+    assert rep.statistic < 1e-14 if passed else rep.statistic > 0.5
+
+
+def test_the_certificate_of_a_singular_target_diffusion_exits_3_at_its_step(tmp_path, capsys):
+    # the transport runs through diag(1, 0); its y driver cannot be recovered
+    coupling = {"constructor": "monge_sde", "rotation": {"preset": "identity"}}
+    cfg = _write_config(tmp_path, {"d": 2, "n_steps": 16, "N": 20, "src": {"preset": "bm"}, "dst": {"preset": "degenerate"},
+                                   "coupling": coupling, "verify": [{"test": "certificate"}]})
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "singular" in err and "at step 0" in err
+
+
+def test_every_flag_and_size_field_is_a_parameter():
+    # a field that no experiment, constructor, verify entry, cost section or run size reads is a dead flag
+    fns = [*experiments.EXPERIMENTS.values(), *cli._COUPLINGS.values(), *cli._TESTS.values(), *cli._COSTS.values(),
+           cli._closed_form]
+    fields = {k for fn in fns for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
+    fields |= {"d", "n_steps", "N", "seed"}  # the sizes of a run config, read by cli._sizes
+    assert set(cli._OVERRIDES) <= fields and set(cli._LEAST) <= fields
 
 
 def test_a_covariation_window_exits_2_naming_it(tmp_path, capsys):
@@ -741,7 +782,7 @@ def _cli(command, cfg, out, *flags):
 
 
 REUSE_VERIFY = [{"test": "wiener", "side": "x"}, {"test": "wiener", "side": "y"},
-                {"test": "covariation", "target": 0.5}, {"test": "certificate", "window": 16},
+                {"test": "covariation", "target": 0.5}, {"test": "certificate"},
                 {"test": "adaptedness"}]
 REUSE_COSTS = {"lp": ({"kind": "lp"}, None), "separable": ({"kind": "separable", "h": {"preset": "l2"}}, None),
                "separable-closed_form": ({"kind": "separable"}, {"probe_N": 16})}
@@ -785,6 +826,15 @@ def test_couple_then_verify_and_cost_build_once(tmp_path, builds):
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     blob = (tmp_path / "out" / "coupled.bin").read_bytes()
     assert manifest["bin_sha256"] == hashlib.sha256(blob).hexdigest() and len(manifest["run_sha256"]) == 64
+
+
+def test_cost_binds_its_sections_before_it_builds(tmp_path, builds, capsys):
+    cfg = _write_config(tmp_path, {"cost": {"kind": "nope"}})
+    assert main(["cost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'nope'" in capsys.readouterr().err and builds == []
+    cfg = _write_config(tmp_path, {"cost": {"kind": "lp"}})  # a closed form of an Lp cost
+    assert main(["cost", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "separable costs only" in capsys.readouterr().err and builds == []
 
 
 def _flip_last_byte(out):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcoupling import coupling, pathio, presets, sde
+from pathcoupling import coupling, pathio, presets, sde, verify
 from pathcoupling.coupling import (
     INFEASIBLE,
     UNDECIDED,
@@ -247,6 +247,7 @@ def test_rotation_monge_keeps_the_norm_of_every_increment(d, per_path, n_steps, 
     # each difference of knots rounds relative to the knots' size, not to the increment's
     rounding = 16 * np.finfo(float).eps * (1.0 + np.abs(pair.x).max() + np.abs(pair.y).max())
     assert np.abs(dy - dx).max() <= rounding
+    assert verify.monge_certificate(pair).passed
 
 
 # ---------------------------------------------------------------------------

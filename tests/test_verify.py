@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pathcoupling import cost, experiments, presets, sde, verify
+from pathcoupling import coupling, cost, experiments, presets, sde, verify
 from pathcoupling.coupling import (
     CoupledEnsemble,
     couple_brownians,
@@ -17,7 +17,7 @@ from pathcoupling.coupling import (
     tanaka_coupling,
 )
 from pathcoupling.errors import DomainError
-from pathcoupling.linalg import correlation_margin
+from pathcoupling.linalg import MEMBERSHIP_TOL
 from pathcoupling.sde import CoefficientField, PathEnsemble, TimeGrid, ito_map, sample_brownian
 
 
@@ -25,18 +25,11 @@ def _rotation_d2(scale=0.5):
     return presets.build("rotation", "rotation-by-state", d=2, scale=scale)
 
 
-def _windowed_rho_oracle(x, y, w, dt):
-    """Straightforward reimplementation of the windowed estimator."""
-    dx = np.diff(x, axis=1)
-    dy = np.diff(y, axis=1)
-    n_win = dx.shape[1] // w
-    out = np.empty((x.shape[0], n_win, x.shape[2], x.shape[2]))
-    for p in range(x.shape[0]):
-        for i in range(n_win):
-            blk_x = dx[p, i * w : (i + 1) * w]
-            blk_y = dy[p, i * w : (i + 1) * w]
-            out[p, i] = blk_x.T @ blk_y / (w * dt)
-    return out
+def _isometry_oracle(x, y):
+    """The certificate's statistic on a path-major copy: per pair, the summed
+    |  |dY_k|^2 - |dX_k|^2 | over the summed |dX_k|^2, averaged over pairs."""
+    sq_x, sq_y = (np.sum(np.diff(np.ascontiguousarray(v), axis=1) ** 2, axis=2) for v in (x, y))
+    return np.mean(np.abs(sq_y - sq_x).sum(axis=1) / sq_x.sum(axis=1))
 
 
 def _wiener_oracle(ens, alpha=0.01):
@@ -204,20 +197,6 @@ def test_covariation_matrix_rho_d2():
     assert np.all(np.abs(rep.terminal_mean - rho) <= tol)
 
 
-def test_covariation_windowed_tracks_rho_and_matches_oracle():
-    grid = TimeGrid(512)
-    ens = couple_brownians(CoefficientField.constant("correlation", 0.5, 1), grid, 2000, seed=44)
-    rep = verify.realized_covariation(ens, window=64)
-    assert rep.rho_hat.shape == (8, 1, 1)
-    assert np.max(np.abs(rep.rho_hat - 0.5)) < 0.02
-    assert np.allclose(rep.window_times, np.arange(8) * 64 * grid.dt)
-    oracle = _windowed_rho_oracle(ens.x[:16], ens.y[:16], 64, grid.dt).mean(axis=0)
-    small = verify.realized_covariation(
-        type(ens)(grid=grid, x=ens.x[:16], y=ens.y[:16], seed=0), window=64
-    )
-    assert np.allclose(small.rho_hat, oracle, atol=1e-12)
-
-
 def test_covariation_test_against_scalar_and_matrix_targets():
     theta = np.pi / 6
     rho = 0.8 * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
@@ -236,21 +215,8 @@ def test_covariation_test_against_scalar_and_matrix_targets():
     assert scalar.statistic == np.max(np.abs(cov.terminal_mean - np.eye(2))) and not scalar.passed
 
 
-def test_covariation_window_clamped_to_grid():
-    ens = couple_brownians(CoefficientField.constant("correlation", 0.0, 1), TimeGrid(16), 8, seed=45)
-    rep = verify.realized_covariation(ens, window=64)
-    assert rep.window == 16 and rep.rho_hat.shape[0] == 1
-
-
 # ---------------------------------------------------------------------------
 # monge certificate
-
-
-@pytest.mark.parametrize("window", [0, -4])
-def test_certificate_rejects_a_window_below_one_step(window):
-    ens = couple_brownians(CoefficientField.constant("correlation", 0.0, 1), TimeGrid(16), 8, seed=45)
-    with pytest.raises(DomainError, match="window must be positive"):
-        verify.monge_certificate(ens, window=window)
 
 
 def test_certificate_passes_on_sign_rotation():
@@ -259,24 +225,26 @@ def test_certificate_passes_on_sign_rotation():
     rep = verify.monge_certificate(rotation_monge(q, driver))
     assert rep.passed
     assert rep.details["necessary_only"]
+    assert rep.threshold == MEMBERSHIP_TOL
 
 
 def test_certificate_passes_on_state_dependent_rotation_d2():
-    # the max-norm defect pools d^2 noisy entries, so the noise floor
-    # grows with dimension; at d=2 a wider window is needed to clear the
-    # default tolerance (at window=64 even the synchronous identity
-    # coupling sits at ~0.44 against a 0.425 budget)
     driver = sample_brownian(TimeGrid(2048), 2, 1000, seed=52)
-    rep = verify.monge_certificate(rotation_monge(_rotation_d2(), driver), window=256)
-    assert rep.passed
+    rep = verify.monge_certificate(rotation_monge(_rotation_d2(), driver))
+    assert rep.passed and rep.threshold == 2 * MEMBERSHIP_TOL
+
+
+# rho dB + sqrt(1 - rho^2) dW squares to dB^2 plus sqrt(1 - rho^2) (U^2 - V^2) dt, U and V
+# independent standard normals, and E|U^2 - V^2| = 4/pi: the statistic's population value
+def _contraction_defect(rho):
+    return 4.0 / np.pi * np.sqrt(1.0 - rho**2)
 
 
 def test_certificate_fails_on_constant_rho_07():
     ens = couple_brownians(CoefficientField.constant("correlation", 0.7, 1), TimeGrid(1024), 2000, seed=53)
     rep = verify.monge_certificate(ens)
     assert not rep.passed
-    # the defect concentrates near |0.49 - 1|
-    assert 0.4 < rep.statistic < 0.6
+    assert abs(rep.statistic - _contraction_defect(0.7)) < 0.02
 
 
 def test_certificate_passes_on_tanaka():
@@ -285,37 +253,44 @@ def test_certificate_passes_on_tanaka():
     assert rep.passed
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "correlation 0.9 sits inside the certificate's noise floor at "
-        "window 64: the defect |0.81 - 1| = 0.19 is below the default "
-        "tolerance 3/sqrt(64) + 0.05 = 0.425, so the certificate cannot "
-        "flag it at these sizes"
-    ),
-)
-def test_certificate_flags_rho_09_at_default_window():
+def test_certificate_flags_rho_09():
     ens = couple_brownians(CoefficientField.constant("correlation", 0.9, 1), TimeGrid(4096), 10_000, seed=55)
-    rep = verify.monge_certificate(ens, window=64)
+    rep = verify.monge_certificate(ens)
     assert not rep.passed
+    assert abs(rep.statistic - _contraction_defect(0.9)) < 0.02
 
 
-def test_windowed_rho_is_admissible_correlation():
-    # the reported (ensemble-averaged) windowed estimate must stay inside
-    # the admissible class up to its own noise scale; per-pair estimates
-    # at |rho| = 1 overshoot a 3/sqrt(w) budget a few percent of the
-    # time because their fluctuation scale is sqrt(2/w)
-    w = 64
-    grid = TimeGrid(512)
-    for ens in (
-        couple_brownians(CoefficientField.constant("correlation", 0.7, 1), grid, 256, seed=56),
-        rotation_monge(
-            presets.build("rotation", "sign", d=1, s=-1),
-            sample_brownian(grid, 1, 256, seed=57),
-        ),
-    ):
-        rho_hat = verify.realized_covariation(ens, window=w).rho_hat
-        assert np.min(correlation_margin(rho_hat)) >= -3 / np.sqrt(w)
+@pytest.mark.parametrize("block", [16, 64])
+def test_certificate_passes_the_chop_at_every_block(block):
+    # a genuine transport whose Q switches sign every few steps
+    rep = verify.monge_certificate(coupling.rotation_chop(0.5, TimeGrid(1024), 2000, 58, block))
+    assert rep.passed and rep.statistic < 1e-14
+
+
+def test_certificate_passes_the_sign_of_the_last_increment():
+    # Q_k = sign(X_k - X_{k-1}), +1 at step 0: a transport that reads a fine-scale feature of X
+    q = CoefficientField("rotation", 1, lambda k, t, xp: np.where(xp[:, -1] >= xp[:, max(k - 1, 0)], 1.0, -1.0)[:, :, None])
+    pair = rotation_monge(q, sample_brownian(TimeGrid(1024), 1, 2000, seed=59))
+    rep = verify.monge_certificate(pair)
+    assert rep.passed and rep.statistic < 1e-14
+
+
+def test_certificate_recovers_the_drivers_of_each_leg_with_a_model():
+    src = presets.build("model", "ou", d=1)
+    dst = presets.build("model", "gbm-bounded", d=1)
+    pair = coupling.composed_monge(src, dst, presets.build("rotation", "sign", d=1), TimeGrid(256), 500, seed=60)
+    assert not verify.monge_certificate(pair).passed  # the legs are not the drivers
+    assert verify.monge_certificate(pair, src, dst).passed
+    # one model: only the y leg is recovered, and its driver is not x
+    assert not verify.monge_certificate(pair, None, dst).passed
+
+
+def test_certificate_refuses_a_pair_whose_driver_never_moves():
+    x = np.zeros((3, 9, 1))
+    x[1:, 1:] = 1.0  # pairs 1 and 2 move at step 0
+    pair = CoupledEnsemble(grid=TimeGrid(8), x=x, y=x, seed=0)
+    with pytest.raises(DomainError, match="of 1 pair"):
+        verify.monge_certificate(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +300,7 @@ def test_windowed_rho_is_admissible_correlation():
 @st.composite
 def _walked_pairs(draw):
     """Random coupled legs (N <= 6, n <= 40, d <= 3) in time-major or path-major storage,
-    a window w that need not divide n, and an Lp exponent."""
+    and an Lp exponent."""
     n_pairs, n, d = draw(st.integers(1, 6)), draw(st.integers(1, 40)), draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     legs = np.cumsum(rng.standard_normal((2, n + 1, n_pairs, d)), axis=1)  # time-major storage
@@ -333,30 +308,25 @@ def _walked_pairs(draw):
     if draw(st.booleans()):
         x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     pair = CoupledEnsemble(grid=TimeGrid(n), x=x, y=y, seed=0)
-    return pair, draw(st.integers(1, n + 3)), draw(st.sampled_from([1.0, 2.0, 3.5]))
+    return pair, draw(st.sampled_from([1.0, 2.0, 3.5]))
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(case=_walked_pairs())
 def test_every_reduction_over_steps_matches_its_path_major_oracle(case):
-    pair, window, p = case
+    pair, p = case
     x, y, dt = pair.x, pair.y, pair.grid.dt
-    w = min(window, pair.grid.n_steps)
     dx, dy = np.diff(x, axis=1), np.diff(y, axis=1)
-    rho = _windowed_rho_oracle(x, y, w, dt)
-    gram = np.einsum("pnki,pnkj->pnij", rho, rho)
+    cov = np.einsum("pki,pkj->pij", dx, dy)
     z, _, _ = _wiener_oracle(pair.x_ensemble())
     dm = np.diff(x - y, axis=1)
     lp = np.sum(np.linalg.norm(x[:, :-1] - y[:, :-1], axis=2) ** p, axis=1) * dt
     close = dict(rtol=1e-12, atol=1e-12)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "_BLOCK_BYTES", 256)  # one to 32 steps a block: every walk crosses blocks
-        np.testing.assert_allclose(verify.pair_covariation(x, y), np.einsum("pki,pkj->pij", dx, dy), **close)
-        rep = verify.realized_covariation(pair, window=window)
-        np.testing.assert_allclose(rep.rho_hat, rho.mean(axis=0), **close)
-        cert = verify.monge_certificate(pair, window=window)
-        want = np.abs(gram - np.eye(pair.d)).max(axis=(2, 3)).mean()
-        np.testing.assert_allclose(cert.statistic, want, **close)
+        np.testing.assert_allclose(verify.pair_covariation(x, y), cov, **close)
+        np.testing.assert_allclose(verify.realized_covariation(pair).terminal_mean, cov.mean(axis=0), **close)
+        np.testing.assert_allclose(verify.monge_certificate(pair).statistic, _isometry_oracle(x, y), **close)
         wien = verify.wiener_marginal_test(pair.x_ensemble())
         np.testing.assert_allclose([wien.details["z"][k] for k in z], list(z.values()), **close)
         bm = presets.build("model", "bm", d=pair.d)  # driftless from 0: both finite-variation parts are exactly 0
