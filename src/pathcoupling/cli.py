@@ -152,8 +152,8 @@ def _numbers(cfg: Config, key, value, default):
     return [_numbers(cfg, key, v, default) if isinstance(v, list) else cfg.number(key, v, type(first)) for v in value]
 
 
-#: the least value of each size field, in a run config, an experiment or any other section
-_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "block": 1, "seed": 0}
+#: the least value of each size field, in a run config, an experiment, a preset's params or any other section
+_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "block": 1, "seed": 0, "rank": 0}
 
 
 def _size(cfg: Config, key, value, owner="") -> int:
@@ -193,8 +193,14 @@ class _Run:
         if not isinstance(params, dict) or {"d", "n_steps"} & set(params):  # the run's 'd' and grid
             message = f"the params of '{key}' must be a JSON object without 'd' or 'n_steps', got {params!r}"
             self.cfg.error("params", message, json.dumps(params), within=key)
+        defaults = next((p.defaults for p in presets.available(kind) if p.name == section["preset"]), {})
+        for k, value in params.items():  # a bool, or a fraction for a count, is no number a preset takes
+            if isinstance(value, (int, float)) and k in _LEAST:
+                _size(self.cfg, k, value)
+            elif isinstance(value, (int, float)) and type(defaults.get(k)) is float:
+                self.cfg.number(k, value)
         try:
-            if "n_steps" in presets.get_preset(kind, section["preset"]).defaults:  # a schedule on the run's grid
+            if "n_steps" in defaults:  # a schedule on the run's grid
                 params = {"n_steps": self.grid.n_steps, **params}
             return presets.build(kind, section["preset"], d=self.d, **params)
         except (ConfigError, DimensionError) as err:  # a value of the wrong shape too

@@ -31,10 +31,8 @@ from .sde import (
     ValueMemo,
     _ensemble,
     _eval,
-    _path_view,
     _walk,
     time_blocks,
-    time_major,
 )
 
 __all__ = ["SEPARABLE", "LP_PATH", "DETERMINISM_TOL", "CostSpec", "CostEstimate", "estimate", "closed_form_optimal"]
@@ -158,13 +156,13 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
             def step(k, t, prefix):  # the walk ends before model and leg move on
                 return prefix[:, -1] + _eval(model.drift, k, t, n_paths, leg[:, : k + 1]) * dt
 
-            _walk(fv[: steps + 1], dt, step, lo)
+            _walk(fv[: steps + 1], dt, step, f"cost.estimate of {model.label!r}", lo)
         fx, fy = (fv[: steps + 1] for fv in fvs)
         np.subtract(fx, fy, out=diff[lo : lo + steps + 1])
         dm = np.diff(np.subtract(blk[0] - fx, blk[1] - fy), axis=0)
         bracket += np.einsum("kpd,kpd->p", dm, dm)
         last, lo = [fx[-1], fy[-1]], lo + steps
-    return _priced(spec, _path_view(diff), bracket)
+    return _priced(spec, np.swapaxes(diff, 0, 1), bracket)
 
 
 def _priced(spec: CostSpec, fv_diff, bracket):
@@ -247,7 +245,7 @@ def closed_form_optimal(
         )
     grid = probe_ensemble.grid
     n, dt = grid.n_steps, grid.dt
-    x = _path_view(time_major(probe_ensemble.values))
+    x = probe_ensemble.values
     n_paths = probe_ensemble.n_paths
     cross_of = ValueMemo(lambda a: trace_max_rotation(a)[1])
 
@@ -275,12 +273,11 @@ def closed_form_optimal(
         bracket[:] += (tr_src + float(np.einsum("ij,ij->", sbar, sbar)) - 2.0 * cross) * dt
         return fv[:, -1] + b * dt
 
-    fv_x = _walk(fv_x, dt, step)
+    fv_x = _walk(fv_x, dt, step, f"closed_form_optimal of {src.label!r}")
     # the integrand is nonnegative analytically; clip rounding residue so
     # g (e.g. sqrt) never sees a negative bracket
     bracket = np.maximum(bracket, 0.0)
-    # h is handed path-major (N, n+1, d) values, so it sums in the same order for every layout
-    value = _from_values(_priced(spec, np.subtract(fv_x, fv_y[None], order="C"), bracket), f"closed-form({spec.label})")
+    value = _from_values(_priced(spec, fv_x - fv_y[None], bracket), f"closed-form({spec.label})")
     rotation_of = ValueMemo(lambda a: trace_max_rotation(a)[0])
 
     def q_fn(k, t, x_prefix):

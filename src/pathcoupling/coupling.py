@@ -46,13 +46,11 @@ from .sde import (
     _apply,
     _apply_transposed,
     _eval,
-    _path_view,
     _walk,
     brownian_increments,
     ito_map,
     inverse_ito_map,
     sample_brownian,
-    time_major,
 )
 
 __all__ = [
@@ -86,14 +84,11 @@ class CoupledEnsemble:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
+        x, y = (PathEnsemble(grid=self.grid, values=leg, seed=self.seed).values for leg in (self.x, self.y))
+        if x.shape != y.shape:
+            raise DimensionError(f"coupled legs must have one shape, got {x.shape} / {y.shape}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if x.shape != y.shape or x.ndim != 3 or x.shape[1] != self.grid.n_steps + 1:
-            raise DimensionError(
-                f"coupled values must both be (N, n_steps+1, d), got {x.shape} / {y.shape}"
-            )
 
     @property
     def n_pairs(self) -> int:
@@ -154,10 +149,10 @@ def couple_brownians(
     """
     d = rho.dim
     inc = brownian_increments(grid, d, n_pairs, seed, streams=2, n_workers=n_workers)
-    db, dw = time_major(inc[0]), time_major(inc[1])
+    db, dw = np.swapaxes(inc, 1, 2)  # views of the (2, n, N, d) storage
     x = np.zeros((grid.n_steps + 1, n_pairs, d))
     np.cumsum(db, axis=0, out=x[1:])
-    xv = _path_view(x)
+    xv = np.swapaxes(x, 0, 1)
     # sqrt(I - c^T c), the top-up that restores the Brownian marginal
     root_of = ValueMemo(lambda c: psd_sqrt(np.eye(d) - np.swapaxes(c, -1, -2) @ c, clamp_tol=1e-6))
     admit = ValueMemo(_admissible)
@@ -166,7 +161,7 @@ def couple_brownians(
         c = _eval(rho, k, t, n_pairs, xv[:, : k + 1], prefix, admit=admit)
         return prefix[:, -1] + (_apply_transposed(c, db[k]) + _apply(root_of(c), dw[k]))
 
-    yv = _walk(np.zeros_like(x), grid.dt, step)
+    yv = _walk(np.zeros_like(x), grid.dt, step, f"couple_brownians of {rho.label!r}")
     wiener = [f"wiener(d={d})"] * 2
     return _coupled(grid, xv, yv, seed, "couple_brownians", wiener, correlation=rho.label)
 
@@ -215,16 +210,16 @@ def rotation_monge(q: CoefficientField, driver: PathEnsemble) -> CoupledEnsemble
     if q.dim != driver.d:
         raise DimensionError(f"rotation dim {q.dim} does not match driver dim {driver.d}")
     n_pairs, _, d = driver.values.shape
-    x = time_major(driver.values)
-    xv = _path_view(x)
+    xv = driver.values
+    x = np.swapaxes(xv, 0, 1)
     admit = ValueMemo(_orthogonal)
 
     def step(k, t, prefix):
         mat = _eval(q, k, t, n_pairs, xv[:, : k + 1], admit=admit)
         return prefix[:, -1] + _apply(mat, x[k + 1] - x[k])
 
-    y, wiener = _walk(np.zeros_like(x), driver.grid.dt, step), [f"wiener(d={d})"] * 2
-    return _coupled(driver.grid, driver.values, y, driver.seed, "rotation_monge", wiener, rotation=q.label)
+    y = _walk(np.zeros_like(x), driver.grid.dt, step, f"rotation_monge of {q.label!r}")
+    return _coupled(driver.grid, xv, y, driver.seed, "rotation_monge", [f"wiener(d={d})"] * 2, rotation=q.label)
 
 
 def composed_monge(
@@ -287,7 +282,7 @@ def monge_sde(
         raise DimensionError(f"rotation dim {q.dim} does not match src dim {d}")
     # no name holds the Brownian driver, so it is freed once X is built
     xv = ito_map(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)).values
-    x = time_major(xv)
+    x = np.swapaxes(xv, 0, 1)
     dt = grid.dt
     ty = np.empty_like(x)
     ty[0] = dst.z0
@@ -307,7 +302,7 @@ def monge_sde(
         resid[k] = float(np.abs(np.matmul(np.matmul(sbar, qmat), null_proj)).max())
         return tp[:, -1] + (bbar * dt + _apply(sbar, _apply(qmat, u)))
 
-    tv, worst = _walk(ty, dt, step), int(resid.argmax())
+    tv, worst = _walk(ty, dt, step, f"monge_sde of {dst.label!r}"), int(resid.argmax())
     return _coupled(grid, xv, tv, seed, "monge_sde", [src.label, dst.label],
                     rotation=q.label, kernel_residual=float(resid[worst]), kernel_residual_step=worst,
                     kernel_condition_violated=bool(resid[worst] > 1e-8))

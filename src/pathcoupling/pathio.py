@@ -11,9 +11,10 @@ little-endian header ``<IIQQ`` of (d, n_steps, N, seed), then the path
 block(s) as little-endian float64; one block is a plain ensemble, two
 blocks are the x and y legs of a coupled ensemble.  ``write_binary``
 returns the sha256 of the bytes it wrote, and ``read_binary`` can refuse
-a file whose bytes do not match one; it hands out the time-major layout
-every kernel builds (see :mod:`pathcoupling.sde`), so a statistic of a
-read-back ensemble has the same bytes as one of the ensemble built afresh.
+a file whose bytes do not match one.  Both readers hand their legs to the
+ensemble constructors, which lay them out time-major as they do every
+ensemble (see :mod:`pathcoupling.sde`), so a statistic of a read-back
+ensemble has the same bytes as one of the ensemble built afresh.
 """
 
 from __future__ import annotations
@@ -93,17 +94,21 @@ def read_csv(path):
     n_paths, n_rows = (int(top) + 1 for top in table[:, :2].max(axis=0))
     if n_paths * n_rows != table.shape[0]:
         raise ConfigError(f"{path}: ragged ensemble CSV: {table.shape[0]} rows for {n_paths} paths, {n_rows} steps+1")
-    keys = np.indices((n_paths, n_rows), dtype=np.int32).reshape(2, -1).T  # the grid, in order
-    if not np.array_equal(table[:, :2], keys):  # only a file out of order pays for the sort
+
+    def misplaced(rows):  # the indices p * n_rows + k of the rows not keyed (path_id p, step k)
+        ids, steps = (rows[:, j].reshape(n_paths, n_rows) for j in (0, 1))
+        return np.flatnonzero((ids != np.arange(n_paths)[:, None]) | (steps != np.arange(n_rows)))
+
+    if misplaced(table).size:  # only a file out of order pays for the sort
         table = table[np.lexsort((table[:, 1], table[:, 0]))]
-        bad = np.flatnonzero((table[:, :2] != keys).any(axis=1))
+        bad = misplaced(table)
         if bad.size:
-            p, k = keys[bad[0]]
+            p, k = divmod(int(bad[0]), n_rows)
             raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated")
     grid = TimeGrid(n_rows - 1)
     bad = np.flatnonzero(table[:, 2].reshape(n_paths, n_rows) != grid.times)  # %.17g reads back exactly
     if bad.size:
-        p, k = keys[bad[0]]
+        p, k = divmod(int(bad[0]), n_rows)
         t, expected = float(table[bad[0], 2]), float(grid.times[k])
         raise ConfigError(f"{path}: the row for path_id {p}, step {k} has t {t!r}, not {expected!r}")
     x = table[:, 3 : 3 + d].reshape(n_paths, n_rows, d)
@@ -131,7 +136,7 @@ def write_binary(path, obj) -> str:
 
 
 def read_binary(path, sha256: str | None = None):
-    """Read back an ensemble written by :func:`write_binary`, in time-major layout.
+    """Read back an ensemble written by :func:`write_binary`.
 
     With ``sha256``, a file whose bytes do not have that hex digest is a
     ConfigError; the bytes hashed are the bytes parsed, read once.
@@ -149,22 +154,19 @@ def read_binary(path, sha256: str | None = None):
         block = n_paths * (n_steps + 1) * d * 8
         if block == 0 or size not in (block, 2 * block):
             raise ConfigError(f"{path}: payload of {size} bytes does not hold 1 or 2 blocks of {block}")
-        # each leg is read into a path-major buffer, then copied into (n+1, N, d) storage and
-        # handed out as its (N, n+1, d) view, so the file's bytes are never held whole
-        legs = []
-        for _ in range(size // block):
+        grid, legs = TimeGrid(n_steps), []
+        for _ in range(size // block):  # a leg at a time, so the file's bytes are never held whole
             buf = np.empty((n_paths, n_steps + 1, d), dtype="<f8")
             if fh.readinto(buf.data) != block:
                 raise ConfigError(f"{path}: truncated while it was read")
             if sha256 is not None:
                 digest.update(buf.data)
-            legs.append(buf.swapaxes(0, 1).copy().swapaxes(0, 1))
+            legs.append(PathEnsemble(grid=grid, values=buf, seed=int(seed)))
     if sha256 is not None and digest.hexdigest() != sha256:
         raise ConfigError(f"{path}: contents do not match sha256 {sha256}")
-    grid = TimeGrid(n_steps)
     if len(legs) == 1:
-        return PathEnsemble(grid=grid, values=legs[0], seed=int(seed))
-    return CoupledEnsemble(grid=grid, x=legs[0], y=legs[1], seed=int(seed))
+        return legs[0]
+    return CoupledEnsemble(grid=grid, x=legs[0].values, y=legs[1].values, seed=int(seed))
 
 
 # ---------------------------------------------------------------------------

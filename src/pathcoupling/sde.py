@@ -21,13 +21,13 @@ Randomness discipline: path i of an ensemble draws the normals of
 else, so the output does not depend on the worker count, the chunking
 or the block size.
 
-Storage convention: every ensemble a step kernel produces is stored
-time-major, in a C-contiguous (n_steps+1, N, d) buffer, and
-``PathEnsemble.values`` (like the legs of a coupled ensemble) is its
+Storage convention: the :class:`PathEnsemble` constructor (and so each
+leg of a coupled ensemble) fixes the layout.  It stores the paths
+time-major, in a C-contiguous (n_steps+1, N, d) buffer, copying only
+values not already laid out so, and ``values`` is that buffer's
 (N, n_steps+1, d) transposed view.  The public shape is unchanged while
 each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
-is contiguous.  Inputs of any layout are accepted; :func:`time_major`
-copies only those not already time-major.
+is contiguous, and no kernel or reduction converts a layout.
 
 One walk, :func:`_walk`, fills that storage for every step kernel:
 ``z[j+1] = step(k, k * dt, prefix)`` with ``prefix`` the kernel's own
@@ -63,7 +63,6 @@ __all__ = [
     "ito_map",
     "inverse_ito_map",
     "decompose",
-    "time_major",
     "time_blocks",
 ]
 
@@ -101,7 +100,8 @@ class PathEnsemble:
             raise DimensionError(
                 f"ensemble values must have shape (N, n_steps+1, d), got {v.shape}"
             )
-        object.__setattr__(self, "values", v)
+        # the one place a layout is decided: time-major storage, copied only if v is not already
+        object.__setattr__(self, "values", np.ascontiguousarray(v.swapaxes(0, 1)).swapaxes(0, 1))
 
     @property
     def n_paths(self) -> int:
@@ -203,11 +203,6 @@ def _check_draw(seed, d, n_paths, streams):
     return int(seed)
 
 
-def time_major(values: np.ndarray) -> np.ndarray:
-    """The (n+1, N, d) time-major form of (N, n+1, d) paths; a copy only if needed."""
-    return np.ascontiguousarray(np.swapaxes(values, 0, 1))
-
-
 _BLOCK_BYTES = 1 << 21  # bytes of one input's time slices per block of a walk over steps
 
 
@@ -221,11 +216,6 @@ def time_blocks(*paths: np.ndarray):
     block = max(1, _BLOCK_BYTES // (8 * max(1, n_paths * d)))
     for lo in range(0, n - 1, block):
         yield tuple(v[lo : lo + block + 1] for v in views)
-
-
-def _path_view(buf: np.ndarray) -> np.ndarray:
-    """The public (N, n+1, d) view of time-major (n+1, N, d) storage."""
-    return np.swapaxes(buf, 0, 1)
 
 
 _M32, _M128 = (1 << 32) - 1, (1 << 128) - 1
@@ -330,10 +320,10 @@ def sample_brownian(
     buf = np.zeros((grid.n_steps + 1, n_paths, d))
 
     def store(start, block):
-        np.cumsum(block[:, 0], axis=1, out=_path_view(buf[1:, start : start + len(block)]))
+        np.cumsum(block[:, 0], axis=1, out=np.swapaxes(buf[1:, start : start + len(block)], 0, 1))
 
     _draw(grid, d, n_paths, seed, 1, n_workers, store)
-    return PathEnsemble(grid=grid, values=_path_view(buf), seed=seed)
+    return PathEnsemble(grid=grid, values=np.swapaxes(buf, 0, 1), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,25 +398,26 @@ def _ensemble(paths, what: str, model: SdeModel) -> PathEnsemble:
     return paths
 
 
-def _walk(z: np.ndarray, dt: float, step, lo: int = 0) -> np.ndarray:
+def _walk(z: np.ndarray, dt: float, step, what: str, lo: int = 0) -> np.ndarray:
     """Fill time-major (h+1, N, d) storage by ``z[j+1] = step(k, k*dt, prefix)``, k = lo + j and
     ``prefix`` the (N, j+1, d) view of z[0..j]; return the (N, h+1, d) view.  Failures carry k
-    (module docstring).  Every step adds to its state, so a state that went non-finite stays so:
-    only the last knot is checked, and the walk searched for the step only when that fails."""
-    paths = _path_view(z)
+    (module docstring); the walk's own begin with ``what``, its kernel and model or field.  Every
+    step adds to its state, so a state that went non-finite stays so: only the last knot is
+    checked, and the walk searched for the step only when that fails."""
+    paths = np.swapaxes(z, 0, 1)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for j in range(len(z) - 1):
             k = lo + j
             try:
                 z[j + 1] = step(k, k * dt, paths[:, : j + 1])
             except FloatingPointError as err:
-                raise DomainError(f"floating-point {err}", step=k) from None
+                raise DomainError(f"{what}: floating-point {err}", step=k) from None
             except DomainError as err:  # one that names no step is given this one
                 raise (err if err.step is not None else type(err)(str(err), step=k)) from None
     if not np.isfinite(z[-1]).all():
         bad = ~np.isfinite(z).all(axis=2)
         j = int(bad.any(axis=1).argmax())
-        raise DomainError(f"the state went non-finite on {int(bad[j].sum())} path(s)", step=lo + max(j, 1) - 1)
+        raise DomainError(f"{what}: the state went non-finite on {int(bad[j].sum())} path(s)", step=lo + max(j, 1) - 1)
     return paths
 
 
@@ -442,7 +433,7 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     """
     n_paths = _ensemble(driver, "driver", model).n_paths
     dt = driver.grid.dt
-    drv = time_major(driver.values)
+    drv = np.swapaxes(driver.values, 0, 1)  # the driver's time-major storage
     z = np.empty_like(drv)
     z[0] = model.z0
 
@@ -451,7 +442,7 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
         s = _eval(model.diffusion, k, t, n_paths, prefix)
         return prefix[:, -1] + b * dt + _apply(s, drv[k + 1] - drv[k])
 
-    return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step), seed=driver.seed)
+    return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step, f"ito_map of {model.label!r}"), seed=driver.seed)
 
 
 def _check_diffusion(s, det, label):
@@ -475,8 +466,8 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
     """
     n_paths = _ensemble(solution, "solution", model).n_paths
     dt = solution.grid.dt
-    x = time_major(solution.values)
-    xv = _path_view(x)
+    xv = solution.values
+    x = np.swapaxes(xv, 0, 1)
     check = ValueMemo(lambda s, det: _check_diffusion(s, det, model.diffusion.label))
 
     def step(k, t, prefix):
@@ -486,7 +477,8 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
         check(s, det)
         return prefix[:, -1] + dw
 
-    return PathEnsemble(grid=solution.grid, values=_walk(np.zeros_like(x), dt, step), seed=solution.seed)
+    w = _walk(np.zeros_like(x), dt, step, f"inverse_ito_map of {model.label!r}")
+    return PathEnsemble(grid=solution.grid, values=w, seed=solution.seed)
 
 
 def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathEnsemble]:
@@ -501,9 +493,10 @@ def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathE
     """
     n_paths = _ensemble(paths, "path", model).n_paths
     dt = paths.grid.dt
-    x = time_major(paths.values)
-    xv = _path_view(x)
+    xv = paths.values
+    x = np.swapaxes(xv, 0, 1)
     fv = np.empty_like(x)
     fv[0] = model.z0
-    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + _eval(model.drift, k, t, n_paths, xv[:, : k + 1]) * dt)
-    return tuple(PathEnsemble(grid=paths.grid, values=_path_view(v), seed=paths.seed) for v in (fv, x - fv))
+    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + _eval(model.drift, k, t, n_paths, xv[:, : k + 1]) * dt,
+          f"decompose of {model.label!r}")
+    return tuple(PathEnsemble(grid=paths.grid, values=np.swapaxes(v, 0, 1), seed=paths.seed) for v in (fv, x - fv))

@@ -209,7 +209,10 @@ def monge_certificate(
     are the legs, a leg with a model recovered as ``inverse_ito_map(src, x)``
     or ``inverse_ito_map(dst, y)``, as in ``cost.estimate``.  The threshold
     d * MEMBERSHIP_TOL admits every rotation the kernels admit, since
-    |v^T (Q^T Q - I) v| <= d * defect * |v|^2.
+    |v^T (Q^T Q - I) v| <= d * defect * |v|^2.  A recovered driver rounds
+    relative to the state, not to its increment, so a transport far from
+    the origin can fail: ``monge_sde`` ou -> ou (theta = 2) with the identity
+    rotation reads 4.5e-8 > 1e-8 at z0 = 1e8 (N = 200, n = 256).
     Passing is necessary but NOT sufficient for the coupling to be a
     transport map - Tanaka's pair is isometric and is not one.
     """

@@ -526,7 +526,8 @@ def test_every_flag_and_size_field_is_a_parameter():
            cli._closed_form]
     fields = {k for fn in fns for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
     fields |= {"d", "n_steps", "N", "seed"}  # the sizes of a run config, read by cli._sizes
-    assert set(cli._OVERRIDES) <= fields and set(cli._LEAST) <= fields
+    counts = {k for preset in presets.available() for k in preset.defaults}  # a preset's params are sizes too
+    assert set(cli._OVERRIDES) <= fields and set(cli._LEAST) <= fields | counts
 
 
 def test_a_covariation_window_exits_2_naming_it(tmp_path, capsys):
@@ -675,6 +676,33 @@ def test_preset_param_of_the_wrong_type_exits_2_naming_the_preset_and_its_line(t
     err = capsys.readouterr().err
     assert f"preset '{preset}'" in err and f"line {line}" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides, field, message",
+    [
+        ({"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 16.7}}}},
+         "block", "must be an integer, got 16.7"),
+        ({"d": 2, "src": {"preset": "degenerate", "params": {"rank": 1.5}}}, "rank", "must be an integer, got 1.5"),
+        ({"src": {"preset": "bm", "params": {"sigma": True}}}, "sigma", "must be a number, got True"),
+    ],
+    ids=["chop-block-fraction", "degenerate-rank-fraction", "bm-sigma-bool"],
+)
+def test_preset_param_that_is_no_number_of_its_kind_exits_2_at_its_line(tmp_path, capsys, overrides, field, message):
+    cfg = _write_config(tmp_path, overrides)
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{field}"' in text)
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"field '{field}' {message}" in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_overflow_in_the_target_alone_names_its_kernel_and_model(tmp_path, capsys):
+    dst = {"preset": "expr", "params": {"mu_expr": "1e308", "z0": 1e308}}
+    cfg = _write_config(tmp_path, {"N": 20, "n_steps": 64, "dst": dst})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("error: ito_map of \"expr(") and "floating-point overflow" in err and "bm(" not in err
 
 
 def test_preset_param_of_the_wrong_type_is_located_at_its_own_section(tmp_path, capsys):

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pathcoupling import pathio, verify
-from pathcoupling.coupling import CoupledEnsemble, couple_brownians
+from pathcoupling import cost, pathio, presets, verify
+from pathcoupling.coupling import CoupledEnsemble, couple_brownians, couple_sdes
+from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError
 from pathcoupling.sde import CoefficientField, PathEnsemble, TimeGrid, sample_brownian
 
@@ -153,6 +154,29 @@ def test_formats_match_savetxt_and_round_trip_bit_for_bit(tmp_path_factory, ens)
     for back in readers:
         back_legs = (back.x, back.y) if isinstance(back, CoupledEnsemble) else (back.values,)
         assert [leg.tobytes() for leg in back_legs] == [leg.tobytes() for leg in legs]
+
+
+def test_csv_binary_and_built_pairs_give_the_same_statistics_to_the_last_bit(tmp_path):
+    # a statistic must not depend on whether its pair was built or read back: the readers hand
+    # their legs to the constructors, which lay every ensemble out the same way
+    src, dst = presets.build("model", "ou", d=1), presets.build("model", "ou", d=1, theta=2.0, mean=0.5)
+    built = couple_sdes(src, dst, CoefficientField.constant("correlation", 0.5, 1), TimeGrid(256), 300, seed=5)
+    pathio.write_csv(tmp_path / "pair.csv", built)
+    pathio.write_binary(tmp_path / "pair.bin", built)
+    separable = CostSpec.separable(presets.build("h", "l2", d=1), presets.build("g", "sqrt", d=1))
+
+    def numbers(pair):
+        cov = verify.realized_covariation(pair)
+        return [
+            cov.terminal_mean.tobytes(), cov.terminal_stderr.tobytes(),
+            verify.monge_certificate(pair, src, dst).statistic, verify.monge_certificate(pair).statistic,
+            verify.wiener_marginal_test(pair.y_ensemble()).details["z"],
+            cost.estimate(pair, CostSpec.lp(2)).as_dict(), cost.estimate(pair, separable, src, dst).as_dict(),
+        ]
+
+    want = numbers(built)
+    assert numbers(pathio.read_csv(tmp_path / "pair.csv")) == want
+    assert numbers(pathio.read_binary(tmp_path / "pair.bin")) == want
 
 
 def test_csv_write_and_in_order_read_allocate_no_full_size_table(tmp_path):

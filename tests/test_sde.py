@@ -529,14 +529,13 @@ def test_ou_terminal_variance_matches_closed_form():
 
 
 def _layouts(ens):
-    """The same values as a C-ordered path-major ensemble and as a time-major view."""
-    pm = PathEnsemble(grid=ens.grid, values=np.ascontiguousarray(ens.values), seed=ens.seed)
-    tm = PathEnsemble(
-        grid=ens.grid,
-        values=np.ascontiguousarray(np.swapaxes(ens.values, 0, 1)).swapaxes(0, 1),
-        seed=ens.seed,
-    )
-    assert pm.values.flags.c_contiguous and not tm.values.flags.c_contiguous
+    """The same values handed in as a C-ordered path-major array and as a time-major view: the
+    constructor copies the first into time-major storage and keeps the second's."""
+    pm_in = np.ascontiguousarray(ens.values)
+    tm_in = np.ascontiguousarray(np.swapaxes(ens.values, 0, 1)).swapaxes(0, 1)
+    pm, tm = (PathEnsemble(grid=ens.grid, values=v, seed=ens.seed) for v in (pm_in, tm_in))
+    assert not np.shares_memory(pm.values, pm_in) and np.shares_memory(tm.values, tm_in)
+    assert np.swapaxes(pm.values, 0, 1).flags.c_contiguous and np.swapaxes(tm.values, 0, 1).flags.c_contiguous
     return pm, tm
 
 
@@ -574,7 +573,7 @@ def test_kernel_outputs_are_views_of_time_major_storage():
         assert values.shape == (5, 17, 2)
         assert np.swapaxes(values, 0, 1).flags.c_contiguous
         assert values[:, 3].flags.c_contiguous
-    assert np.shares_memory(sde.time_major(x.values), x.values)  # no copy
+    assert np.shares_memory(PathEnsemble(grid=x.grid, values=x.values, seed=x.seed).values, x.values)  # no copy
 
 
 def test_brownian_increments_keep_their_public_shape():
