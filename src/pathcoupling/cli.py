@@ -193,18 +193,27 @@ class _Run:
         if not isinstance(params, dict) or {"d", "n_steps"} & set(params):  # the run's 'd' and grid
             message = f"the params of '{key}' must be a JSON object without 'd' or 'n_steps', got {params!r}"
             self.cfg.error("params", message, json.dumps(params), within=key)
-        defaults = next((p.defaults for p in presets.available(kind) if p.name == section["preset"]), {})
-        for k, value in params.items():  # a bool, or a fraction for a count, is no number a preset takes
-            if isinstance(value, (int, float)) and k in _LEAST:
+        name, known = section["preset"], {p.name: p for p in presets.available(kind)}
+        defaults = known[name].defaults if name in known else {}  # an unknown preset is named by the builder
+        for k, value in params.items():  # a bool, a fraction for a count or a number in a string is no number it takes
+            if name in known and k not in defaults:
+                message = f"{kind} preset {name!r} takes no param {k!r}; it takes: {', '.join(defaults) or 'none'}"
+                self.cfg.error(k, message, within=key)
+            if isinstance(value, str):
+                try:
+                    float(value)
+                except ValueError:  # a string that is no number is the builder's to refuse, at the preset
+                    continue
+            if isinstance(value, (int, float, str)) and k in _LEAST:
                 _size(self.cfg, k, value)
-            elif isinstance(value, (int, float)) and type(defaults.get(k)) is float:
+            elif isinstance(value, (int, float, str)) and type(defaults.get(k)) is float:
                 self.cfg.number(k, value)
         try:
             if "n_steps" in defaults:  # a schedule on the run's grid
                 params = {"n_steps": self.grid.n_steps, **params}
-            return presets.build(kind, section["preset"], d=self.d, **params)
+            return presets.build(kind, name, d=self.d, **params)
         except (ConfigError, DimensionError) as err:  # a value of the wrong shape too
-            self.cfg.error("preset", str(err), json.dumps(section["preset"]), within=key)
+            self.cfg.error("preset", str(err), json.dumps(name), within=key)
 
     def call(self, constructor, *head, **kw):
         """``constructor(*head, grid, n_pairs, seed, **kw)`` on the run's workers."""
@@ -245,17 +254,9 @@ def _tanaka(run, /):
     return run.call(coupling.tanaka_coupling)
 
 
-def _rotation_chop(run, /, c=0.0, block=16):
-    try:
-        coupling.chop_rotation(c, run.grid.n_steps, block)  # the schedule's own check, located at the block
-    except DimensionError as err:
-        run.cfg.error("block", str(err), json.dumps(block), within="coupling")
-    return run.call(coupling.rotation_chop, c, block=block)
-
-
 #: constructor name -> function; its parameters after the ``/`` are the section's fields
 _COUPLINGS = {f.__name__[1:]: f for f in (
-    _couple_brownians, _couple_sdes, _rotation_monge, _composed_monge, _monge_sde, _tanaka, _rotation_chop
+    _couple_brownians, _couple_sdes, _rotation_monge, _composed_monge, _monge_sde, _tanaka
 )}
 
 #: the constructors that couple the laws of the run's ``src`` and ``dst`` models rather than Brownian motions

@@ -11,10 +11,10 @@ the Brownian marginal,
 with rho constrained to the correlation class at every step.  The
 constructors here build exactly that, plus the transport variants:
 rotation integrals of a driver (which preserve the Wiener law and are
-the invertible, adapted maps between Brownian laws; Tanaka's pair is
-one, X = int sign(Y) dY built by :func:`rotation_monge`), their
-conjugation by Itô maps, and the direct recursion for a candidate Monge
-transport between two SDE laws including its kernel-condition residual.
+the invertible, adapted maps between Brownian laws; Tanaka's pair and
+the +/-1 chop of :func:`chop_rotation` are each one :func:`rotation_monge`
+call), their conjugation by Itô maps, and the direct recursion for a
+candidate Monge transport between two SDE laws and its kernel residual.
 
 rho and Q are coefficient fields (:class:`~pathcoupling.sde.CoefficientField`)
 of kind ``"correlation"``, which sees both coupled prefixes, and
@@ -65,7 +65,6 @@ __all__ = [
     "INFEASIBLE",
     "UNDECIDED",
     "tanaka_coupling",
-    "rotation_chop",
     "chop_rotation",
 ]
 
@@ -368,16 +367,14 @@ def chop_rotation(c: float, n_steps: int, block: int):
 
     Within each block of ``block`` steps the first m are +1 and the rest
     -1, with m = round(block * (1 + c) / 2).  Returns the rotation
-    process, the achieved mean correlation 2 m / block - 1 and a flag
-    for whether the duty cycle had to be quantised.
+    process and the achieved mean correlation 2 m / block - 1, which is c
+    unless the block size forces the duty cycle to be quantised.
     """
     if not -1.0 <= c <= 1.0:
         raise DomainError(f"target correlation must lie in [-1, 1], got {c}")
     if block < 1 or n_steps % block != 0:
         raise DimensionError(f"block ({block}) must divide n_steps ({n_steps})")
-    exact = block * (1.0 + c) / 2.0
-    m_plus = int(round(exact))
-    quantized = abs(m_plus - exact) > 1e-12
+    m_plus = int(round(block * (1.0 + c) / 2.0))
     achieved = 2.0 * m_plus / block - 1.0
     pattern = np.where(np.arange(block) < m_plus, 1.0, -1.0)
     schedule = np.tile(pattern, n_steps // block)
@@ -388,28 +385,4 @@ def chop_rotation(c: float, n_steps: int, block: int):
         return schedule[k].reshape(1, 1)
 
     label = f"chop(c={c}, block={block})"
-    return CoefficientField("rotation", 1, fn, label=label), achieved, quantized
-
-
-def rotation_chop(
-    c: float,
-    grid: TimeGrid,
-    n_pairs: int,
-    seed: int,
-    block: int,
-    n_workers: int = 1,
-) -> CoupledEnsemble:
-    """1-d Monge coupling whose fast +/-1 chopping mimics correlation c.
-
-    The signs are orthogonal (O(1) = {-1, +1}), so each refinement is a
-    genuine transport; as the blocks shrink relative to the horizon the
-    pair law approaches the constant-correlation coupling with parameter
-    c.  The achieved duty cycle is recorded in the provenance, including
-    any quantisation of c that the block size forces.
-    """
-    q, achieved, quantized = chop_rotation(c, grid.n_steps, block)
-    driver = sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers)
-    out = rotation_monge(q, driver)
-    return _coupled(out.grid, out.x, out.y, out.seed, "rotation_chop", out.provenance["marginals"],
-                    rotation=q.label, requested_c=float(c), achieved_c=float(achieved), block=int(block),
-                    duty_cycle_quantized=quantized)
+    return CoefficientField("rotation", 1, fn, label=label), achieved

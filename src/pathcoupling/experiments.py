@@ -239,8 +239,8 @@ def rotation_chop_density(c=0.5, block=16, N=4000, seed=33, n_list=(256, 1024, 4
     mads = []
     cov_err = cov_budget = None
     for i, n_steps in enumerate(n_list):
-        pair = coupling.rotation_chop(c, sde.TimeGrid(n_steps), N, seed + i, block, n_workers=n_workers)
-        target = pair.provenance["achieved_c"]
+        q, target = coupling.chop_rotation(c, n_steps, block)
+        pair = coupling.rotation_monge(q, sde.sample_brownian(sde.TimeGrid(n_steps), 1, N, seed + i, n_workers=n_workers))
         bracket = np.einsum("pii->p", verify.pair_covariation(pair.x, pair.y))
         mads.append(float(np.mean(np.abs(bracket - target))))
         x1 = pair.x[:, -1, 0]
@@ -359,7 +359,7 @@ def optimality_gap(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=13, probe_N=64, n_
     spec = zero_identity_spec(1)
     closed, _ = cost.closed_form_optimal(src, dst, spec, probe(src, n_steps, probe_N, seed + 1))
     grid = sde.TimeGrid(n_steps)
-    chop, _, _ = coupling.chop_rotation(0.5, n_steps, 16)
+    chop, _ = coupling.chop_rotation(0.5, n_steps, 16)
 
     def pair(i, c):  # c = None is the chop
         if c is None:

@@ -292,7 +292,7 @@ def _rot_chop(d, c=0.0, block=16, n_steps=None):
         raise ConfigError("the 'chop' rotation preset is 1-d only")
     if n_steps is None:
         raise ConfigError("the 'chop' rotation preset needs n_steps")
-    q, _, _ = chop_rotation(float(c), int(n_steps), int(block))
+    q, _ = chop_rotation(float(c), int(n_steps), int(block))
     return q
 
 

@@ -34,11 +34,11 @@ One walk, :func:`_walk`, fills that storage for every step kernel:
 state z[0..j], and a step returns the new state, not the increment.  A
 step that overflows, divides by zero, makes an invalid value or raises a
 DomainError that names no step fails as a :class:`DomainError` carrying
-``.step``, as does a state that goes non-finite (with its path count).
-Every kernel evaluates every field through one function, ``_eval``: a
-value of the wrong shape, a floating-point failure inside the field and
-a value refused by the kernel's membership check also name the field's
-kind and label.
+``.step`` and a message that begins with the kernel and its model or
+field, as does a state that goes non-finite (with its path count).  Every
+kernel evaluates every field through one function, ``_eval``: a wrong
+shape, a floating-point failure inside the field and a value refused by
+the kernel's membership check also name the field's kind and label.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def _ensemble(paths, what: str, model: SdeModel) -> PathEnsemble:
 def _walk(z: np.ndarray, dt: float, step, what: str, lo: int = 0) -> np.ndarray:
     """Fill time-major (h+1, N, d) storage by ``z[j+1] = step(k, k*dt, prefix)``, k = lo + j and
     ``prefix`` the (N, j+1, d) view of z[0..j]; return the (N, h+1, d) view.  Failures carry k
-    (module docstring); the walk's own begin with ``what``, its kernel and model or field.  Every
+    (module docstring) and begin with ``what``, the kernel and its model or field.  Every
     step adds to its state, so a state that went non-finite stays so: only the last knot is
     checked, and the walk searched for the step only when that fails."""
     paths = np.swapaxes(z, 0, 1)
@@ -412,8 +412,8 @@ def _walk(z: np.ndarray, dt: float, step, what: str, lo: int = 0) -> np.ndarray:
                 z[j + 1] = step(k, k * dt, paths[:, : j + 1])
             except FloatingPointError as err:
                 raise DomainError(f"{what}: floating-point {err}", step=k) from None
-            except DomainError as err:  # one that names no step is given this one
-                raise (err if err.step is not None else type(err)(str(err), step=k)) from None
+            except DomainError as err:  # one that names no step is given this one, and ``what``
+                raise (err if err.step is not None else type(err)(f"{what}: {err}", step=k)) from None
     if not np.isfinite(z[-1]).all():
         bad = ~np.isfinite(z).all(axis=2)
         j = int(bad.any(axis=1).argmax())

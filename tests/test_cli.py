@@ -14,6 +14,8 @@ import pytest
 
 from pathcoupling import cli, experiments, linalg, pathio, presets
 from pathcoupling.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from pathcoupling.coupling import chop_rotation, rotation_monge
+from pathcoupling.sde import TimeGrid, sample_brownian
 
 BASE_CONFIG = {
     "version": 1,
@@ -219,7 +221,9 @@ def test_cost_with_non_finite_result_exits_3_and_writes_no_report(tmp_path, caps
     out = tmp_path / "out"
     rc = main(["cost", "--config", str(cfg), "--out", str(out)])  # a warning would fail the suite
     assert rc == EXIT_NUMERIC
-    assert capsys.readouterr().err == "error: drift 'expr(exp(x*x))': floating-point overflow encountered in exp (at step 1)\n"
+    assert capsys.readouterr().err == (
+        "error: ito_map of \"expr(d=1,sigma='1',mu='exp(x*x)',z0=3)\": drift 'expr(exp(x*x))': "
+        "floating-point overflow encountered in exp (at step 1)\n")
     assert not (out / "cost.json").exists()
 
 
@@ -235,7 +239,9 @@ def test_overflowing_run_exits_3_at_its_step_with_warnings_as_errors(tmp_path):
                                    "src": {"preset": "expr", "params": {"mu_expr": "exp(x*x)", "z0": 3}}})
     run = _python("-W", "error", "-m", "pathcoupling.cli", "cost", "--config", str(cfg), "--out", str(tmp_path / "out"))
     assert (run.returncode, run.stdout, run.stderr) == (
-        EXIT_NUMERIC, "", "error: drift 'expr(exp(x*x))': floating-point overflow encountered in exp (at step 1)\n")
+        EXIT_NUMERIC, "", (
+            "error: ito_map of \"expr(d=1,sigma='1',mu='exp(x*x)',z0=3)\": drift 'expr(exp(x*x))': "
+            "floating-point overflow encountered in exp (at step 1)\n"))
 
 
 def test_the_package_and_a_verify_run_import_no_scipy(tmp_path):
@@ -389,8 +395,10 @@ def test_an_experiment_size_below_its_least_exits_2_naming_the_field(tmp_path, c
 
 @pytest.mark.parametrize(
     "command, overrides, key",
-    [("verify", {"coupling": {"constructor": "rotation_chop", "block": 0}}, "block"),
-     ("couple", {"coupling": {"constructor": "rotation_chop", "block": 0}}, "block"),
+    [("verify", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 0}}}},
+      "block"),
+     ("couple", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 0}}}},
+      "block"),
      ("cost", {"closed_form": {"probe_N": 0}}, "probe_N")],
     ids=["verify-coupling-block", "coupling-block", "closed_form-probe_N"],
 )
@@ -423,11 +431,12 @@ def test_non_integer_size_exits_2_naming_the_key_and_line(tmp_path, capsys, comm
     [
         ("verify", {"verify": [{"test": "wiener", "alpah": 0.5}]}, "alpah"),
         ("verify", {"verify": [{"test": "certificate", "window": 64}]}, "window"),  # a config v1 field, now gone
-        ("couple", {"coupling": {"constructor": "rotation_chop", "c": 0.5, "blok": 4}}, "blok"),
+        ("couple", {"coupling": {"constructor": "rotation_monge",
+                                 "rotation": {"preset": "chop", "params": {"c": 0.5, "blok": 4}}}}, "blok"),
         ("couple", {"coupling": {**BASE_CONFIG["coupling"], "rotation": {"preset": "identity"}}},
          "rotation"),
     ],
-    ids=["wiener-alpah", "certificate-window", "rotation_chop-blok", "couple_sdes-rotation"],
+    ids=["wiener-alpah", "certificate-window", "chop-blok", "couple_sdes-rotation"],
 )
 def test_unknown_coupling_or_verify_field_exits_2_with_its_line(tmp_path, capsys, command, overrides, key):
     cfg = _write_config(tmp_path, overrides)
@@ -462,8 +471,10 @@ def test_unknown_cost_field_or_kind_exits_2_with_its_line(tmp_path, capsys, cost
         ("verify", {"verify": [{"test": "adaptedness", "threshold": True}]}, "threshold", True),
         ("verify", {"verify": [{"test": "adaptedness", "k_neighbors": 5.5}]}, "k_neighbors", 5.5),
         ("verify", {"verify": [{"test": "adaptedness", "threshold": None}]}, "threshold", None),
-        ("couple", {"coupling": {"constructor": "rotation_chop", "c": "0.5"}}, "c", "0.5"),
-        ("couple", {"coupling": {"constructor": "rotation_chop", "block": 2.5}}, "block", 2.5),
+        ("couple", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"c": "0.5"}}}},
+         "c", "0.5"),
+        ("couple", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 2.5}}}},
+         "block", 2.5),
         ("cost", {"cost": {"kind": "lp", "p": [2]}}, "p", [2]),
         ("cost", {"closed_form": {"probe_N": 16.5}}, "probe_N", 16.5),
     ],
@@ -557,11 +568,8 @@ def _line_after(cfg, key, text):
       "correlation", '"preset"', "constant correlation must be (1, 1), got (2, 2)"),
      ({"n_steps": 60, "coupling": {"constructor": "rotation_monge",
                                    "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}},
-      "rotation", '"preset"', "block (16) must divide n_steps (60)"),
-     # the constructor's own block is located at its field, as the preset's is at the preset
-     ({"n_steps": 60, "coupling": {"constructor": "rotation_chop", "c": 0.5, "block": 16}},
-      "coupling", '"block"', "block (16) must divide n_steps (60)")],
-    ids=["matrix-q", "const-c", "chop-block", "rotation_chop-block"],
+      "rotation", '"preset"', "block (16) must divide n_steps (60)")],
+    ids=["matrix-q", "const-c", "chop-block"],
 )
 def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsys, overrides, key, located, message):
     cfg = _write_config(tmp_path, overrides)
@@ -685,8 +693,12 @@ def test_preset_param_of_the_wrong_type_exits_2_naming_the_preset_and_its_line(t
          "block", "must be an integer, got 16.7"),
         ({"d": 2, "src": {"preset": "degenerate", "params": {"rank": 1.5}}}, "rank", "must be an integer, got 1.5"),
         ({"src": {"preset": "bm", "params": {"sigma": True}}}, "sigma", "must be a number, got True"),
+        # a number in a string, as in a section field; a string that is no number is the builder's to refuse
+        ({"src": {"preset": "bm", "params": {"sigma": "2"}}}, "sigma", "must be a number, got '2'"),
+        ({"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": "16"}}}},
+         "block", "must be a number, got '16'"),
     ],
-    ids=["chop-block-fraction", "degenerate-rank-fraction", "bm-sigma-bool"],
+    ids=["chop-block-fraction", "degenerate-rank-fraction", "bm-sigma-bool", "bm-sigma-number-str", "chop-block-str"],
 )
 def test_preset_param_that_is_no_number_of_its_kind_exits_2_at_its_line(tmp_path, capsys, overrides, field, message):
     cfg = _write_config(tmp_path, overrides)
@@ -756,6 +768,21 @@ def test_a_thread_count_below_one_exits_2_naming_the_flag(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert "--threads" in err and str(threads) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_chop_run_writes_the_bytes_of_the_library_rotation_integral(tmp_path):
+    # the chopped coupling has one path: rotation_monge of a Brownian driver by the chop schedule
+    rotation = {"preset": "chop", "params": {"c": 0.5, "block": 16}}
+    sizes = {"d": 1, "n_steps": 64, "N": 50, "seed": 9}
+    cfg = _write_config(tmp_path, {**sizes, "coupling": {"constructor": "rotation_monge", "rotation": rotation}})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
+    q, _ = chop_rotation(0.5, 64, 16)
+    pair = rotation_monge(q, sample_brownian(TimeGrid(64), 1, 50, 9))
+    pathio.write_binary(tmp_path / "library.bin", pair)
+    assert (tmp_path / "out" / "coupled.bin").read_bytes() == (tmp_path / "library.bin").read_bytes()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["constructor"] == "rotation_monge" and manifest["rotation"] == "chop(c=0.5, block=16)"
+    assert not {"requested_c", "achieved_c", "block", "duty_cycle_quantized"} & set(manifest)
 
 
 def test_a_preset_that_takes_n_steps_is_laid_out_on_the_grid_of_the_run(tmp_path):

@@ -18,7 +18,6 @@ from pathcoupling.coupling import (
     couple_sdes,
     feasibility_check,
     monge_sde,
-    rotation_chop,
     rotation_monge,
     tanaka_coupling,
 )
@@ -139,10 +138,10 @@ def test_couple_worker_count_invariance():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
 
-@pytest.mark.parametrize("constructor", ["couple_sdes", "composed_monge", "monge_sde", "tanaka_coupling", "rotation_chop"])
+@pytest.mark.parametrize("constructor", ["couple_sdes", "composed_monge", "monge_sde", "tanaka_coupling", "rotation_monge"])
 def test_constructors_are_byte_identical_across_worker_counts(constructor):
     grid, n_pairs, seed = TimeGrid(16), 37, 44
-    d = 1 if constructor in ("tanaka_coupling", "rotation_chop") else 2
+    d = 1 if constructor in ("tanaka_coupling", "rotation_monge") else 2
     src = presets.build("model", "gbm-bounded", d=d, sigma=0.5)
     dst = presets.build("model", "ou", d=d, theta=2.0, mean=0.5)
     rho, q = CoefficientField.constant("correlation", 0.3, d=d), presets.build("rotation", "rotation-by-state", d=2)
@@ -151,7 +150,7 @@ def test_constructors_are_byte_identical_across_worker_counts(constructor):
         "composed_monge": lambda w: composed_monge(src, dst, q, grid, n_pairs, seed, n_workers=w),
         "monge_sde": lambda w: monge_sde(dst.drift, dst.diffusion, q, src, grid, n_pairs, seed, n_workers=w),
         "tanaka_coupling": lambda w: tanaka_coupling(grid, n_pairs, seed, n_workers=w),
-        "rotation_chop": lambda w: rotation_chop(0.5, grid, n_pairs, seed, 4, n_workers=w),
+        "rotation_monge": lambda w: _chop(0.5, grid, n_pairs, seed, 4, n_workers=w),
     }[constructor]
     serial = build(1)
     for n_workers in (2, 4):
@@ -390,15 +389,21 @@ def test_tanaka_sign_convention_at_zero():
     assert np.array_equal(out.x[:, 1], -out.y[:, 1])
 
 
+def _chop(c, grid, n_pairs, seed, block, n_workers=1):
+    """The chopped coupling: the rotation integral of a Brownian driver by the chop schedule."""
+    q, _ = chop_rotation(c, grid.n_steps, block)
+    return rotation_monge(q, sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers))
+
+
 def test_chop_rotation_schedule_and_quantisation():
-    q, achieved, quantized = chop_rotation(0.5, 64, 16)
-    assert achieved == 0.5 and not quantized
+    q, achieved = chop_rotation(0.5, 64, 16)
+    assert achieved == 0.5
     sched = np.array([q.eval(k, 0.0, None)[0, 0] for k in range(64)])
     assert set(np.unique(sched)) == {-1.0, 1.0}
     assert sched[:16].mean() == 0.5
 
-    _, achieved, quantized = chop_rotation(0.3, 64, 16)
-    assert quantized and achieved == pytest.approx(0.25)
+    _, achieved = chop_rotation(0.3, 64, 16)  # 16 steps quantise the duty cycle
+    assert achieved == pytest.approx(0.25)
 
     with pytest.raises(DimensionError):
         chop_rotation(0.5, 60, 16)
@@ -407,24 +412,32 @@ def test_chop_rotation_schedule_and_quantisation():
 
 
 def test_a_chop_schedule_run_past_its_last_step_fails_at_that_step():
-    q, _, _ = chop_rotation(0.5, 128, 16)
+    q, _ = chop_rotation(0.5, 128, 16)
     with pytest.raises(DomainError) as err:
         rotation_monge(q, sample_brownian(TimeGrid(256), 1, 3, seed=1))
     assert err.value.step == 128
-    assert str(err.value) == ("rotation 'chop(c=0.5, block=16)': chop schedule is defined on 128 steps, "
-                              "got step 128 (at step 128)")
+    assert str(err.value) == ("rotation_monge of 'chop(c=0.5, block=16)': rotation 'chop(c=0.5, block=16)': "
+                              "chop schedule is defined on 128 steps, got step 128 (at step 128)")
+
+
+def test_a_rotation_that_stops_being_orthogonal_names_the_kernel_and_its_step():
+    half = CoefficientField("rotation", 1, lambda k, t, xp: np.array([[1.0 if k < 3 else 0.5]]), label="half")
+    with pytest.raises(DomainError) as err:
+        rotation_monge(half, sample_brownian(TimeGrid(8), 1, 4, seed=2))
+    assert err.value.step == 3
+    assert str(err.value) == "rotation_monge of 'half': rotation 'half': not orthogonal (defect 7.500e-01) (at step 3)"
 
 
 def test_rotation_chop_extremes_are_exact():
-    same = rotation_chop(1.0, TimeGrid(32), 10, seed=53, block=16)
+    same = _chop(1.0, TimeGrid(32), 10, seed=53, block=16)
     assert np.array_equal(same.y, same.x)
-    flip = rotation_chop(-1.0, TimeGrid(32), 10, seed=53, block=16)
+    flip = _chop(-1.0, TimeGrid(32), 10, seed=53, block=16)
     assert np.array_equal(flip.y, -flip.x)
 
 
 def test_rotation_chop_mimics_target_correlation():
-    out = rotation_chop(0.5, TimeGrid(256), 4000, seed=54, block=16)
-    assert out.provenance["achieved_c"] == 0.5
+    assert chop_rotation(0.5, 256, 16)[1] == 0.5
+    out = _chop(0.5, TimeGrid(256), 4000, seed=54, block=16)
     qcov = (np.diff(out.x, axis=1) * np.diff(out.y, axis=1)).sum(axis=1)
     assert abs(qcov.mean() - 0.5) < 0.02
     cov = np.cov(out.x[:, -1, 0], out.y[:, -1, 0])[0, 1]
@@ -432,8 +445,9 @@ def test_rotation_chop_mimics_target_correlation():
 
 
 def test_provenance_identifies_the_constructor():
-    out = rotation_chop(0.5, TimeGrid(32), 4, seed=55, block=8)
-    assert out.provenance["constructor"] == "rotation_chop"
+    out = _chop(0.5, TimeGrid(32), 4, seed=55, block=8)
+    assert out.provenance == {"constructor": "rotation_monge", "rotation": "chop(c=0.5, block=8)",
+                              "marginals": ["wiener(d=1)", "wiener(d=1)"], "n_pairs": 4, "n_steps": 32, "seed": 55}
     pair = couple_brownians(CoefficientField.constant("correlation", 0.2, d=1), TimeGrid(8), 3, seed=56)
     assert pair.provenance["constructor"] == "couple_brownians"
     assert pair.provenance["marginals"] == ["wiener(d=1)", "wiener(d=1)"]

@@ -1,0 +1,25 @@
+"""The README and the experiments guide name exactly what the program has."""
+
+import pathlib
+import re
+
+from pathcoupling import cli, experiments
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def _listed(text, label):
+    """The backticked names between ``label`` and the next full stop."""
+    start = text.index(label) + len(label)
+    return re.findall(r"`([^`]+)`", text[start : text.index(".", start)])
+
+
+def test_the_readme_lists_every_constructor_and_verify_test():
+    readme = (ROOT / "README.md").read_text()
+    assert _listed(readme, "Constructors:") == list(cli._COUPLINGS)
+    assert _listed(readme, "Verify tests:") == list(cli._TESTS)
+
+
+def test_the_experiments_guide_has_one_section_per_experiment():
+    headings = re.findall(r"^## (.+)$", (ROOT / "docs" / "experiments.md").read_text(), flags=re.MULTILINE)
+    assert sorted(headings) == sorted(experiments.EXPERIMENTS)

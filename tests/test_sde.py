@@ -358,6 +358,14 @@ def test_inverse_singular_diffusion_reports_step():
     assert err.value.step == 5  # t = 0.5 at step 5 of 10
 
 
+def test_a_singular_diffusion_names_the_inverse_map_and_its_model():
+    model = presets.build("model", "const-matrix", d=1, sigma=0.0)
+    with pytest.raises(SingularDiffusionError) as err:
+        inverse_ito_map(model, sample_brownian(TimeGrid(8), 1, 4, seed=3))
+    assert str(err.value) == ("inverse_ito_map of 'const-matrix(d=1,sigma=0.0,mu=0.0,z0=0.0)': "
+                              "diffusion 'const-matrix' is singular (at step 0)")
+
+
 @pytest.mark.parametrize("member", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])], ids=["zero", "rank-1"])
 def test_one_singular_path_in_a_batch_is_located_without_a_warning(member):
     def diffusion(k, t, prefix):

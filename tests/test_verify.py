@@ -263,7 +263,8 @@ def test_certificate_flags_rho_09():
 @pytest.mark.parametrize("block", [16, 64])
 def test_certificate_passes_the_chop_at_every_block(block):
     # a genuine transport whose Q switches sign every few steps
-    rep = verify.monge_certificate(coupling.rotation_chop(0.5, TimeGrid(1024), 2000, 58, block))
+    q, _ = coupling.chop_rotation(0.5, 1024, block)
+    rep = verify.monge_certificate(rotation_monge(q, sample_brownian(TimeGrid(1024), 1, 2000, seed=58)))
     assert rep.passed and rep.statistic < 1e-14
 
 
