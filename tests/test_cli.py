@@ -568,8 +568,12 @@ def _line_after(cfg, key, text):
       "correlation", '"preset"', "constant correlation must be (1, 1), got (2, 2)"),
      ({"n_steps": 60, "coupling": {"constructor": "rotation_monge",
                                    "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}},
+      "rotation", '"preset"', "block (16) must divide n_steps (60)"),
+     # the chop rotation's block is held to the run's grid under each constructor that takes a rotation
+     ({"n_steps": 60, "coupling": {"constructor": "composed_monge",
+                                   "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}},
       "rotation", '"preset"', "block (16) must divide n_steps (60)")],
-    ids=["matrix-q", "const-c", "chop-block"],
+    ids=["matrix-q", "const-c", "chop-block", "rotation_chop-block"],
 )
 def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsys, overrides, key, located, message):
     cfg = _write_config(tmp_path, overrides)
