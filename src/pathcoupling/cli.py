@@ -114,7 +114,7 @@ def _bind(cfg: Config, table, section, where: str, key: str | None = None):
     """The function ``table`` names by ``section[key]`` (``table`` itself with no ``key``), and the
     section's other fields, checked against its parameters (but those before a ``/``, and ``n_workers``)
     and cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object,
-    a list of numbers where the default holds numbers.  A size field is checked by :func:`_size`."""
+    a list of numbers where the default holds numbers; :func:`_size` checks a size, :func:`_param` an object's."""
     if not isinstance(section, dict):
         cfg.error(where, f"config needs a '{where}' object" + (f" with a '{key}' name" if key else ""))
     what, name, fn = "section", where, table
@@ -138,7 +138,25 @@ def _bind(cfg: Config, table, section, where: str, key: str | None = None):
             cfg.error(k, f"field {k!r} must be a JSON {'list' if json_type is list else 'object'}, got {value!r}", json.dumps(value))
         elif json_type is list:
             fields[k] = _numbers(cfg, k, value, defaults[k])
+        elif json_type is dict:
+            for e, v in value.items():
+                _param(cfg, e, v, defaults[k].get(e))
     return fn, fields
+
+
+def _param(cfg: Config, key, value, default):
+    """Refuse a preset's param ``value`` that is no number of its kind: a bool, a fraction for a size or a
+    number in a string, where ``key`` is a size field or ``default`` a float.  A string that is no number
+    is the builder's to refuse, at the preset."""
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return
+    if isinstance(value, (int, float, str)) and key in _LEAST:
+        _size(cfg, key, value)
+    elif isinstance(value, (int, float, str)) and type(default) is float:
+        cfg.number(key, value)
 
 
 def _numbers(cfg: Config, key, value, default):
@@ -195,19 +213,11 @@ class _Run:
             self.cfg.error("params", message, json.dumps(params), within=key)
         name, known = section["preset"], {p.name: p for p in presets.available(kind)}
         defaults = known[name].defaults if name in known else {}  # an unknown preset is named by the builder
-        for k, value in params.items():  # a bool, a fraction for a count or a number in a string is no number it takes
+        for k, value in params.items():
             if name in known and k not in defaults:
                 message = f"{kind} preset {name!r} takes no param {k!r}; it takes: {', '.join(defaults) or 'none'}"
                 self.cfg.error(k, message, within=key)
-            if isinstance(value, str):
-                try:
-                    float(value)
-                except ValueError:  # a string that is no number is the builder's to refuse, at the preset
-                    continue
-            if isinstance(value, (int, float, str)) and k in _LEAST:
-                _size(self.cfg, k, value)
-            elif isinstance(value, (int, float, str)) and type(defaults.get(k)) is float:
-                self.cfg.number(k, value)
+            _param(self.cfg, k, value, defaults.get(k))
         try:
             if "n_steps" in defaults:  # a schedule on the run's grid
                 params = {"n_steps": self.grid.n_steps, **params}

@@ -52,7 +52,8 @@ class CostSpec:
     """What to charge a coupled pair of paths.
 
     For ``kind=SEPARABLE``, ``h`` maps a batch of paths ``(N, n+1, d)``
-    to ``(N,)`` nonnegative scores and ``g`` maps nonnegative reals to
+    to ``(N,)`` nonnegative scores and must not write to it (it may be a
+    read-only broadcast of one path); ``g`` maps nonnegative reals to
     nonnegative reals and must be nondecreasing (spot-checked on a probe
     grid at construction).  For ``kind=LP_PATH`` only ``p >= 1`` is used.
     """
@@ -137,32 +138,51 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 # per-pair values, batched over the pairs of an ensemble
 
 
+class _PerPath(Exception):
+    """A drift returned per-path values on a walk one path wide."""
+
+
 def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec: CostSpec):
-    """h and g per pair from one walk over the pair's steps: each block runs both drift
-    recursions on from the last knot of the block before, adds its martingale increments
-    to the bracket and stores fv_x - fv_y, the one leg-sized array, for h."""
+    """h and g per pair from one walk over the pair's steps: each block runs both drift recursions,
+    each one path wide until its drift returns per-path values, on from the last knot of the block
+    before, adds its martingale increments to the bracket in two reused blocks and stores fv_x - fv_y."""
     models = (src, dst)
     legs = [_ensemble(e, "path", m).values for e, m in zip((pair.x_ensemble(), pair.y_ensemble()), models)]
     n_paths, _, d = legs[0].shape
     dt = pair.grid.dt
-    diff = np.empty((pair.grid.n_steps + 1, n_paths, d))
-    fvs, last, lo, bracket = None, [m.z0 for m in models], 0, 0
+    diff = np.empty((pair.grid.n_steps + 1, 1, d))
+    fvs, work, last, lo, bracket = None, None, [m.z0 for m in models], 0, 0
     for blk in time_blocks(*legs):
         steps = len(blk[0]) - 1
-        fvs = fvs or [np.empty(blk[0].shape) for _ in models]  # reused; only the last block is shorter
-        for fv, start, model, leg in zip(fvs, last, models, legs):
-            fv[0] = start
-
+        fvs = fvs or [np.empty((steps + 1, 1, d)) for _ in models]  # reused; only the last block is shorter
+        work = work or [np.empty(blk[0].shape) for _ in models]
+        for i, (start, model, leg, side) in enumerate(zip(last, models, legs, ("src", "dst"))):
             def step(k, t, prefix):  # the walk ends before model and leg move on
-                return prefix[:, -1] + _eval(model.drift, k, t, n_paths, leg[:, : k + 1]) * dt
+                b = _eval(model.drift, k, t, n_paths, leg[:, : k + 1])
+                if b.ndim == 2 and len(b) != len(prefix):
+                    raise _PerPath
+                return prefix[:, -1] + b * dt
 
-            _walk(fv[: steps + 1], dt, step, f"cost.estimate of {model.label!r}", lo)
+            def walk(fv):
+                fv[0] = start
+                _walk(fv[: steps + 1], dt, step, f"cost.estimate of {side} {model.label!r}", lo)
+
+            try:
+                walk(fvs[i])
+            except _PerPath:  # fields are pure in (k, t, prefix): the block is walked again, n_paths wide
+                fvs[i] = np.empty((len(fvs[i]), n_paths, d))
+                walk(fvs[i])
         fx, fy = (fv[: steps + 1] for fv in fvs)
+        if diff.shape[1] < max(fx.shape[1], fy.shape[1]):
+            diff = np.broadcast_to(diff, (len(diff), n_paths, d)).copy()
         np.subtract(fx, fy, out=diff[lo : lo + steps + 1])
-        dm = np.diff(np.subtract(blk[0] - fx, blk[1] - fy), axis=0)
+        mx, my = (w[: steps + 1] for w in work)
+        np.subtract(np.subtract(blk[0], fx, out=mx), np.subtract(blk[1], fy, out=my), out=mx)
+        dm = np.subtract(mx[1:], mx[:-1], out=my[:-1])
         bracket += np.einsum("kpd,kpd->p", dm, dm)
         last, lo = [fx[-1], fy[-1]], lo + steps
-    return _priced(spec, np.swapaxes(diff, 0, 1), bracket)
+    del work, mx, my, dm  # h may use a few blocks of its own
+    return _priced(spec, np.broadcast_to(np.swapaxes(diff, 0, 1), (n_paths, len(diff), d)), bracket)
 
 
 def _priced(spec: CostSpec, fv_diff, bracket):
@@ -189,9 +209,9 @@ def estimate(
     A separable cost's bracket is the realized quadratic variation of the
     difference of the martingale parts (each path less its finite-variation part
     z0 + sum_{j<k} b(j, path[0..j]) dt under its model), with the usual O(sqrt(dt)) error; an Lp
-    cost is the left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].  Beyond the pair,
-    a separable cost stores one leg-sized array, the difference of the finite-variation parts
-    that ``h`` receives, and a few blocks of steps.
+    cost is the left-endpoint Riemann sum of ``|x_t - y_t|^p`` over [0, 1].  Beyond the pair, a separable
+    cost holds a few blocks of steps and the finite-variation difference ``h`` receives read-only: one path
+    broadcast while both drifts return shared values, else one leg-sized array.  Failures name the side.
     """
     if spec.kind == SEPARABLE:
         if src is None or dst is None:

@@ -742,6 +742,18 @@ def test_preset_value_of_the_wrong_type_outside_a_run_config_exits_2_naming_the_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value, shown", [("2", "'2'"), (True, "True")], ids=["number-str", "bool"])
+def test_a_preset_param_that_is_no_number_in_an_experiment_exits_2_at_its_line(tmp_path, capsys, value, shown):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "synchronous-1d-optimality", "N": 10, "n_steps": 8,
+                               "src_params": {"mean": 0.0, "theta": value}}, indent=2))
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"theta"' in text)
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"field 'theta' must be a number, got {shown}" in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["experiment", "simulate"])
 def test_a_d_among_preset_params_outside_a_run_config_exits_2_naming_it(tmp_path, capsys, command):
     cfg = tmp_path / "bad.json"

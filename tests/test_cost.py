@@ -218,6 +218,63 @@ def test_separable_estimate_stores_no_martingale_part():
         assert peak <= legs[0].nbytes + 8 * sde._BLOCK_BYTES, (h, peak / legs[0].nbytes)
 
 
+def _half_shared(d, n):
+    """A model whose drift is shared for k < n/2 and per path afterwards."""
+    def drift(k, t, prefix):
+        return np.full(d, 0.3) if k < n // 2 else -1.5 * prefix[:, -1]
+
+    return sde.SdeModel(z0=np.ones(d), drift=CoefficientField("drift", d, drift, label="half-shared"),
+                        diffusion=CoefficientField.constant("diffusion", 1.0, d))
+
+
+@pytest.mark.parametrize("block_bytes", [sde._BLOCK_BYTES, 256, 8 * 300 * 2 * 7])
+@pytest.mark.parametrize("d", [1, 2])
+def test_separable_values_of_a_drift_that_turns_per_path_have_the_bytes_of_the_full_decomposition(d, block_bytes):
+    # the source's recursion is one path wide until step 48 and widens there, mid-block but at one step
+    # a block (256); the target's stays one path wide throughout
+    src, dst = _half_shared(d, 96), presets.build("model", "bm", d=d, sigma=0.7)
+    pair = couple_sdes(src, dst, CoefficientField.constant("correlation", 0.5, d), TimeGrid(96), 300, seed=14)
+    for h, g in (("sup", "identity"), ("l2", "sqrt")):
+        spec = _sep(presets.build("h", h, d=d), presets.build("g", g, d=d))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_BLOCK_BYTES", block_bytes)
+            want = _separable_oracle(pair, src, dst, spec)
+            got = cost._separable_values(pair, src, dst, spec)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_separable_estimate_of_path_free_drifts_stores_no_leg():
+    n_pairs, n = 2000, 1024
+    legs = np.cumsum(np.random.default_rng(16).standard_normal((2, n + 1, n_pairs, 1)), axis=1) * np.sqrt(1.0 / n)
+    pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
+    for h in ("zero", "sup", "l2"):
+        tracemalloc.start()
+        try:
+            cost.estimate(pair, _sep(presets.build("h", h, d=1)), _bm(2.0), _bm(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # two reused blocks for the martingale increments, then h's own blocks over a broadcast view
+        # of the one-path-wide fv_x - fv_y; one leg (16 MB) alone would exceed the bound
+        assert peak < 4 * sde._BLOCK_BYTES < legs[0].nbytes, (h, peak / sde._BLOCK_BYTES)
+
+
+@pytest.mark.parametrize("shape", ["expr", "shared"])
+def test_an_overflow_in_the_target_drift_is_located_at_its_step_and_side(shape):
+    # exp(1400 t) overflows first at t = 33/64, the first grid time past 0.5; the expr preset returns
+    # its value per path, so that walk is n_paths wide, the shared field's one path wide
+    dst = presets.build("model", "expr", d=1, mu_expr="exp(1400 * t)")
+    if shape == "shared":
+        drift = CoefficientField("drift", 1, lambda k, t, prefix: np.exp(np.full(1, 1400.0 * t)), label="exp")
+        dst = sde.SdeModel(z0=np.zeros(1), drift=drift, diffusion=dst.diffusion, label=dst.label)
+    model = _bm(1.0)
+    pair = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(64), 8, seed=3)
+    with pytest.raises(DomainError) as err:
+        cost.estimate(pair, _sep(), model, dst)
+    assert err.value.step == 33
+    assert str(err.value).startswith(f"cost.estimate of dst {dst.label!r}: drift ") and "overflow" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # closed-form optimum
 
