@@ -273,10 +273,10 @@ def closed_form_optimal(
     bracket = np.zeros(n_paths)
     fv_x = np.empty((n + 1, n_paths, d))
     fv_x[0] = src.z0
-    fv_y = np.empty((n + 1, d))
+    fv_y = np.empty((n + 1, 1, d))
     fv_y[0] = dst.z0
 
-    def step(k, t, fv):
+    def dst_step(k, t, fv):  # the target's fields, read on the source's paths
         prefix = x[:, : k + 1]
         sbar = _eval(dst.diffusion, k, t, n_paths, prefix)
         if sbar.ndim == 3:
@@ -285,19 +285,23 @@ def closed_form_optimal(
         if bbar.ndim == 2:
             bbar = _require_deterministic(bbar, "dst drift")
         sbars[k] = sbar
+        return fv[:, -1] + bbar * dt
+
+    def step(k, t, fv):
+        prefix, sbar = x[:, : k + 1], sbars[k]
         b = _eval(src.drift, k, t, n_paths, prefix)
-        fv_y[k + 1] = fv_y[k] + bbar * dt
         sig = _eval(src.diffusion, k, t, n_paths, prefix)
         cross = cross_of(np.swapaxes(sig, -1, -2) @ sbar)
         tr_src = np.einsum("...ij,...ij->...", sig, sig)
         bracket[:] += (tr_src + float(np.einsum("ij,ij->", sbar, sbar)) - 2.0 * cross) * dt
         return fv[:, -1] + b * dt
 
-    fv_x = _walk(fv_x, dt, step, f"closed_form_optimal of {src.label!r}")
+    fv_y = _walk(fv_y, dt, dst_step, f"closed_form_optimal of dst {dst.label!r}")
+    fv_x = _walk(fv_x, dt, step, f"closed_form_optimal of src {src.label!r}")
     # the integrand is nonnegative analytically; clip rounding residue so
     # g (e.g. sqrt) never sees a negative bracket
     bracket = np.maximum(bracket, 0.0)
-    value = _from_values(_priced(spec, fv_x - fv_y[None], bracket), f"closed-form({spec.label})")
+    value = _from_values(_priced(spec, fv_x - fv_y, bracket), f"closed-form({spec.label})")
     rotation_of = ValueMemo(lambda a: trace_max_rotation(a)[0])
 
     def q_fn(k, t, x_prefix):

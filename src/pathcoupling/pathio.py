@@ -1,25 +1,30 @@
 """Serialization: columnar CSV, compact binary, and JSON reports.
 
-CSV carries one row per (path, step) with columns
-``path_id, step, t, x_1..x_d`` (plus ``y_1..y_d`` for coupled data) and
-round-trips values exactly via %.17g; its bytes are ``np.savetxt``'s on
-POSIX, formatted from one row template per path a block of rows at a time.
-A file already in (path_id, step) order is read without a sort, and a
-missing or repeated row, or a ``t`` that is not the grid's time of its
-step, is a ConfigError.  The binary format is the magic ``PCPL1``, a
-little-endian header ``<IIQQ`` of (d, n_steps, N, seed), then the path
-block(s) as little-endian float64; one block is a plain ensemble, two
-blocks are the x and y legs of a coupled ensemble.  ``write_binary``
-returns the sha256 of the bytes it wrote, and ``read_binary`` can refuse
-a file whose bytes do not match one.  Both readers hand their legs to the
-ensemble constructors, which lay them out time-major as they do every
-ensemble (see :mod:`pathcoupling.sde`), so a statistic of a read-back
-ensemble has the same bytes as one of the ensemble built afresh.
+CSV carries one row per (path, step) with columns ``path_id, step, t,
+x_1..x_d`` (plus ``y_1..y_d`` for coupled data) and round-trips values
+exactly via %.17g; its bytes are ``np.savetxt``'s on POSIX.  The binary
+format is the magic ``PCPL1``, a little-endian header ``<IIQQ`` of (d,
+n_steps, N, seed), then one leg (a plain ensemble) or the x and y legs of
+a coupled ensemble as little-endian float64.  ``write_binary`` returns
+the sha256 of its bytes, and ``read_binary`` can refuse a file whose
+bytes do not match one.
+
+Each reader and writer holds the ensemble and one block of paths, never a
+second full-size copy.  The writers format or copy a block of paths at a
+time.  ``read_binary`` hashes a block and copies it into time-major
+storage, laid out as the constructors lay out every ensemble (see
+:mod:`pathcoupling.sde`); ``read_csv`` parses a file in (path_id, step)
+order into it a block of whole paths at a time.  Any other CSV, out of
+order or at fault, is read as one whole table and sorted; a missing or
+repeated row, or a ``t`` that is not its step's grid time, is a
+ConfigError.  A statistic of a read-back ensemble has the same bytes as
+one of the ensemble built afresh.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import struct
@@ -33,7 +38,8 @@ from .verify import TestReport
 
 MAGIC = b"PCPL1"
 _HEADER = struct.Struct("<IIQQ")
-_CSV_BLOCK_ROWS = 4096  # rows formatted by one % operation in write_csv
+_BLOCK_ROWS = 4096  # CSV rows formatted by one % operation, or parsed by one loadtxt, at least a path
+_BLOCK_BYTES = 1 << 18  # binary bytes of a leg written or read as one block of whole paths
 
 
 def _parts(obj):
@@ -57,7 +63,7 @@ def write_csv(path, obj) -> None:
     # one row template per path: path_id, step and t are literal text, only the values stay open
     values = ",%.17g" * (len(blocks) * d)
     rows = [f",{k},{'%.17g' % t}{values}" for k, t in enumerate(grid.times)]
-    per_block = max(1, _CSV_BLOCK_ROWS // n_rows)
+    per_block = max(1, _BLOCK_ROWS // n_rows)
     buf = np.empty((min(per_block, n_paths), n_rows, len(blocks) * d))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
@@ -84,7 +90,49 @@ def read_csv(path):
     if not has_rows:
         raise ConfigError(f"{path}: no rows after the header")
     d = sum(1 for name in header if name.startswith("x_"))
-    coupled = any(name.startswith("y_") for name in header)
+    n_legs = 1 + any(name.startswith("y_") for name in header)
+    legs = _in_order_legs(path, d, n_legs) or _sorted_legs(path, d, n_legs)
+    grid = TimeGrid(legs[0].shape[1] - 1)
+    if n_legs == 1:
+        return PathEnsemble(grid=grid, values=legs[0], seed=0)
+    return CoupledEnsemble(grid=grid, x=legs[0], y=legs[1], seed=0)
+
+
+def _in_order_legs(path, d, n_legs):
+    """The legs of a CSV whose rows all come in (path_id, step) order on the grid, parsed a block
+    of whole paths at a time into time-major storage; None for any other file."""
+    n_cols = 3 + n_legs * d
+    try:
+        with open(path, "rb") as fh:  # N and n+1 from the last row
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(0, size - (1 << 16)))
+            n_paths, n_rows = (int(key) + 1 for key in fh.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")[:2])
+        if not (n_paths > 0 and n_rows > 1 and 2 * n_cols * n_paths * n_rows <= size):  # 2 bytes a column
+            return None
+        per = max(1, _BLOCK_ROWS // n_rows)
+        ids, steps = np.divmod(np.arange(per * n_rows), n_rows)
+        keys = np.column_stack((ids, steps, TimeGrid(n_rows - 1).times[steps]))  # path_id - p0, step, t
+        legs = np.empty((n_legs, n_rows, n_paths, d))
+        with open(path) as fh:
+            fh.readline()
+            for p0 in range(0, n_paths, per):
+                first, m = fh.readline(), min(per, n_paths - p0)
+                if not first.strip():  # the file ended, or loadtxt could find no row (and warn)
+                    return None
+                rows = np.loadtxt(itertools.chain((first,), itertools.islice(fh, m * n_rows - 1)),
+                                  delimiter=",", comments=None, ndmin=2)
+                if rows.shape != (m * n_rows, n_cols) or np.any(rows[:, :3] - (p0, 0, 0) != keys[: len(rows)]):
+                    return None
+                legs[:, :, p0 : p0 + m] = rows[:, 3:].reshape(m, n_rows, n_legs, d).transpose(2, 1, 0, 3)
+            if any(line.strip() for line in fh):  # an extra row
+                return None
+    except ValueError:  # a row loadtxt cannot parse, bytes that are not text
+        return None
+    return list(np.swapaxes(legs, 1, 2))
+
+
+def _sorted_legs(path, d, n_legs):
+    """The legs of any ensemble CSV, from its whole table; every fault is a ConfigError."""
     try:
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as err:
@@ -94,28 +142,19 @@ def read_csv(path):
     n_paths, n_rows = (int(top) + 1 for top in table[:, :2].max(axis=0))
     if n_paths * n_rows != table.shape[0]:
         raise ConfigError(f"{path}: ragged ensemble CSV: {table.shape[0]} rows for {n_paths} paths, {n_rows} steps+1")
-
-    def misplaced(rows):  # the indices p * n_rows + k of the rows not keyed (path_id p, step k)
-        ids, steps = (rows[:, j].reshape(n_paths, n_rows) for j in (0, 1))
-        return np.flatnonzero((ids != np.arange(n_paths)[:, None]) | (steps != np.arange(n_rows)))
-
-    if misplaced(table).size:  # only a file out of order pays for the sort
-        table = table[np.lexsort((table[:, 1], table[:, 0]))]
-        bad = misplaced(table)
-        if bad.size:
-            p, k = divmod(int(bad[0]), n_rows)
-            raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated")
-    grid = TimeGrid(n_rows - 1)
-    bad = np.flatnonzero(table[:, 2].reshape(n_paths, n_rows) != grid.times)  # %.17g reads back exactly
+    table = table[np.lexsort((table[:, 1], table[:, 0]))]  # stable: rows in order stay as they are
+    ids, steps = (table[:, j].reshape(n_paths, n_rows) for j in (0, 1))
+    bad = np.flatnonzero((ids != np.arange(n_paths)[:, None]) | (steps != np.arange(n_rows)))
+    if bad.size:  # the first p * n_rows + k whose row is not keyed (path_id p, step k)
+        p, k = divmod(int(bad[0]), n_rows)
+        raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated")
+    times = TimeGrid(n_rows - 1).times
+    bad = np.flatnonzero(table[:, 2].reshape(n_paths, n_rows) != times)  # %.17g reads back exactly
     if bad.size:
         p, k = divmod(int(bad[0]), n_rows)
-        t, expected = float(table[bad[0], 2]), float(grid.times[k])
+        t, expected = float(table[bad[0], 2]), float(times[k])
         raise ConfigError(f"{path}: the row for path_id {p}, step {k} has t {t!r}, not {expected!r}")
-    x = table[:, 3 : 3 + d].reshape(n_paths, n_rows, d)
-    if not coupled:
-        return PathEnsemble(grid=grid, values=x, seed=0)
-    y = table[:, 3 + d : 3 + 2 * d].reshape(n_paths, n_rows, d)
-    return CoupledEnsemble(grid=grid, x=x, y=y, seed=0)
+    return [table[:, 3 + i * d : 3 + (i + 1) * d].reshape(n_paths, n_rows, d) for i in range(n_legs)]
 
 
 # ---------------------------------------------------------------------------
@@ -125,11 +164,12 @@ def read_csv(path):
 def write_binary(path, obj) -> str:
     """Write ``obj`` in the binary format; the sha256 hex digest of the bytes written."""
     grid, blocks, seed = _parts(obj)
-    n_paths, _, d = blocks[0].shape
+    n_paths, n_rows, d = blocks[0].shape
+    per = max(1, _BLOCK_BYTES // max(1, 8 * n_rows * d))
+    body = (np.ascontiguousarray(leg[p0 : p0 + per], dtype="<f8").data for leg in blocks for p0 in range(0, n_paths, per))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for chunk in (MAGIC, _HEADER.pack(d, grid.n_steps, n_paths, seed),
-                      *(np.ascontiguousarray(blk, dtype="<f8").data for blk in blocks)):
+        for chunk in itertools.chain((MAGIC, _HEADER.pack(d, grid.n_steps, n_paths, seed)), body):
             fh.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()
@@ -154,14 +194,18 @@ def read_binary(path, sha256: str | None = None):
         block = n_paths * (n_steps + 1) * d * 8
         if block == 0 or size not in (block, 2 * block):
             raise ConfigError(f"{path}: payload of {size} bytes does not hold 1 or 2 blocks of {block}")
-        grid, legs = TimeGrid(n_steps), []
-        for _ in range(size // block):  # a leg at a time, so the file's bytes are never held whole
-            buf = np.empty((n_paths, n_steps + 1, d), dtype="<f8")
-            if fh.readinto(buf.data) != block:
-                raise ConfigError(f"{path}: truncated while it was read")
-            if sha256 is not None:
-                digest.update(buf.data)
-            legs.append(PathEnsemble(grid=grid, values=buf, seed=int(seed)))
+        per = max(1, _BLOCK_BYTES // (8 * (n_steps + 1) * d))
+        grid, legs, buf = TimeGrid(n_steps), [], np.empty((min(per, n_paths), n_steps + 1, d), dtype="<f8")
+        for _ in range(size // block):  # a leg at a time, a block of its paths at a time
+            leg = np.empty((n_steps + 1, n_paths, d))  # time-major, as the constructors store it
+            for p0 in range(0, n_paths, per):
+                part = buf[: n_paths - p0]
+                if fh.readinto(part.data) != part.nbytes:
+                    raise ConfigError(f"{path}: truncated while it was read")
+                if sha256 is not None:
+                    digest.update(part.data)
+                leg[:, p0 : p0 + len(part)] = part.swapaxes(0, 1)
+            legs.append(PathEnsemble(grid=grid, values=leg.swapaxes(0, 1), seed=int(seed)))
     if sha256 is not None and digest.hexdigest() != sha256:
         raise ConfigError(f"{path}: contents do not match sha256 {sha256}")
     if len(legs) == 1:

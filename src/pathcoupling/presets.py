@@ -215,17 +215,17 @@ def _expr_model(d, sigma_expr="1", mu_expr="0", z0=0.0):
     sig_fn = _compile_expr(str(sigma_expr), d)
     mu_fn = _compile_expr(str(mu_expr), d)
 
+    # an expression that reads no x evaluates to one number: a value shared by every path
     def drift(k, t, prefix):
-        x = prefix[:, -1]
-        val = np.asarray(mu_fn(t, x), dtype=float)
-        out = np.zeros((x.shape[0], d))
+        val = np.asarray(mu_fn(t, prefix[:, -1]), dtype=float)
+        out = np.zeros((len(prefix), d) if val.ndim else d)
         out[:] = val.reshape(-1, 1) if val.ndim == 1 else val
         return out
 
     def diffusion(k, t, prefix):
-        x = prefix[:, -1]
-        val = np.asarray(sig_fn(t, x), dtype=float)
-        return _diagonal(val.reshape(-1, 1) if val.ndim == 1 else val, x.shape[0], d)
+        val = np.asarray(sig_fn(t, prefix[:, -1]), dtype=float)
+        vol = _diagonal(val.reshape(-1, 1) if val.ndim == 1 else val, len(prefix) if val.ndim else 1, d)
+        return vol if val.ndim else vol[0]
 
     return SdeModel(
         z0=np.full(d, float(z0)),

@@ -161,9 +161,17 @@ class CovariationReport:
 
 
 def pair_covariation(x, y) -> np.ndarray:
-    """Per-pair realized covariation sum_k dX_k dY_k^T of (N, n+1, d) legs: (N, d, d)."""
-    sums = (np.einsum("npi,npj->npij", np.diff(bx, axis=0), np.diff(by, axis=0)) for bx, by in time_blocks(x, y))
-    return sum(map(lambda s: s.sum(axis=0), sums))  # holds no block while forming the next
+    """Per-pair realized covariation sum_k dX_k dY_k^T of (N, n+1, d) legs: (N, d, d), summed over the
+    steps of a block in step order, then over the blocks."""
+    n_pairs, _, d = x.shape
+    total, work = np.zeros((n_pairs, d, d)), None
+    for bx, by in time_blocks(x, y):
+        work = np.empty_like(by[1:]) if work is None else work  # reused; only the last block is shorter
+        for i in range(d):  # row i of dX dY^T: a block of one leg's size, not d times that
+            prod = np.subtract(by[1:], by[:-1], out=work[: len(by) - 1])
+            prod *= np.subtract(bx[1:, :, i : i + 1], bx[:-1, :, i : i + 1])
+            total[:, i] += prod.sum(axis=0)
+    return total
 
 
 def realized_covariation(ensemble: CoupledEnsemble) -> CovariationReport:

@@ -262,8 +262,8 @@ def test_separable_estimate_of_path_free_drifts_stores_no_leg():
 @pytest.mark.parametrize("shape", ["expr", "shared"])
 def test_an_overflow_in_the_target_drift_is_located_at_its_step_and_side(shape):
     # exp(1400 t) overflows first at t = 33/64, the first grid time past 0.5; the expr preset returns
-    # its value per path, so that walk is n_paths wide, the shared field's one path wide
-    dst = presets.build("model", "expr", d=1, mu_expr="exp(1400 * t)")
+    # an expression that reads x per path, so that walk is n_paths wide, the shared field's one path wide
+    dst = presets.build("model", "expr", d=1, mu_expr="exp(1400 * t) + 0 * x")
     if shape == "shared":
         drift = CoefficientField("drift", 1, lambda k, t, prefix: np.exp(np.full(1, 1400.0 * t)), label="exp")
         dst = sde.SdeModel(z0=np.zeros(1), drift=drift, diffusion=dst.diffusion, label=dst.label)
@@ -287,6 +287,21 @@ def test_closed_form_d1_sigma_2_vs_1():
     # power-of-two grid
     assert value.mean == 1.0 and value.stderr == 0.0
     assert np.allclose(q_star.eval(0, 0.0, probe.values[:, :1]), [[1.0]])
+
+
+@pytest.mark.parametrize("side", ["src", "dst"])
+def test_a_failure_in_a_closed_form_field_names_its_side(side):
+    # the target's fields are read on the source's probe paths; each failure names its own model
+    models = {"src": presets.build("model", "expr", d=1, mu_expr="0"),
+              "dst": presets.build("model", "expr", d=1, mu_expr="exp(1400*t)")}
+    if side == "src":
+        models = {"src": models["dst"], "dst": models["src"]}
+    probe = sample_brownian(TimeGrid(64), 1, 8, seed=3)
+    with pytest.raises(DomainError) as err:
+        cost.closed_form_optimal(models["src"], models["dst"], _sep(), probe)
+    assert err.value.step == 33
+    assert str(err.value) == (f"closed_form_optimal of {side} {models[side].label!r}: drift 'expr(exp(1400*t))': "
+                              "floating-point overflow encountered in exp (at step 33)")
 
 
 def test_closed_form_d1_attained_by_synchronous_coupling():

@@ -98,6 +98,27 @@ def test_csv_with_a_t_off_the_grid_is_a_config_error_naming_its_row(tmp_path):
         pathio.read_csv(f)
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda rows: rows[:-1] + [rows[-1][: rows[-1].rindex(",")]], "the number of columns changed from 5 to 4 at row 10"),
+        (lambda rows: rows + [rows[-1]], "ragged ensemble CSV: 11 rows for 2 paths, 5 steps+1"),
+        (lambda rows: rows[:7] + [rows[7].replace(",2,0.5,", ",2,7.5,", 1)] + rows[8:],
+         "the row for path_id 1, step 2 has t 7.5, not 0.5"),
+    ],
+    ids=["last-row-cut-short", "extra-last-row", "middle-t-off-the-grid"],
+)
+def test_an_in_order_csv_with_a_fault_gives_the_config_error_of_a_shuffled_one(tmp_path, edit, message):
+    # N=2, n=4: the rows keep (path_id, step) order around the fault, so the block parse starts on
+    # the file; it must leave it to the whole-table read, which raises the same error for any order
+    f = tmp_path / "pair.csv"
+    pathio.write_csv(f, couple_brownians(CoefficientField.constant("correlation", 0.5, 1), TimeGrid(4), 2, seed=3))
+    _rewrite_rows(f, edit)
+    with pytest.raises(ConfigError) as err:
+        pathio.read_csv(f)
+    assert str(err.value).startswith(f"{f}: {message}")
+
+
 def test_csv_reads_shuffled_rows_back_in_order(tmp_path):
     ens = _coupled()
     f, g = tmp_path / "pair.csv", tmp_path / "again.csv"
@@ -179,22 +200,41 @@ def test_csv_binary_and_built_pairs_give_the_same_statistics_to_the_last_bit(tmp
     assert numbers(pathio.read_binary(tmp_path / "pair.bin")) == want
 
 
-def test_csv_write_and_in_order_read_allocate_no_full_size_table(tmp_path):
-    # the (64·2049, 7) float table alone is 7.3 MB; the parser's own table stays
+def _long_pair():  # the cli-long-horizon size: 64 pairs of 2049 knots in d = 2, 2 MiB a leg
     rng = np.random.default_rng(4)
-    pair = CoupledEnsemble(
-        grid=TimeGrid(2048), x=rng.standard_normal((64, 2049, 2)), y=rng.standard_normal((64, 2049, 2)), seed=4
-    )
-    f = tmp_path / "pair.csv"
+    legs = rng.standard_normal((2, 64, 2049, 2))
+    return CoupledEnsemble(grid=TimeGrid(2048), x=legs[0], y=legs[1], seed=4)
+
+
+def _traced_peaks(*calls):
     peaks = []
-    for call in (lambda: pathio.write_csv(f, pair), lambda: pathio.read_csv(f)):
+    for call in calls:
         tracemalloc.start()
         try:
             call()
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[0] < 2 * 2**20 and peaks[1] < 12 * 2**20
+    return peaks
+
+
+def test_csv_write_and_in_order_read_allocate_no_full_size_table(tmp_path):
+    # an in-order read holds the two legs it returns (4 MiB) and one path of parsed rows; the
+    # (64·2049, 7) float table alone is 7.3 MB
+    pair = _long_pair()
+    f = tmp_path / "pair.csv"
+    peaks = _traced_peaks(lambda: pathio.write_csv(f, pair), lambda: pathio.read_csv(f))
+    assert peaks[0] < 2 * 2**20 and peaks[1] < 5 * 2**20, peaks
+
+
+def test_binary_write_and_checked_read_hold_no_second_copy_of_a_leg(tmp_path):
+    # a write holds one block of paths, not a contiguous copy of a leg (2 MiB); a read holds the
+    # two legs it returns and one block, not a path-major leg beside its time-major copy
+    pair = _long_pair()
+    f = tmp_path / "pair.bin"
+    digest = pathio.write_binary(f, pair)
+    peaks = _traced_peaks(lambda: pathio.write_binary(f, pair), lambda: pathio.read_binary(f, sha256=digest))
+    assert peaks[0] < 2**20 and peaks[1] < 5 * 2**20, peaks
 
 
 def test_binary_round_trip_plain(tmp_path):

@@ -96,6 +96,18 @@ def test_expr_model_evaluates_safely():
     assert np.isfinite(out.values).all()
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_an_expr_model_that_reads_no_x_is_shared_and_walks_as_bm_does(d):
+    # one value for every path: kernels walk it one path wide and memoise it, as they do a constant
+    model = presets.build("model", "expr", d=d, sigma_expr="2", mu_expr="0")
+    prefix = np.zeros((5, 1, d))
+    assert model.drift.eval(0, 0.0, prefix).shape == (d,)
+    assert model.diffusion.eval(0, 0.0, prefix).shape == (d, d)
+    driver = sample_brownian(TimeGrid(64), d, 50, seed=3)
+    bm = presets.build("model", "bm", d=d, sigma=2.0)
+    assert ito_map(model, driver).values.tobytes() == ito_map(bm, driver).values.tobytes()
+
+
 def test_rotation_presets_are_orthogonal():
     prefix = np.array([[[0.3, -1.2]], [[0.0, 0.5]]])
     for name, kwargs in (

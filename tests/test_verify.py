@@ -353,6 +353,21 @@ def test_realized_covariation_memory_does_not_grow_with_n():
     assert peaks[1] <= peaks[0] + 2**16, peaks
 
 
+def test_realized_covariation_holds_one_block_beside_the_pair():
+    # 64 pairs of 2049 knots in d = 2 (the cli-long-horizon size): one block of steps is a whole
+    # 2 MiB leg, and the (steps, N, d, d) outer products of a block alone would be 4 MiB
+    rng = np.random.default_rng(9)
+    legs = rng.standard_normal((2, 64, 2049, 2))
+    pair = CoupledEnsemble(grid=TimeGrid(2048), x=legs[0], y=legs[1], seed=0)
+    tracemalloc.start()
+    try:
+        verify.realized_covariation(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, peak
+
+
 # ---------------------------------------------------------------------------
 # adaptedness probe
 
