@@ -250,6 +250,7 @@ def rotation_chop_density(c=0.5, block=16, N=4000, seed=33, n_list=(256, 1024, 4
         cov_budget = 3.0 * float(np.std(prods, ddof=1) / math.sqrt(N))
     return {
         "c": c,
+        "achieved": target,
         "block": block,
         "N": N,
         "n_list": list(n_list),

@@ -13,12 +13,10 @@ Each reader and writer holds the ensemble and one block of paths, never a
 second full-size copy.  The writers format or copy a block of paths at a
 time.  ``read_binary`` hashes a block and copies it into time-major
 storage, laid out as the constructors lay out every ensemble (see
-:mod:`pathcoupling.sde`); ``read_csv`` parses a file in (path_id, step)
-order into it a block of whole paths at a time.  Any other CSV, out of
-order or at fault, is read as one whole table and sorted; a missing or
-repeated row, or a ``t`` that is not its step's grid time, is a
-ConfigError.  A statistic of a read-back ensemble has the same bytes as
-one of the ensemble built afresh.
+:mod:`pathcoupling.sde`); ``read_csv`` parses one block of whole paths
+at a time into it, in one pass that takes the rows in (path_id, step)
+order and stops at the first row out of place.  A statistic of a
+read-back ensemble has the same bytes as one of the ensemble built afresh.
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import hashlib
 import itertools
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -54,19 +53,20 @@ def _parts(obj):
 # CSV
 
 
+def _csv_header(d, n_legs):
+    return ["path_id", "step", "t"] + [f"{v}_{i + 1}" for v in "xy"[:n_legs] for i in range(d)]
+
+
 def write_csv(path, obj) -> None:
     grid, blocks, _ = _parts(obj)
     n_paths, n_rows, d = blocks[0].shape
-    header = ["path_id", "step", "t"] + [f"x_{i + 1}" for i in range(d)]
-    if len(blocks) == 2:
-        header += [f"y_{i + 1}" for i in range(d)]
     # one row template per path: path_id, step and t are literal text, only the values stay open
     values = ",%.17g" * (len(blocks) * d)
     rows = [f",{k},{'%.17g' % t}{values}" for k, t in enumerate(grid.times)]
     per_block = max(1, _BLOCK_ROWS // n_rows)
     buf = np.empty((min(per_block, n_paths), n_rows, len(blocks) * d))
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(",".join(_csv_header(d, len(blocks))) + "\n")
         for p0 in range(0, n_paths, per_block):
             part = buf[: n_paths - p0]
             for b, blk in enumerate(blocks):
@@ -78,83 +78,62 @@ def write_csv(path, obj) -> None:
 def read_csv(path):
     """Read back an ensemble written by :func:`write_csv`.
 
-    Rows may come in any order, but each (path_id, step) of the grid must
-    appear exactly once, with its step's grid time as ``t``. CSV carries no
-    seed, so the result reports seed 0.
+    The file must be as ``write_csv`` writes it: its header, then one row
+    for each (path_id, step) of the grid in that order, with its step's
+    grid time as ``t``. The first fault, in file order, is a ConfigError
+    naming the file and the row. CSV carries no seed, so the result
+    reports seed 0.
     """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        has_rows = any(line.strip() for line in fh)
-    if header[:3] != ["path_id", "step", "t"]:
-        raise ConfigError(f"{path}: not an ensemble CSV: header starts with {header[:3]}")
-    if not has_rows:
+    with open(path, "rb") as fh:  # the header, and N and n+1 from the last row
+        header = fh.readline().decode(errors="replace").strip().split(",")
+        start, size = fh.tell(), fh.seek(0, os.SEEK_END)
+        fh.seek(max(start, size - (1 << 16)))
+        last = fh.read().strip().rsplit(b"\n", 1)[-1]
+    n_legs = 1 + ("y_1" in header)
+    d = (len(header) - 3) // n_legs
+    if d < 1 or header != _csv_header(d, n_legs):
+        raise ConfigError(f"{path}: not an ensemble CSV: header {','.join(header)!r} is not path_id,step,t,x_1..x_d[,y_1..y_d]")
+    if not last:
         raise ConfigError(f"{path}: no rows after the header")
-    d = sum(1 for name in header if name.startswith("x_"))
-    n_legs = 1 + any(name.startswith("y_") for name in header)
-    legs = _in_order_legs(path, d, n_legs) or _sorted_legs(path, d, n_legs)
-    grid = TimeGrid(legs[0].shape[1] - 1)
-    if n_legs == 1:
-        return PathEnsemble(grid=grid, values=legs[0], seed=0)
-    return CoupledEnsemble(grid=grid, x=legs[0], y=legs[1], seed=0)
-
-
-def _in_order_legs(path, d, n_legs):
-    """The legs of a CSV whose rows all come in (path_id, step) order on the grid, parsed a block
-    of whole paths at a time into time-major storage; None for any other file."""
+    top = re.match(rb"(\d+),(\d+),", last)  # N - 1 and n
+    n_paths, n_rows = (int(key) + 1 for key in top.groups()) if top else (0, 0)
     n_cols = 3 + n_legs * d
-    try:
-        with open(path, "rb") as fh:  # N and n+1 from the last row
-            size = fh.seek(0, os.SEEK_END)
-            fh.seek(max(0, size - (1 << 16)))
-            n_paths, n_rows = (int(key) + 1 for key in fh.read().rstrip().rsplit(b"\n", 1)[-1].split(b",")[:2])
-        if not (n_paths > 0 and n_rows > 1 and 2 * n_cols * n_paths * n_rows <= size):  # 2 bytes a column
-            return None
-        per = max(1, _BLOCK_ROWS // n_rows)
-        ids, steps = np.divmod(np.arange(per * n_rows), n_rows)
-        keys = np.column_stack((ids, steps, TimeGrid(n_rows - 1).times[steps]))  # path_id - p0, step, t
-        legs = np.empty((n_legs, n_rows, n_paths, d))
-        with open(path) as fh:
-            fh.readline()
-            for p0 in range(0, n_paths, per):
-                first, m = fh.readline(), min(per, n_paths - p0)
-                if not first.strip():  # the file ended, or loadtxt could find no row (and warn)
-                    return None
-                rows = np.loadtxt(itertools.chain((first,), itertools.islice(fh, m * n_rows - 1)),
-                                  delimiter=",", comments=None, ndmin=2)
-                if rows.shape != (m * n_rows, n_cols) or np.any(rows[:, :3] - (p0, 0, 0) != keys[: len(rows)]):
-                    return None
-                legs[:, :, p0 : p0 + m] = rows[:, 3:].reshape(m, n_rows, n_legs, d).transpose(2, 1, 0, 3)
-            if any(line.strip() for line in fh):  # an extra row
-                return None
-    except ValueError:  # a row loadtxt cannot parse, bytes that are not text
-        return None
-    return list(np.swapaxes(legs, 1, 2))
-
-
-def _sorted_legs(path, d, n_legs):
-    """The legs of any ensemble CSV, from its whole table; every fault is a ConfigError."""
-    try:
-        table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except ValueError as err:
-        raise ConfigError(f"{path}: {err}") from None
-    if not np.all((table[:, :2] >= 0) & (table[:, :2] < np.iinfo(np.int32).max)):
-        raise ConfigError(f"{path}: path_id and step must be non-negative integers")
-    n_paths, n_rows = (int(top) + 1 for top in table[:, :2].max(axis=0))
-    if n_paths * n_rows != table.shape[0]:
-        raise ConfigError(f"{path}: ragged ensemble CSV: {table.shape[0]} rows for {n_paths} paths, {n_rows} steps+1")
-    table = table[np.lexsort((table[:, 1], table[:, 0]))]  # stable: rows in order stay as they are
-    ids, steps = (table[:, j].reshape(n_paths, n_rows) for j in (0, 1))
-    bad = np.flatnonzero((ids != np.arange(n_paths)[:, None]) | (steps != np.arange(n_rows)))
-    if bad.size:  # the first p * n_rows + k whose row is not keyed (path_id p, step k)
-        p, k = divmod(int(bad[0]), n_rows)
-        raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated")
-    times = TimeGrid(n_rows - 1).times
-    bad = np.flatnonzero(table[:, 2].reshape(n_paths, n_rows) != times)  # %.17g reads back exactly
-    if bad.size:
-        p, k = divmod(int(bad[0]), n_rows)
-        t, expected = float(table[bad[0], 2]), float(times[k])
-        raise ConfigError(f"{path}: the row for path_id {p}, step {k} has t {t!r}, not {expected!r}")
-    return [table[:, 3 + i * d : 3 + (i + 1) * d].reshape(n_paths, n_rows, d) for i in range(n_legs)]
+    if not (n_rows > 1 and 2 * n_cols * n_paths * n_rows <= size):  # 2 bytes a column
+        raise ConfigError(f"{path}: path_id and step must be non-negative integers, and the last row must name a step "
+                          f">= 1 and no more paths than {size} bytes hold, not {last[:40].decode(errors='replace')!r}")
+    per = max(1, _BLOCK_ROWS // n_rows)
+    ids, steps = np.divmod(np.arange(per * n_rows), n_rows)
+    keys = np.column_stack((ids, steps, TimeGrid(n_rows - 1).times[steps]))  # path_id - p0, step, t
+    first = ",".join("0" * n_cols) + "\n"  # numpy holds each row to the column count of the first
+    legs = np.empty((n_legs, n_rows, n_paths, d))
+    with open(path, errors="replace") as fh:
+        fh.readline()
+        for p0 in range(0, n_paths, per):  # a block of whole paths, rows r0 + 1 .. of the file
+            m, r0 = min(per, n_paths - p0), p0 * n_rows
+            try:
+                rows = np.loadtxt(itertools.chain((first,), itertools.islice(fh, m * n_rows)),
+                                  delimiter=",", comments=None, ndmin=2)[1:]
+            except ValueError as err:  # numpy counts the first row too: its row R is the file's r0 + R - 1
+                shifted = re.sub(r"(?<=at row )\d+", lambda row: str(int(row[0]) + r0 - 1), str(err))
+                raise ConfigError(f"{path}: {shifted}") from None
+            got = rows[:, :3] - (p0, 0, 0)
+            bad = np.flatnonzero(np.any(got != keys[: len(got)], axis=1))
+            i = int(bad[0]) if bad.size else len(got)
+            if i < m * n_rows:
+                p, k = divmod(r0 + i, n_rows)
+                if i < len(got) and np.array_equal(got[i, :2], keys[i, :2]):
+                    t, expected = float(got[i, 2]), float(keys[i, 2])
+                    raise ConfigError(f"{path}: the row for path_id {p}, step {k} has t {t!r}, not {expected!r}")
+                raise ConfigError(f"{path}: no row for path_id {p}, step {k}: a row is missing or repeated, "
+                                  f"or row {r0 + i + 1} is out of (path_id, step) order")
+            legs[:, :, p0 : p0 + m] = rows[:, 3:].reshape(m, n_rows, n_legs, d).transpose(2, 1, 0, 3)
+        if extra := sum(1 for line in fh if line.strip()):
+            raise ConfigError(f"{path}: ragged ensemble CSV: {n_paths * n_rows + extra} rows for {n_paths} paths, "
+                              f"{n_rows} steps+1")
+    grid, (x, *y) = TimeGrid(n_rows - 1), np.swapaxes(legs, 1, 2)
+    if not y:
+        return PathEnsemble(grid=grid, values=x, seed=0)
+    return CoupledEnsemble(grid=grid, x=x, y=y[0], seed=0)
 
 
 # ---------------------------------------------------------------------------

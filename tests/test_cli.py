@@ -317,6 +317,12 @@ def test_every_experiment_returns_its_verdicts():
             assert isinstance(verdict["ok"], bool), (kind, verdict)
 
 
+def test_chop_density_reports_the_correlation_its_blocks_achieve():
+    # 16 steps a block hold 10 steps of +1 at c = 0.3, so the experiment measures against 0.25
+    report = experiments.rotation_chop_density(c=0.3, block=16, N=50, n_list=(16, 32))
+    assert (report["c"], report["achieved"]) == (0.3, 0.25)
+
+
 def test_config_with_a_checks_array_exits_2_with_its_line(tmp_path, capsys):
     cfg = tmp_path / "old.json"
     cfg.write_text('{\n  "version": 1,\n  "kind": "kernel-infeasibility",\n'

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -56,6 +57,10 @@ def _rewrite_rows(f, edit):
     f.write_text(header + "".join(edit(rows)))
 
 
+def _cut(line):  # the last column dropped
+    return line[: line.rindex(",")] + "\n"
+
+
 @pytest.mark.parametrize(
     "edit",
     [lambda rows: rows[:4] + [rows[3]] + rows[5:], lambda rows: rows[:4] + rows[5:]],
@@ -108,9 +113,9 @@ def test_csv_with_a_t_off_the_grid_is_a_config_error_naming_its_row(tmp_path):
     ],
     ids=["last-row-cut-short", "extra-last-row", "middle-t-off-the-grid"],
 )
-def test_an_in_order_csv_with_a_fault_gives_the_config_error_of_a_shuffled_one(tmp_path, edit, message):
-    # N=2, n=4: the rows keep (path_id, step) order around the fault, so the block parse starts on
-    # the file; it must leave it to the whole-table read, which raises the same error for any order
+def test_csv_faults_keep_their_config_error_text(tmp_path, edit, message):
+    # N=2, n=4: the rows keep (path_id, step) order around the fault; a row numpy cannot parse is
+    # named by numpy's own message, with the row counted in the file
     f = tmp_path / "pair.csv"
     pathio.write_csv(f, couple_brownians(CoefficientField.constant("correlation", 0.5, 1), TimeGrid(4), 2, seed=3))
     _rewrite_rows(f, edit)
@@ -119,15 +124,71 @@ def test_an_in_order_csv_with_a_fault_gives_the_config_error_of_a_shuffled_one(t
     assert str(err.value).startswith(f"{f}: {message}")
 
 
-def test_csv_reads_shuffled_rows_back_in_order(tmp_path):
-    ens = _coupled()
-    f, g = tmp_path / "pair.csv", tmp_path / "again.csv"
+def test_csv_with_shuffled_rows_is_a_config_error_naming_the_first_row_out_of_place(tmp_path):
+    # N=5, n=16: every row but the last is shuffled, so N and n+1 still come from the last row
+    f = tmp_path / "pair.csv"
+    pathio.write_csv(f, _coupled())
+    order = np.random.default_rng(0).permutation(5 * 17 - 1)
+    _rewrite_rows(f, lambda rows: [rows[i] for i in order] + rows[-1:])
+    i = int(np.flatnonzero(order != np.arange(len(order)))[0])
+    p, k = divmod(i, 17)
+    with pytest.raises(ConfigError) as err:
+        pathio.read_csv(f)
+    assert str(err.value) == (f"{f}: no row for path_id {p}, step {k}: a row is missing or repeated, "
+                              f"or row {i + 1} is out of (path_id, step) order")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "path_id,step,t,x_1,x_2,y_1\n0,0,0,1,2,3\n0,1,1,1,2,3\n",
+        "path_id,step,t\n0,0,0\n0,1,0.5\n0,2,1\n",
+        "path_id,step,t,x_1\n0,0,0,0.5\n1,0,0,0.25\n",
+    ],
+    ids=["x-and-y-unequal", "no-value-column", "paths-of-one-knot"],
+)
+def test_csv_other_than_write_csv_writes_is_a_config_error_naming_the_file(tmp_path, text):
+    f = tmp_path / "other.csv"
+    f.write_text(text)
+    with pytest.raises(ConfigError, match="other.csv"):
+        pathio.read_csv(f)
+
+
+def test_csv_whose_last_row_claims_more_paths_than_its_bytes_hold_allocates_nothing(tmp_path):
+    f = tmp_path / "ens.csv"
+    pathio.write_csv(f, sample_brownian(TimeGrid(2), 1, 3, seed=1))
+    _rewrite_rows(f, lambda rows: rows[:-1] + ["1000000000" + rows[-1][1:]])
+    peak = _traced_peaks(lambda: pytest.raises(ConfigError, pathio.read_csv, f))[0]
+    assert peak < 2**20, peak
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(d=st.integers(1, 3), n_paths=st.integers(1, 4), n_steps=st.integers(1, 6), coupled=st.booleans(),
+       edit=st.sampled_from(["drop", "duplicate", "swap", "t-off-the-grid", "cut"]), data=st.data())
+def test_one_edit_to_a_written_csv_is_a_config_error_naming_the_file(tmp_path_factory, d, n_paths, n_steps, coupled,
+                                                                    edit, data):
+    x, y = np.random.default_rng(d).standard_normal((2, n_paths, n_steps + 1, d))
+    grid = TimeGrid(n_steps)
+    ens = CoupledEnsemble(grid=grid, x=x, y=y, seed=0) if coupled else PathEnsemble(grid=grid, values=x, seed=0)
+    f = tmp_path_factory.mktemp("edit") / "ens.csv"
     pathio.write_csv(f, ens)
-    original = f.read_bytes()
-    _rewrite_rows(f, lambda rows: [rows[i] for i in np.random.default_rng(0).permutation(len(rows))])
-    assert f.read_bytes() != original
-    pathio.write_csv(g, pathio.read_csv(f))
-    assert g.read_bytes() == original
+    lines = f.read_text().splitlines(keepends=True)  # the header is line 0, and any edit may hit it
+    i = data.draw(st.integers(0, len(lines) - 1))
+    if edit == "drop":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "swap":
+        j = data.draw(st.integers(0, len(lines) - 1).filter(lambda j: j != i))
+        lines[i], lines[j] = lines[j], lines[i]
+    elif edit == "t-off-the-grid":  # to the next float up, on a data row
+        fields = lines[max(i, 1)].split(",")
+        lines[max(i, 1)] = ",".join(fields[:2] + ["%.17g" % np.nextafter(float(fields[2]), 2.0)] + fields[3:])
+    else:
+        lines[i] = _cut(lines[i])
+    f.write_text("".join(lines))
+    with pytest.raises(ConfigError, match=re.escape(str(f))):
+        pathio.read_csv(f)
 
 
 def _savetxt_oracle(path, blocks, times):
@@ -225,6 +286,37 @@ def test_csv_write_and_in_order_read_allocate_no_full_size_table(tmp_path):
     f = tmp_path / "pair.csv"
     peaks = _traced_peaks(lambda: pathio.write_csv(f, pair), lambda: pathio.read_csv(f))
     assert peaks[0] < 2 * 2**20 and peaks[1] < 5 * 2**20, peaks
+
+
+@pytest.fixture(scope="module")
+def long_csv_lines(tmp_path_factory):
+    f = tmp_path_factory.mktemp("long") / "pair.csv"
+    pathio.write_csv(f, _long_pair())
+    return f.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "row, edit, message",
+    [
+        (64 * 2049, lambda line: line.replace(",2048,1,", ",2048,7.5,", 1),
+         "the row for path_id 63, step 2048 has t 7.5, not 1.0"),
+        (10253, _cut, "the number of columns changed from 7 to 6 at row 10253"),
+        (10246, _cut, "the number of columns changed from 7 to 6 at row 10246"),
+        (10250, lambda line: _cut(line)[:-1] + ",x\n", "could not convert string 'x' to float64 at row 10249, column 7."),
+    ],
+    ids=["last-t-off-the-grid", "row-10253-cut-short", "first-row-of-a-block-cut-short", "text-value"],
+)
+def test_a_fault_deep_in_a_long_csv_is_located_in_the_file_without_a_full_size_table(tmp_path, long_csv_lines, row,
+                                                                                      edit, message):
+    # line `row` of the file is data row `row`; a path of 2049 rows is a block, so row 10246 is the
+    # first of the sixth and 10253 its eighth. numpy counts a short row from 1, a bad value from 0
+    lines = list(long_csv_lines)
+    lines[row] = edit(lines[row])
+    f = tmp_path / "pair.csv"
+    f.write_text("".join(lines))
+    raised = []
+    peak = _traced_peaks(lambda: raised.append(pytest.raises(ConfigError, pathio.read_csv, f)))[0]
+    assert str(raised[0].value).startswith(f"{f}: {message}") and peak < 5 * 2**20, (peak, raised[0].value)
 
 
 def test_binary_write_and_checked_read_hold_no_second_copy_of_a_leg(tmp_path):
