@@ -101,7 +101,7 @@ def load_config(path) -> Config:
 
 # the config fields that flags replace: all under 'experiment', the sizes d, n_steps, N
 # and seed under 'simulate', only the seed in a run config
-_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "block", "d")
+_OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "d")
 
 
 def _with_flags(cfg: Config, args) -> Config:
@@ -171,7 +171,7 @@ def _numbers(cfg: Config, key, value, default):
 
 
 #: the least value of each size field, in a run config, an experiment, a preset's params or any other section
-_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "block": 1, "seed": 0, "rank": 0}
+_LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "seed": 0, "rank": 0}
 
 
 def _size(cfg: Config, key, value, owner="") -> int:
@@ -219,8 +219,6 @@ class _Run:
                 self.cfg.error(k, message, within=key)
             _param(self.cfg, k, value, defaults.get(k))
         try:
-            if "n_steps" in defaults:  # a schedule on the run's grid
-                params = {"n_steps": self.grid.n_steps, **params}
             return presets.build(kind, name, d=self.d, **params)
         except (ConfigError, DimensionError) as err:  # a value of the wrong shape too
             self.cfg.error("preset", str(err), json.dumps(name), within=key)
@@ -545,7 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=float, default=None, help="override source volatility a")
     p.add_argument("--b", type=float, default=None, help="override target volatility b")
     p.add_argument("--c", type=float, default=None, help="override the correlation parameter")
-    p.add_argument("--block", type=int, default=None, help="override the chop block size")
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("list-presets", help="print the preset registry")

@@ -12,9 +12,11 @@ with rho constrained to the correlation class at every step.  The
 constructors here build exactly that, plus the transport variants:
 rotation integrals of a driver (which preserve the Wiener law and are
 the invertible, adapted maps between Brownian laws; Tanaka's pair and
-the +/-1 chop of :func:`chop_rotation` are each one :func:`rotation_monge`
-call), their conjugation by Itô maps, and the direct recursion for a
-candidate Monge transport between two SDE laws and its kernel residual.
+the +/-1 chop of :func:`chop_rotation`, whose running sum stays within
+one step of a constant correlation c on every grid, are each one
+:func:`rotation_monge` call), their conjugation by Itô maps, and the
+direct recursion for a candidate Monge transport between two SDE laws
+and its kernel residual.
 
 rho and Q are coefficient fields (:class:`~pathcoupling.sde.CoefficientField`)
 of kind ``"correlation"``, which sees both coupled prefixes, and
@@ -24,6 +26,7 @@ or the orthogonal group at its step, naming the field's kind and label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -362,27 +365,20 @@ def tanaka_coupling(
     return _coupled(grid, pair.y, pair.x, seed, "tanaka_coupling", pair.provenance["marginals"], correlation=sign.label)
 
 
-def chop_rotation(c: float, n_steps: int, block: int):
-    """Deterministic +/-1 schedule matching a target mean correlation.
+def chop_rotation(c: float) -> CoefficientField:
+    """The +/-1 rotation whose running mean tracks the correlation c at every step.
 
-    Within each block of ``block`` steps the first m are +1 and the rest
-    -1, with m = round(block * (1 + c) / 2).  Returns the rotation
-    process and the achieved mean correlation 2 m / block - 1, which is c
-    unless the block size forces the duty cycle to be quantised.
+    Q_k = 2 (floor((k + 1) h + 1/2) - floor(k h + 1/2)) - 1 with h = (1 + c) / 2, so the
+    first k + 1 steps hold (k + 1) h rounded half up steps of +1 and |sum_{j<=k} (c - Q_j)| <= 1
+    at every k, up to the rounding of h: each Q_k is the sign of c plus the error carried so
+    far, +1 at a tie.  Q_k is a function of k alone, so one chop serves every grid.
     """
     if not -1.0 <= c <= 1.0:
         raise DomainError(f"target correlation must lie in [-1, 1], got {c}")
-    if block < 1 or n_steps % block != 0:
-        raise DimensionError(f"block ({block}) must divide n_steps ({n_steps})")
-    m_plus = int(round(block * (1.0 + c) / 2.0))
-    achieved = 2.0 * m_plus / block - 1.0
-    pattern = np.where(np.arange(block) < m_plus, 1.0, -1.0)
-    schedule = np.tile(pattern, n_steps // block)
+    h = (1.0 + c) / 2.0
+    plus, minus = np.ones((1, 1)), -np.ones((1, 1))
 
     def fn(k, t, xp):
-        if not 0 <= k < n_steps:
-            raise DomainError(f"chop schedule is defined on {n_steps} steps, got step {k}")
-        return schedule[k].reshape(1, 1)
+        return plus if math.floor((k + 1) * h + 0.5) > math.floor(k * h + 0.5) else minus
 
-    label = f"chop(c={c}, block={block})"
-    return CoefficientField("rotation", 1, fn, label=label), achieved
+    return CoefficientField("rotation", 1, fn, label=f"chop(c={c})")

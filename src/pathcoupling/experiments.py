@@ -228,30 +228,28 @@ def rho_recovery(
     }
 
 
-def rotation_chop_density(c=0.5, block=16, N=4000, seed=33, n_list=(256, 1024, 4096), n_workers=1):
+def rotation_chop_density(c=0.5, N=4000, seed=33, n_list=(256, 1024, 4096), n_workers=1):
     """Per-path bracket deviation of +/-1 chopping from c as the grid refines.
 
-    The i-th resolution in ``n_list`` uses seed ``seed + i``; the covariance
-    check is made at the last (finest) one.
+    One chop serves every resolution; the i-th in ``n_list`` uses seed ``seed + i``, and the
+    covariance check is made at the last (finest) one.
     """
     if not n_list:
         raise ConfigError("rotation-chop-density needs a non-empty 'n_list'")
+    q = coupling.chop_rotation(c)
     mads = []
     cov_err = cov_budget = None
     for i, n_steps in enumerate(n_list):
-        q, target = coupling.chop_rotation(c, n_steps, block)
         pair = coupling.rotation_monge(q, sde.sample_brownian(sde.TimeGrid(n_steps), 1, N, seed + i, n_workers=n_workers))
         bracket = np.einsum("pii->p", verify.pair_covariation(pair.x, pair.y))
-        mads.append(float(np.mean(np.abs(bracket - target))))
+        mads.append(float(np.mean(np.abs(bracket - c))))
         x1 = pair.x[:, -1, 0]
         y1 = pair.y[:, -1, 0]
         prods = (x1 - x1.mean()) * (y1 - y1.mean())
-        cov_err = abs(float(prods.mean() * N / (N - 1)) - target)
+        cov_err = abs(float(prods.mean() * N / (N - 1)) - c)
         cov_budget = 3.0 * float(np.std(prods, ddof=1) / math.sqrt(N))
     return {
         "c": c,
-        "achieved": target,
-        "block": block,
         "N": N,
         "n_list": list(n_list),
         "mad": mads,
@@ -353,14 +351,15 @@ def optimality_gap(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=13, probe_N=64, n_
     """No coupling of dX = a dB and dY = b dB undercuts the closed form (on ``probe_N`` paths, seed + 1).
 
     The i-th candidate, on seed + i, is correlation 1, -1, 0 or 0.5 (2ab(1 - c) above the optimum)
-    or the c = 0.5 chop; ``<name>_margin`` is ``_margin(<name>, closed form)``, nonnegative unless it undercuts.
+    or the c = 0.5 chop of :func:`coupling.chop_rotation`, which costs as much as correlation 0.5 up to
+    2ab dt; ``<name>_margin`` is ``_margin(<name>, closed form)``, nonnegative unless it undercuts.
     """
     src = presets.build("model", "bm", d=1, sigma=a)
     dst = presets.build("model", "bm", d=1, sigma=b)
     spec = zero_identity_spec(1)
     closed, _ = cost.closed_form_optimal(src, dst, spec, probe(src, n_steps, probe_N, seed + 1))
     grid = sde.TimeGrid(n_steps)
-    chop, _ = coupling.chop_rotation(0.5, n_steps, 16)
+    chop = coupling.chop_rotation(0.5)
 
     def pair(i, c):  # c = None is the chop
         if c is None:

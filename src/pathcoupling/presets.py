@@ -286,14 +286,11 @@ def _rot_by_state(d, scale=1.0):
     return CoefficientField("rotation", 2, fn, label=f"rotation-by-state(scale={a})")
 
 
-@_register("chop", "rotation", "fast +/-1 chopping to mean correlation c, in blocks that divide n_steps")
-def _rot_chop(d, c=0.0, block=16, n_steps=None):
+@_register("chop", "rotation", "fast +/-1 chopping whose running mean tracks the correlation c")
+def _rot_chop(d, c=0.0):
     if d != 1:
         raise ConfigError("the 'chop' rotation preset is 1-d only")
-    if n_steps is None:
-        raise ConfigError("the 'chop' rotation preset needs n_steps")
-    q, _ = chop_rotation(float(c), int(n_steps), int(block))
-    return q
+    return chop_rotation(float(c))
 
 
 # ---------------------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_criterion_08_synchronous_1d_optimality(criterion):
 
 
 def test_criterion_09_chop_density(criterion):
-    rep = experiments.rotation_chop_density(c=0.5, block=16, N=4000, seed=90, n_list=(2**8, 2**10, 2**12))
+    rep = experiments.rotation_chop_density(c=0.5, N=4000, seed=90, n_list=(2**8, 2**10, 2**12))
     mads = rep["mad"]
     cov_dev, cov_budget = rep["cov_error"], rep["cov_budget"]
     ok = _hold(rep, "mad_decreasing", "mad_final", "cov_error")

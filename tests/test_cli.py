@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from pathcoupling import cli, experiments, linalg, pathio, presets
+from pathcoupling import cli, experiments, linalg, pathio, presets, verify
 from pathcoupling.cli import EXIT_CHECK, EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from pathcoupling.coupling import chop_rotation, rotation_monge
 from pathcoupling.sde import TimeGrid, sample_brownian
@@ -303,7 +303,7 @@ def test_every_experiment_returns_its_verdicts():
         "rotation-invariance": dict(N=50, n_steps=16, n_seeds=2),
         "tanaka": dict(N=1000, n_steps=64),
         "rho-recovery": dict(cases=[{"d": 1, "c": 0.5}], N=50, n_steps=16),
-        "rotation-chop-density": dict(N=50, n_list=(16, 32), block=4),
+        "rotation-chop-density": dict(N=50, n_list=(16, 32)),
         "kernel-infeasibility": dict(N=50, n_steps=16),
         "synchronous-1d-optimality": dict(N=50, n_steps=16),
         "optimality-gap": dict(N=50, n_steps=16, probe_N=4),
@@ -317,10 +317,13 @@ def test_every_experiment_returns_its_verdicts():
             assert isinstance(verdict["ok"], bool), (kind, verdict)
 
 
-def test_chop_density_reports_the_correlation_its_blocks_achieve():
-    # 16 steps a block hold 10 steps of +1 at c = 0.3, so the experiment measures against 0.25
-    report = experiments.rotation_chop_density(c=0.3, block=16, N=50, n_list=(16, 32))
-    assert (report["c"], report["achieved"]) == (0.3, 0.25)
+def test_chop_density_measures_against_the_requested_c():
+    # the chop's running mean is within one step of c = 0.3 on every grid, so no achieved value stands in for it
+    report = experiments.rotation_chop_density(c=0.3, N=50, seed=33, n_list=(16, 32))
+    pair = rotation_monge(chop_rotation(0.3), sample_brownian(TimeGrid(32), 1, 50, 34))
+    bracket = np.einsum("pii->p", verify.pair_covariation(pair.x, pair.y))
+    assert report["mad"][1] == float(np.mean(np.abs(bracket - 0.3)))
+    assert report["c"] == 0.3 and not {"achieved", "block"} & set(report)
 
 
 def test_config_with_a_checks_array_exits_2_with_its_line(tmp_path, capsys):
@@ -362,6 +365,19 @@ def test_unknown_config_field_exits_2_with_its_line(tmp_path, capsys):
     assert "'n_step'" in err and "line 4" in err
 
 
+def test_a_chop_density_block_exits_2_with_its_line(tmp_path, capsys):
+    # config v1 and CLI break: the chop has no block, in a config or as a flag
+    cfg = tmp_path / "chop.json"
+    cfg.write_text('{\n  "version": 1,\n  "kind": "rotation-chop-density",\n  "block": 16\n}\n')
+    assert main(["experiment", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "takes no field 'block'" in err and "line 4" in err
+    with pytest.raises(SystemExit) as stop:  # argparse's usage error
+        main(["experiment", "rotation-chop-density", "--block", "16", "--out", str(tmp_path / "out")])
+    assert stop.value.code == EXIT_CONFIG and "unrecognized arguments: --block 16" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "kind, field",
     [("rotation-invariance", '"n_seeds": 0'), ("rotation-chop-density", '"n_list": []')],
@@ -379,9 +395,9 @@ def test_empty_experiment_size_list_exits_2(tmp_path, capsys, kind, field):
     "kind, args, key, value",
     [("kernel-infeasibility", ["--N", "0"], "N", 0), ("closed-form-d1", ["--n", "0"], "n_steps", 0),
      ("tanaka", ["--seed", "-1"], "seed", -1), ("rotation-invariance", ["--d", "0"], "d", 0),
-     ("rotation-chop-density", ["--block", "0"], "block", 0), ("optimality-gap", {"probe_N": 0}, "probe_N", 0),
+     ("optimality-gap", {"probe_N": 0}, "probe_N", 0),
      ("rotation-invariance", {"d": 0}, "d", 0), ("rotation-invariance", {"n_seeds": -2}, "n_seeds", -2)],
-    ids=["N-flag", "n-flag", "seed-flag", "d-flag", "block-flag", "probe_N-file", "d-file", "n_seeds-file"],
+    ids=["N-flag", "n-flag", "seed-flag", "d-flag", "probe_N-file", "d-file", "n_seeds-file"],
 )
 def test_an_experiment_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, monkeypatch, kind, args, key, value):
     # from flags or from a config file, as a run config's sizes are; the experiment is never called
@@ -401,19 +417,17 @@ def test_an_experiment_size_below_its_least_exits_2_naming_the_field(tmp_path, c
 
 @pytest.mark.parametrize(
     "command, overrides, key",
-    [("verify", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 0}}}},
-      "block"),
-     ("couple", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 0}}}},
-      "block"),
+    [("verify", {"d": 2, "src": {"preset": "degenerate", "params": {"rank": -1}}}, "rank"),
+     ("couple", {"d": 2, "dst": {"preset": "degenerate", "params": {"rank": -1}}}, "rank"),
      ("cost", {"closed_form": {"probe_N": 0}}, "probe_N")],
-    ids=["verify-coupling-block", "coupling-block", "closed_form-probe_N"],
+    ids=["verify-src-rank", "dst-rank", "closed_form-probe_N"],
 )
 def test_a_section_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys, command, overrides, key):
     cfg = _write_config(tmp_path, overrides)
     line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert f"'{key}'" in err and "at least 1" in err and f"line {line}" in err
+    assert f"'{key}'" in err and f"at least {cli._LEAST[key]}," in err and f"line {line}" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -439,10 +453,12 @@ def test_non_integer_size_exits_2_naming_the_key_and_line(tmp_path, capsys, comm
         ("verify", {"verify": [{"test": "certificate", "window": 64}]}, "window"),  # a config v1 field, now gone
         ("couple", {"coupling": {"constructor": "rotation_monge",
                                  "rotation": {"preset": "chop", "params": {"c": 0.5, "blok": 4}}}}, "blok"),
+        ("couple", {"coupling": {"constructor": "rotation_monge",  # a config v1 param, now gone
+                                 "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}}, "block"),
         ("couple", {"coupling": {**BASE_CONFIG["coupling"], "rotation": {"preset": "identity"}}},
          "rotation"),
     ],
-    ids=["wiener-alpah", "certificate-window", "chop-blok", "couple_sdes-rotation"],
+    ids=["wiener-alpah", "certificate-window", "chop-blok", "chop-block", "couple_sdes-rotation"],
 )
 def test_unknown_coupling_or_verify_field_exits_2_with_its_line(tmp_path, capsys, command, overrides, key):
     cfg = _write_config(tmp_path, overrides)
@@ -479,13 +495,12 @@ def test_unknown_cost_field_or_kind_exits_2_with_its_line(tmp_path, capsys, cost
         ("verify", {"verify": [{"test": "adaptedness", "threshold": None}]}, "threshold", None),
         ("couple", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"c": "0.5"}}}},
          "c", "0.5"),
-        ("couple", {"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 2.5}}}},
-         "block", 2.5),
+        ("couple", {"d": 2, "src": {"preset": "degenerate", "params": {"rank": 0.5}}}, "rank", 0.5),
         ("cost", {"cost": {"kind": "lp", "p": [2]}}, "p", [2]),
         ("cost", {"closed_form": {"probe_N": 16.5}}, "probe_N", 16.5),
     ],
     ids=["alpha-str", "alpha-list", "k-str", "threshold-bool", "k-frac", "threshold-null",
-         "c-str", "block-frac", "p-list", "probe_N-frac"],
+         "c-str", "rank-frac", "p-list", "probe_N-frac"],
 )
 def test_non_numeric_field_exits_2_naming_the_key_and_line(tmp_path, capsys, command, overrides, key, value):
     cfg = _write_config(tmp_path, overrides)
@@ -571,15 +586,8 @@ def _line_after(cfg, key, text):
       "rotation", '"preset"', "constant rotation must be (2, 2), got (1, 1)"),
      ({"coupling": {"constructor": "couple_brownians",
                     "correlation": {"preset": "const", "params": {"c": [[0.5, 0.0], [0.0, 0.5]]}}}},
-      "correlation", '"preset"', "constant correlation must be (1, 1), got (2, 2)"),
-     ({"n_steps": 60, "coupling": {"constructor": "rotation_monge",
-                                   "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}},
-      "rotation", '"preset"', "block (16) must divide n_steps (60)"),
-     # the chop rotation's block is held to the run's grid under each constructor that takes a rotation
-     ({"n_steps": 60, "coupling": {"constructor": "composed_monge",
-                                   "rotation": {"preset": "chop", "params": {"c": 0.5, "block": 16}}}},
-      "rotation", '"preset"', "block (16) must divide n_steps (60)")],
-    ids=["matrix-q", "const-c", "chop-block", "rotation_chop-block"],
+      "correlation", '"preset"', "constant correlation must be (1, 1), got (2, 2)")],
+    ids=["matrix-q", "const-c"],
 )
 def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsys, overrides, key, located, message):
     cfg = _write_config(tmp_path, overrides)
@@ -590,8 +598,8 @@ def test_a_preset_value_of_the_wrong_shape_exits_2_at_its_preset(tmp_path, capsy
 
 
 def test_an_n_steps_among_preset_params_exits_2_with_its_line(tmp_path, capsys):
-    # the run's grid lays out a schedule; a chop of 128 steps on a run of 256 used to fail at step 128
-    rotation = {"preset": "chop", "params": {"c": 0.5, "block": 16, "n_steps": 128}}
+    # the run's sizes set the grid; the chop is a function of the step alone and takes no n_steps (config v1 break)
+    rotation = {"preset": "chop", "params": {"c": 0.5, "n_steps": 128}}
     cfg = _write_config(tmp_path, {"n_steps": 256, "coupling": {"constructor": "rotation_monge", "rotation": rotation}})
     assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err, line = capsys.readouterr().err, _line_after(cfg, "rotation", '"params"')
@@ -699,16 +707,15 @@ def test_preset_param_of_the_wrong_type_exits_2_naming_the_preset_and_its_line(t
 @pytest.mark.parametrize(
     "overrides, field, message",
     [
-        ({"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": 16.7}}}},
-         "block", "must be an integer, got 16.7"),
+        ({"d": 2, "dst": {"preset": "degenerate", "params": {"rank": 1.7}}}, "rank", "must be an integer, got 1.7"),
         ({"d": 2, "src": {"preset": "degenerate", "params": {"rank": 1.5}}}, "rank", "must be an integer, got 1.5"),
         ({"src": {"preset": "bm", "params": {"sigma": True}}}, "sigma", "must be a number, got True"),
         # a number in a string, as in a section field; a string that is no number is the builder's to refuse
         ({"src": {"preset": "bm", "params": {"sigma": "2"}}}, "sigma", "must be a number, got '2'"),
-        ({"coupling": {"constructor": "rotation_monge", "rotation": {"preset": "chop", "params": {"block": "16"}}}},
-         "block", "must be a number, got '16'"),
+        ({"d": 2, "src": {"preset": "degenerate", "params": {"rank": "1"}}}, "rank", "must be a number, got '1'"),
     ],
-    ids=["chop-block-fraction", "degenerate-rank-fraction", "bm-sigma-bool", "bm-sigma-number-str", "chop-block-str"],
+    ids=["degenerate-dst-rank-fraction", "degenerate-rank-fraction", "bm-sigma-bool", "bm-sigma-number-str",
+         "degenerate-rank-str"],
 )
 def test_preset_param_that_is_no_number_of_its_kind_exits_2_at_its_line(tmp_path, capsys, overrides, field, message):
     cfg = _write_config(tmp_path, overrides)
@@ -794,25 +801,16 @@ def test_a_thread_count_below_one_exits_2_naming_the_flag(tmp_path, capsys, comm
 
 def test_a_chop_run_writes_the_bytes_of_the_library_rotation_integral(tmp_path):
     # the chopped coupling has one path: rotation_monge of a Brownian driver by the chop schedule
-    rotation = {"preset": "chop", "params": {"c": 0.5, "block": 16}}
+    rotation = {"preset": "chop", "params": {"c": 0.5}}
     sizes = {"d": 1, "n_steps": 64, "N": 50, "seed": 9}
     cfg = _write_config(tmp_path, {**sizes, "coupling": {"constructor": "rotation_monge", "rotation": rotation}})
     assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_OK
-    q, _ = chop_rotation(0.5, 64, 16)
-    pair = rotation_monge(q, sample_brownian(TimeGrid(64), 1, 50, 9))
+    pair = rotation_monge(chop_rotation(0.5), sample_brownian(TimeGrid(64), 1, 50, 9))
     pathio.write_binary(tmp_path / "library.bin", pair)
     assert (tmp_path / "out" / "coupled.bin").read_bytes() == (tmp_path / "library.bin").read_bytes()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["constructor"] == "rotation_monge" and manifest["rotation"] == "chop(c=0.5, block=16)"
+    assert manifest["constructor"] == "rotation_monge" and manifest["rotation"] == "chop(c=0.5)"
     assert not {"requested_c", "achieved_c", "block", "duty_cycle_quantized"} & set(manifest)
-
-
-def test_a_preset_that_takes_n_steps_is_laid_out_on_the_grid_of_the_run(tmp_path):
-    rotation = {"preset": "chop", "params": {"c": 0.5, "block": 4}}
-    cfg = _write_config(tmp_path, {"coupling": {"constructor": "composed_monge", "rotation": rotation}})
-    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out"), "--format", "json"]) == EXIT_OK
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["rotation"] == "chop(c=0.5, block=4)" and manifest["n_steps"] == BASE_CONFIG["n_steps"]
 
 
 @pytest.mark.parametrize(

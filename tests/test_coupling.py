@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pathcoupling import coupling, pathio, presets, sde, verify
@@ -150,7 +150,7 @@ def test_constructors_are_byte_identical_across_worker_counts(constructor):
         "composed_monge": lambda w: composed_monge(src, dst, q, grid, n_pairs, seed, n_workers=w),
         "monge_sde": lambda w: monge_sde(dst.drift, dst.diffusion, q, src, grid, n_pairs, seed, n_workers=w),
         "tanaka_coupling": lambda w: tanaka_coupling(grid, n_pairs, seed, n_workers=w),
-        "rotation_monge": lambda w: _chop(0.5, grid, n_pairs, seed, 4, n_workers=w),
+        "rotation_monge": lambda w: _chop(0.5, grid, n_pairs, seed, n_workers=w),
     }[constructor]
     serial = build(1)
     for n_workers in (2, 4):
@@ -389,35 +389,55 @@ def test_tanaka_sign_convention_at_zero():
     assert np.array_equal(out.x[:, 1], -out.y[:, 1])
 
 
-def _chop(c, grid, n_pairs, seed, block, n_workers=1):
+def _chop(c, grid, n_pairs, seed, n_workers=1):
     """The chopped coupling: the rotation integral of a Brownian driver by the chop schedule."""
-    q, _ = chop_rotation(c, grid.n_steps, block)
-    return rotation_monge(q, sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers))
+    return rotation_monge(chop_rotation(c), sample_brownian(grid, 1, n_pairs, seed, n_workers=n_workers))
+
+
+def _schedule(c, n):
+    """The chop's first n values, each checked to be a (1, 1) array."""
+    q = chop_rotation(c)
+    values = [q.eval(k, k / n, None) for k in range(n)]
+    assert all(v.shape == (1, 1) for v in values)
+    return np.array([v[0, 0] for v in values])
 
 
 def test_chop_rotation_schedule_and_quantisation():
-    q, achieved = chop_rotation(0.5, 64, 16)
-    assert achieved == 0.5
-    sched = np.array([q.eval(k, 0.0, None)[0, 0] for k in range(64)])
-    assert set(np.unique(sched)) == {-1.0, 1.0}
-    assert sched[:16].mean() == 0.5
-
-    _, achieved = chop_rotation(0.3, 64, 16)  # 16 steps quantise the duty cycle
-    assert achieved == pytest.approx(0.25)
-
-    with pytest.raises(DimensionError):
-        chop_rotation(0.5, 60, 16)
+    # c = 0.5 repeats +1, +1, -1, +1; c = 0 alternates from +1, the sign at a tie
+    assert _schedule(0.5, 8).tolist() == [1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0]
+    assert _schedule(0.0, 6).tolist() == [1.0, -1.0] * 3
+    # c = 0.3 is not quantised: the mean of the first n steps is within 1/n of it
+    for n in (256, 1024, 4096):
+        assert abs(_schedule(0.3, n).mean() - 0.3) <= 1.0 / n
     with pytest.raises(DomainError):
-        chop_rotation(1.5, 64, 16)
+        chop_rotation(1.5)
 
 
-def test_a_chop_schedule_run_past_its_last_step_fails_at_that_step():
-    q, _ = chop_rotation(0.5, 128, 16)
-    with pytest.raises(DomainError) as err:
-        rotation_monge(q, sample_brownian(TimeGrid(256), 1, 3, seed=1))
-    assert err.value.step == 128
-    assert str(err.value) == ("rotation_monge of 'chop(c=0.5, block=16)': rotation 'chop(c=0.5, block=16)': "
-                              "chop schedule is defined on 128 steps, got step 128 (at step 128)")
+@PROPERTY
+@given(c=st.floats(-1.0, 1.0), n=st.integers(1, 4096))
+@example(c=1.0, n=4096)
+@example(c=-1.0, n=4096)
+@example(c=1.0 - 1e-15, n=4096)
+@example(c=-1.0 + 1e-15, n=4096)
+@example(c=np.nextafter(1.0, 0.0), n=4096)
+@example(c=np.nextafter(-1.0, 0.0), n=4096)
+@example(c=0.0, n=4096)
+def test_the_chop_stays_within_one_step_of_c(c, n):
+    q = _schedule(c, n)
+    assert set(np.unique(q)) <= {-1.0, 1.0}
+    # exact in exact arithmetic; h and the products round once each, which moves a sum by under n 2^-50
+    assert np.abs(np.arange(1, n + 1) * c - np.cumsum(q)).max() <= 1.0 + n * 2.0**-50
+    if abs(c) == 1.0:
+        assert np.all(q == c)
+
+
+def test_one_chop_serves_every_grid():
+    # a function of the step alone: no grid to outrun and no block to divide it
+    q = chop_rotation(0.5)
+    for n in (128, 256, 1000):
+        pair = rotation_monge(q, sample_brownian(TimeGrid(n), 1, 3, seed=1))
+        signs = np.sign(np.diff(pair.x, axis=1) * np.diff(pair.y, axis=1))[..., 0]
+        assert np.array_equal(signs, np.broadcast_to(_schedule(0.5, n), signs.shape))
 
 
 def test_a_rotation_that_stops_being_orthogonal_names_the_kernel_and_its_step():
@@ -429,15 +449,14 @@ def test_a_rotation_that_stops_being_orthogonal_names_the_kernel_and_its_step():
 
 
 def test_rotation_chop_extremes_are_exact():
-    same = _chop(1.0, TimeGrid(32), 10, seed=53, block=16)
+    same = _chop(1.0, TimeGrid(32), 10, seed=53)
     assert np.array_equal(same.y, same.x)
-    flip = _chop(-1.0, TimeGrid(32), 10, seed=53, block=16)
+    flip = _chop(-1.0, TimeGrid(32), 10, seed=53)
     assert np.array_equal(flip.y, -flip.x)
 
 
 def test_rotation_chop_mimics_target_correlation():
-    assert chop_rotation(0.5, 256, 16)[1] == 0.5
-    out = _chop(0.5, TimeGrid(256), 4000, seed=54, block=16)
+    out = _chop(0.5, TimeGrid(256), 4000, seed=54)
     qcov = (np.diff(out.x, axis=1) * np.diff(out.y, axis=1)).sum(axis=1)
     assert abs(qcov.mean() - 0.5) < 0.02
     cov = np.cov(out.x[:, -1, 0], out.y[:, -1, 0])[0, 1]
@@ -445,8 +464,8 @@ def test_rotation_chop_mimics_target_correlation():
 
 
 def test_provenance_identifies_the_constructor():
-    out = _chop(0.5, TimeGrid(32), 4, seed=55, block=8)
-    assert out.provenance == {"constructor": "rotation_monge", "rotation": "chop(c=0.5, block=8)",
+    out = _chop(0.5, TimeGrid(32), 4, seed=55)
+    assert out.provenance == {"constructor": "rotation_monge", "rotation": "chop(c=0.5)",
                               "marginals": ["wiener(d=1)", "wiener(d=1)"], "n_pairs": 4, "n_steps": 32, "seed": 55}
     pair = couple_brownians(CoefficientField.constant("correlation", 0.2, d=1), TimeGrid(8), 3, seed=56)
     assert pair.provenance["constructor"] == "couple_brownians"

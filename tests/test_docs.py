@@ -23,3 +23,11 @@ def test_the_readme_lists_every_constructor_and_verify_test():
 def test_the_experiments_guide_has_one_section_per_experiment():
     headings = re.findall(r"^## (.+)$", (ROOT / "docs" / "experiments.md").read_text(), flags=re.MULTILINE)
     assert sorted(headings) == sorted(experiments.EXPERIMENTS)
+
+
+def test_the_experiments_guide_lists_exactly_the_override_flags():
+    # an override flag replaces a config field of the experiment; a removed flag cannot stay documented
+    experiment = cli.build_parser()._subparsers._group_actions[0].choices["experiment"]
+    flags = {flag for action in experiment._actions if action.dest in cli._OVERRIDES for flag in action.option_strings}
+    listed = _listed((ROOT / "docs" / "experiments.md").read_text(), "Overrides:")
+    assert sorted(listed) == sorted(flags)

@@ -24,12 +24,11 @@ def test_every_preset_takes_its_signature_and_builds_at_its_defaults(preset):
     with pytest.raises(ConfigError) as err:
         presets.build(preset.kind, preset.name, nonsense=1)
     assert str(err.value).endswith(f"accepted: {accepted}")
-    # at its defaults in a dimension it supports; a run config gives n_steps its grid
-    grid = {"n_steps": 16} if "n_steps" in accepted else {}
+    # at its defaults in a dimension it supports
     built = []
     for d in (1, 2):
         try:
-            built.append(presets.build(preset.kind, preset.name, d=d, **grid))
+            built.append(presets.build(preset.kind, preset.name, d=d))
         except ConfigError as err:
             assert f"is {3 - d}-d only" in str(err)
     assert built
@@ -42,7 +41,7 @@ def test_a_value_of_the_wrong_type_is_a_config_error_and_domain_errors_pass_thro
     with pytest.raises(DimensionError):
         presets.build("correlation", "const", d=2, c=[[1.0, 0.0, 0.0]])
     with pytest.raises(DomainError):
-        presets.build("rotation", "chop", c=2.0, n_steps=16)
+        presets.build("rotation", "chop", c=2.0)
 
 
 def test_unknown_preset_is_a_config_error_listing_alternatives():
@@ -127,11 +126,12 @@ def test_sign_and_chop_rotations():
     assert q.eval(0, 0.0, None)[0, 0] == -1.0
     with pytest.raises(ConfigError):
         presets.build("rotation", "sign", d=1, s=0.5)
-    q = presets.build("rotation", "chop", d=1, c=0.5, block=4, n_steps=8)
+    q = presets.build("rotation", "chop", d=1, c=0.5)
     sched = [q.eval(k, 0.0, None)[0, 0] for k in range(8)]
-    assert sched == [1.0, 1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0]
-    with pytest.raises(ConfigError):
-        presets.build("rotation", "chop", d=1, c=0.5)  # n_steps required
+    assert sched == [1.0, 1.0, -1.0, 1.0, 1.0, 1.0, -1.0, 1.0]
+    for gone in ({"block": 4}, {"n_steps": 8}):  # config v1 break: the chop has no block and no grid
+        with pytest.raises(ConfigError):
+            presets.build("rotation", "chop", d=1, c=0.5, **gone)
 
 
 def test_correlation_presets_are_admissible():
@@ -163,7 +163,7 @@ _FIELD_LABELS = [  # kind, name, d, parameters, labels
     ("model", "ou", 2, {}, ("ou(theta=1.0,mean=0.0)", "const-matrix")),
     ("rotation", "angle", 2, {}, "angle(0.0)"),
     ("rotation", "angle", 2, {"theta": 0.5}, "angle(0.5)"),
-    ("rotation", "chop", 1, {"n_steps": 16}, "chop(c=0.0, block=16)"),
+    ("rotation", "chop", 1, {}, "chop(c=0.0)"),
     ("rotation", "identity", 1, {}, "identity"),
     ("rotation", "identity", 2, {}, "identity"),
     ("rotation", "matrix", 1, {}, "const([[1.0]])"),
