@@ -715,7 +715,7 @@ def test_preset_param_of_the_wrong_type_exits_2_naming_the_preset_and_its_line(t
         ({"d": 2, "src": {"preset": "degenerate", "params": {"rank": "1"}}}, "rank", "must be a number, got '1'"),
     ],
     ids=["degenerate-dst-rank-fraction", "degenerate-rank-fraction", "bm-sigma-bool", "bm-sigma-number-str",
-         "degenerate-rank-str"],
+         "rank-str"],
 )
 def test_preset_param_that_is_no_number_of_its_kind_exits_2_at_its_line(tmp_path, capsys, overrides, field, message):
     cfg = _write_config(tmp_path, overrides)
