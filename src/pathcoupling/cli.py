@@ -7,9 +7,9 @@ and ``_bind`` checks their other fields against its signature.  A named
 experiment is a function in ``pathcoupling.experiments`` whose keyword
 defaults are its shipped sizes: ``experiment <name>`` binds just its
 ``kind`` (plus flags), a JSON config file any of its fields; its report
-carries its own verdicts.  ``simulate`` turns its flags into a run config
-with a ``model`` section and goes through the same sizes and preset
-checks.  All parallelism lives inside the library calls; the CLI itself
+holds every input but ``n_workers``, then what the function measured and
+its verdicts.  ``simulate`` turns its flags into a run config with a
+``model`` section and goes through the same sizes and preset checks.  All parallelism lives inside the library calls; the CLI itself
 never spawns workers.
 
 Exit codes: 0 success, 2 config error (with a line-numbered diagnostic
@@ -220,7 +220,7 @@ class _Run:
             _param(self.cfg, k, value, defaults.get(k))
         try:
             return presets.build(kind, name, d=self.d, **params)
-        except (ConfigError, DimensionError) as err:  # a value of the wrong shape too
+        except (ConfigError, DimensionError, DomainError) as err:  # a value of the wrong shape or range too
             self.cfg.error("preset", str(err), json.dumps(name), within=key)
 
     def call(self, constructor, *head, **kw):
@@ -479,7 +479,9 @@ def cmd_experiment(args) -> int:
     cfg = _with_flags(cfg, args)
     section = {k: v for k, v in cfg.data.items() if k != "version"}
     fn, fields = _bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")
-    result = {"kind": section["kind"], **fn(**fields, n_workers=args.threads)}
+    inputs = {k: p.default for k, p in inspect.signature(fn).parameters.items() if k != "n_workers"} | fields
+    inputs = {k: dict(v) if isinstance(v, MappingProxyType) else v for k, v in inputs.items()}  # a JSON object
+    result = {"kind": section["kind"], **inputs, **fn(**fields, n_workers=args.threads)}
     out = _out_dir(args)
     report_path = out / f"{name}-report.json"
     pathio.write_json(report_path, result)

@@ -1,12 +1,13 @@
 """The nine named experiments, each written once as a plain function.
 
 Each function's keyword defaults are the experiment's shipped sizes; it
-takes them, plus ``n_workers``, and returns the report dict, whose
-``verdicts`` list holds its acceptance verdicts (``name``, ``value``,
-``bound``, ``ok``).  ``pathcoupling experiment <kind>`` calls one through
-:data:`EXPERIMENTS` at those defaults, a flag or a JSON config file
-replacing any of them; the acceptance suite calls them at its own
-contract sizes.
+takes them, plus ``n_workers``, and returns only what it measures, with a
+``verdicts`` list of its acceptance verdicts (``name``, ``value``,
+``bound``, ``ok``); no returned key repeats a parameter.
+``pathcoupling experiment <kind>`` calls one through :data:`EXPERIMENTS`
+at those defaults, a flag or a JSON config file replacing any of them,
+and records every input but ``n_workers`` in the report beside the
+result; the acceptance suite calls them at its own contract sizes.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ def closed_form_d1(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=7, probe_N=8, n_wo
     fields, attained, _, _ = _closed_form_attained(src, dst, n_steps, N, seed, probe_N, n_workers)
     oracle = (a - b) ** 2
     verdicts = [_verdict("closed_form", abs(fields["closed_form"] - oracle), 0.02), attained]
-    return {"a": a, "b": b, "N": N, "n_steps": n_steps, "seed": seed, "oracle": oracle, **fields,
-            "verdicts": verdicts}
+    return {"oracle": oracle, **fields, "verdicts": verdicts}
 
 
 def closed_form_d2(
@@ -106,11 +106,6 @@ def closed_form_d2(
     # constant volatilities: |sigma|^2 + |sigma_bar|^2 - 2 (nuclear norm of sigma^T sigma_bar), 1 by default
     oracle = np.sum(sigma**2) + np.sum(sigma_bar**2) - 2.0 * np.linalg.norm(probed, "nuc")
     return {
-        "sigma": sigma.tolist(),
-        "sigma_bar": sigma_bar.tolist(),
-        "N": N,
-        "n_steps": n_steps,
-        "seed": seed,
         **fields,
         "qstar_max_dev": qstar_dev,
         "trace_max_value": trace_value,
@@ -142,10 +137,6 @@ def rotation_invariance(
         passes += int(rep.passed)
         worst = max(worst, rep.statistic - rep.threshold)
     return {
-        "N": N,
-        "n_steps": n_steps,
-        "n_seeds": n_seeds,
-        "alpha": alpha,
         "pass_rate": passes / n_seeds,
         "worst_excess": worst,
         "verdicts": [_verdict("pass_rate", passes / n_seeds, 0.95, passes / n_seeds >= 0.95)],
@@ -159,9 +150,6 @@ def tanaka(N=2000, n_steps=4096, seed=5, alpha=0.01, n_workers=1):
     wien = verify.wiener_marginal_test(pair.x_ensemble(), alpha=alpha)
     adapted = verify.adaptedness_probe(pair)
     return {
-        "N": N,
-        "n_steps": n_steps,
-        "seed": seed,
         "certificate_passed": cert.passed,
         "certificate_statistic": cert.statistic,
         "wiener_passed": wien.passed,
@@ -187,8 +175,9 @@ def rho_recovery(
     """Terminal realized covariation of constant-correlation couplings, entry by entry.
 
     Each case is ``{"d": d, "c": c}`` (scalar or d x d) or ``{"d": 2, "scale": s,
-    "theta": th}``; the i-th case uses seed ``seed + i``.  ``worst_excess`` is the
-    largest ``|dev_ij| - budget_ij`` over all entries of all cases.
+    "theta": th}``; the i-th case uses seed ``seed + i``.  Each row is a case with the
+    details of its :func:`verify.covariation_test` and its ``excess``, the largest
+    ``|dev_ij| - budget_ij``; ``worst_excess`` is the largest over all cases.
     """
     if not isinstance(cases, (list, tuple)) or not cases:
         raise ConfigError("rho-recovery needs a non-empty 'cases' list")
@@ -208,24 +197,10 @@ def rho_recovery(
             )
         target = rho.eval(0, 0.0, None, None)  # both presets are constant fields
         pair = coupling.couple_brownians(rho, grid, N, seed + i, n_workers=n_workers)
-        rep = verify.realized_covariation(pair)
-        dev = np.abs(rep.terminal_mean - target)
-        budget = verify.covariation_budget(rep, grid.dt)
-        rows.append({
-            "case": case,
-            "max_dev": float(np.max(dev)),
-            "budget": budget.tolist(),
-            "excess": float(np.max(dev - budget)),
-            "terminal_mean": rep.terminal_mean.tolist(),
-        })
+        rep = verify.covariation_test(pair, target)
+        rows.append({"case": case, "excess": rep.statistic, **rep.details})
     worst = max(row["excess"] for row in rows)
-    return {
-        "N": N,
-        "n_steps": n_steps,
-        "cases": rows,
-        "worst_excess": worst,
-        "verdicts": [_verdict("worst_excess", worst, 0.0)],
-    }
+    return {"rows": rows, "worst_excess": worst, "verdicts": [_verdict("worst_excess", worst, 0.0)]}
 
 
 def rotation_chop_density(c=0.5, N=4000, seed=33, n_list=(256, 1024, 4096), n_workers=1):
@@ -236,6 +211,8 @@ def rotation_chop_density(c=0.5, N=4000, seed=33, n_list=(256, 1024, 4096), n_wo
     """
     if not n_list:
         raise ConfigError("rotation-chop-density needs a non-empty 'n_list'")
+    if not -1.0 <= c <= 1.0:
+        raise ConfigError(f"rotation-chop-density needs 'c' in [-1, 1], got {c}")
     q = coupling.chop_rotation(c)
     mads = []
     cov_err = cov_budget = None
@@ -249,9 +226,6 @@ def rotation_chop_density(c=0.5, N=4000, seed=33, n_list=(256, 1024, 4096), n_wo
         cov_err = abs(float(prods.mean() * N / (N - 1)) - c)
         cov_budget = 3.0 * float(np.std(prods, ddof=1) / math.sqrt(N))
     return {
-        "c": c,
-        "N": N,
-        "n_list": list(n_list),
         "mad": mads,
         "mad_final": mads[-1],
         "cov_error": cov_err,
@@ -283,8 +257,6 @@ def kernel_infeasibility(N=1000, n_steps=256, seed=42, n_workers=1):
     res_ok = invertible.provenance["kernel_residual"]
     res_bad = obstructed.provenance["kernel_residual"]
     return {
-        "N": N,
-        "n_steps": n_steps,
         "verdict_obstructed": fwd.verdict,
         "verdict_reverse": rev.verdict,
         "residual_invertible": res_ok,
@@ -326,14 +298,7 @@ def synchronous_1d_optimality(
         return cost.estimate(pair, spec)
 
     sync = run(1.0)
-    result = {
-        "N": N,
-        "n_steps": n_steps,
-        "seed": seed,
-        "p": p,
-        "synchronous": sync.mean,
-        "synchronous_stderr": sync.stderr,
-    }
+    result = {"synchronous": sync.mean, "synchronous_stderr": sync.stderr}
     margins = []
     for name, c in (("antithetic", -1.0), ("independent", 0.0), ("mid", 0.5)):
         est = run(c)
@@ -367,7 +332,7 @@ def optimality_gap(a=2.0, b=1.0, N=10_000, n_steps=1024, seed=13, probe_N=64, n_
         rho = sde.CoefficientField.constant("correlation", c, 1)
         return coupling.couple_sdes(src, dst, rho, grid, N, seed + i, n_workers=n_workers)
 
-    result = {"a": a, "b": b, "N": N, "n_steps": n_steps, "seed": seed, "closed_form": closed.mean}
+    result = {"closed_form": closed.mean}
     verdicts = []
     candidates = (("synchronous", 1.0), ("antithetic", -1.0), ("independent", 0.0), ("mid", 0.5), ("chop", None))
     for i, (name, c) in enumerate(candidates):

@@ -17,7 +17,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .coupling import CoupledEnsemble
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .linalg import MEMBERSHIP_TOL
 from .sde import PathEnsemble, SdeModel, inverse_ito_map, time_blocks
 
@@ -192,16 +192,19 @@ def covariation_budget(report: CovariationReport, dt: float) -> np.ndarray:
 
 def covariation_test(ensemble: CoupledEnsemble, target) -> TestReport:
     """Does the terminal realized covariation match ``target`` (a scalar times the
-    identity, or d x d)?  The statistic is the largest entrywise deviation, the
-    threshold the largest entry of :func:`covariation_budget`."""
+    identity, or d x d) entry by entry?  The statistic is the largest entrywise excess
+    ``|terminal_mean - target| - covariation_budget``, the threshold 0: it passes only
+    when every entry is within its own budget."""
     rep = realized_covariation(ensemble)
     target = np.asarray(target, dtype=float)
+    if target.shape not in ((), (ensemble.d, ensemble.d)):
+        raise DimensionError(f"covariation target must be a scalar or {ensemble.d} x {ensemble.d}, got shape {target.shape}")
     if target.ndim == 0:
         target = float(target) * np.eye(ensemble.d)
-    dev = np.max(np.abs(rep.terminal_mean - target))
-    budget = np.max(covariation_budget(rep, ensemble.grid.dt))
-    details = {"target": target.tolist(), "terminal_mean": rep.terminal_mean.tolist()}
-    return _report("realized_covariation", dev, budget, "<=", ensemble.n_pairs, ensemble.grid.n_steps, ensemble.seed, details)
+    budget = covariation_budget(rep, ensemble.grid.dt)
+    excess = np.max(np.abs(rep.terminal_mean - target) - budget)
+    details = {"target": target.tolist(), "terminal_mean": rep.terminal_mean.tolist(), "budget": budget.tolist()}
+    return _report("realized_covariation", excess, 0.0, "<=", ensemble.n_pairs, ensemble.grid.n_steps, ensemble.seed, details)
 
 
 def monge_certificate(

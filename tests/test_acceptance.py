@@ -104,7 +104,7 @@ def test_criterion_05_rho_recovery(criterion):
     cases = [{"d": 1, "c": -0.9}, {"d": 1, "c": 0.0}, {"d": 1, "c": 0.7},
              {"d": 2, "scale": 0.8, "theta": math.pi / 6}]
     rep = experiments.rho_recovery(cases, N=4000, n_steps=256, seed=50)
-    details = ", ".join(f"{row['excess']:+.3f}" for row in rep["cases"])
+    details = ", ".join(f"{row['excess']:+.3f}" for row in rep["rows"])
     ok = _hold(rep, "worst_excess")
     criterion(5, ok, f"rho recovery: entrywise dev-budget excesses [{details}] all <= 0")
 

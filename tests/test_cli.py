@@ -283,6 +283,12 @@ def test_expression_outside_the_allowed_syntax_exits_2_naming_it(tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+def _inputs(fn, sizes):
+    """What the runner records of ``fn``'s inputs at ``sizes``: every parameter but ``n_workers``, as JSON."""
+    params = {k: p.default for k, p in inspect.signature(fn).parameters.items() if k != "n_workers"}
+    return json.loads(json.dumps(params | sizes, default=dict))  # a mapping default is a JSON object
+
+
 @pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENTS))
 def test_experiment_by_name_runs_its_function_at_its_defaults(tmp_path, kind):
     fn = experiments.EXPERIMENTS[kind]
@@ -292,22 +298,12 @@ def test_experiment_by_name_runs_its_function_at_its_defaults(tmp_path, kind):
         sizes["n_steps"] = 16
         argv += ["--n", "16"]
     assert main(argv) == EXIT_OK
-    pathio.write_json(tmp_path / "want.json", {"kind": kind, **fn(**sizes)})
+    # the runner records every input but the thread count, at its default or the value given, then the result
+    pathio.write_json(tmp_path / "want.json", {"kind": kind, **_inputs(fn, sizes), **fn(**sizes)})
     assert (tmp_path / f"{kind}-report.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
 
-def test_every_experiment_returns_its_verdicts():
-    tiny = {
-        "closed-form-d1": dict(N=50, n_steps=16, probe_N=4),
-        "closed-form-d2": dict(N=50, n_steps=16, probe_N=4, grid_points=100),
-        "rotation-invariance": dict(N=50, n_steps=16, n_seeds=2),
-        "tanaka": dict(N=1000, n_steps=64),
-        "rho-recovery": dict(cases=[{"d": 1, "c": 0.5}], N=50, n_steps=16),
-        "rotation-chop-density": dict(N=50, n_list=(16, 32)),
-        "kernel-infeasibility": dict(N=50, n_steps=16),
-        "synchronous-1d-optimality": dict(N=50, n_steps=16),
-        "optimality-gap": dict(N=50, n_steps=16, probe_N=4),
-    }
+def test_every_experiment_returns_its_verdicts(tiny):
     assert set(tiny) == set(experiments.EXPERIMENTS)
     for kind, fn in experiments.EXPERIMENTS.items():
         verdicts = fn(**tiny[kind])["verdicts"]
@@ -317,13 +313,54 @@ def test_every_experiment_returns_its_verdicts():
             assert isinstance(verdict["ok"], bool), (kind, verdict)
 
 
+@pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENTS))
+def test_no_experiment_returns_one_of_its_inputs(tiny, kind):
+    # the runner records the inputs; a result key that is also a parameter would hide one
+    fn = experiments.EXPERIMENTS[kind]
+    assert not set(fn(**tiny[kind])) & set(inspect.signature(fn).parameters)
+
+
+def _experiment_report(tmp_path, kind, sizes, *flags):
+    """The report bytes of ``kind`` run from a config file of ``sizes`` with ``flags``."""
+    cfg = tmp_path / f"{kind}.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": kind, **sizes}))
+    out = tmp_path / "-".join(["out", *flags])
+    assert main(["experiment", str(cfg), "--out", str(out), *flags]) == EXIT_OK
+    return (out / f"{kind}-report.json").read_bytes()
+
+
+@pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENTS))
+def test_every_experiment_report_records_each_input_it_ran_with(tmp_path, tiny, kind):
+    fn = experiments.EXPERIMENTS[kind]
+    report, used = json.loads(_experiment_report(tmp_path, kind, tiny[kind])), _inputs(fn, tiny[kind])
+    assert report["kind"] == kind and {k: report.get(k) for k in used} == used
+
+
+@pytest.mark.parametrize("kind", sorted(experiments.EXPERIMENTS))
+def test_an_experiment_report_has_the_same_bytes_on_one_and_two_threads(tmp_path, tiny, kind):
+    one = _experiment_report(tmp_path, kind, tiny[kind], "--threads", "1")
+    assert _experiment_report(tmp_path, kind, tiny[kind], "--threads", "2") == one
+
+
+def test_a_chop_c_outside_its_range_exits_2_naming_c(tmp_path, capsys):
+    # the chop runs on a correlation in [-1, 1]; another c is a config value, refused before anything is sampled
+    assert main(["experiment", "rotation-chop-density", "--c", "1.5", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'c' in [-1, 1], got 1.5" in capsys.readouterr().err
+    cfg = _write_config(tmp_path, {"coupling": {"constructor": "rotation_monge",
+                                                "rotation": {"preset": "chop", "params": {"c": 1.5}}}})
+    assert main(["couple", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err, line = capsys.readouterr().err, _line_after(cfg, "rotation", '"preset"')
+    assert "must lie in [-1, 1], got 1.5" in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_chop_density_measures_against_the_requested_c():
     # the chop's running mean is within one step of c = 0.3 on every grid, so no achieved value stands in for it
     report = experiments.rotation_chop_density(c=0.3, N=50, seed=33, n_list=(16, 32))
     pair = rotation_monge(chop_rotation(0.3), sample_brownian(TimeGrid(32), 1, 50, 34))
     bracket = np.einsum("pii->p", verify.pair_covariation(pair.x, pair.y))
     assert report["mad"][1] == float(np.mean(np.abs(bracket - 0.3)))
-    assert report["c"] == 0.3 and not {"achieved", "block"} & set(report)
+    assert not {"achieved", "block", "c"} & set(report)  # the runner, not the function, records c
 
 
 def test_config_with_a_checks_array_exits_2_with_its_line(tmp_path, capsys):

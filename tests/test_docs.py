@@ -31,3 +31,12 @@ def test_the_experiments_guide_lists_exactly_the_override_flags():
     flags = {flag for action in experiment._actions if action.dest in cli._OVERRIDES for flag in action.option_strings}
     listed = _listed((ROOT / "docs" / "experiments.md").read_text(), "Overrides:")
     assert sorted(listed) == sorted(flags)
+
+
+def test_each_experiment_section_names_every_verdict_it_returns(tiny):
+    # a verdict the guide never names in full is one a reader of a report cannot look up
+    text = (ROOT / "docs" / "experiments.md").read_text()
+    sections = dict(re.findall(r"^## (.+?)\n(.*?)(?=^## |\Z)", text, flags=re.MULTILINE | re.DOTALL))
+    for kind, fn in experiments.EXPERIMENTS.items():
+        verdicts = {v["name"] for v in fn(**tiny[kind])["verdicts"]}
+        assert not verdicts - set(re.findall(r"`([^`]+)`", sections[kind])), kind

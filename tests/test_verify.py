@@ -16,7 +16,7 @@ from pathcoupling.coupling import (
     rotation_monge,
     tanaka_coupling,
 )
-from pathcoupling.errors import DomainError
+from pathcoupling.errors import DimensionError, DomainError
 from pathcoupling.linalg import MEMBERSHIP_TOL
 from pathcoupling.sde import CoefficientField, PathEnsemble, TimeGrid, ito_map, sample_brownian
 
@@ -203,16 +203,34 @@ def test_covariation_test_against_scalar_and_matrix_targets():
     grid = TimeGrid(64)
     ens = couple_brownians(CoefficientField.constant("correlation", rho), grid, 500, seed=46)
     cov = verify.realized_covariation(ens)
+    budget = 3 * cov.terminal_stderr + 2 * np.sqrt(grid.dt)
     rep = verify.covariation_test(ens, rho.tolist())
     assert rep.name == "realized_covariation" and rep.comparison == "<=" and rep.passed
-    assert rep.statistic == np.max(np.abs(cov.terminal_mean - rho))
-    assert rep.threshold == np.max(3 * cov.terminal_stderr + 2 * np.sqrt(grid.dt))
+    assert rep.statistic == np.max(np.abs(cov.terminal_mean - rho) - budget) and rep.threshold == 0.0
     assert (rep.n_paths, rep.n_steps, rep.seed) == (500, 64, 46)
-    assert rep.details == {"target": rho.tolist(), "terminal_mean": cov.terminal_mean.tolist()}
+    assert rep.details == {"target": rho.tolist(), "terminal_mean": cov.terminal_mean.tolist(), "budget": budget.tolist()}
     # a scalar target is that multiple of the identity: the identity is not what rho is
     scalar = verify.covariation_test(ens, 1.0)
     assert scalar.details["target"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert scalar.statistic == np.max(np.abs(cov.terminal_mean - np.eye(2))) and not scalar.passed
+    assert scalar.statistic == np.max(np.abs(cov.terminal_mean - np.eye(2)) - budget) and not scalar.passed
+    # a target of another shape is not broadcast to d x d
+    with pytest.raises(DimensionError, match=r"scalar or 2 x 2, got shape \(2,\)"):
+        verify.covariation_test(ens, [0.5, 0.5])
+
+
+def test_covariation_test_judges_each_entry_by_its_own_budget():
+    # entry (1, 1) is the same 0.51 from its target on every pair, so its budget is the 2 sqrt(dt) = 0.5
+    # of discretisation alone; entry (0, 0) is on target but spread, with a budget of about 2.9
+    n_pairs, n = 40, 16
+    dx = np.zeros((n_pairs, n, 2))
+    dx[:, 0, 0] = np.sqrt(np.resize([0.0, 10.0], n_pairs))  # terminal covariation 0 or 10, mean 5
+    dx[:, n // 2 :, 1] = np.sqrt(0.51 / (n // 2))
+    x = np.concatenate([np.zeros((n_pairs, 1, 2)), np.cumsum(dx, axis=1)], axis=1)
+    pair = CoupledEnsemble(grid=TimeGrid(n), x=x, y=x, seed=0)
+    budget = verify.covariation_budget(verify.realized_covariation(pair), pair.grid.dt)
+    assert budget[1, 1] == pytest.approx(0.5) and budget[0, 0] > 2.8
+    rep = verify.covariation_test(pair, [[5.0, 0.0], [0.0, 0.0]])
+    assert not rep.passed and rep.statistic == pytest.approx(0.01) and rep.threshold == 0.0
 
 
 # ---------------------------------------------------------------------------
