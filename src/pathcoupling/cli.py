@@ -1,9 +1,9 @@
 """Command line front end: simulate, couple, score and verify path ensembles.
 
 The CLI is a thin orchestration layer over the library.  Runs are driven
-by a versioned JSON config (see ``load_config``).  The ``coupling``
-section, each ``verify`` entry and an experiment config name a function,
-and ``_bind`` checks their other fields against its signature.  A named
+by a versioned JSON config (see ``load_config``).  ``_bind`` checks the
+fields of the run config's top level, its sections, each ``verify`` entry
+and an experiment config against the signature of a function.  A named
 experiment is a function in ``pathcoupling.experiments`` whose keyword
 defaults are its shipped sizes: ``experiment <name>`` binds just its
 ``kind`` (plus flags), a JSON config file any of its fields; its report
@@ -111,10 +111,10 @@ def _with_flags(cfg: Config, args) -> Config:
 
 
 def _bind(cfg: Config, table, section, where: str, key: str | None = None):
-    """The function ``table`` names by ``section[key]`` (``table`` itself with no ``key``), and the
-    section's other fields, checked against its parameters (but those before a ``/``, and ``n_workers``)
-    and cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object,
-    a list of numbers where the default holds numbers; :func:`_size` checks a size, :func:`_param` an object's."""
+    """The function ``table`` names by ``section[key]`` (``table`` itself with no ``key``), and each of its
+    parameters (but those before a ``/``, and ``n_workers``) at its default or the section's field, checked and
+    cast to the type of an int or float default; a tuple or mapping default asks for a JSON list or object, a list
+    of numbers where the default holds numbers; :func:`_size` checks a size, :func:`_param` an object's."""
     if not isinstance(section, dict):
         cfg.error(where, f"config needs a '{where}' object" + (f" with a '{key}' name" if key else ""))
     what, name, fn = "section", where, table
@@ -141,7 +141,7 @@ def _bind(cfg: Config, table, section, where: str, key: str | None = None):
         elif json_type is dict:
             for e, v in value.items():
                 _param(cfg, e, v, defaults[k].get(e))
-    return fn, fields
+    return fn, {**defaults, **fields}
 
 
 def _param(cfg: Config, key, value, default):
@@ -183,9 +183,15 @@ def _size(cfg: Config, key, value, owner="") -> int:
     return number
 
 
+def _top_level(version=CONFIG_VERSION, d=1, n_steps=256, N=1000, seed=0, model=None, src=None, dst=None,
+               coupling=None, cost=None, closed_form=None, verify=None):
+    """A run config's fields: its sizes with their defaults, and its sections (``model`` from ``simulate``)."""
+
+
 def _sizes(cfg: Config):
-    """(d, n_steps, N, seed) of a run config, each checked by :func:`_size`."""
-    return tuple(_size(cfg, k, cfg.data.get(k, v)) for k, v in (("d", 1), ("n_steps", 256), ("N", 1000), ("seed", 0)))
+    """(d, n_steps, N, seed) of a run config, its top level bound to :func:`_top_level`."""
+    fields = _bind(cfg, _top_level, cfg.data, "run config")[1]
+    return tuple(fields[k] for k in ("d", "n_steps", "N", "seed"))
 
 
 @dataclass(frozen=True)
@@ -220,7 +226,7 @@ class _Run:
             _param(self.cfg, k, value, defaults.get(k))
         try:
             return presets.build(kind, name, d=self.d, **params)
-        except (ConfigError, DimensionError, DomainError) as err:  # a value of the wrong shape or range too
+        except ConfigError as err:
             self.cfg.error("preset", str(err), json.dumps(name), within=key)
 
     def call(self, constructor, *head, **kw):
@@ -479,8 +485,7 @@ def cmd_experiment(args) -> int:
     cfg = _with_flags(cfg, args)
     section = {k: v for k, v in cfg.data.items() if k != "version"}
     fn, fields = _bind(cfg, experiments.EXPERIMENTS, section, "experiment", "kind")
-    inputs = {k: p.default for k, p in inspect.signature(fn).parameters.items() if k != "n_workers"} | fields
-    inputs = {k: dict(v) if isinstance(v, MappingProxyType) else v for k, v in inputs.items()}  # a JSON object
+    inputs = {k: dict(v) if isinstance(v, MappingProxyType) else v for k, v in fields.items()}  # a JSON object
     result = {"kind": section["kind"], **inputs, **fn(**fields, n_workers=args.threads)}
     out = _out_dir(args)
     report_path = out / f"{name}-report.json"

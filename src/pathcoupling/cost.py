@@ -30,7 +30,6 @@ from .sde import (
     SdeModel,
     ValueMemo,
     _ensemble,
-    _eval,
     _walk,
     time_blocks,
 )
@@ -158,7 +157,7 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
         work = work or [np.empty(blk[0].shape) for _ in models]
         for i, (start, model, leg, side) in enumerate(zip(last, models, legs, ("src", "dst"))):
             def step(k, t, prefix):  # the walk ends before model and leg move on
-                b = _eval(model.drift, k, t, n_paths, leg[:, : k + 1])
+                b = model.drift.eval(k, t, leg[:, : k + 1])
                 if b.ndim == 2 and len(b) != len(prefix):
                     raise _PerPath
                 return prefix[:, -1] + b * dt
@@ -251,10 +250,10 @@ def closed_form_optimal(
         h(int b dt - int b_bar dt)
         + g(int Tr(sigma sigma^T + sbar sbar^T) dt - 2 int Tr(sigma^T sbar Q*) dt)
 
-    with ``Q*(k, path)`` the orthogonal maximizer of ``Tr(sigma(k, path)^T sbar(k) Q)``,
+    with ``Q*(k, t, path)`` the orthogonal maximizer of ``Tr(sigma(k, t, path)^T sbar(k, t) Q)``,
     so that the transport ``dY = sbar Q* dB`` of :func:`coupling.monge_sde` attains it.
-    The returned rotation process recomputes ``Q*`` from any path prefix but is tied
-    to the probe grid (same number of steps).
+    The returned rotation process reads both diffusions at the step and time it is given,
+    on the prefix it is given, so it serves every grid.
     """
     if spec.kind != SEPARABLE:
         raise ConfigError("closed-form optimum exists only for SEPARABLE costs")
@@ -267,9 +266,12 @@ def closed_form_optimal(
     n, dt = grid.n_steps, grid.dt
     x = probe_ensemble.values
     n_paths = probe_ensemble.n_paths
-    cross_of = ValueMemo(lambda a: trace_max_rotation(a)[1])
+    trace_max = ValueMemo(trace_max_rotation)
 
-    sbars = np.empty((n, d, d))
+    def sbar_of(k, t, prefix):  # the target's diffusion on a source prefix, checked path-free
+        sbar = dst.diffusion.eval(k, t, prefix)
+        return _require_deterministic(sbar, "dst diffusion (sigma sigma^T)") if sbar.ndim == 3 else sbar
+
     bracket = np.zeros(n_paths)
     fv_x = np.empty((n + 1, n_paths, d))
     fv_x[0] = src.z0
@@ -278,20 +280,18 @@ def closed_form_optimal(
 
     def dst_step(k, t, fv):  # the target's fields, read on the source's paths
         prefix = x[:, : k + 1]
-        sbar = _eval(dst.diffusion, k, t, n_paths, prefix)
-        if sbar.ndim == 3:
-            sbar = _require_deterministic(sbar, "dst diffusion (sigma sigma^T)")
-        bbar = _eval(dst.drift, k, t, n_paths, prefix)
+        sbar_of(k, t, prefix)  # a path-dependent sbar is refused here, on the dst side
+        bbar = dst.drift.eval(k, t, prefix)
         if bbar.ndim == 2:
             bbar = _require_deterministic(bbar, "dst drift")
-        sbars[k] = sbar
         return fv[:, -1] + bbar * dt
 
     def step(k, t, fv):
-        prefix, sbar = x[:, : k + 1], sbars[k]
-        b = _eval(src.drift, k, t, n_paths, prefix)
-        sig = _eval(src.diffusion, k, t, n_paths, prefix)
-        cross = cross_of(np.swapaxes(sig, -1, -2) @ sbar)
+        prefix = x[:, : k + 1]
+        sbar = sbar_of(k, t, prefix)
+        b = src.drift.eval(k, t, prefix)
+        sig = src.diffusion.eval(k, t, prefix)
+        cross = trace_max(np.swapaxes(sig, -1, -2) @ sbar)[1]
         tr_src = np.einsum("...ij,...ij->...", sig, sig)
         bracket[:] += (tr_src + float(np.einsum("ij,ij->", sbar, sbar)) - 2.0 * cross) * dt
         return fv[:, -1] + b * dt
@@ -302,15 +302,10 @@ def closed_form_optimal(
     # g (e.g. sqrt) never sees a negative bracket
     bracket = np.maximum(bracket, 0.0)
     value = _from_values(_priced(spec, fv_x - fv_y, bracket), f"closed-form({spec.label})")
-    rotation_of = ValueMemo(lambda a: trace_max_rotation(a)[0])
 
     def q_fn(k, t, x_prefix):
-        if not 0 <= k < n:
-            raise DomainError(
-                f"optimal rotation is defined on {n} steps, got step {k}"
-            )
-        sig = _eval(src.diffusion, k, k * dt, x_prefix.shape[0], x_prefix)
-        return rotation_of(np.swapaxes(sig, -1, -2) @ sbars[k]).copy()
+        sig = src.diffusion.eval(k, t, x_prefix)
+        return trace_max(np.swapaxes(sig, -1, -2) @ sbar_of(k, t, x_prefix))[0].copy()
 
     q_star = CoefficientField("rotation", d, q_fn, label=f"trace-max(src={src.label}, dst={dst.label})")
     return value, q_star

@@ -48,7 +48,6 @@ from .sde import (
     ValueMemo,
     _apply,
     _apply_transposed,
-    _eval,
     _walk,
     brownian_increments,
     ito_map,
@@ -160,7 +159,7 @@ def couple_brownians(
     admit = ValueMemo(_admissible)
 
     def step(k, t, prefix):
-        c = _eval(rho, k, t, n_pairs, xv[:, : k + 1], prefix, admit=admit)
+        c = rho.eval(k, t, xv[:, : k + 1], prefix, admit=admit)
         return prefix[:, -1] + (_apply_transposed(c, db[k]) + _apply(root_of(c), dw[k]))
 
     yv = _walk(np.zeros_like(x), grid.dt, step, f"couple_brownians of {rho.label!r}")
@@ -211,13 +210,12 @@ def rotation_monge(q: CoefficientField, driver: PathEnsemble) -> CoupledEnsemble
     """
     if q.dim != driver.d:
         raise DimensionError(f"rotation dim {q.dim} does not match driver dim {driver.d}")
-    n_pairs, _, d = driver.values.shape
-    xv = driver.values
+    xv, d = driver.values, driver.d
     x = np.swapaxes(xv, 0, 1)
     admit = ValueMemo(_orthogonal)
 
     def step(k, t, prefix):
-        mat = _eval(q, k, t, n_pairs, xv[:, : k + 1], admit=admit)
+        mat = q.eval(k, t, xv[:, : k + 1], admit=admit)
         return prefix[:, -1] + _apply(mat, x[k + 1] - x[k])
 
     y = _walk(np.zeros_like(x), driver.grid.dt, step, f"rotation_monge of {q.label!r}")
@@ -294,11 +292,11 @@ def monge_sde(
 
     def step(k, t, tp):
         xp = xv[:, : k + 1]
-        b = _eval(src.drift, k, t, n_pairs, xp)
-        sig = _eval(src.diffusion, k, t, n_pairs, xp)
-        bbar = _eval(dst.drift, k, t, n_pairs, tp)
-        sbar = _eval(dst.diffusion, k, t, n_pairs, tp)
-        qmat = _eval(q, k, t, n_pairs, xp, admit=admit)
+        b = src.drift.eval(k, t, xp)
+        sig = src.diffusion.eval(k, t, xp)
+        bbar = dst.drift.eval(k, t, tp)
+        sbar = dst.diffusion.eval(k, t, tp)
+        qmat = q.eval(k, t, xp, admit=admit)
         pinv, null_proj = pinv_of(sig)
         u = _apply(pinv, x[k + 1] - x[k] - b * dt)
         resid[k] = float(np.abs(np.matmul(np.matmul(sbar, qmat), null_proj)).max())

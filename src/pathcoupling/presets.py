@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .coupling import chop_rotation
-from .errors import ConfigError, DimensionError, PathCouplingError
+from .errors import ConfigError
 from .sde import CoefficientField, SdeModel, time_blocks
 
 __all__ = ["Preset", "get_preset", "build", "available"]
@@ -66,9 +66,9 @@ def get_preset(kind: str, name: str) -> Preset:
 
 
 def build(kind: str, name: str, d: int = 1, **params):
-    """The ``kind`` preset ``name`` in dimension ``d``.  A parameter it does not take, or a value
-    of the wrong type, is a ConfigError; a DomainError or DimensionError, such as a matrix value
-    that is not d x d, passes through (the CLI reports it as a config error at the preset)."""
+    """The ``kind`` preset ``name`` in dimension ``d``.  A parameter it does not take, or a value of the
+    wrong type, shape or range (builders run no numerics, so a Dimension- or DomainError out of one is
+    the config's), such as a matrix that is not d x d, is a ConfigError naming the preset."""
     preset = get_preset(kind, name)
     unknown = set(params) - set(preset.defaults)
     if unknown:
@@ -78,9 +78,9 @@ def build(kind: str, name: str, d: int = 1, **params):
         )
     try:
         return preset.builder(d=d, **params)
-    except PathCouplingError:
+    except ConfigError:
         raise
-    except (TypeError, ValueError) as err:  # a value of the wrong type
+    except (TypeError, ValueError) as err:  # a Dimension- or DomainError is a ValueError too
         raise ConfigError(f"{kind} preset {name!r} with params {params}: {err}") from None
 
 

@@ -35,10 +35,10 @@ state z[0..j], and a step returns the new state, not the increment.  A
 step that overflows, divides by zero, makes an invalid value or raises a
 DomainError that names no step fails as a :class:`DomainError` carrying
 ``.step`` and a message that begins with the kernel and its model or
-field, as does a state that goes non-finite (with its path count).  Every
-kernel evaluates every field through one function, ``_eval``: a wrong
-shape, a floating-point failure inside the field and a value refused by
-the kernel's membership check also name the field's kind and label.
+field, as does a state that goes non-finite (with its path count).  A
+field is evaluated only by :meth:`CoefficientField.eval`: a wrong shape,
+a floating-point failure inside the field and a value refused by the
+kernel's membership check also name the field's kind and label.
 """
 
 from __future__ import annotations
@@ -127,7 +127,10 @@ class CoefficientField:
     Returning the shared shape whenever the coefficient does not depend
     on the path keeps the per-step membership and singularity checks
     cheap.  The interface enforces non-anticipativity by construction:
-    only the prefix is ever passed in.
+    only the prefix is ever passed in.  A field is a process, and every
+    kernel relies on three more rules: it is pure in (k, t, prefixes),
+    row i of a per-path value reads only row i of each prefix, and it
+    sees the grid only through k and t.
     """
 
     kind: str  # "drift" | "diffusion" | "rotation" | "correlation"
@@ -139,8 +142,25 @@ class CoefficientField:
         if self.kind not in ("drift", "diffusion", "rotation", "correlation"):
             raise DimensionError(f"unknown coefficient kind {self.kind!r}")
 
-    def eval(self, k: int, t: float, *prefixes: np.ndarray) -> np.ndarray:
-        return self.fn(k, t, *prefixes)
+    def eval(self, k: int, t: float, *prefixes: np.ndarray, admit=None) -> np.ndarray:
+        """The value at step k as a float array, shared or per path: (d,) or (N, d) for a drift,
+        (d, d) or (N, d, d) for any other kind, N the path count of the first prefix (a None
+        prefix admits only the shared shape).  ``admit(value)``, a kernel's memoised membership
+        check, refuses a value by raising a DomainError.  A wrong shape, a floating-point failure,
+        a refusal and any other Dimension- or DomainError out of the field name its kind and label."""
+        try:
+            value = np.asarray(self.fn(k, t, *prefixes), dtype=float)
+            shape = (self.dim,) if self.kind == "drift" else (self.dim, self.dim)
+            n_paths = None if prefixes[0] is None else len(prefixes[0])
+            if value.shape != shape and value.shape != (n_paths, *shape):
+                raise DimensionError(f"returned shape {value.shape} at step {k}; expected {shape} or {(n_paths, *shape)}")
+            if admit is not None:
+                admit(value)
+            return value
+        except FloatingPointError as err:
+            raise DomainError(f"{self.kind} {self.label!r}: floating-point {err}") from None
+        except (DimensionError, DomainError) as err:
+            raise type(err)(f"{self.kind} {self.label!r}: {err}") from None
 
     @classmethod
     def constant(cls, kind: str, value, d: int | None = None, label: str | None = None) -> "CoefficientField":
@@ -330,25 +350,6 @@ def sample_brownian(
 # coefficient evaluation plumbing
 
 
-def _eval(field: CoefficientField, k, t, n_paths, *prefixes, admit=None) -> np.ndarray:
-    """``field`` at step k as a float array, shared or per path: (d,) or (N, d) for a drift,
-    (d, d) or (N, d, d) for any other kind.  ``admit(value)``, a kernel's memoised membership
-    check, refuses a value by raising a DomainError.  A wrong shape, a floating-point failure,
-    a refusal and any other Dimension- or DomainError out of the field name its kind and label."""
-    try:
-        value = np.asarray(field.fn(k, t, *prefixes), dtype=float)
-        shape = (field.dim,) if field.kind == "drift" else (field.dim, field.dim)
-        if value.shape != shape and value.shape != (n_paths, *shape):
-            raise DimensionError(f"returned shape {value.shape} at step {k}; expected {shape} or {(n_paths, *shape)}")
-        if admit is not None:
-            admit(value)
-        return value
-    except FloatingPointError as err:
-        raise DomainError(f"{field.kind} {field.label!r}: floating-point {err}") from None
-    except (DimensionError, DomainError) as err:
-        raise type(err)(f"{field.kind} {field.label!r}: {err}") from None
-
-
 def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """mat @ vec per path; mat is (d, d) shared or (N, d, d), vec is (N, d)."""
     if mat.shape[-1] == 1:  # d = 1: a product, its exact zeros made +0 as matmul's are
@@ -431,15 +432,14 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     The driver is read as Brownian increments dB[k] = driver[k+1] -
     driver[k]; its starting value is ignored.
     """
-    n_paths = _ensemble(driver, "driver", model).n_paths
+    drv = np.swapaxes(_ensemble(driver, "driver", model).values, 0, 1)  # the driver's time-major storage
     dt = driver.grid.dt
-    drv = np.swapaxes(driver.values, 0, 1)  # the driver's time-major storage
     z = np.empty_like(drv)
     z[0] = model.z0
 
     def step(k, t, prefix):
-        b = _eval(model.drift, k, t, n_paths, prefix)
-        s = _eval(model.diffusion, k, t, n_paths, prefix)
+        b = model.drift.eval(k, t, prefix)
+        s = model.diffusion.eval(k, t, prefix)
         return prefix[:, -1] + b * dt + _apply(s, drv[k + 1] - drv[k])
 
     return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step, f"ito_map of {model.label!r}"), seed=driver.seed)
@@ -464,15 +464,14 @@ def inverse_ito_map(model: SdeModel, solution: PathEnsemble) -> PathEnsemble:
     from 0.  Raises :class:`SingularDiffusionError` (carrying the step
     index) when the diffusion is numerically singular at some step.
     """
-    n_paths = _ensemble(solution, "solution", model).n_paths
+    xv = _ensemble(solution, "solution", model).values
     dt = solution.grid.dt
-    xv = solution.values
     x = np.swapaxes(xv, 0, 1)
     check = ValueMemo(lambda s, det: _check_diffusion(s, det, model.diffusion.label))
 
     def step(k, t, prefix):
-        b = _eval(model.drift, k, t, n_paths, xv[:, : k + 1])
-        s = _eval(model.diffusion, k, t, n_paths, xv[:, : k + 1])
+        b = model.drift.eval(k, t, xv[:, : k + 1])
+        s = model.diffusion.eval(k, t, xv[:, : k + 1])
         det, dw = _eliminate(s, x[k + 1] - x[k] - b * dt)  # one elimination: the screen's det and the solve
         check(s, det)
         return prefix[:, -1] + dw
@@ -491,12 +490,11 @@ def decompose(model: SdeModel, paths: PathEnsemble) -> tuple[PathEnsemble, PathE
     need not have been produced by :func:`ito_map`.  Both parts are stored
     whole.
     """
-    n_paths = _ensemble(paths, "path", model).n_paths
+    xv = _ensemble(paths, "path", model).values
     dt = paths.grid.dt
-    xv = paths.values
     x = np.swapaxes(xv, 0, 1)
     fv = np.empty_like(x)
     fv[0] = model.z0
-    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + _eval(model.drift, k, t, n_paths, xv[:, : k + 1]) * dt,
+    _walk(fv, dt, lambda k, t, prefix: prefix[:, -1] + model.drift.eval(k, t, xv[:, : k + 1]) * dt,
           f"decompose of {model.label!r}")
     return tuple(PathEnsemble(grid=paths.grid, values=np.swapaxes(v, 0, 1), seed=paths.seed) for v in (fv, x - fv))

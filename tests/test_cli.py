@@ -594,7 +594,7 @@ def test_every_flag_and_size_field_is_a_parameter():
     fns = [*experiments.EXPERIMENTS.values(), *cli._COUPLINGS.values(), *cli._TESTS.values(), *cli._COSTS.values(),
            cli._closed_form]
     fields = {k for fn in fns for k, p in inspect.signature(fn).parameters.items() if p.kind != p.POSITIONAL_ONLY}
-    fields |= {"d", "n_steps", "N", "seed"}  # the sizes of a run config, read by cli._sizes
+    fields |= set(inspect.signature(cli._top_level).parameters)  # the sizes and sections of a run config
     counts = {k for preset in presets.available() for k in preset.defaults}  # a preset's params are sizes too
     assert set(cli._OVERRIDES) <= fields and set(cli._LEAST) <= fields | counts
 
@@ -606,6 +606,35 @@ def test_a_covariation_window_exits_2_naming_it(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "'covariation' takes no field 'window'; it takes: target" in err and f"line {line}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, field, misspelled", [("couple", "n_steps", "n_step"), ("cost", "closed_form", "closed_fom")])
+def test_a_misspelled_top_level_field_exits_2_at_its_line_and_writes_nothing(tmp_path, capsys, command, field, misspelled):
+    # no run reads it: an n_step left the grid at its default 256 steps, a closed_fom computed no closed form
+    data = {(misspelled if k == field else k): v for k, v in BASE_CONFIG.items()}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(data, indent=2) + "\n")
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{misspelled}"' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"takes no field {misspelled!r}" in err and field in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [({"kind": "closed-form-d2", "sigma": [[1.0]]}, "model preset 'const-matrix'"),
+     ({"kind": "rho-recovery", "cases": [{"d": 2, "c": [0.5, 0.5]}]}, "correlation preset 'const'")],
+    ids=["closed-form-d2-sigma", "rho-recovery-c"],
+)
+def test_an_experiment_preset_value_of_the_wrong_shape_exits_2(tmp_path, capsys, config, message):
+    # the builder refuses it before any numerics run: a config error naming the preset, not exit 3
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"version": 1, **config}))
+    assert main(["experiment", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "must be (2, 2)" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pathcoupling import cost, experiments, presets, sde
-from pathcoupling.coupling import CoupledEnsemble, couple_sdes
+from pathcoupling.coupling import CoupledEnsemble, couple_sdes, monge_sde
 from pathcoupling.cost import CostSpec
 from pathcoupling.errors import ConfigError, DimensionError, DomainError
 from pathcoupling.sde import CoefficientField, TimeGrid, decompose, ito_map, sample_brownian
@@ -373,14 +373,31 @@ def test_closed_form_rejects_path_dependent_target():
     assert "step" in str(err.value)
 
 
-def test_closed_form_rejects_lp_spec_and_bad_step():
+def test_closed_form_rejects_lp_spec():
     src, dst = _bm(1.0), _bm(1.0)
     probe = sample_brownian(TimeGrid(16), 1, 10, seed=71)
     with pytest.raises(ConfigError):
         cost.closed_form_optimal(src, dst, CostSpec.lp(2), probe)
-    _, q_star = cost.closed_form_optimal(src, dst, _sep(), probe)
-    with pytest.raises(DomainError):
-        q_star.eval(16, 1.0, probe.values)
+
+
+def test_closed_form_rotation_reads_the_time_of_a_coarser_grid():
+    # sbar = t - 0.5 changes sign at t = 1/2 (where any sign maximises): on 8 steps Q* is -1
+    # before k = 4 and +1 from k = 5 (t = 0.625) on, whatever grid the probe had
+    dst = presets.build("model", "expr", d=1, sigma_expr="t - 0.5")
+    _, q_star = cost.closed_form_optimal(_bm(1.0), dst, _sep(), sample_brownian(TimeGrid(16), 1, 10, seed=71))
+    x = sample_brownian(TimeGrid(8), 1, 4, seed=3).values
+    assert [q_star.eval(k, k / 8, x[:, : k + 1])[0, 0] for k in (0, 1, 2, 3, 5, 6, 7)] == [-1.0] * 4 + [1.0] * 3
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_closed_form_rotation_from_a_coarse_probe_attains_the_optimum_on_a_finer_grid(seed):
+    # Q* from a 64-step probe drives the 256-step transport to the 256-step closed form
+    src, dst = _bm(2.0), presets.build("model", "expr", d=1, sigma_expr="1 + t")
+    _, q_star = cost.closed_form_optimal(src, dst, _sep(), experiments.probe(src, 64, 8, seed + 1))
+    closed, _ = cost.closed_form_optimal(src, dst, _sep(), experiments.probe(src, 256, 8, seed + 1))
+    pair = monge_sde(dst.drift, dst.diffusion, q_star, src, TimeGrid(256), 4000, seed)
+    est = cost.estimate(pair, _sep(), src, dst)
+    assert abs(est.mean - closed.mean) <= 3 * np.hypot(est.stderr, closed.stderr)
 
 
 # ---------------------------------------------------------------------------

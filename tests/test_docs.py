@@ -1,5 +1,6 @@
 """The README and the experiments guide name exactly what the program has."""
 
+import json
 import pathlib
 import re
 
@@ -40,3 +41,14 @@ def test_each_experiment_section_names_every_verdict_it_returns(tiny):
     for kind, fn in experiments.EXPERIMENTS.items():
         verdicts = {v["name"] for v in fn(**tiny[kind])["verdicts"]}
         assert not verdicts - set(re.findall(r"`([^`]+)`", sections[kind])), kind
+
+
+def test_the_readme_run_config_runs(tmp_path):
+    # a config change the README misses fails here: its run config couples, costs and verifies
+    readme = (ROOT / "README.md").read_text()
+    text = re.search(r"the shape is\s*```json\n(.*?)```", readme, flags=re.DOTALL).group(1)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(text)
+    assert json.loads(text)["version"] == cli.CONFIG_VERSION
+    for command in ("couple", "cost", "verify"):
+        assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK, command

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from pathcoupling import presets, sde
-from pathcoupling.errors import ConfigError, DimensionError, DomainError
+from pathcoupling.errors import ConfigError
 from pathcoupling.linalg import MEMBERSHIP_TOL, correlation_margin, kernel_dim, orthogonality_defect
 from pathcoupling.sde import TimeGrid, ito_map, sample_brownian
 
@@ -34,14 +34,16 @@ def test_every_preset_takes_its_signature_and_builds_at_its_defaults(preset):
     assert built
 
 
-def test_a_value_of_the_wrong_type_is_a_config_error_and_domain_errors_pass_through():
+def test_a_value_of_the_wrong_type_shape_or_range_is_a_config_error_naming_the_preset():
     with pytest.raises(ConfigError) as err:
         presets.build("model", "ou", theta="x")
     assert "model preset 'ou'" in str(err.value) and "'x'" in str(err.value)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ConfigError) as err:  # a DimensionError out of the builder
         presets.build("correlation", "const", d=2, c=[[1.0, 0.0, 0.0]])
-    with pytest.raises(DomainError):
+    assert "correlation preset 'const'" in str(err.value) and "(2, 2)" in str(err.value)
+    with pytest.raises(ConfigError) as err:  # a DomainError out of the builder
         presets.build("rotation", "chop", c=2.0)
+    assert "rotation preset 'chop'" in str(err.value) and "[-1, 1]" in str(err.value)
 
 
 def test_unknown_preset_is_a_config_error_listing_alternatives():
