@@ -8,8 +8,8 @@ experiment is a function in ``pathcoupling.experiments`` whose keyword
 defaults are its shipped sizes: ``experiment <name>`` binds just its
 ``kind`` (plus flags), a JSON config file any of its fields; its report
 holds every input but ``n_workers``, then what the function measured and
-its verdicts.  ``simulate`` turns its flags into a run config with a
-``model`` section and goes through the same sizes and preset checks.  All parallelism lives inside the library calls; the CLI itself
+its verdicts.  ``simulate`` turns its flags into a run config's sizes
+and a ``model`` preset, through the same sizes and preset checks.  All parallelism lives inside the library calls; the CLI itself
 never spawns workers.
 
 Exit codes: 0 success, 2 config error (with a line-numbered diagnostic
@@ -183,9 +183,9 @@ def _size(cfg: Config, key, value, owner="") -> int:
     return number
 
 
-def _top_level(version=CONFIG_VERSION, d=1, n_steps=256, N=1000, seed=0, model=None, src=None, dst=None,
+def _top_level(version=CONFIG_VERSION, d=1, n_steps=256, N=1000, seed=0, src=None, dst=None,
                coupling=None, cost=None, closed_form=None, verify=None):
-    """A run config's fields: its sizes with their defaults, and its sections (``model`` from ``simulate``)."""
+    """A run config's fields: its sizes with their defaults, and its sections."""
 
 
 def _sizes(cfg: Config):
@@ -357,8 +357,8 @@ def _write(args, stem, paths, manifest) -> str:
 
 def cmd_simulate(args) -> int:
     model = {"preset": args.preset, "params": _parse_params(args.param)}
-    run = _run(_with_flags(Config({"model": model}, raw="", source="simulate"), args), args.threads)
-    law = run.model("model")
+    run = _run(_with_flags(Config({}, raw="", source="simulate"), args), args.threads)
+    law = run.preset("model", model)
     ens = sde.ito_map(law, sde.sample_brownian(run.grid, run.d, run.n_pairs, run.seed, n_workers=run.n_workers))
     manifest = {"model": law.label, "d": run.d, "n_steps": run.grid.n_steps, "N": run.n_pairs, "seed": run.seed}
     wrote = _write(args, "ensemble", ens, manifest)

@@ -48,9 +48,9 @@ from .sde import (
     ValueMemo,
     _apply,
     _apply_transposed,
+    _ito,
     _walk,
     brownian_increments,
-    ito_map,
     inverse_ito_map,
     sample_brownian,
 )
@@ -183,13 +183,14 @@ def couple_sdes(
     any progressive correlation process yields an information-respecting
     coupling of the two laws, with rho = I giving the synchronous
     coupling, rho = -I the antithetic one and rho = 0 the independent
-    product.
+    product.  Beside the pair it holds :func:`couple_brownians`'s two
+    increment streams while they last; the Itô maps write over its legs.
     """
     if src.dim != dst.dim or rho.dim != src.dim:
         raise DimensionError("source, target and correlation dimensions must agree")
     pair = couple_brownians(rho, grid, n_pairs, seed, n_workers=n_workers)
-    x = ito_map(src, pair.x_ensemble())
-    y = ito_map(dst, pair.y_ensemble())
+    x = _ito(src, pair.x_ensemble(), over=True)
+    y = _ito(dst, pair.y_ensemble(), over=True)
     marginals = [src.label, dst.label]
     return _coupled(grid, x.values, y.values, seed, "couple_sdes", marginals,
                     correlation=rho.label)
@@ -236,14 +237,15 @@ def composed_monge(
     Chains X = ito_map(src, B), W = inverse_ito_map(src, X) (= B up to
     rounding), U = rotation integral of W, Y = ito_map(dst, U).  The
     rotation process is evaluated on the recovered driver prefix.  With
-    src = dst and Q = I this is the identity coupling.
+    src = dst and Q = I this is the identity coupling.  Beside the pair
+    it holds W alone: X is written over B and Y over U.
     """
     if src.dim != dst.dim or q.dim != src.dim:
         raise DimensionError("source, target and rotation dimensions must agree")
     bm = sample_brownian(grid, src.dim, n_pairs, seed, n_workers=n_workers)
-    x = ito_map(src, bm)
+    x = _ito(src, bm, over=True)
     rotated = rotation_monge(q, inverse_ito_map(src, x))
-    y = ito_map(dst, rotated.y_ensemble())
+    y = _ito(dst, rotated.y_ensemble(), over=True)
     marginals = [src.label, dst.label]
     return _coupled(grid, x.values, y.values, seed, "composed_monge", marginals, rotation=q.label)
 
@@ -273,15 +275,14 @@ def monge_sde(
     the projection onto the row space of sigma, is evaluated at every
     step and recorded in ``provenance["kernel_residual"]`` (reported,
     never raised).  The residual is exactly 0 whenever sigma has full
-    rank at every probe.
+    rank at every probe.  X is written over its driver: nothing beside the pair.
     """
     d = src.dim
     z0_dst = np.broadcast_to(np.asarray(0.0 if z0_dst is None else z0_dst, dtype=float), (d,))
     dst = SdeModel(z0_dst, dst_drift, dst_diffusion, label=f"target({dst_drift.label}, {dst_diffusion.label})")
     if q.dim != d:
         raise DimensionError(f"rotation dim {q.dim} does not match src dim {d}")
-    # no name holds the Brownian driver, so it is freed once X is built
-    xv = ito_map(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers)).values
+    xv = _ito(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers), over=True).values
     x = np.swapaxes(xv, 0, 1)
     dt = grid.dt
     ty = np.empty_like(x)

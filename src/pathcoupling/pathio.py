@@ -171,8 +171,8 @@ def read_binary(path, sha256: str | None = None):
         d, n_steps, n_paths, seed = _HEADER.unpack(header)
         size = os.fstat(fh.fileno()).st_size - len(head)
         block = n_paths * (n_steps + 1) * d * 8
-        if block == 0 or size not in (block, 2 * block):
-            raise ConfigError(f"{path}: payload of {size} bytes does not hold 1 or 2 blocks of {block}")
+        if n_steps == 0 or block == 0 or size not in (block, 2 * block):
+            raise ConfigError(f"{path}: header d={d}, n_steps={n_steps}, N={n_paths} does not fit a payload of {size} bytes")
         per = max(1, _BLOCK_BYTES // (8 * (n_steps + 1) * d))
         grid, legs, buf = TimeGrid(n_steps), [], np.empty((min(per, n_paths), n_steps + 1, d), dtype="<f8")
         for _ in range(size // block):  # a leg at a time, a block of its paths at a time

@@ -27,7 +27,10 @@ time-major, in a C-contiguous (n_steps+1, N, d) buffer, copying only
 values not already laid out so, and ``values`` is that buffer's
 (N, n_steps+1, d) transposed view.  The public shape is unchanged while
 each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
-is contiguous, and no kernel or reduction converts a layout.
+is contiguous, and no kernel or reduction converts a layout.  No public
+kernel writes to its argument; :func:`_ito` writes over the drivers that
+constructors drew, so beside its pair ``composed_monge`` holds W,
+``monge_sde`` nothing and ``couple_sdes`` two increment streams.
 
 One walk, :func:`_walk`, fills that storage for every step kernel:
 ``z[j+1] = step(k, k * dt, prefix)`` with ``prefix`` the kernel's own
@@ -432,15 +435,23 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     The driver is read as Brownian increments dB[k] = driver[k+1] -
     driver[k]; its starting value is ignored.
     """
+    return _ito(model, driver, over=False)
+
+
+def _ito(model: SdeModel, driver: PathEnsemble, over: bool) -> PathEnsemble:
+    """:func:`ito_map` into fresh storage, or ``over`` the driver's own: each step reads knot k+1 before
+    its slot is written and carries it, so every increment is drv[k+1] - drv[k], byte for byte."""
     drv = np.swapaxes(_ensemble(driver, "driver", model).values, 0, 1)  # the driver's time-major storage
     dt = driver.grid.dt
-    z = np.empty_like(drv)
+    z = drv if over else np.empty_like(drv)
+    knot = drv[0].copy()
     z[0] = model.z0
 
     def step(k, t, prefix):
         b = model.drift.eval(k, t, prefix)
         s = model.diffusion.eval(k, t, prefix)
-        return prefix[:, -1] + b * dt + _apply(s, drv[k + 1] - drv[k])
+        db, knot[...] = drv[k + 1] - knot, drv[k + 1]
+        return prefix[:, -1] + b * dt + _apply(s, db)
 
     return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step, f"ito_map of {model.label!r}"), seed=driver.seed)
 

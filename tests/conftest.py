@@ -1,6 +1,24 @@
 """Fixtures shared by the test modules."""
 
+import tracemalloc
+
 import pytest
+
+
+@pytest.fixture
+def traced_peak():
+    """The one way a test bounds an allocation peak: the peak of the memory tracemalloc traces while
+    ``call()`` runs, in bytes (``call``'s value is dropped)."""
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

@@ -622,6 +622,17 @@ def test_a_misspelled_top_level_field_exits_2_at_its_line_and_writes_nothing(tmp
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["couple", "cost", "verify"])
+def test_a_model_section_in_a_run_config_exits_2_at_its_line(tmp_path, capsys, command):
+    # a run config's laws are src and dst; only simulate builds a 'model', from its flags
+    cfg = _write_config(tmp_path, {"model": {"preset": "ou"}})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if '"model"' in text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "takes no field 'model'" in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "config, message",
     [({"kind": "closed-form-d2", "sigma": [[1.0]]}, "model preset 'const-matrix'"),

@@ -1,6 +1,5 @@
 """Tests for cost functionals and the closed-form optimum."""
 
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,18 +199,13 @@ def test_separable_values_have_the_bytes_of_the_full_decomposition(d, layout, bl
         assert got.tobytes() == want.tobytes()
 
 
-def test_separable_estimate_stores_no_martingale_part():
+def test_separable_estimate_stores_no_martingale_part(traced_peak):
     n_pairs, n = 2000, 1024
     legs = np.cumsum(np.random.default_rng(15).standard_normal((2, n + 1, n_pairs, 1)), axis=1) * np.sqrt(1.0 / n)
     pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
     src = presets.build("model", "ou", d=1, theta=1.0)
     for h in ("zero", "sup", "l2"):
-        tracemalloc.start()
-        try:
-            cost.estimate(pair, _sep(presets.build("h", h, d=1)), src, _bm(1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: cost.estimate(pair, _sep(presets.build("h", h, d=1)), src, _bm(1.0)))
         # fv_x - fv_y for h is the one leg-sized array, beside a few blocks of running state
         # and temporaries; each stored finite-variation or martingale part, or an h that
         # squares or norms the whole path at once, would add a leg
@@ -243,17 +237,12 @@ def test_separable_values_of_a_drift_that_turns_per_path_have_the_bytes_of_the_f
         assert got.tobytes() == want.tobytes()
 
 
-def test_separable_estimate_of_path_free_drifts_stores_no_leg():
+def test_separable_estimate_of_path_free_drifts_stores_no_leg(traced_peak):
     n_pairs, n = 2000, 1024
     legs = np.cumsum(np.random.default_rng(16).standard_normal((2, n + 1, n_pairs, 1)), axis=1) * np.sqrt(1.0 / n)
     pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
     for h in ("zero", "sup", "l2"):
-        tracemalloc.start()
-        try:
-            cost.estimate(pair, _sep(presets.build("h", h, d=1)), _bm(2.0), _bm(1.0))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: cost.estimate(pair, _sep(presets.build("h", h, d=1)), _bm(2.0), _bm(1.0)))
         # two reused blocks for the martingale increments, then h's own blocks over a broadcast view
         # of the one-path-wide fv_x - fv_y; one leg (16 MB) alone would exceed the bound
         assert peak < 4 * sde._BLOCK_BYTES < legs[0].nbytes, (h, peak / sde._BLOCK_BYTES)

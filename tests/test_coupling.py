@@ -1,7 +1,6 @@
 """Tests for the coupling constructors."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,19 +268,27 @@ def test_monge_sde_equals_composed_for_constant_coefficients():
     assert not out.provenance["kernel_condition_violated"]
 
 
-def test_monge_sde_holds_no_driver_beside_its_two_legs():
+def test_monge_sde_holds_no_driver_beside_its_two_legs(traced_peak):
     n_pairs, n = 2000, 1024
     leg = n_pairs * (n + 1) * 8
     src = presets.build("model", "ou", d=1, theta=1.0)
-    tracemalloc.start()
-    try:
-        monge_sde(CoefficientField.constant("drift", 0.0, 1), CoefficientField.constant("diffusion", 0.5, 1),
-                  CoefficientField.constant("rotation", 1.0, 1, "identity"), src, TimeGrid(n), n_pairs, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: monge_sde(
+        CoefficientField.constant("drift", 0.0, 1), CoefficientField.constant("diffusion", 0.5, 1),
+        CoefficientField.constant("rotation", 1.0, 1, "identity"), src, TimeGrid(n), n_pairs, seed=3))
     # X and T; a Brownian driver kept through the transport loop would be a third leg
     assert peak <= 2 * leg + 2 * sde._BLOCK_BYTES, peak / leg
+
+
+def test_composed_monge_holds_one_recovered_driver_beside_its_pair(traced_peak):
+    n_pairs, n = 400, 1024
+    pair = 2 * n_pairs * (n + 1) * 2 * 8
+    src = presets.build("model", "gbm-bounded", d=2)
+    dst = presets.build("model", "ou", d=2, theta=2.0, mean=0.5)
+    q = presets.build("rotation", "rotation-by-state", d=2)
+    peak = traced_peak(lambda: composed_monge(src, dst, q, TimeGrid(n), n_pairs, seed=3))
+    # X over the sampled driver, the recovered driver W that the rotation reads, and Y over the rotated
+    # driver; a leg of its own for X, U or Y, as each stage once had, would lift the peak to 2.5x the pair
+    assert peak <= 1.6 * pair + 2 * sde._BLOCK_BYTES, peak / pair
 
 
 def test_monge_sde_invertible_residual_is_exact_zero():
@@ -509,6 +516,38 @@ def test_composed_monge_matches_the_kernel_chain_on_path_major_arrays():
     u = rotation_monge(q, _path_major(w)).y_ensemble()
     y = ito_map(dst, _path_major(u))
     assert _same_bytes(out.x, x.values) and _same_bytes(out.y, y.values)
+
+
+def test_couple_sdes_matches_the_ito_maps_of_its_brownian_pair_on_path_major_arrays():
+    src = presets.build("model", "gbm-bounded", d=2)
+    dst = presets.build("model", "ou", d=2, theta=2.0, mean=0.5)
+    rho = CoefficientField.constant("correlation", np.array([[0.5, -0.2], [0.3, 0.4]]))
+    grid = TimeGrid(64)
+    out = couple_sdes(src, dst, rho, grid, 25, seed=75)
+    pair = couple_brownians(rho, grid, 25, seed=75)
+    x = ito_map(src, _path_major(pair.x_ensemble()))
+    y = ito_map(dst, _path_major(pair.y_ensemble()))
+    assert _same_bytes(out.x, x.values) and _same_bytes(out.y, y.values)
+
+
+@pytest.mark.parametrize("per_path", [False, True], ids=["shared", "per-path"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_the_public_kernels_leave_the_bytes_of_their_argument_unchanged(d, per_path):
+    # only a driver that a constructor drew itself is written over by its Itô map
+    model = presets.build("model", "gbm-bounded", d=d) if per_path else _bm_model(d=d, sigma=1.5)
+    if not per_path:
+        q = CoefficientField.constant("rotation", -1.0, d)
+    elif d == 2:
+        q = presets.build("rotation", "rotation-by-state", d=2)
+    else:
+        q = CoefficientField("rotation", 1, lambda k, t, xp: np.where(xp[:, -1:] > 0.0, 1.0, -1.0), label="sign(x)")
+    drv = sample_brownian(TimeGrid(32), d, 20, seed=76)
+    drv_bytes = drv.values.tobytes()
+    x = ito_map(model, drv)
+    x_bytes = x.values.tobytes()
+    inverse_ito_map(model, x)
+    rotation_monge(q, drv)
+    assert drv.values.tobytes() == drv_bytes and x.values.tobytes() == x_bytes
 
 
 def test_couple_brownians_matches_a_path_major_recursion():

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,11 +153,11 @@ def test_csv_other_than_write_csv_writes_is_a_config_error_naming_the_file(tmp_p
         pathio.read_csv(f)
 
 
-def test_csv_whose_last_row_claims_more_paths_than_its_bytes_hold_allocates_nothing(tmp_path):
+def test_csv_whose_last_row_claims_more_paths_than_its_bytes_hold_allocates_nothing(tmp_path, traced_peak):
     f = tmp_path / "ens.csv"
     pathio.write_csv(f, sample_brownian(TimeGrid(2), 1, 3, seed=1))
     _rewrite_rows(f, lambda rows: rows[:-1] + ["1000000000" + rows[-1][1:]])
-    peak = _traced_peaks(lambda: pytest.raises(ConfigError, pathio.read_csv, f))[0]
+    peak = traced_peak(lambda: pytest.raises(ConfigError, pathio.read_csv, f))
     assert peak < 2**20, peak
 
 
@@ -267,24 +266,12 @@ def _long_pair():  # the cli-long-horizon size: 64 pairs of 2049 knots in d = 2,
     return CoupledEnsemble(grid=TimeGrid(2048), x=legs[0], y=legs[1], seed=4)
 
 
-def _traced_peaks(*calls):
-    peaks = []
-    for call in calls:
-        tracemalloc.start()
-        try:
-            call()
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    return peaks
-
-
-def test_csv_write_and_in_order_read_allocate_no_full_size_table(tmp_path):
+def test_csv_write_and_in_order_read_allocate_no_full_size_table(tmp_path, traced_peak):
     # an in-order read holds the two legs it returns (4 MiB) and one path of parsed rows; the
     # (64·2049, 7) float table alone is 7.3 MB
     pair = _long_pair()
     f = tmp_path / "pair.csv"
-    peaks = _traced_peaks(lambda: pathio.write_csv(f, pair), lambda: pathio.read_csv(f))
+    peaks = [traced_peak(lambda: pathio.write_csv(f, pair)), traced_peak(lambda: pathio.read_csv(f))]
     assert peaks[0] < 2 * 2**20 and peaks[1] < 5 * 2**20, peaks
 
 
@@ -307,7 +294,7 @@ def long_csv_lines(tmp_path_factory):
     ids=["last-t-off-the-grid", "row-10253-cut-short", "first-row-of-a-block-cut-short", "text-value"],
 )
 def test_a_fault_deep_in_a_long_csv_is_located_in_the_file_without_a_full_size_table(tmp_path, long_csv_lines, row,
-                                                                                      edit, message):
+                                                                                      edit, message, traced_peak):
     # line `row` of the file is data row `row`; a path of 2049 rows is a block, so row 10246 is the
     # first of the sixth and 10253 its eighth. numpy counts a short row from 1, a bad value from 0
     lines = list(long_csv_lines)
@@ -315,17 +302,17 @@ def test_a_fault_deep_in_a_long_csv_is_located_in_the_file_without_a_full_size_t
     f = tmp_path / "pair.csv"
     f.write_text("".join(lines))
     raised = []
-    peak = _traced_peaks(lambda: raised.append(pytest.raises(ConfigError, pathio.read_csv, f)))[0]
+    peak = traced_peak(lambda: raised.append(pytest.raises(ConfigError, pathio.read_csv, f)))
     assert str(raised[0].value).startswith(f"{f}: {message}") and peak < 5 * 2**20, (peak, raised[0].value)
 
 
-def test_binary_write_and_checked_read_hold_no_second_copy_of_a_leg(tmp_path):
+def test_binary_write_and_checked_read_hold_no_second_copy_of_a_leg(tmp_path, traced_peak):
     # a write holds one block of paths, not a contiguous copy of a leg (2 MiB); a read holds the
     # two legs it returns and one block, not a path-major leg beside its time-major copy
     pair = _long_pair()
     f = tmp_path / "pair.bin"
     digest = pathio.write_binary(f, pair)
-    peaks = _traced_peaks(lambda: pathio.write_binary(f, pair), lambda: pathio.read_binary(f, sha256=digest))
+    peaks = [traced_peak(lambda: pathio.write_binary(f, pair)), traced_peak(lambda: pathio.read_binary(f, sha256=digest))]
     assert peaks[0] < 2**20 and peaks[1] < 5 * 2**20, peaks
 
 
@@ -361,6 +348,14 @@ def test_binary_rejects_corruption(tmp_path):
     g.write_bytes(g.read_bytes()[:-8])
     with pytest.raises(ConfigError):
         pathio.read_binary(g)
+
+
+def test_binary_with_zero_steps_is_a_config_error_naming_the_file(tmp_path):
+    # the payload fits the header's one knot a path, so only the header check can refuse it
+    f = tmp_path / "zero.bin"
+    f.write_bytes(pathio.MAGIC + pathio._HEADER.pack(1, 0, 3, 0) + bytes(3 * 8))
+    with pytest.raises(ConfigError, match=re.escape(f"{f}: header d=1, n_steps=0, N=3")):
+        pathio.read_binary(f)
 
 
 def test_binary_digest_is_of_the_bytes_written_and_read(tmp_path):

@@ -1,6 +1,5 @@
 """Tests for grids, sampling and the discrete Itô map."""
 
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -208,15 +207,10 @@ def test_the_sampling_pool_never_asks_for_more_threads_than_cpus(monkeypatch, cp
     assert np.array_equal(ens.values, sample_brownian(TimeGrid(8), 1, 64, seed=3).values)
 
 
-def test_sampling_peaks_within_two_mib_of_its_output():
+def test_sampling_peaks_within_two_mib_of_its_output(traced_peak):
     # states are derived a block at a time: all 10^4 at once would hold about 5 MiB of ints
-    tracemalloc.start()
-    try:
-        ens = sample_brownian(TimeGrid(1024), 1, 10_000, seed=2**40 + 7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= ens.values.nbytes + 2 * 2**20
+    peak = traced_peak(lambda: sample_brownian(TimeGrid(1024), 1, 10_000, seed=2**40 + 7))
+    assert peak <= 1025 * 10_000 * 8 + 2 * 2**20
 
 
 # ---------------------------------------------------------------------------

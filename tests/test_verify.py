@@ -1,6 +1,5 @@
 """Tests for the statistical certification tools."""
 
-import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -101,15 +100,10 @@ def test_wiener_streamed_sums_match_one_shot_oracle(n, d, n_paths, layout):
     assert rep.passed == passed
 
 
-def test_wiener_allocates_no_full_size_temporary():
+def test_wiener_allocates_no_full_size_temporary(traced_peak):
     # a (2000, 1024, 2) increment array alone is 33 MB
     ens = sample_brownian(TimeGrid(1024), 2, 2000, seed=5)
-    tracemalloc.start()
-    try:
-        verify.wiener_marginal_test(ens)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: verify.wiener_marginal_test(ens))
     assert peak < 16 * 2**20
 
 
@@ -353,35 +347,25 @@ def test_every_reduction_over_steps_matches_its_path_major_oracle(case):
         np.testing.assert_allclose(cost._lp_values(pair, p), lp, **close)
 
 
-def test_realized_covariation_memory_does_not_grow_with_n():
+def test_realized_covariation_memory_does_not_grow_with_n(traced_peak):
     rng = np.random.default_rng(8)
     peaks = []
     for n in (256, 4096):
         legs = np.cumsum(rng.standard_normal((2, n + 1, 2000, 1)), axis=1) * np.sqrt(1.0 / n)
         pair = CoupledEnsemble(grid=TimeGrid(n), x=np.swapaxes(legs[0], 0, 1), y=np.swapaxes(legs[1], 0, 1), seed=0)
-        tracemalloc.start()
-        try:
-            verify.realized_covariation(pair)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: verify.realized_covariation(pair)))
         del legs, pair
     # at n = 4096 one path-major copy of a leg alone is 66 MB
     assert peaks[1] <= peaks[0] + 2**16, peaks
 
 
-def test_realized_covariation_holds_one_block_beside_the_pair():
+def test_realized_covariation_holds_one_block_beside_the_pair(traced_peak):
     # 64 pairs of 2049 knots in d = 2 (the cli-long-horizon size): one block of steps is a whole
     # 2 MiB leg, and the (steps, N, d, d) outer products of a block alone would be 4 MiB
     rng = np.random.default_rng(9)
     legs = rng.standard_normal((2, 64, 2049, 2))
     pair = CoupledEnsemble(grid=TimeGrid(2048), x=legs[0], y=legs[1], seed=0)
-    tracemalloc.start()
-    try:
-        verify.realized_covariation(pair)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: verify.realized_covariation(pair))
     assert peak <= 4 * 2**20, peak
 
 
