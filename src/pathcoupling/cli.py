@@ -23,6 +23,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,6 +81,13 @@ class Config:
         return kind(value)
 
 
+def _finite(text: str) -> float:
+    """A JSON number, NaN, Infinity or -Infinity as a float; one that is not finite is a config error."""
+    if not np.isfinite(value := float(text)):
+        raise ConfigError(f"{text} is not a finite number")
+    return value
+
+
 def load_config(path) -> Config:
     path = Path(path)
     try:
@@ -87,9 +95,13 @@ def load_config(path) -> Config:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
     try:
-        data = json.loads(raw)
+        data = json.loads(raw, parse_constant=_finite, parse_float=_finite)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: {err.msg}", line=err.lineno) from None
+    except ConfigError as err:  # located at the first line that holds the number outside a string
+        text = str(err).partition(" ")[0]
+        lines = (i for i, line in enumerate(raw.splitlines(), 1) if text in re.sub(r'"(\\.|[^"\\])*"', "", line))
+        raise ConfigError(f"{path}: {err}", line=next(lines, None)) from None
     cfg = Config(data=data, raw=raw, source=str(path))
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -373,9 +385,11 @@ def _parse_params(items):
         if not sep:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         try:
-            params[key] = json.loads(value)
+            params[key] = json.loads(value, parse_constant=_finite, parse_float=_finite)
         except json.JSONDecodeError:
             params[key] = value
+        except ConfigError as err:
+            raise ConfigError(f"--param {item!r}: {err}") from None
     return params
 
 
@@ -449,6 +463,10 @@ def _certificate(cfg, pair, /):
 
 
 def _adaptedness(cfg, pair, /, k_neighbors=5, threshold=0.75):
+    if k_neighbors < 1 or k_neighbors % 2 == 0:
+        cfg.error("k_neighbors", f"field 'k_neighbors' must be a positive odd count, got {k_neighbors}", str(k_neighbors))
+    if pair.n_pairs < 1000:
+        cfg.error("N", f"the adaptedness test needs a run 'N' of at least 1000, got {pair.n_pairs}")
     return verify.adaptedness_probe(pair, k_neighbors, threshold)
 
 

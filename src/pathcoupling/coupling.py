@@ -47,10 +47,10 @@ from .sde import (
     TimeGrid,
     ValueMemo,
     _apply,
-    _apply_transposed,
+    _check_draw,
+    _draw,
     _ito,
     _walk,
-    brownian_increments,
     inverse_ito_map,
     sample_brownian,
 )
@@ -140,7 +140,7 @@ def couple_brownians(
 ) -> CoupledEnsemble:
     """Joint Brownian pair with prescribed instantaneous correlation.
 
-    Draws two independent increment streams per pair and sets
+    Draws pair i's dX, then its dW, from path i's generator and sets
 
         dY[k] = rho[k]^T dX[k] + sqrt(I - rho[k]^T rho[k]) dW[k].
 
@@ -149,10 +149,15 @@ def couple_brownians(
     violation raises :class:`DomainError` carrying the step index.
     """
     d = rho.dim
-    inc = brownian_increments(grid, d, n_pairs, seed, streams=2, n_workers=n_workers)
-    db, dw = np.swapaxes(inc, 1, 2)  # views of the (2, n, N, d) storage
+    seed = _check_draw(seed, d, n_pairs)
     x = np.zeros((grid.n_steps + 1, n_pairs, d))
-    np.cumsum(db, axis=0, out=x[1:])
+    y = np.zeros_like(x)
+
+    def store(start, block):  # knot k+1 of each leg holds its increment k until step k reads it
+        x[1:, start : start + len(block)] = np.swapaxes(block[:, 0], 0, 1)
+        y[1:, start : start + len(block)] = np.swapaxes(block[:, 1], 0, 1)
+
+    _draw(grid, d, n_pairs, seed, 2, n_workers, store)
     xv = np.swapaxes(x, 0, 1)
     # sqrt(I - c^T c), the top-up that restores the Brownian marginal
     root_of = ValueMemo(lambda c: psd_sqrt(np.eye(d) - np.swapaxes(c, -1, -2) @ c, clamp_tol=1e-6))
@@ -160,11 +165,13 @@ def couple_brownians(
 
     def step(k, t, prefix):
         c = rho.eval(k, t, xv[:, : k + 1], prefix, admit=admit)
-        return prefix[:, -1] + (_apply_transposed(c, db[k]) + _apply(root_of(c), dw[k]))
+        dy = _apply(np.swapaxes(c, -1, -2), x[k + 1]) + _apply(root_of(c), y[k + 1])
+        if k:  # x[1] is dB[0] itself: adding x[0] = +0.0 would turn a -0.0 draw into +0.0
+            x[k + 1] += x[k]
+        return prefix[:, -1] + dy
 
-    yv = _walk(np.zeros_like(x), grid.dt, step, f"couple_brownians of {rho.label!r}")
-    wiener = [f"wiener(d={d})"] * 2
-    return _coupled(grid, xv, yv, seed, "couple_brownians", wiener, correlation=rho.label)
+    yv = _walk(y, grid.dt, step, f"couple_brownians of {rho.label!r}")
+    return _coupled(grid, xv, yv, seed, "couple_brownians", [f"wiener(d={d})"] * 2, correlation=rho.label)
 
 
 def couple_sdes(
@@ -183,17 +190,15 @@ def couple_sdes(
     any progressive correlation process yields an information-respecting
     coupling of the two laws, with rho = I giving the synchronous
     coupling, rho = -I the antithetic one and rho = 0 the independent
-    product.  Beside the pair it holds :func:`couple_brownians`'s two
-    increment streams while they last; the Itô maps write over its legs.
+    product.  It holds nothing beside the pair: the Itô maps write over
+    :func:`couple_brownians`'s legs.
     """
     if src.dim != dst.dim or rho.dim != src.dim:
         raise DimensionError("source, target and correlation dimensions must agree")
     pair = couple_brownians(rho, grid, n_pairs, seed, n_workers=n_workers)
     x = _ito(src, pair.x_ensemble(), over=True)
     y = _ito(dst, pair.y_ensemble(), over=True)
-    marginals = [src.label, dst.label]
-    return _coupled(grid, x.values, y.values, seed, "couple_sdes", marginals,
-                    correlation=rho.label)
+    return _coupled(grid, x.values, y.values, pair.seed, "couple_sdes", [src.label, dst.label], correlation=rho.label)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,8 @@ def rotation_invariance(
 
 def tanaka(N=2000, n_steps=4096, seed=5, alpha=0.01, n_workers=1):
     """The Tanaka coupling passes the certificate and the Wiener test yet carries no adapted map."""
+    if N < 1000:
+        raise ConfigError(f"tanaka's adaptedness probe needs N >= 1000, got {N}")
     pair = coupling.tanaka_coupling(sde.TimeGrid(n_steps), N, seed, n_workers=n_workers)
     cert = verify.monge_certificate(pair)
     wien = verify.wiener_marginal_test(pair.x_ensemble(), alpha=alpha)

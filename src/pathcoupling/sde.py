@@ -18,8 +18,8 @@ take an ensemble and return one, and a single path is the N = 1 ensemble.
 
 Randomness discipline: path i of an ensemble draws the normals of
 ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and nothing
-else, so the output does not depend on the worker count, the chunking
-or the block size.
+else (pair i of ``couple_brownians``: its dB, then its dW), so the output
+does not depend on the worker count, the chunking or the block size.
 
 Storage convention: the :class:`PathEnsemble` constructor (and so each
 leg of a coupled ensemble) fixes the layout.  It stores the paths
@@ -29,8 +29,8 @@ values not already laid out so, and ``values`` is that buffer's
 each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
 is contiguous, and no kernel or reduction converts a layout.  No public
 kernel writes to its argument; :func:`_ito` writes over the drivers that
-constructors drew, so beside its pair ``composed_monge`` holds W,
-``monge_sde`` nothing and ``couple_sdes`` two increment streams.
+constructors drew, so beside its pair ``composed_monge`` holds W, and
+``monge_sde`` and ``couple_sdes`` nothing.
 
 One walk, :func:`_walk`, fills that storage for every step kernel:
 ``z[j+1] = step(k, k * dt, prefix)`` with ``prefix`` the kernel's own
@@ -62,7 +62,6 @@ __all__ = [
     "CoefficientField",
     "SdeModel",
     "sample_brownian",
-    "brownian_increments",
     "ito_map",
     "inverse_ito_map",
     "decompose",
@@ -215,12 +214,12 @@ class SdeModel:
 # sampling
 
 
-def _check_draw(seed, d, n_paths, streams):
+def _check_draw(seed, d, n_paths):
     """The seed as an int, once seed and sizes are validated."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if d < 1 or n_paths < 1 or streams < 1:
-        raise DimensionError("d, n_paths and streams must all be >= 1")
+    if d < 1 or n_paths < 1:
+        raise DimensionError("d and n_paths must both be >= 1")
     if n_paths > 1 << 32:  # a path index is one spawn-key word
         raise DimensionError(f"n_paths must be at most 2**32, got {n_paths}")
     return int(seed)
@@ -314,32 +313,11 @@ def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_worke
             list(pool.map(lambda b: fill(*b), bounds))
 
 
-def brownian_increments(
-    grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int = 1, n_workers: int = 1
-) -> np.ndarray:
-    """Brownian increments shaped (streams, n_paths, n_steps, d).
-
-    Path i draws all of its ``streams`` blocks, in a fixed order, from
-    ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``, so the result
-    does not depend on ``n_workers``, on how the paths are chunked or on
-    the block size.  The result is a view of time-major storage
-    (streams, n_steps, n_paths, d).
-    """
-    seed = _check_draw(seed, d, n_paths, streams)
-    out = np.empty((streams, grid.n_steps, n_paths, d))
-
-    def store(start, block):
-        out[:, :, start : start + len(block)] = block.transpose(1, 2, 0, 3)
-
-    _draw(grid, d, n_paths, seed, streams, n_workers, store)
-    return out.transpose(0, 2, 1, 3)
-
-
 def sample_brownian(
     grid: TimeGrid, d: int, n_paths: int, seed: int, n_workers: int = 1
 ) -> PathEnsemble:
     """Standard Brownian ensemble started at 0."""
-    seed = _check_draw(seed, d, n_paths, 1)
+    seed = _check_draw(seed, d, n_paths)
     buf = np.zeros((grid.n_steps + 1, n_paths, d))
 
     def store(start, block):
@@ -362,11 +340,6 @@ def _apply(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     if mat.ndim == 2:
         return vec @ mat.T
     return np.einsum("nij,nj->ni", mat, vec)
-
-
-def _apply_transposed(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """mat^T @ vec per path, under the same broadcasting rule as :func:`_apply`."""
-    return _apply(np.swapaxes(mat, -1, -2), vec)
 
 
 class ValueMemo:

@@ -1028,3 +1028,52 @@ def test_a_stale_altered_or_missing_ensemble_is_built_again(tmp_path, builds, ch
     assert len(builds) == 2
     _cli("verify", cfg, fresh, *verify_flags)
     assert (out / "reports.jsonl").read_bytes() == (fresh / "reports.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, literal",
+    [("couple", {"dst": {"preset": "bm", "params": {"sigma": 7.25}}}, "NaN"),
+     ("verify", {"verify": [{"test": "covariation", "target": 7.25}]}, "Infinity"),
+     ("couple", {"src": {"preset": "bm", "params": {"sigma": 7.25}}}, "1e999"),
+     ("simulate", None, "NaN")],
+    ids=["nan-preset-param", "infinite-covariation-target", "overflowing-literal", "nan-simulate-param"],
+)
+def test_a_number_that_is_not_finite_exits_2_where_it_was_written(tmp_path, capsys, command, overrides, literal):
+    # json reads NaN, Infinity and 1e999 as floats; each used to run and fail late with exit 3 and no line
+    if command == "simulate":
+        argv, where = ["simulate", "--param", f"sigma={literal}"], f"'sigma={literal}'"
+    else:
+        cfg = _write_config(tmp_path, overrides)
+        cfg.write_text(cfg.read_text().replace("7.25", literal))
+        line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if literal in text)
+        argv, where = [command, "--config", str(cfg)], f"line {line}:"
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{literal} is not a finite number" in err and where in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "entry, n_pairs, key, message",
+    [({"test": "adaptedness", "k_neighbors": 4}, 1000, "k_neighbors", "must be a positive odd count, got 4"),
+     ({"test": "adaptedness", "k_neighbors": -3}, 1000, "k_neighbors", "must be a positive odd count, got -3"),
+     ({"test": "adaptedness"}, 999, "N", "needs a run 'N' of at least 1000, got 999")],
+    ids=["even-k", "negative-k", "too-few-pairs"],
+)
+def test_an_adaptedness_entry_out_of_the_probes_range_exits_2_at_its_line(tmp_path, capsys, entry, n_pairs, key, message):
+    cfg = _write_config(tmp_path, {"N": n_pairs, "n_steps": 16, "verify": [entry]})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_tanaka_with_fewer_pairs_than_its_probe_needs_exits_2_naming_n(tmp_path, capsys, source):
+    cfg = tmp_path / "tanaka.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "tanaka", "N": 999, "n_steps": 16}))
+    argv = ["experiment", "tanaka", "--N", "999", "--n", "16"] if source == "flag" else ["experiment", str(cfg)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "needs N >= 1000, got 999" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

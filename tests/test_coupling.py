@@ -27,7 +27,6 @@ from pathcoupling.sde import (
     PathEnsemble,
     SdeModel,
     TimeGrid,
-    brownian_increments,
     inverse_ito_map,
     ito_map,
     sample_brownian,
@@ -277,6 +276,19 @@ def test_monge_sde_holds_no_driver_beside_its_two_legs(traced_peak):
         CoefficientField.constant("rotation", 1.0, 1, "identity"), src, TimeGrid(n), n_pairs, seed=3))
     # X and T; a Brownian driver kept through the transport loop would be a third leg
     assert peak <= 2 * leg + 2 * sde._BLOCK_BYTES, peak / leg
+
+
+@pytest.mark.parametrize("constructor", ["couple_brownians", "couple_sdes"])
+def test_constant_correlation_couplings_hold_nothing_beside_their_pair(traced_peak, constructor):
+    n_pairs, n = 2000, 1024
+    pair = 2 * n_pairs * (n + 1) * 8
+    rho = CoefficientField.constant("correlation", 0.5, 1)
+    ou = presets.build("model", "ou", d=1, theta=1.0)
+    build = {"couple_brownians": lambda: couple_brownians(rho, TimeGrid(n), n_pairs, seed=3),
+             "couple_sdes": lambda: couple_sdes(ou, ou, rho, TimeGrid(n), n_pairs, seed=3)}[constructor]
+    peak = traced_peak(build)
+    # each increment is drawn into the knot it becomes; holding both increment streams whole would be a second pair
+    assert peak <= pair + 2 * sde._BLOCK_BYTES, peak / pair
 
 
 def test_composed_monge_holds_one_recovered_driver_beside_its_pair(traced_peak):
@@ -554,7 +566,9 @@ def test_couple_brownians_matches_a_path_major_recursion():
     c = np.array([[0.5, -0.2], [0.3, 0.4]])
     grid = TimeGrid(32)
     out = couple_brownians(CoefficientField.constant("correlation", c), grid, 20, seed=73)
-    db, dw = np.ascontiguousarray(brownian_increments(grid, 2, 20, seed=73, streams=2))
+    # pair i draws its dB, then its dW, from numpy's generator spawned for path i
+    gens = [np.random.default_rng(np.random.SeedSequence(73, spawn_key=(i,))) for i in range(20)]
+    db, dw = np.stack([gen.standard_normal((2, 32, 2)) for gen in gens], axis=1) * np.sqrt(grid.dt)
     root = psd_sqrt(np.eye(2) - c.T @ c, clamp_tol=1e-6)
     x = np.zeros((20, 33, 2))
     y = np.zeros((20, 33, 2))

@@ -1,9 +1,12 @@
 """The README and the experiments guide name exactly what the program has."""
 
+import importlib
 import json
 import pathlib
+import pkgutil
 import re
 
+import pathcoupling
 from pathcoupling import cli, experiments
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -52,3 +55,17 @@ def test_the_readme_run_config_runs(tmp_path):
     assert json.loads(text)["version"] == cli.CONFIG_VERSION
     for command in ("couple", "cost", "verify"):
         assert cli.main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_OK, command
+
+
+def test_every_module_attribute_the_docs_name_exists():
+    # a deleted or renamed function the docs still name in backticks fails here; file names are skipped
+    modules = {m.name for m in pkgutil.iter_modules(pathcoupling.__path__)}
+    named = {
+        (module, name)
+        for doc in ("README.md", "docs/experiments.md")
+        for module, name in re.findall(r"`([a-z]+)\.([A-Za-z_]\w*)`", (ROOT / doc).read_text())
+        if module in modules and name not in ("json", "jsonl", "csv", "bin")
+    }
+    assert named
+    missing = [f"{m}.{n}" for m, n in sorted(named) if not hasattr(importlib.import_module(f"pathcoupling.{m}"), n)]
+    assert not missing

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from pathcoupling import coupling, presets, sde
 from pathcoupling.errors import DimensionError, DomainError, SingularDiffusionError
+from pathcoupling.linalg import psd_sqrt
 from pathcoupling.sde import (
     CoefficientField,
     PathEnsemble,
@@ -176,10 +177,18 @@ def test_every_path_is_its_own_stream_across_block_and_chunk_boundaries(n_worker
 
 @pytest.mark.parametrize("n_paths, n_workers", [(200, 3), (131, 2), (64, 1)])
 def test_increment_streams_do_not_depend_on_blocks_or_chunks(n_paths, n_workers):
-    # 65 paths a block at n = 1000, d = 1 and two streams: chunks of 67, 66 and 64 paths straddle blocks
-    inc = sde.brownian_increments(TimeGrid(1000), 1, n_paths, seed=29, streams=2, n_workers=n_workers)
-    for i in range(n_paths):
-        assert np.ascontiguousarray(inc[:, i]).tobytes() == _oracle(29, i, (2, 1000, 1), 1000).tobytes()
+    # 65 pairs a block at n = 1000, d = 1 and two streams: chunks of 67, 66 and 64 pairs straddle blocks
+    c = np.array([[0.6]])
+    rho = CoefficientField.constant("correlation", c)
+    pair = coupling.couple_brownians(rho, TimeGrid(1000), n_paths, seed=29, n_workers=n_workers)
+    db, dw = np.stack([_oracle(29, i, (2, 1000, 1), 1000) for i in range(n_paths)], axis=1)
+    root = psd_sqrt(np.eye(1) - c.T @ c, clamp_tol=1e-6)
+    y = np.zeros((n_paths, 1001, 1))
+    for k in range(1000):  # pair i's dB is its stream 0, its dW stream 1
+        y[:, k + 1] = y[:, k] + (db[:, k] @ c + dw[:, k] @ root.T)
+    assert pair.x[:, 0].tobytes() == bytes(8 * n_paths)
+    assert np.ascontiguousarray(pair.x[:, 1:]).tobytes() == np.cumsum(db, axis=1).tobytes()
+    assert np.ascontiguousarray(pair.y).tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("cpus, threads", [(2, 2), (None, 1)])
@@ -578,12 +587,6 @@ def test_kernel_outputs_are_views_of_time_major_storage():
     assert np.shares_memory(PathEnsemble(grid=x.grid, values=x.values, seed=x.seed).values, x.values)  # no copy
 
 
-def test_brownian_increments_keep_their_public_shape():
-    inc = sde.brownian_increments(TimeGrid(8), 2, 70, seed=63, streams=2)
-    assert inc.shape == (2, 70, 8, 2)
-    assert np.ascontiguousarray(inc[:, 69]).tobytes() == _oracle(63, 69, (2, 8, 2), 8).tobytes()
-
-
 def test_singularity_check_survives_a_refilled_diffusion_buffer():
     # the field hands back one buffer every step and refills it in place; the
     # check of the shared value must still run, and raise, at the first
@@ -625,6 +628,6 @@ def test_d1_apply_has_the_bytes_of_matmul_and_einsum(case):
     vec, shared, per_path = case
     with np.errstate(over="ignore"):  # a product of two large entries is inf on every route
         assert sde._apply(shared, vec).tobytes() == (vec @ shared.T).tobytes()
-        assert sde._apply_transposed(shared, vec).tobytes() == (vec @ shared).tobytes()
+        assert sde._apply(shared.T, vec).tobytes() == (vec @ shared).tobytes()
         assert sde._apply(per_path, vec).tobytes() == np.einsum("nij,nj->ni", per_path, vec).tobytes()
-        assert sde._apply_transposed(per_path, vec).tobytes() == np.einsum("nji,nj->ni", per_path, vec).tobytes()
+        assert sde._apply(np.swapaxes(per_path, 1, 2), vec).tobytes() == np.einsum("nji,nj->ni", per_path, vec).tobytes()

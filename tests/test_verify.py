@@ -297,6 +297,18 @@ def test_certificate_recovers_the_drivers_of_each_leg_with_a_model():
     assert not verify.monge_certificate(pair, None, dst).passed
 
 
+_FLOOR = "ROADMAP item 9: a recovered driver rounds relative to the state, so far from the origin it reads 4.5e-8"
+
+
+@pytest.mark.parametrize("z0", [1.0, pytest.param(1e8, marks=pytest.mark.xfail(strict=True, reason=_FLOOR))])
+def test_certificate_passes_an_identity_transport_at_any_distance_from_the_origin(z0):
+    src = presets.build("model", "ou", d=1, theta=1.0, z0=z0)
+    dst = presets.build("model", "ou", d=1, theta=2.0, z0=z0)
+    identity = CoefficientField.constant("rotation", 1.0, 1, "identity")
+    pair = coupling.monge_sde(dst.drift, dst.diffusion, identity, src, TimeGrid(256), 200, seed=1, z0_dst=dst.z0)
+    assert verify.monge_certificate(pair, src, dst).passed
+
+
 def test_certificate_refuses_a_pair_whose_driver_never_moves():
     x = np.zeros((3, 9, 1))
     x[1:, 1:] = 1.0  # pairs 1 and 2 move at step 0
