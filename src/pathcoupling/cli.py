@@ -76,16 +76,17 @@ class Config:
         a boolean, or a non-integral value for an int is a config error naming the key."""
         if not _is_number(value):
             self.error(key, f"field {key!r} must be a number, got {value!r}", json.dumps(value))
-        if kind is int and not float(value).is_integer():
+        if kind is int and value % 1:  # exact for an int of any size, where float(value) may overflow
             self.error(key, f"field {key!r} must be an integer, got {value!r}", json.dumps(value))
         return kind(value)
 
 
-def _finite(text: str) -> float:
-    """A JSON number, NaN, Infinity or -Infinity as a float; one that is not finite is a config error."""
+def _finite(text: str):
+    """A JSON number (an int if written as one), NaN, Infinity or -Infinity; one that is not finite
+    as a float, such as an integer of 309 digits, is a config error."""
     if not np.isfinite(value := float(text)):
         raise ConfigError(f"{text} is not a finite number")
-    return value
+    return int(text) if text.lstrip("-").isdigit() else value
 
 
 def load_config(path) -> Config:
@@ -95,7 +96,7 @@ def load_config(path) -> Config:
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err.strerror}") from None
     try:
-        data = json.loads(raw, parse_constant=_finite, parse_float=_finite)
+        data = json.loads(raw, parse_constant=_finite, parse_float=_finite, parse_int=_finite)
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: {err.msg}", line=err.lineno) from None
     except ConfigError as err:  # located at the first line that holds the number outside a string
@@ -385,7 +386,7 @@ def _parse_params(items):
         if not sep:
             raise ConfigError(f"--param expects KEY=VALUE, got {item!r}")
         try:
-            params[key] = json.loads(value, parse_constant=_finite, parse_float=_finite)
+            params[key] = json.loads(value, parse_constant=_finite, parse_float=_finite, parse_int=_finite)
         except json.JSONDecodeError:
             params[key] = value
         except ConfigError as err:
@@ -429,9 +430,11 @@ def cmd_verify(args) -> int:
     entries = cfg.data.get("verify")
     if not isinstance(entries, list) or not entries:
         cfg.error("verify", "config needs a non-empty 'verify' list of test objects")
-    tests = [_bind(cfg, _TESTS, entry, "verify", "test") for entry in entries]
+    bound = [_bind(cfg, _TESTS, entry, "verify", "test") for entry in entries]
+    run = _run(cfg, args.threads)
+    tests = [test(run, **fields) for test, fields in bound]
     pair = _coupled_for(cfg, args)
-    reports = [test(cfg, pair, **fields) for test, fields in tests]
+    reports = [test(pair) for test in tests]
     out = _out_dir(args)
     pathio.write_reports_jsonl(out / "reports.jsonl", reports)
     for rep in reports:
@@ -441,36 +444,37 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _wiener(cfg, pair, /, side="y", alpha=0.01):
+def _wiener(run, /, side="y", alpha=0.01):
     if side not in ("x", "y"):
-        cfg.error("side", f"wiener test side must be 'x' or 'y', got {side!r}", json.dumps(side))
-    return verify.wiener_marginal_test(pair.x_ensemble() if side == "x" else pair.y_ensemble(), alpha)
+        run.cfg.error("side", f"wiener test side must be 'x' or 'y', got {side!r}", json.dumps(side))
+    return lambda pair: verify.wiener_marginal_test(pair.x_ensemble() if side == "x" else pair.y_ensemble(), alpha)
 
 
-def _covariation(cfg, pair, /, target=None):
+def _covariation(run, /, target=None):
     entries = np.asarray(target, dtype=object)
-    if entries.shape not in ((), (pair.d, pair.d)) or not all(map(_is_number, entries.flat)):
-        message = f"'target' must be a number or a {pair.d} x {pair.d} list of numbers, got {target!r}"
-        cfg.error("target", message, json.dumps(target))
-    return verify.covariation_test(pair, target)
+    if entries.shape not in ((), (run.d, run.d)) or not all(map(_is_number, entries.flat)):
+        message = f"'target' must be a number or a {run.d} x {run.d} list of numbers, got {target!r}"
+        run.cfg.error("target", message, json.dumps(target))
+    return lambda pair: verify.covariation_test(pair, target)
 
 
-def _certificate(cfg, pair, /):
-    if cfg.data["coupling"]["constructor"] not in _SDE_COUPLINGS:  # the legs are the drivers
-        return verify.monge_certificate(pair)
-    run = _run(cfg)
-    return verify.monge_certificate(pair, run.model("src"), run.model("dst"))
+def _certificate(run, /):
+    def test(pair):  # an SDE coupling's legs are read under its models, any other's are the drivers
+        sdes = run.cfg.data["coupling"]["constructor"] in _SDE_COUPLINGS  # a section the build checked
+        return verify.monge_certificate(pair, *(run.model(key) for key in ("src", "dst") if sdes))
+
+    return test
 
 
-def _adaptedness(cfg, pair, /, k_neighbors=5, threshold=0.75):
+def _adaptedness(run, /, k_neighbors=5, threshold=0.75):
     if k_neighbors < 1 or k_neighbors % 2 == 0:
-        cfg.error("k_neighbors", f"field 'k_neighbors' must be a positive odd count, got {k_neighbors}", str(k_neighbors))
-    if pair.n_pairs < 1000:
-        cfg.error("N", f"the adaptedness test needs a run 'N' of at least 1000, got {pair.n_pairs}")
-    return verify.adaptedness_probe(pair, k_neighbors, threshold)
+        run.cfg.error("k_neighbors", f"field 'k_neighbors' must be a positive odd count, got {k_neighbors}", str(k_neighbors))
+    if run.n_pairs < 1000:
+        run.cfg.error("N", f"the adaptedness test needs a run 'N' of at least 1000, got {run.n_pairs}")
+    return lambda pair: verify.adaptedness_probe(pair, k_neighbors, threshold)
 
 
-#: verify test name -> function; its parameters after the ``/`` are the entry's fields
+#: verify test name -> function of the run and the entry's fields (after the ``/``): it checks them, then returns a test
 _TESTS = {f.__name__[1:]: f for f in (_wiener, _covariation, _certificate, _adaptedness)}
 
 

@@ -8,8 +8,8 @@ finite-variation and martingale parts of a pair separately,
 and an *Lp* cost integrates ``|x_t - y_t|^p`` over time.  Costs are
 priced over the pairs of a :class:`CoupledEnsemble` by :func:`estimate`;
 one pair is the N = 1 ensemble.  For separable
-costs against a target with deterministic drift and deterministic
-``sigma sigma^T``, the optimal value over all non-anticipating couplings
+costs against a target whose drift and diffusion ``sbar`` do not depend
+on the path, the optimal value over all non-anticipating couplings
 has a closed form driven by per-step singular values, together with the
 rotation process that attains it; see :func:`closed_form_optimal`.
 """
@@ -137,10 +137,6 @@ def _from_values(values: np.ndarray, spec_label: str) -> CostEstimate:
 # per-pair values, batched over the pairs of an ensemble
 
 
-class _PerPath(Exception):
-    """A drift returned per-path values on a walk one path wide."""
-
-
 def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec: CostSpec):
     """h and g per pair from one walk over the pair's steps: each block runs both drift recursions,
     each one path wide until its drift returns per-path values, on from the last knot of the block
@@ -157,21 +153,12 @@ def _separable_values(pair: CoupledEnsemble, src: SdeModel, dst: SdeModel, spec:
         work = work or [np.empty(blk[0].shape) for _ in models]
         for i, (start, model, leg, side) in enumerate(zip(last, models, legs, ("src", "dst"))):
             def step(k, t, prefix):  # the walk ends before model and leg move on
-                b = model.drift.eval(k, t, leg[:, : k + 1])
-                if b.ndim == 2 and len(b) != len(prefix):
-                    raise _PerPath
-                return prefix[:, -1] + b * dt
+                return prefix[:, -1] + model.drift.eval(k, t, leg[:, : k + 1]) * dt
 
-            def walk(fv):
-                fv[0] = start
-                _walk(fv[: steps + 1], dt, step, f"cost.estimate of {side} {model.label!r}", lo)
-
-            try:
-                walk(fvs[i])
-            except _PerPath:  # fields are pure in (k, t, prefix): the block is walked again, n_paths wide
-                fvs[i] = np.empty((len(fvs[i]), n_paths, d))
-                walk(fvs[i])
-        fx, fy = (fv[: steps + 1] for fv in fvs)
+            fv = fvs[i][: steps + 1]
+            fv[0] = start  # the walk hands back this storage, or a wider copy that later blocks reuse
+            fvs[i] = np.swapaxes(_walk(fv, dt, step, f"cost.estimate of {side} {model.label!r}", lo, n_paths), 0, 1)
+        fx, fy = fvs
         if diff.shape[1] < max(fx.shape[1], fy.shape[1]):
             diff = np.broadcast_to(diff, (len(diff), n_paths, d)).copy()
         np.subtract(fx, fy, out=diff[lo : lo + steps + 1])
@@ -242,10 +229,11 @@ def closed_form_optimal(
 ) -> tuple[CostEstimate, CoefficientField]:
     """Optimal separable cost between the two model laws, plus its rotation.
 
-    Requires the target drift to depend on time only and the target
-    ``sigma sigma^T`` to be deterministic; both are validated on the
-    probe ensemble (which must be drawn from the source law) within
-    ``DETERMINISM_TOL``.  The value is the Monte Carlo mean over probes of
+    Requires the target drift and the target diffusion ``sbar`` itself
+    to depend on time only; both are validated on the probe ensemble
+    (which must be drawn from the source law) within ``DETERMINISM_TOL``,
+    and a per-path value is read on the first probe path.  The value is
+    the Monte Carlo mean over probes of
 
         h(int b dt - int b_bar dt)
         + g(int Tr(sigma sigma^T + sbar sbar^T) dt - 2 int Tr(sigma^T sbar Q*) dt)
@@ -270,7 +258,7 @@ def closed_form_optimal(
 
     def sbar_of(k, t, prefix):  # the target's diffusion on a source prefix, checked path-free
         sbar = dst.diffusion.eval(k, t, prefix)
-        return _require_deterministic(sbar, "dst diffusion (sigma sigma^T)") if sbar.ndim == 3 else sbar
+        return _require_deterministic(sbar, "dst diffusion (sbar)") if sbar.ndim == 3 else sbar
 
     bracket = np.zeros(n_paths)
     fv_x = np.empty((n + 1, n_paths, d))
@@ -296,7 +284,7 @@ def closed_form_optimal(
         bracket[:] += (tr_src + float(np.einsum("ij,ij->", sbar, sbar)) - 2.0 * cross) * dt
         return fv[:, -1] + b * dt
 
-    fv_y = _walk(fv_y, dt, dst_step, f"closed_form_optimal of dst {dst.label!r}")
+    fv_y = _walk(fv_y, dt, dst_step, f"closed_form_optimal of dst {dst.label!r}", n_paths=n_paths)
     fv_x = _walk(fv_x, dt, step, f"closed_form_optimal of src {src.label!r}")
     # the integrand is nonnegative analytically; clip rounding residue so
     # g (e.g. sqrt) never sees a negative bracket

@@ -375,26 +375,33 @@ def _ensemble(paths, what: str, model: SdeModel) -> PathEnsemble:
     return paths
 
 
-def _walk(z: np.ndarray, dt: float, step, what: str, lo: int = 0) -> np.ndarray:
+def _walk(z: np.ndarray, dt: float, step, what: str, lo: int = 0, n_paths: int = 1) -> np.ndarray:
     """Fill time-major (h+1, N, d) storage by ``z[j+1] = step(k, k*dt, prefix)``, k = lo + j and
-    ``prefix`` the (N, j+1, d) view of z[0..j]; return the (N, h+1, d) view.  Failures carry k
-    (module docstring) and begin with ``what``, the kernel and its model or field.  Every
-    step adds to its state, so a state that went non-finite stays so: only the last knot is
-    checked, and the walk searched for the step only when that fails."""
+    ``prefix`` the (N, j+1, d) view of z[0..j]; return the (N, h+1, d) view.  A state one path wide
+    stands for ``n_paths``: a step's first per-path rows widen it, knots 0..j copied across them, and
+    no state narrows.  Failures carry k (module docstring) and begin with ``what``, the kernel and its
+    model or field.  Every step adds to its state, so a state that went non-finite stays so: only
+    the last knot is checked, and the walk searched for the step only when that fails."""
     paths = np.swapaxes(z, 0, 1)
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         for j in range(len(z) - 1):
             k = lo + j
             try:
-                z[j + 1] = step(k, k * dt, paths[:, : j + 1])
+                value = step(k, k * dt, paths[:, : j + 1])
             except FloatingPointError as err:
                 raise DomainError(f"{what}: floating-point {err}", step=k) from None
             except DomainError as err:  # one that names no step is given this one, and ``what``
                 raise (err if err.step is not None else type(err)(f"{what}: {err}", step=k)) from None
+            if len(value) > z.shape[1]:
+                wide = np.empty((len(z), len(value), z.shape[2]))
+                wide[: j + 1] = z[: j + 1]
+                z, paths = wide, np.swapaxes(wide, 0, 1)
+            z[j + 1] = value
     if not np.isfinite(z[-1]).all():
         bad = ~np.isfinite(z).all(axis=2)
         j = int(bad.any(axis=1).argmax())
-        raise DomainError(f"{what}: the state went non-finite on {int(bad[j].sum())} path(s)", step=lo + max(j, 1) - 1)
+        count = int(bad[j].sum()) if z.shape[1] > 1 else n_paths
+        raise DomainError(f"{what}: the state went non-finite on {count} path(s)", step=lo + max(j, 1) - 1)
     return paths
 
 

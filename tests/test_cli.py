@@ -1035,11 +1035,15 @@ def test_a_stale_altered_or_missing_ensemble_is_built_again(tmp_path, builds, ch
     [("couple", {"dst": {"preset": "bm", "params": {"sigma": 7.25}}}, "NaN"),
      ("verify", {"verify": [{"test": "covariation", "target": 7.25}]}, "Infinity"),
      ("couple", {"src": {"preset": "bm", "params": {"sigma": 7.25}}}, "1e999"),
-     ("simulate", None, "NaN")],
-    ids=["nan-preset-param", "infinite-covariation-target", "overflowing-literal", "nan-simulate-param"],
+     ("simulate", None, "NaN"),
+     ("couple", {"src": {"preset": "bm", "params": {"sigma": 7.25}}}, "1" + "0" * 400),
+     ("couple", {"N": 7.25}, "1" + "0" * 400)],
+    ids=["nan-preset-param", "infinite-covariation-target", "overflowing-literal", "nan-simulate-param",
+         "huge-integer-preset-param", "huge-integer-size"],
 )
 def test_a_number_that_is_not_finite_exits_2_where_it_was_written(tmp_path, capsys, command, overrides, literal):
-    # json reads NaN, Infinity and 1e999 as floats; each used to run and fail late with exit 3 and no line
+    # json reads NaN, Infinity and 1e999 as floats; each used to run and fail late with exit 3 and no line,
+    # and an integer too large for a float ended in an OverflowError's traceback
     if command == "simulate":
         argv, where = ["simulate", "--param", f"sigma={literal}"], f"'sigma={literal}'"
     else:
@@ -1060,13 +1064,30 @@ def test_a_number_that_is_not_finite_exits_2_where_it_was_written(tmp_path, caps
      ({"test": "adaptedness"}, 999, "N", "needs a run 'N' of at least 1000, got 999")],
     ids=["even-k", "negative-k", "too-few-pairs"],
 )
-def test_an_adaptedness_entry_out_of_the_probes_range_exits_2_at_its_line(tmp_path, capsys, entry, n_pairs, key, message):
+def test_an_adaptedness_entry_out_of_the_probes_range_exits_2_at_its_line(tmp_path, capsys, builds, entry, n_pairs,
+                                                                            key, message):
     cfg = _write_config(tmp_path, {"N": n_pairs, "n_steps": 16, "verify": [entry]})
     line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
     assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert message in err and f"line {line}:" in err
-    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "out").exists() and builds == []  # refused before the pair was built
+
+
+@pytest.mark.parametrize(
+    "entry, key, message",
+    [({"test": "wiener", "side": "z"}, "side", "wiener test side must be 'x' or 'y', got 'z'"),
+     ({"test": "covariation", "target": [[1.0, 0.0]]}, "target", "'target' must be a number or a 2 x 2 list")],
+    ids=["wiener-side", "covariation-target-row"],
+)
+def test_a_verify_entry_is_refused_at_its_line_before_the_pair_is_built(tmp_path, capsys, builds, entry, key, message):
+    # d comes from the run config's sizes, not from the pair
+    cfg = _write_config(tmp_path, {"d": 2, "verify": [{"test": "wiener"}, entry]})
+    line = next(i for i, text in enumerate(cfg.read_text().splitlines(), 1) if f'"{key}"' in text)
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and f"line {line}:" in err
+    assert not (tmp_path / "out").exists() and builds == []
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])

@@ -212,29 +212,34 @@ def test_separable_estimate_stores_no_martingale_part(traced_peak):
         assert peak <= legs[0].nbytes + 8 * sde._BLOCK_BYTES, (h, peak / legs[0].nbytes)
 
 
-def _half_shared(d, n):
-    """A model whose drift is shared for k < n/2 and per path afterwards."""
+def _turning(d, at):
+    """A model whose drift is shared for k < at and per path from step ``at`` on."""
     def drift(k, t, prefix):
-        return np.full(d, 0.3) if k < n // 2 else -1.5 * prefix[:, -1]
+        return np.full(d, 0.3) if k < at else -1.5 * prefix[:, -1]
 
-    return sde.SdeModel(z0=np.ones(d), drift=CoefficientField("drift", d, drift, label="half-shared"),
+    return sde.SdeModel(z0=np.ones(d), drift=CoefficientField("drift", d, drift, label="turning"),
                         diffusion=CoefficientField.constant("diffusion", 1.0, d))
 
 
 @pytest.mark.parametrize("block_bytes", [sde._BLOCK_BYTES, 256, 8 * 300 * 2 * 7])
 @pytest.mark.parametrize("d", [1, 2])
 def test_separable_values_of_a_drift_that_turns_per_path_have_the_bytes_of_the_full_decomposition(d, block_bytes):
-    # the source's recursion is one path wide until step 48 and widens there, mid-block but at one step
-    # a block (256); the target's stays one path wide throughout
-    src, dst = _half_shared(d, 96), presets.build("model", "bm", d=d, sigma=0.7)
-    pair = couple_sdes(src, dst, CoefficientField.constant("correlation", 0.5, d), TimeGrid(96), 300, seed=14)
-    for h, g in (("sup", "identity"), ("l2", "sqrt")):
-        spec = _sep(presets.build("h", h, d=d), presets.build("g", g, d=d))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sde, "_BLOCK_BYTES", block_bytes)
-            want = _separable_oracle(pair, src, dst, spec)
-            got = cost._separable_values(pair, src, dst, spec)
-        assert got.tobytes() == want.tobytes()
+    # the source's recursion is one path wide until its drift turns per path and the walk widens there: at
+    # step 0, at the first step of the second block, mid-block and at the last step (at one step a block,
+    # 256, every step starts a block; one block holds all 96 steps at the default); the target's stays
+    # one path wide throughout
+    block = max(1, block_bytes // (8 * 300 * d))
+    dst = presets.build("model", "bm", d=d, sigma=0.7)
+    for at in (0, min(block, 95), 50, 95):
+        src = _turning(d, at)
+        pair = couple_sdes(src, dst, CoefficientField.constant("correlation", 0.5, d), TimeGrid(96), 300, seed=14)
+        for h, g in (("sup", "identity"), ("l2", "sqrt")):
+            spec = _sep(presets.build("h", h, d=d), presets.build("g", g, d=d))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sde, "_BLOCK_BYTES", block_bytes)
+                want = _separable_oracle(pair, src, dst, spec)
+                got = cost._separable_values(pair, src, dst, spec)
+            assert got.tobytes() == want.tobytes(), (at, h)
 
 
 def test_separable_estimate_of_path_free_drifts_stores_no_leg(traced_peak):
@@ -246,6 +251,21 @@ def test_separable_estimate_of_path_free_drifts_stores_no_leg(traced_peak):
         # two reused blocks for the martingale increments, then h's own blocks over a broadcast view
         # of the one-path-wide fv_x - fv_y; one leg (16 MB) alone would exceed the bound
         assert peak < 4 * sde._BLOCK_BYTES < legs[0].nbytes, (h, peak / sde._BLOCK_BYTES)
+
+
+def test_a_state_one_path_wide_that_goes_non_finite_names_every_path_as_decompose_does():
+    # a shared drift keeps the cost's recursion one path wide; the one row it holds stands for all 50 pairs
+    drift = CoefficientField("drift", 1, lambda k, t, prefix: np.full(1, np.inf if k == 3 else 0.0), label="inf")
+    model = _bm(1.0)
+    src = sde.SdeModel(z0=np.zeros(1), drift=drift, diffusion=model.diffusion, label="blows-up")
+    pair = couple_sdes(model, model, CoefficientField.constant("correlation", 1.0, 1), TimeGrid(16), 50, seed=1)
+    messages = []
+    for fail in (lambda: cost.estimate(pair, _sep(), src, model), lambda: decompose(src, pair.x_ensemble())):
+        with pytest.raises(DomainError) as err:
+            fail()
+        assert err.value.step == 3
+        messages.append(str(err.value).partition(": ")[2])
+    assert messages == ["the state went non-finite on 50 path(s) (at step 3)"] * 2
 
 
 @pytest.mark.parametrize("shape", ["expr", "shared"])

@@ -221,3 +221,26 @@ def test_a_failing_step_raises_a_domain_error_at_its_index(kernel, failure):
         message = {"nan": f"non-finite on {len(BAD_PATHS)} path(s)",
                    "overflow": f"{kind} 'failing': floating-point overflow"}  # names the field that failed
         assert message.get(failure, "refused") in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# the walk alone decides a state's width
+
+
+def test_a_one_path_state_widens_at_its_first_per_path_value_and_a_wide_one_never_narrows():
+    # steps 0..2 return one shared row, step 3 on rows per path: knots 0..3 are the one-path
+    # values copied across the paths, the knots after them per path
+    rows = np.arange(1.0, N_PATHS + 1)[:, None] * np.array([0.5, -0.25])
+
+    def step(k, t, prefix):
+        return prefix[:, -1] + (0.125 if k < 3 else rows)
+
+    narrow = np.zeros((7, 1, 2))
+    got = sde._walk(narrow, GRID.dt, step, "widening")
+    assert got.shape == (N_PATHS, 7, 2) and narrow.shape == (7, 1, 2)
+    assert all(got[i, :4].tobytes() == narrow[:4, 0].tobytes() for i in range(N_PATHS))
+    assert np.array_equal(got[:, 4:], narrow[3, 0] + rows[:, None] * np.arange(1, 4)[:, None])
+    wide = np.zeros((7, N_PATHS, 2))
+    got = sde._walk(wide, GRID.dt, lambda k, t, prefix: prefix[:, -1:].mean(axis=0) + 0.125, "narrowing")
+    assert got.shape == (N_PATHS, 7, 2) and np.shares_memory(got, wide)  # filled in place, every row
+    assert np.array_equal(got, np.broadcast_to(0.125 * np.arange(7)[:, None], (N_PATHS, 7, 2)))
