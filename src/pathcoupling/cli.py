@@ -185,14 +185,16 @@ def _numbers(cfg: Config, key, value, default):
 
 #: the least value of each size field, in a run config, an experiment, a preset's params or any other section
 _LEAST = {"N": 1, "n_steps": 1, "d": 1, "probe_N": 1, "n_seeds": 1, "seed": 0, "rank": 0}
+_MOST = {"seed": (1 << 64) - 1}  # the PCPL1 header stores the seed in 64 bits
 
 
 def _size(cfg: Config, key, value, owner="") -> int:
-    """``value`` of size field ``key`` (of ``owner``); one that is not an integer, or is below its least,
-    is a config error."""
+    """``value`` of size field ``key`` (of ``owner``); one that is not an integer, or is below its least
+    or above its most, is a config error."""
     number = cfg.number(key, value, int)
-    if number < _LEAST[key]:
-        cfg.error(key, f"{owner}field {key!r} must be at least {_LEAST[key]}, got {value!r}")
+    if not _LEAST[key] <= number <= _MOST.get(key, number):
+        bound = f"at least {_LEAST[key]}" if number < _LEAST[key] else f"at most {_MOST[key]}"
+        cfg.error(key, f"{owner}field {key!r} must be {bound}, got {value!r}")
     return number
 
 

@@ -47,7 +47,6 @@ from .sde import (
     TimeGrid,
     ValueMemo,
     _apply,
-    _check_draw,
     _draw,
     _ito,
     _walk,
@@ -149,15 +148,7 @@ def couple_brownians(
     violation raises :class:`DomainError` carrying the step index.
     """
     d = rho.dim
-    seed = _check_draw(seed, d, n_pairs)
-    x = np.zeros((grid.n_steps + 1, n_pairs, d))
-    y = np.zeros_like(x)
-
-    def store(start, block):  # knot k+1 of each leg holds its increment k until step k reads it
-        x[1:, start : start + len(block)] = np.swapaxes(block[:, 0], 0, 1)
-        y[1:, start : start + len(block)] = np.swapaxes(block[:, 1], 0, 1)
-
-    _draw(grid, d, n_pairs, seed, 2, n_workers, store)
+    seed, (x, y) = _draw(grid, d, n_pairs, seed, 2, n_workers)
     xv = np.swapaxes(x, 0, 1)
     # sqrt(I - c^T c), the top-up that restores the Brownian marginal
     root_of = ValueMemo(lambda c: psd_sqrt(np.eye(d) - np.swapaxes(c, -1, -2) @ c, clamp_tol=1e-6))
@@ -280,15 +271,17 @@ def monge_sde(
     the projection onto the row space of sigma, is evaluated at every
     step and recorded in ``provenance["kernel_residual"]`` (reported,
     never raised).  The residual is exactly 0 whenever sigma has full
-    rank at every probe.  X is written over its driver: nothing beside the pair.
+    rank at every probe.  X is the Euler recursion over each path's own
+    increments, drawn into its knots: nothing is held beside the pair, and X
+    rounds apart from ``ito_map(src, sample_brownian(...))``, whose increments are differences of sums.
     """
     d = src.dim
     z0_dst = np.broadcast_to(np.asarray(0.0 if z0_dst is None else z0_dst, dtype=float), (d,))
     dst = SdeModel(z0_dst, dst_drift, dst_diffusion, label=f"target({dst_drift.label}, {dst_diffusion.label})")
     if q.dim != d:
         raise DimensionError(f"rotation dim {q.dim} does not match src dim {d}")
-    xv = _ito(src, sample_brownian(grid, d, n_pairs, seed, n_workers=n_workers), over=True).values
-    x = np.swapaxes(xv, 0, 1)
+    seed, (x,) = _draw(grid, d, n_pairs, seed, 1, n_workers)
+    xv = _ito(src, PathEnsemble(grid=grid, values=np.swapaxes(x, 0, 1), seed=seed), over=True, increments=True).values
     dt = grid.dt
     ty = np.empty_like(x)
     ty[0] = dst.z0

@@ -5,9 +5,9 @@ x_1..x_d`` (plus ``y_1..y_d`` for coupled data) and round-trips values
 exactly via %.17g; its bytes are ``np.savetxt``'s on POSIX.  The binary
 format is the magic ``PCPL1``, a little-endian header ``<IIQQ`` of (d,
 n_steps, N, seed), then one leg (a plain ensemble) or the x and y legs of
-a coupled ensemble as little-endian float64.  ``write_binary`` returns
-the sha256 of its bytes, and ``read_binary`` can refuse a file whose
-bytes do not match one.
+a coupled ensemble as little-endian float64.  ``write_binary`` refuses a
+header field out of its range and returns the sha256 of its bytes, and
+``read_binary`` can refuse a file whose bytes do not match one.
 
 Each reader and writer holds the ensemble and one block of paths, never a
 second full-size copy.  The writers format or copy a block of paths at a
@@ -36,7 +36,7 @@ from .sde import PathEnsemble, TimeGrid
 from .verify import TestReport
 
 MAGIC = b"PCPL1"
-_HEADER = struct.Struct("<IIQQ")
+_HEADER = struct.Struct("<IIQQ")  # d, n_steps, N, seed
 _BLOCK_ROWS = 4096  # CSV rows formatted by one % operation, or parsed by one loadtxt, at least a path
 _BLOCK_BYTES = 1 << 18  # binary bytes of a leg written or read as one block of whole paths
 
@@ -144,11 +144,15 @@ def write_binary(path, obj) -> str:
     """Write ``obj`` in the binary format; the sha256 hex digest of the bytes written."""
     grid, blocks, seed = _parts(obj)
     n_paths, n_rows, d = blocks[0].shape
+    header = {"d": d, "n_steps": grid.n_steps, "N": n_paths, "seed": seed}
+    for (name, value), bits in zip(header.items(), (8 * struct.calcsize(code) for code in _HEADER.format[1:])):
+        if not 0 <= value < 1 << bits:
+            raise ConfigError(f"{path}: header field {name!r} is {value!r}, outside the {bits}-bit unsigned range of PCPL1")
     per = max(1, _BLOCK_BYTES // max(1, 8 * n_rows * d))
     body = (np.ascontiguousarray(leg[p0 : p0 + per], dtype="<f8").data for leg in blocks for p0 in range(0, n_paths, per))
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for chunk in itertools.chain((MAGIC, _HEADER.pack(d, grid.n_steps, n_paths, seed)), body):
+        for chunk in itertools.chain((MAGIC, _HEADER.pack(*header.values())), body):
             fh.write(chunk)
             digest.update(chunk)
     return digest.hexdigest()

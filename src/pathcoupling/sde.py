@@ -20,6 +20,8 @@ Randomness discipline: path i of an ensemble draws the normals of
 ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and nothing
 else (pair i of ``couple_brownians``: its dB, then its dW), so the output
 does not depend on the worker count, the chunking or the block size.
+Scaled by sqrt(dt), they are increments that :func:`sample_brownian` sums
+and ``couple_brownians`` and ``monge_sde`` keep (:func:`_into_knots`).
 
 Storage convention: the :class:`PathEnsemble` constructor (and so each
 leg of a coupled ensemble) fixes the layout.  It stores the paths
@@ -28,9 +30,10 @@ values not already laid out so, and ``values`` is that buffer's
 (N, n_steps+1, d) transposed view.  The public shape is unchanged while
 each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
 is contiguous, and no kernel or reduction converts a layout.  No public
-kernel writes to its argument; :func:`_ito` writes over the drivers that
-constructors drew, so beside its pair ``composed_monge`` holds W, and
-``monge_sde`` and ``couple_sdes`` nothing.
+kernel writes to its argument; a constructor's walk writes over what it
+drew, reading knot k+1 (a position, or the increment :func:`_into_knots`
+stored) before it fills that slot, so beside its pair ``composed_monge``
+holds W, and ``monge_sde`` and ``couple_sdes`` nothing.
 
 One walk, :func:`_walk`, fills that storage for every step kernel:
 ``z[j+1] = step(k, k * dt, prefix)`` with ``prefix`` the kernel's own
@@ -276,15 +279,23 @@ def _pcg_states(seed: int, lo: int, hi: int):
 _BLOCK_VALUES = 1 << 17  # normals (1 MiB) drawn into one block of paths before it is stored
 
 
-def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_workers: int, store):
-    """Draw the scaled increments of every path, a block of paths at a time.
+def _into_knots(leg: np.ndarray, s: int, start: int, block: np.ndarray):
+    """Store stream s of ``block`` (paths start, start+1, ...) as it is in knots 1..n of time-major ``leg``:
+    knot k+1 holds increment k until a walk over the leg reads it and fills the slot."""
+    leg[1:, start : start + len(block)] = np.swapaxes(block[:, s], 0, 1)
+
+
+def _draw(grid: TimeGrid, d: int, n_paths: int, seed, streams: int, n_workers: int, store=_into_knots):
+    """The checked seed and ``streams`` zeroed time-major (n_steps+1, N, d) legs, drawn into a block of paths at a time.
 
     Path i draws its (streams, n_steps, d) normals from
     ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``; each worker
     sets every path's state on one reusable generator, the states of a
-    block computed just before it is drawn.  ``store(start, block)``
-    receives the increments of paths start, start+1, ...
+    block computed just before it is drawn.  ``store(leg, s, start, block)``
+    puts stream s of the scaled increments of paths start, ... into leg s.
     """
+    seed = _check_draw(seed, d, n_paths)
+    legs = [np.zeros((grid.n_steps + 1, n_paths, d)) for _ in range(streams)]
     n = grid.n_steps
     root_dt = np.sqrt(grid.dt)
     per_block = max(1, _BLOCK_VALUES // (streams * n * d))
@@ -302,7 +313,8 @@ def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_worke
             block *= root_dt
             if not np.isfinite(block).all():
                 raise DomainError("non-finite values in generated increments")
-            store(start, block)
+            for s, leg in enumerate(legs):
+                store(leg, s, start, block)
 
     if n_workers <= 1 or n_paths < 2 * n_workers:
         fill(0, n_paths)
@@ -311,19 +323,18 @@ def _draw(grid: TimeGrid, d: int, n_paths: int, seed: int, streams: int, n_worke
         bounds = [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
         with ThreadPoolExecutor(max_workers=min(n_workers, os.cpu_count() or 1)) as pool:
             list(pool.map(lambda b: fill(*b), bounds))
+    return seed, legs
 
 
 def sample_brownian(
     grid: TimeGrid, d: int, n_paths: int, seed: int, n_workers: int = 1
 ) -> PathEnsemble:
     """Standard Brownian ensemble started at 0."""
-    seed = _check_draw(seed, d, n_paths)
-    buf = np.zeros((grid.n_steps + 1, n_paths, d))
 
-    def store(start, block):
-        np.cumsum(block[:, 0], axis=1, out=np.swapaxes(buf[1:, start : start + len(block)], 0, 1))
+    def store(leg, s, start, block):  # the running sum of the increments
+        np.cumsum(block[:, s], axis=1, out=np.swapaxes(leg[1:, start : start + len(block)], 0, 1))
 
-    _draw(grid, d, n_paths, seed, 1, n_workers, store)
+    seed, (buf,) = _draw(grid, d, n_paths, seed, 1, n_workers, store)
     return PathEnsemble(grid=grid, values=np.swapaxes(buf, 0, 1), seed=seed)
 
 
@@ -418,9 +429,10 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     return _ito(model, driver, over=False)
 
 
-def _ito(model: SdeModel, driver: PathEnsemble, over: bool) -> PathEnsemble:
+def _ito(model: SdeModel, driver: PathEnsemble, over: bool, increments: bool = False) -> PathEnsemble:
     """:func:`ito_map` into fresh storage, or ``over`` the driver's own: each step reads knot k+1 before
-    its slot is written and carries it, so every increment is drv[k+1] - drv[k], byte for byte."""
+    its slot is written: dB[k] itself if knots 1..n hold ``increments`` (knot 0 unread), else carried,
+    so every increment is drv[k+1] - drv[k], byte for byte."""
     drv = np.swapaxes(_ensemble(driver, "driver", model).values, 0, 1)  # the driver's time-major storage
     dt = driver.grid.dt
     z = drv if over else np.empty_like(drv)
@@ -430,7 +442,10 @@ def _ito(model: SdeModel, driver: PathEnsemble, over: bool) -> PathEnsemble:
     def step(k, t, prefix):
         b = model.drift.eval(k, t, prefix)
         s = model.diffusion.eval(k, t, prefix)
-        db, knot[...] = drv[k + 1] - knot, drv[k + 1]
+        if increments:
+            db = drv[k + 1]
+        else:
+            db, knot[...] = drv[k + 1] - knot, drv[k + 1]
         return prefix[:, -1] + b * dt + _apply(s, db)
 
     return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step, f"ito_map of {model.label!r}"), seed=driver.seed)

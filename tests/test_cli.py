@@ -472,7 +472,7 @@ def test_a_section_size_below_its_least_exits_2_naming_the_field(tmp_path, capsy
 @pytest.mark.parametrize(
     "key, value",
     [("N", "abc"), ("d", "abc"), ("N", 2.5), ("N", 0), ("N", -3), ("d", 0), ("n_steps", 0),
-     ("seed", -1), ("N", True)],
+     ("seed", -1), ("seed", 1 << 64), ("N", True)],
 )
 def test_non_integer_size_exits_2_naming_the_key_and_line(tmp_path, capsys, command, key, value):
     cfg = _write_config(tmp_path, {key: value})
@@ -863,6 +863,16 @@ def test_simulate_size_below_its_least_exits_2_naming_the_field(tmp_path, capsys
     err = capsys.readouterr().err
     assert f"'{key}'" in err and repr(value) in err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_simulate_seed_past_the_binary_header_s_64_bits_exits_2_and_the_largest_is_written(tmp_path, capsys):
+    assert main(["simulate", "--seed", str(1 << 64), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"'seed' must be at most {(1 << 64) - 1}, got {1 << 64}" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+    largest = ["--seed", str((1 << 64) - 1), "--N", "2", "--n", "4", "--format", "bin"]
+    assert main(["simulate", *largest, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert pathio.read_binary(tmp_path / "out" / "ensemble.bin").seed == (1 << 64) - 1
 
 
 @pytest.mark.parametrize("threads", [0, -3])

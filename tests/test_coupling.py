@@ -363,7 +363,7 @@ def test_monge_sde_aligned_degenerate_pair_is_clean():
 def test_monge_sde_refuses_swapped_target_fields_before_it_draws_a_path(monkeypatch):
     bm = _bm_model(d=2)
     identity = CoefficientField.constant("rotation", 1.0, 2, "identity")
-    monkeypatch.setattr(coupling, "sample_brownian", None)  # a draw would fail with a TypeError
+    monkeypatch.setattr(coupling, "_draw", None)  # a draw would fail with a TypeError
     with pytest.raises(DimensionError) as err:
         monge_sde(bm.diffusion, bm.drift, identity, bm, TimeGrid(8), 3, seed=1)
     assert str(err.value) == "a model takes a drift and a diffusion, got a diffusion and a drift"
@@ -592,7 +592,13 @@ def test_monge_sde_matches_a_path_major_recursion():
         CoefficientField.constant("drift", 0.3, 2), CoefficientField.constant("diffusion", sbar, 2),
         CoefficientField.constant("rotation", q), src, grid, 15, seed=74,
     )
-    x = ito_map(src, _path_major(sample_brownian(grid, 2, 15, seed=74))).values
+    # path i's X is the Euler recursion over its own dB, drawn from numpy's generator spawned for path i
+    gens = [np.random.default_rng(np.random.SeedSequence(74, spawn_key=(i,))) for i in range(15)]
+    db = np.stack([gen.standard_normal((32, 2)) for gen in gens]) * np.sqrt(grid.dt)
+    b, sigma = src.drift.eval(0, 0.0, None), src.diffusion.eval(0, 0.0, None)
+    x = np.zeros((15, 33, 2))
+    for k in range(32):
+        x[:, k + 1] = x[:, k] + b * grid.dt + db[:, k] @ sigma.T
     assert _same_bytes(out.x, x)
     pinv, _ = pinv_and_null(src.diffusion.eval(0, 0.0, None))
     ty = np.zeros((15, 33, 2))
@@ -600,6 +606,23 @@ def test_monge_sde_matches_a_path_major_recursion():
         dm = x[:, k + 1] - x[:, k] - src.drift.eval(0, 0.0, None) * grid.dt
         ty[:, k + 1] = ty[:, k] + (0.3 * grid.dt + ((dm @ pinv.T) @ q.T) @ sbar.T)
     assert _same_bytes(out.y, ty)
+
+
+@pytest.mark.parametrize("n_steps, n_pairs, seed", [(16, 5, 1), (256, 50, 7), (1024, 200, 11)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_monge_sde_x_rounds_apart_from_the_ito_map_of_summed_brownian_paths_by_an_ulp_a_step_at_most(
+        d, n_steps, n_pairs, seed):
+    # X sums each path's drawn increments; differencing a cumulative sum rounds them once more, at the
+    # scale of B, and the state-dependent coefficients carry that on: at most about one ulp of the path
+    # scale a step (these cases reach about sqrt(n_steps)).  composed_monge keeps the differenced form.
+    src = presets.build("model", "gbm-bounded", d=d, sigma=0.7)
+    grid, identity = TimeGrid(n_steps), CoefficientField.constant("rotation", 1.0, d, "identity")
+    bm = sample_brownian(grid, d, n_pairs, seed)
+    ref = ito_map(src, bm).values
+    x = monge_sde(src.drift, src.diffusion, identity, src, grid, n_pairs, seed).x
+    scale = np.maximum(np.abs(bm.values), np.abs(ref)).max(axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(x - ref) <= n_steps * np.spacing(scale))
+    assert _same_bytes(composed_monge(src, src, identity, grid, n_pairs, seed).x, ref)
 
 
 def _refilled(d, good, bad, from_step):

@@ -358,6 +358,16 @@ def test_binary_with_zero_steps_is_a_config_error_naming_the_file(tmp_path):
         pathio.read_binary(f)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64])
+def test_binary_header_field_outside_its_range_is_a_config_error_naming_it(tmp_path, seed):
+    ens, f = _ensemble(), tmp_path / "ens.bin"
+    with pytest.raises(ConfigError, match=re.escape(f"{f}: header field 'seed' is {seed}, outside the 64-bit")):
+        pathio.write_binary(f, PathEnsemble(grid=ens.grid, values=ens.values, seed=seed))
+    assert not f.exists()
+    pathio.write_binary(f, PathEnsemble(grid=ens.grid, values=ens.values, seed=(1 << 64) - 1))  # the largest fits
+    assert pathio.read_binary(f).seed == (1 << 64) - 1
+
+
 def test_binary_digest_is_of_the_bytes_written_and_read(tmp_path):
     f = tmp_path / "pair.bin"
     digest = pathio.write_binary(f, _coupled())

@@ -116,14 +116,16 @@ def _digest(kernel):
 # sha256 of each kernel's outputs over d = 1, 2 with shared and per-path coefficients (and
 # h = zero, sup, l2 for the two cost kernels), recorded before the kernels shared one step walk;
 # closed_form_optimal's again once h was handed time-major values, as cost.estimate hands them,
-# which moved one last digit: the l2 stderr at d = 1, per path, 0.4328013277308095 -> ...954
+# which moved one last digit: the l2 stderr at d = 1, per path, 0.4328013277308095 -> ...954;
+# monge_sde's again once its X was the Euler recursion over each path's own drawn increments
+# instead of the differences of a summed Brownian path, which rounds them differently
 _KERNEL_SHA256 = {
     "ito_map": "6395c20c5121e736ab97e614e0511e4f9c1f9810b27b891044fdbdf942d9040e",
     "inverse_ito_map": "8b9adb658b84d421fcfa477c7a1b0e07686d02841474295c1b512f7666ee33c4",
     "decompose": "8aafa9b2b01c32a17797e07864237ff4b10673c2150e1478108aaed61ea7b2ca",
     "couple_brownians": "d8a7c8dd5f97bee3326b512be8b5c4f83651164b5e8133b4057d64737baebef4",
     "rotation_monge": "4e9673fc5632cb779ba533e6f44e42660ab1a5ba0dcead307bb4485d1e99311f",
-    "monge_sde": "a6e7fab30e4dc2ce329316d7d7e5a7506a326df3e9d3a23db7fbc03a40480916",
+    "monge_sde": "e5d259308bb1de33419a3289f7ac98ccba54d8363ea2a50bc0a0fb528420dcb0",
     "closed_form_optimal": "c44f014396060b9dddf54485756676bd8b55ffaa782c2cb951f92dbfa6d29e40",
     "separable_values": "ed82d5189b9363b8b6de0b44ca0a56f3309a7ff5450163389a3c5d82d3ef3aea",
 }
