@@ -25,7 +25,7 @@ import inspect
 import json
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 
@@ -67,8 +67,11 @@ class Config:
     data: dict
     raw: str
     source: str
+    flags: dict = field(default_factory=dict, init=False)  # each top-level field a flag set -> the flag as typed
 
     def error(self, key, message, value_text="", within=""):
+        if key in self.flags and not within:  # no line of the file holds a flag's value
+            raise ConfigError(f"{self.source}: {self.flags[key]}: {message}")
         raise ConfigError(f"{self.source}: {message}", line=_line_of(self.raw, key, value_text, within))
 
     def number(self, key, value, kind=float):
@@ -118,8 +121,15 @@ _OVERRIDES = ("a", "b", "N", "n_steps", "seed", "c", "d")
 
 
 def _with_flags(cfg: Config, args) -> Config:
-    """``cfg``, each field a flag of ``args`` sets replaced by its value."""
-    cfg.data.update((key, getattr(args, key)) for key in _OVERRIDES if getattr(args, key, None) is not None)
+    """``cfg``, each field a flag of ``args`` sets replaced by its value, read as a JSON number is (so a
+    non-finite one is a config error); an error in such a field names the flag, not a line."""
+    for key in _OVERRIDES:
+        if (value := getattr(args, key, None)) is not None:
+            cfg.flags[key] = "--n" if key == "n_steps" else f"--{key}"
+            try:
+                cfg.data[key] = _finite(repr(value))
+            except ConfigError as err:
+                cfg.error(key, str(err))
     return cfg
 
 

@@ -48,6 +48,7 @@ from .sde import (
     ValueMemo,
     _apply,
     _draw,
+    _increments,
     _ito,
     _walk,
     inverse_ito_map,
@@ -182,14 +183,13 @@ def couple_sdes(
     coupling of the two laws, with rho = I giving the synchronous
     coupling, rho = -I the antithetic one and rho = 0 the independent
     product.  It holds nothing beside the pair: the Itô maps write over
-    :func:`couple_brownians`'s legs.
+    :func:`couple_brownians`'s legs, each differenced in place.
     """
     if src.dim != dst.dim or rho.dim != src.dim:
         raise DimensionError("source, target and correlation dimensions must agree")
     pair = couple_brownians(rho, grid, n_pairs, seed, n_workers=n_workers)
-    x = _ito(src, pair.x_ensemble(), over=True)
-    y = _ito(dst, pair.y_ensemble(), over=True)
-    return _coupled(grid, x.values, y.values, pair.seed, "couple_sdes", [src.label, dst.label], correlation=rho.label)
+    x, y = (_ito(m, _increments(np.swapaxes(leg, 0, 1)), grid.dt) for m, leg in ((src, pair.x), (dst, pair.y)))
+    return _coupled(grid, x, y, pair.seed, "couple_sdes", [src.label, dst.label], correlation=rho.label)
 
 
 # ---------------------------------------------------------------------------
@@ -234,16 +234,15 @@ def composed_monge(
     rounding), U = rotation integral of W, Y = ito_map(dst, U).  The
     rotation process is evaluated on the recovered driver prefix.  With
     src = dst and Q = I this is the identity coupling.  Beside the pair
-    it holds W alone: X is written over B and Y over U.
+    it holds W alone: X is written over B and Y over U, each differenced in place.
     """
     if src.dim != dst.dim or q.dim != src.dim:
         raise DimensionError("source, target and rotation dimensions must agree")
     bm = sample_brownian(grid, src.dim, n_pairs, seed, n_workers=n_workers)
-    x = _ito(src, bm, over=True)
-    rotated = rotation_monge(q, inverse_ito_map(src, x))
-    y = _ito(dst, rotated.y_ensemble(), over=True)
-    marginals = [src.label, dst.label]
-    return _coupled(grid, x.values, y.values, seed, "composed_monge", marginals, rotation=q.label)
+    x = _ito(src, _increments(np.swapaxes(bm.values, 0, 1)), grid.dt)
+    rotated = rotation_monge(q, inverse_ito_map(src, PathEnsemble(grid=grid, values=x, seed=bm.seed)))
+    y = _ito(dst, _increments(np.swapaxes(rotated.y, 0, 1)), grid.dt)
+    return _coupled(grid, x, y, seed, "composed_monge", [src.label, dst.label], rotation=q.label)
 
 
 def monge_sde(
@@ -271,8 +270,8 @@ def monge_sde(
     the projection onto the row space of sigma, is evaluated at every
     step and recorded in ``provenance["kernel_residual"]`` (reported,
     never raised).  The residual is exactly 0 whenever sigma has full
-    rank at every probe.  X is the Euler recursion over each path's own
-    increments, drawn into its knots: nothing is held beside the pair, and X
+    rank at every probe.  X is the Euler recursion written over each path's
+    own increments in the knots they were drawn into: nothing is held beside the pair, and X
     rounds apart from ``ito_map(src, sample_brownian(...))``, whose increments are differences of sums.
     """
     d = src.dim
@@ -281,8 +280,8 @@ def monge_sde(
     if q.dim != d:
         raise DimensionError(f"rotation dim {q.dim} does not match src dim {d}")
     seed, (x,) = _draw(grid, d, n_pairs, seed, 1, n_workers)
-    xv = _ito(src, PathEnsemble(grid=grid, values=np.swapaxes(x, 0, 1), seed=seed), over=True, increments=True).values
     dt = grid.dt
+    xv = _ito(src, x, dt)
     ty = np.empty_like(x)
     ty[0] = dst.z0
     resid = np.zeros(grid.n_steps)

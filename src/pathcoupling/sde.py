@@ -20,8 +20,8 @@ Randomness discipline: path i of an ensemble draws the normals of
 ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))`` and nothing
 else (pair i of ``couple_brownians``: its dB, then its dW), so the output
 does not depend on the worker count, the chunking or the block size.
-Scaled by sqrt(dt), they are increments that :func:`sample_brownian` sums
-and ``couple_brownians`` and ``monge_sde`` keep (:func:`_into_knots`).
+Scaled by sqrt(dt), they are increments, which :func:`_draw` stores in
+the knots they become: dB[k] in knot k+1.
 
 Storage convention: the :class:`PathEnsemble` constructor (and so each
 leg of a coupled ensemble) fixes the layout.  It stores the paths
@@ -29,11 +29,12 @@ time-major, in a C-contiguous (n_steps+1, N, d) buffer, copying only
 values not already laid out so, and ``values`` is that buffer's
 (N, n_steps+1, d) transposed view.  The public shape is unchanged while
 each time slice, such as ``prefix[:, -1]`` inside a coefficient field,
-is contiguous, and no kernel or reduction converts a layout.  No public
-kernel writes to its argument; a constructor's walk writes over what it
-drew, reading knot k+1 (a position, or the increment :func:`_into_knots`
-stored) before it fills that slot, so beside its pair ``composed_monge``
-holds W, and ``monge_sde`` and ``couple_sdes`` nothing.
+is contiguous, and no kernel or reduction converts a layout.  Every Itô
+map, :func:`_ito`, reads dB[k] from knot k+1 and writes Z[k+1] over it.
+:func:`_increments` differences a leg of positions into such knots: for
+:func:`ito_map` into fresh storage (no public kernel writes to its
+argument), and in place for a constructor, so beside its pair
+``composed_monge`` holds W, and ``monge_sde`` and ``couple_sdes`` nothing.
 
 One walk, :func:`_walk`, fills that storage for every step kernel:
 ``z[j+1] = step(k, k * dt, prefix)`` with ``prefix`` the kernel's own
@@ -217,17 +218,6 @@ class SdeModel:
 # sampling
 
 
-def _check_draw(seed, d, n_paths):
-    """The seed as an int, once seed and sizes are validated."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    if d < 1 or n_paths < 1:
-        raise DimensionError("d and n_paths must both be >= 1")
-    if n_paths > 1 << 32:  # a path index is one spawn-key word
-        raise DimensionError(f"n_paths must be at most 2**32, got {n_paths}")
-    return int(seed)
-
-
 _BLOCK_BYTES = 1 << 21  # bytes of one input's time slices per block of a walk over steps
 
 
@@ -279,22 +269,23 @@ def _pcg_states(seed: int, lo: int, hi: int):
 _BLOCK_VALUES = 1 << 17  # normals (1 MiB) drawn into one block of paths before it is stored
 
 
-def _into_knots(leg: np.ndarray, s: int, start: int, block: np.ndarray):
-    """Store stream s of ``block`` (paths start, start+1, ...) as it is in knots 1..n of time-major ``leg``:
-    knot k+1 holds increment k until a walk over the leg reads it and fills the slot."""
-    leg[1:, start : start + len(block)] = np.swapaxes(block[:, s], 0, 1)
-
-
-def _draw(grid: TimeGrid, d: int, n_paths: int, seed, streams: int, n_workers: int, store=_into_knots):
-    """The checked seed and ``streams`` zeroed time-major (n_steps+1, N, d) legs, drawn into a block of paths at a time.
+def _draw(grid: TimeGrid, d: int, n_paths: int, seed, streams: int, n_workers: int):
+    """The checked seed and ``streams`` time-major (n_steps+1, N, d) legs, drawn into a block of paths at a time.
 
     Path i draws its (streams, n_steps, d) normals from
     ``Generator(PCG64(SeedSequence(seed, spawn_key=(i,))))``; each worker
     sets every path's state on one reusable generator, the states of a
-    block computed just before it is drawn.  ``store(leg, s, start, block)``
-    puts stream s of the scaled increments of paths start, ... into leg s.
+    block computed just before it is drawn.  Knot k+1 of leg s holds
+    stream s's scaled increment k, which a walk over the leg reads before
+    it fills that slot; knot 0 is zero.
     """
-    seed = _check_draw(seed, d, n_paths)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if d < 1 or n_paths < 1:
+        raise DimensionError("d and n_paths must both be >= 1")
+    if n_paths > 1 << 32:  # a path index is one spawn-key word
+        raise DimensionError(f"n_paths must be at most 2**32, got {n_paths}")
+    seed = int(seed)
     legs = [np.zeros((grid.n_steps + 1, n_paths, d)) for _ in range(streams)]
     n = grid.n_steps
     root_dt = np.sqrt(grid.dt)
@@ -314,7 +305,7 @@ def _draw(grid: TimeGrid, d: int, n_paths: int, seed, streams: int, n_workers: i
             if not np.isfinite(block).all():
                 raise DomainError("non-finite values in generated increments")
             for s, leg in enumerate(legs):
-                store(leg, s, start, block)
+                leg[1:, start : start + len(block)] = np.swapaxes(block[:, s], 0, 1)
 
     if n_workers <= 1 or n_paths < 2 * n_workers:
         fill(0, n_paths)
@@ -330,12 +321,10 @@ def sample_brownian(
     grid: TimeGrid, d: int, n_paths: int, seed: int, n_workers: int = 1
 ) -> PathEnsemble:
     """Standard Brownian ensemble started at 0."""
-
-    def store(leg, s, start, block):  # the running sum of the increments
-        np.cumsum(block[:, s], axis=1, out=np.swapaxes(leg[1:, start : start + len(block)], 0, 1))
-
-    seed, (buf,) = _draw(grid, d, n_paths, seed, 1, n_workers, store)
-    return PathEnsemble(grid=grid, values=np.swapaxes(buf, 0, 1), seed=seed)
+    seed, (z,) = _draw(grid, d, n_paths, seed, 1, n_workers)
+    for k in range(2, len(z)):  # the running sum; z[1] is dB[0] itself, as a -0.0 draw must stay
+        z[k] += z[k - 1]
+    return PathEnsemble(grid=grid, values=np.swapaxes(z, 0, 1), seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -426,29 +415,30 @@ def ito_map(model: SdeModel, driver: PathEnsemble) -> PathEnsemble:
     The driver is read as Brownian increments dB[k] = driver[k+1] -
     driver[k]; its starting value is ignored.
     """
-    return _ito(model, driver, over=False)
-
-
-def _ito(model: SdeModel, driver: PathEnsemble, over: bool, increments: bool = False) -> PathEnsemble:
-    """:func:`ito_map` into fresh storage, or ``over`` the driver's own: each step reads knot k+1 before
-    its slot is written: dB[k] itself if knots 1..n hold ``increments`` (knot 0 unread), else carried,
-    so every increment is drv[k+1] - drv[k], byte for byte."""
     drv = np.swapaxes(_ensemble(driver, "driver", model).values, 0, 1)  # the driver's time-major storage
-    dt = driver.grid.dt
-    z = drv if over else np.empty_like(drv)
-    knot = drv[0].copy()
+    values = _ito(model, _increments(drv, np.empty_like(drv)), driver.grid.dt)
+    return PathEnsemble(grid=driver.grid, values=values, seed=driver.seed)
+
+
+def _increments(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Knot k+1 of time-major ``out`` (``z`` itself by default) set to z[k+1] - z[k], a slice at a time, last first."""
+    out = z if out is None else out
+    for k in range(len(z) - 1, 0, -1):
+        np.subtract(z[k], z[k - 1], out=out[k])
+    return out
+
+
+def _ito(model: SdeModel, z: np.ndarray, dt: float) -> np.ndarray:
+    """The Euler recursion of ``model`` over time-major (n+1, N, d) storage whose knot k+1 holds dB[k], read by
+    step k before it writes Z[k+1] there (knot 0 is set to z0); returns the (N, n+1, d) view."""
     z[0] = model.z0
 
     def step(k, t, prefix):
         b = model.drift.eval(k, t, prefix)
         s = model.diffusion.eval(k, t, prefix)
-        if increments:
-            db = drv[k + 1]
-        else:
-            db, knot[...] = drv[k + 1] - knot, drv[k + 1]
-        return prefix[:, -1] + b * dt + _apply(s, db)
+        return prefix[:, -1] + b * dt + _apply(s, z[k + 1])
 
-    return PathEnsemble(grid=driver.grid, values=_walk(z, dt, step, f"ito_map of {model.label!r}"), seed=driver.seed)
+    return _walk(z, dt, step, f"ito_map of {model.label!r}")
 
 
 def _check_diffusion(s, det, label):

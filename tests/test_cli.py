@@ -1108,3 +1108,56 @@ def test_tanaka_with_fewer_pairs_than_its_probe_needs_exits_2_naming_n(tmp_path,
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert "needs N >= 1000, got 999" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("value", [-1, 1 << 64])
+@pytest.mark.parametrize("command", ["couple", "cost", "verify"])
+def test_a_seed_flag_out_of_range_is_reported_against_the_flag_not_the_config_line(tmp_path, capsys, command, value):
+    # the file's own "seed": 9 is valid; the value the message names is the flag's, which no line holds
+    cfg = _write_config(tmp_path)
+    argv = [command, "--config", str(cfg), "--seed", str(value), "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "--seed: " in err and "field 'seed' must be" in err and f"got {value}" in err
+    assert "line " not in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, flag, value", [("N", "--N", 0), ("n_steps", "--n", 0), ("d", "--d", 0), ("seed", "--seed", -1)])
+def test_a_size_flag_over_an_experiment_file_is_reported_against_the_flag(tmp_path, capsys, monkeypatch, key, flag, value):
+    calls = []
+    fn = experiments.EXPERIMENTS["rotation-invariance"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "rotation-invariance", functools.wraps(fn)(lambda **kw: calls.append(kw)))
+    cfg = tmp_path / "ri.json"
+    cfg.write_text(json.dumps({"version": 1, "kind": "rotation-invariance", "N": 50, "n_steps": 16, "d": 2, "seed": 3}, indent=2))
+    assert main(["experiment", str(cfg), flag, str(value), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{flag}: " in err and f"field '{key}' must be at least" in err and f"got {value}" in err
+    assert "line " not in err and "Traceback" not in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, flag, text",
+    [("closed-form-d1", "--a", "nan"), ("optimality-gap", "--b", "inf"), ("rotation-chop-density", "--c", "-inf"),
+     ("closed-form-d1", "--a", "1e999"), ("optimality-gap", "--a", "-nan")],
+)
+def test_a_non_finite_float_flag_exits_2_naming_the_flag(tmp_path, capsys, monkeypatch, kind, flag, text):
+    # as a NaN or an infinity in a config file is, before the experiment runs
+    calls = []
+    fn = experiments.EXPERIMENTS[kind]
+    monkeypatch.setitem(experiments.EXPERIMENTS, kind, functools.wraps(fn)(lambda **kw: calls.append(kw)))
+    assert main(["experiment", kind, f"{flag}={text}", "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: {kind}: {flag}: " in err and "is not a finite number" in err and "Traceback" not in err
+    assert calls == [] and not (tmp_path / "out").exists()
+
+
+def test_a_finite_float_flag_reaches_the_experiment_unchanged(tmp_path, monkeypatch):
+    calls = []
+    fn = experiments.EXPERIMENTS["optimality-gap"]
+    monkeypatch.setitem(experiments.EXPERIMENTS, "optimality-gap",
+                        functools.wraps(fn)(lambda **kw: calls.append(kw) or {"verdicts": []}))
+    assert main(["experiment", "optimality-gap", "--a=-0.0", "--b", "0.1", "--N", "7", "--out", str(tmp_path)]) == EXIT_OK
+    (kw,) = calls
+    assert (repr(kw["a"]), repr(kw["b"]), repr(kw["N"])) == ("-0.0", "0.1", "7")

@@ -631,3 +631,20 @@ def test_d1_apply_has_the_bytes_of_matmul_and_einsum(case):
         assert sde._apply(shared.T, vec).tobytes() == (vec @ shared).tobytes()
         assert sde._apply(per_path, vec).tobytes() == np.einsum("nij,nj->ni", per_path, vec).tobytes()
         assert sde._apply(np.swapaxes(per_path, 1, 2), vec).tobytes() == np.einsum("nji,nj->ni", per_path, vec).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(arrays(float, st.tuples(st.integers(2, 13), st.integers(1, 4), st.integers(1, 3)), elements=_D1_ENTRIES))
+def test_increments_in_place_and_into_fresh_storage_have_the_bytes_of_subtract(z):
+    # time-major (n+1, N, d) knots; knot 0 of either output is not an increment
+    with np.errstate(over="ignore"):  # two large entries of opposite sign differ by inf on every route
+        want = np.subtract(z[1:], z[:-1])
+        fresh = sde._increments(z, np.empty_like(z))
+        own = sde._increments(z.copy())
+    assert fresh[1:].tobytes() == want.tobytes() and own[1:].tobytes() == want.tobytes()
+
+
+def test_increments_in_place_hold_no_second_leg(traced_peak):
+    # a time slice at a time, last knot first: no leg-sized temporary
+    z = sample_brownian(TimeGrid(1024), 1, 10_000, seed=4).values.swapaxes(0, 1)
+    assert traced_peak(lambda: sde._increments(z)) <= 2 * 2**20
